@@ -201,8 +201,8 @@ func BenchmarkE5_TotalDefectCoverage(b *testing.B) {
 	b.ReportMetric(dRes.Coverage()*100, "data-coverage-%")
 }
 
-// benchE5Engine runs the E5 campaign (both busses) under one engine, the
-// head-to-head measurement behind BENCH_PR2.json.
+// benchE5Engine runs the E5 campaign (both busses) under one engine; past
+// figures are recorded in bench/history.json.
 func benchE5Engine(b *testing.B, eng sim.Engine) {
 	plan := mustPlan(b, core.GenConfig{})
 	r := mustRunner(b, plan)
@@ -221,11 +221,8 @@ func benchE5Engine(b *testing.B, eng sim.Engine) {
 	}
 	b.StopTimer()
 	st := r.Stats()
-	b.ReportMetric(float64(st.ReplayHits)/float64(b.N), "replay-hits/op")
+	b.ReportMetric(float64(st.BatchScreened)/float64(b.N), "batch-screened/op")
 	b.ReportMetric(float64(st.Fallbacks)/float64(b.N), "fallbacks/op")
-	if st.BatchScreened > 0 {
-		b.ReportMetric(float64(st.BatchScreened)/float64(b.N), "batch-screened/op")
-	}
 	if st.MemoHits+st.MemoMisses > 0 {
 		b.ReportMetric(float64(st.MemoHits)/float64(st.MemoHits+st.MemoMisses)*100, "memo-hit-%")
 	}
@@ -236,21 +233,15 @@ func benchE5Engine(b *testing.B, eng sim.Engine) {
 // defect on freshly allocated systems).
 func BenchmarkE5_EngineExecute(b *testing.B) { benchE5Engine(b, sim.Execute) }
 
-// BenchmarkE5_EngineAuto measures the E5 campaign under the Auto engine
-// (trace replay, memoized channels, pooled systems, snapshot-resumed
-// execution fallback) — byte-identical results to Execute.
-func BenchmarkE5_EngineAuto(b *testing.B) { benchE5Engine(b, sim.Auto) }
-
-// BenchmarkE5_EngineBatch measures the E5 campaign under the batched
-// library-wide screening engine (one survivor-mask sweep per session trace,
-// resumed execution only for divergent (defect, session) pairs) — the
-// BENCH_PR8.json comparison against BenchmarkE5_EngineAuto, byte-identical
-// results to both Auto and Execute.
+// BenchmarkE5_EngineBatch measures the E5 campaign under the production
+// engine (one survivor-mask sweep per session trace, resumed execution only
+// for divergent (defect, session) pairs) — byte-identical results to
+// Execute.
 func BenchmarkE5_EngineBatch(b *testing.B) { benchE5Engine(b, sim.Batch) }
 
 // benchWideBusEngine runs a wide-bus campaign under one engine — the second
-// target axis of the BENCH_PR8.json comparison, at a width (64 wires) where
-// the batch kernel's structure-of-arrays walk has the most wires per step.
+// target axis of the engine benchmarks, at a width (64 wires) where the
+// batch kernel's structure-of-arrays walk has the most wires per step.
 func benchWideBusEngine(b *testing.B, eng sim.Engine) {
 	tgt := target.MustWideBus(64)
 	plan, err := tgt.Generate(target.GenSpec{})
@@ -279,18 +270,17 @@ func benchWideBusEngine(b *testing.B, eng sim.Engine) {
 	}
 	b.StopTimer()
 	st := r.Stats()
-	b.ReportMetric(float64(st.ReplayHits)/float64(b.N), "replay-hits/op")
+	b.ReportMetric(float64(st.BatchScreened)/float64(b.N), "batch-screened/op")
 	b.ReportMetric(float64(st.Fallbacks)/float64(b.N), "fallbacks/op")
 }
 
-// BenchmarkWideBus64_EngineAuto and BenchmarkWideBus64_EngineBatch compare
-// per-defect replay against the batched sweep on the 64-wire scripted bus.
-func BenchmarkWideBus64_EngineAuto(b *testing.B)  { benchWideBusEngine(b, sim.Auto) }
+// BenchmarkWideBus64_EngineBatch measures the production engine on the
+// 64-wire scripted bus.
 func BenchmarkWideBus64_EngineBatch(b *testing.B) { benchWideBusEngine(b, sim.Batch) }
 
 // BenchmarkE5_Fleet4Workers measures the same E5 campaign dispatched by a
 // fleet coordinator across 4 in-process worker nodes (HTTP shard transfer
-// included) — the BENCH_PR4.json comparison against BenchmarkE5_EngineAuto.
+// included) — the comparison against BenchmarkE5_EngineBatch.
 // On one machine the fleet shares the standalone run's cores, so this
 // records distribution overhead, not speedup; the subsystem's scaling axis
 // is many machines.
@@ -370,7 +360,8 @@ func BenchmarkE5_TelemetryOff(b *testing.B) { benchE5Telemetry(b, obs.Disabled()
 
 // BenchmarkE5_TelemetryOverhead interleaves telemetry-on and telemetry-off
 // service runs pair by pair, so machine drift hits both sides equally — the
-// paired measurement behind BENCH_PR5.json's overhead figure. (Running the
+// paired measurement behind the telemetry-overhead figure in
+// bench/history.json. (Running the
 // On and Off benchmarks back to back instead puts whole minutes between the
 // two measurements, and on a shared machine that drift alone reads as a few
 // percent.) The reported ns/op covers one on+off pair; the split is in the
@@ -392,14 +383,14 @@ func BenchmarkE5_TelemetryOverhead(b *testing.B) {
 	b.ReportMetric((float64(tOn)/float64(tOff)-1)*100, "overhead-%")
 }
 
-// BenchmarkE5_FleetObsOverhead extends the BENCH_PR5 pairing to the fleet
+// BenchmarkE5_FleetObsOverhead extends the telemetry pairing to the fleet
 // observability layer: the on side runs the E5 campaign pair with full
 // telemetry plus the per-heartbeat federation work a coordinator and worker
 // add (render the live registry, parse it as ingest does, relabel and merge
 // two worker snapshots, render the fleet exposition) and an SLO burn-rate
 // evaluation tick; the off side is the disabled-telemetry baseline. Pairs
-// interleave so machine drift cancels — the BENCH_PR10.json figure behind
-// the ≤2% federation+SLO overhead bound.
+// interleave so machine drift cancels — the figure in bench/history.json
+// behind the ≤2% federation+SLO overhead bound.
 func BenchmarkE5_FleetObsOverhead(b *testing.B) {
 	on := campaign.New(campaign.Config{Obs: obs.NewTelemetry()})
 	off := campaign.New(campaign.Config{Obs: obs.Disabled()})

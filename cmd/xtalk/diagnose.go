@@ -44,7 +44,7 @@ func newAnalysisFlags(fs *flag.FlagSet) *analysisFlags {
 		size:       fs.Int("size", defects.DefaultLibrarySize, "defect library size"),
 		seed:       fs.Int64("seed", 1, "random seed"),
 		compaction: fs.Bool("compaction", false, "compact responses"),
-		engine:     fs.String("engine", "auto", "simulation engine: auto, execute, or replay"),
+		engine:     fs.String("engine", "auto", engineUsage),
 		out:        fs.String("o", "", "write the JSON report to this file (default stdout)"),
 		workers:    fs.String("workers", "", "comma-separated fleet worker base URLs; runs the campaigns distributed"),
 		shards:     fs.Int("shards", 0, "fleet shard count (0 = 4 per worker)"),

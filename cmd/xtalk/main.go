@@ -7,15 +7,16 @@
 //	xtalk gen     [-compaction] [-sessions N] [-listing]
 //	xtalk params  [-width N] [-cth F] [-o file]
 //	xtalk defects [-target T] [-bus name] [-size N] [-sigma S] [-seed N]
-//	xtalk sim     [-target T] [-bus name] [-size N] [-seed N] [-compaction] [-engine auto|execute|replay|batch]
+//	xtalk sim     [-target T] [-bus name] [-size N] [-seed N] [-compaction] [-engine auto|execute]
 //	              [-workers url1,url2,...] [-shards N] [-trace out.ndjson]
-//	xtalk fig11   [-size N] [-seed N] [-csv] [-engine auto|execute|replay|batch]
+//	xtalk fig11   [-size N] [-seed N] [-csv] [-engine auto|execute]
 //	xtalk compare [-size N] [-seed N]
-//	xtalk diagnose [-target T] [-bus name] [-size N] [-seed N] [-signature "dr[3]/fwd,..."] [-o out.json] [-workers ...]
-//	xtalk minimize [-target T] [-bus name] [-size N] [-seed N] [-o out.json] [-workers ...]
-//	xtalk rank     [-target T] [-bus name] [-size N] [-seed N] [-o out.json] [-workers ...]
+//	xtalk diagnose [-target T] [-bus name] [-size N] [-seed N] [-signature "dr[3]/fwd,..."] [-engine auto|execute]
+//	               [-o out.json] [-workers ...]
+//	xtalk minimize [-target T] [-bus name] [-size N] [-seed N] [-engine auto|execute] [-o out.json] [-workers ...]
+//	xtalk rank     [-target T] [-bus name] [-size N] [-seed N] [-engine auto|execute] [-o out.json] [-workers ...]
 //	xtalk infield  [-target T] [-bus name] [-size N] [-seed N] [-sessions N] [-slice-cycles N | -slices N]
-//	               [-interval D] [-engine auto|execute|replay|batch] [-o out.ndjson] [-workers ...] [-shards N]
+//	               [-interval D] [-engine auto|execute] [-o out.ndjson] [-workers ...] [-shards N]
 //	xtalk status   [-daemon http://localhost:8080] [-timeout 5s]
 //
 // The -target flag selects the backend under test: "parwan" (the paper's
@@ -264,6 +265,9 @@ func cmdDefects(args []string) error {
 	return tbl.Write(os.Stdout)
 }
 
+// engineUsage is the -engine flag help shared by every simulating subcommand.
+const engineUsage = `simulation engine: auto (the exact batched engine; "batch" is a synonym) or execute (the reference)`
+
 func cmdSim(args []string) error {
 	fs := flag.NewFlagSet("sim", flag.ExitOnError)
 	targetName := fs.String("target", "", "target backend: parwan (default) or widebusN")
@@ -272,7 +276,7 @@ func cmdSim(args []string) error {
 	seed := fs.Int64("seed", 1, "random seed")
 	compaction := fs.Bool("compaction", false, "compact responses")
 	planFile := fs.String("plan", "", "load a previously saved plan instead of generating")
-	engine := fs.String("engine", "auto", "simulation engine: auto, execute, replay, or batch")
+	engine := fs.String("engine", "auto", engineUsage)
 	workers := fs.String("workers", "", "comma-separated fleet worker base URLs; runs the campaign distributed")
 	shards := fs.Int("shards", 0, "fleet shard count (0 = 4 per worker)")
 	traceOut := fs.String("trace", "", "write the run's spans as NDJSON to this file")
@@ -378,8 +382,8 @@ func simFleet(urls string, shards int, traceOut string, spec campaign.Spec) erro
 		spec.Bus, res.Total, n, fs.Shards, fs.Retries)
 	fmt.Printf("coverage: %d/%d = %.2f%% (paper: 100%%)\n", res.Detected, res.Total, res.Coverage()*100)
 	fmt.Printf("crashed/hung runs counted as detections: %d\n", res.Crashed)
-	fmt.Printf("engine: %d replay-resolved, %d executed (worker-side attribution)\n",
-		fs.ReplayHits, fs.Executed)
+	fmt.Printf("engine: %d swept clean, %d executed (worker-side attribution)\n",
+		res.Total-fs.Executed, fs.Executed)
 	if traceOut != "" {
 		if err := writeTraceFile(traceOut, coord.Obs().Tracer, fs.TraceID); err != nil {
 			return err
@@ -404,22 +408,13 @@ func writeTraceFile(path string, tr *obs.Tracer, traceID string) error {
 }
 
 // printEngineStats summarizes how the engine resolved the campaign's defect
-// runs: replay-tier hits versus full executions, plus channel-memo traffic.
+// runs: sweep-cleared defects versus executions, plus channel-memo traffic.
 func printEngineStats(eng sim.Engine, r *sim.Runner) {
 	st := r.Stats()
-	switch eng {
-	case sim.Replay:
-		fmt.Printf("engine %s: %d replay-resolved, %d screened as detected, %d executed\n",
-			eng, st.ReplayHits, st.Screened, st.Executes)
-	case sim.Batch:
-		fmt.Printf("engine %s: %d swept clean in %d sweeps, %d divergence fallbacks, %d full executions\n",
-			eng, st.BatchScreened, st.BatchSweeps, st.Fallbacks, st.Executes)
-	default:
-		fmt.Printf("engine %s: %d replay-resolved, %d divergence fallbacks, %d full executions\n",
-			eng, st.ReplayHits, st.Fallbacks, st.Executes)
-	}
+	fmt.Printf("engine %s: %d swept clean in %d sweeps, %d divergence fallbacks, %d full executions\n",
+		eng, st.BatchScreened, st.BatchSweeps, st.Fallbacks, st.Executes)
 	if st.DegradedExecutes > 0 {
-		fmt.Printf("engine %s: %d runs degraded to full execution (golden traffic errs; replay unsound)\n",
+		fmt.Printf("engine %s: %d runs degraded to full execution (golden traffic errs; screening unsound)\n",
 			eng, st.DegradedExecutes)
 	}
 	if total := st.MemoHits + st.MemoMisses; total > 0 {
@@ -434,7 +429,7 @@ func cmdFig11(args []string) error {
 	size := fs.Int("size", defects.DefaultLibrarySize, "defect library size")
 	seed := fs.Int64("seed", 1, "random seed")
 	csv := fs.Bool("csv", false, "emit CSV instead of a chart")
-	engine := fs.String("engine", "auto", "simulation engine: auto, execute, replay, or batch")
+	engine := fs.String("engine", "auto", engineUsage)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

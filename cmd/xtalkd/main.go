@@ -3,10 +3,11 @@
 // worker pool shared across jobs, and serves status, progress streams,
 // results, metrics and cancellation. See internal/campaign for the API.
 //
-// A spec's "engine" field selects the simulation engine per job ("auto",
-// "execute" or "replay"; see internal/sim); progress events report how many
-// defects the replay tier resolved versus fell back to execution, and
-// /metrics exposes the aggregate engine and channel-memo counters.
+// A spec's "engine" field selects the simulation engine per job: "auto" (or
+// its synonym "batch") for the exact batched engine, or "execute" for the
+// full-execution reference; see internal/sim. Progress events report how
+// many defects the screening sweep resolved versus resumed execution for,
+// and /metrics exposes the aggregate engine and channel-memo counters.
 //
 // Beyond plain campaigns, a spec's "type" field selects an analysis job
 // (see internal/diagnose): "diagnose" builds the fault dictionary and

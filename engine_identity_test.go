@@ -1,5 +1,5 @@
-// Enforces the trace-replay engine's headline guarantee: a campaign run
-// with Engine: Auto (replay + divergence fallback) renders byte-identical
+// Enforces the production engine's headline guarantee: a campaign run with
+// Engine: Batch (screening sweep + resumed execution) renders byte-identical
 // CampaignResult JSON to the execute-only reference engine for the full E5
 // campaign on both busses.
 package repro_test
@@ -64,27 +64,17 @@ func TestEngineByteIdentityE5(t *testing.T) {
 				return buf.Bytes()
 			}
 			exec := render(sim.Execute)
-			auto := render(sim.Auto)
-			if !bytes.Equal(exec, auto) {
-				for i := 0; i < len(exec) && i < len(auto); i++ {
-					if exec[i] != auto[i] {
-						lo, hi := i-80, i+80
-						if lo < 0 {
-							lo = 0
-						}
-						if hi > len(exec) {
-							hi = len(exec)
-						}
-						t.Fatalf("campaign JSON diverges at byte %d:\nexecute: %s\nauto:    %s",
-							i, exec[lo:hi], auto[lo:min(hi, len(auto))])
-					}
-				}
-				t.Fatalf("campaign JSON lengths differ: execute %d, auto %d", len(exec), len(auto))
-			}
 			before := r.Stats()
 			batch := render(sim.Batch)
 			if !bytes.Equal(exec, batch) {
-				t.Fatalf("batch campaign JSON differs from execute (%d vs %d bytes)", len(batch), len(exec))
+				for i := 0; i < len(exec) && i < len(batch); i++ {
+					if exec[i] != batch[i] {
+						lo, hi := max(i-80, 0), min(i+80, len(exec))
+						t.Fatalf("campaign JSON diverges at byte %d:\nexecute: %s\nbatch:   %s",
+							i, exec[lo:hi], batch[lo:min(hi, len(batch))])
+					}
+				}
+				t.Fatalf("campaign JSON lengths differ: execute %d, batch %d", len(exec), len(batch))
 			}
 			// The batched sweep must keep the whole library out of the full
 			// Execute tier: clean defects are screened in O(1), divergent ones

@@ -1,12 +1,12 @@
 // Wide-bus campaign: runs the full crosstalk defect-simulation flow on the
 // synthetic scripted-bus backend instead of the Parwan SoC — the same MAF
-// model, channel arithmetic, two-tier engine and set-cover minimization,
+// model, channel arithmetic, batched engine and set-cover minimization,
 // applied to a 16/32/64-wire unidirectional bus driven by a scripted
 // initiator.
 //
 // Expected shape: every defect the Gaussian library accepts is detected
 // (the MA pairs maximize each victim's aggression, as on Parwan's busses),
-// the Auto engine resolves clean defects by trace replay alone, and the
+// the screening sweep clears clean defects without execution, and the
 // minimized program covers all attributed defects with far fewer than the
 // full 4N tests.
 package main
@@ -61,8 +61,8 @@ func main() {
 		log.Fatal(err)
 	}
 	st := r.Stats()
-	fmt.Printf("campaign: %d/%d detected (%.1f%%), %d replay-resolved, %d fallbacks\n",
-		res.Detected, res.Total, res.Coverage()*100, st.ReplayHits, st.Fallbacks)
+	fmt.Printf("campaign: %d/%d detected (%.1f%%), %d swept clean, %d fallbacks\n",
+		res.Detected, res.Total, res.Coverage()*100, st.BatchScreened, st.Fallbacks)
 
 	// The same spec the CLI's `-target widebusN` flag builds, run through
 	// the campaign manager's minimize job: greedy set cover over the

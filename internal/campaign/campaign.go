@@ -80,11 +80,12 @@ type Spec struct {
 	// Workers caps this job's concurrent defect runs; zero means "up to the
 	// shared pool size". The shared pool bounds total concurrency anyway.
 	Workers int `json:"workers,omitempty"`
-	// Engine selects the simulation engine: "auto" (trace replay with
-	// execution fallback, exact), "execute" (full execution for every
-	// defect), "replay" (screening only; see sim.Replay), or "batch"
-	// (library-wide screening sweep with execution of the divergent
-	// remainder, exact; see sim.Batch). Empty selects "auto".
+	// Engine selects the simulation engine: "auto" or "batch" (the exact
+	// production engine, sim.Batch: a library-wide screening sweep with
+	// resumed execution of the divergent remainder) or "execute" (the
+	// sim.Execute reference: full execution for every defect). Empty
+	// selects "auto". Any other name is rejected with a
+	// *sim.UnknownEngineError.
 	Engine string `json:"engine,omitempty"`
 	// SliceCycles, Slices and IntervalMS configure infield jobs only.
 	// SliceCycles is the per-slice golden-cycle budget (zero slices at the
@@ -192,7 +193,9 @@ func (s Spec) normalized() Spec {
 		s.CthFactor = crosstalk.DefaultCthFactor
 	}
 	if s.Engine == "" {
-		s.Engine = sim.Auto.String()
+		// "auto" is the historical default spelling of sim.Batch; keeping
+		// it keeps status JSON, job labels and cache keys unchanged.
+		s.Engine = "auto"
 	}
 	return s
 }
@@ -292,9 +295,9 @@ const (
 func (s State) Terminal() bool { return s == Done || s == Failed || s == Canceled }
 
 // Progress is one progress event: counts over the defect library so far.
-// ReplayHits counts defects the replay tier resolved without CPU execution;
-// Executed counts defects that needed full execution (a fallback under the
-// auto engine, every defect under the execute engine).
+// ReplayHits counts defects the screening sweep resolved without CPU
+// execution; Executed counts defects that needed execution (a resumed
+// fallback under the batch engine, every defect under the execute engine).
 type Progress struct {
 	State State `json:"state"`
 	// Type is the job's product type (Spec.JobType); Phase is the stage
@@ -324,6 +327,20 @@ type Progress struct {
 	// DriftReasons.
 	Drift        string   `json:"drift,omitempty"`
 	DriftReasons []string `json:"drift_reasons,omitempty"`
+}
+
+// add counts one completed defect outcome into the simulate-phase totals.
+func (p *Progress) add(out sim.Outcome) {
+	p.Done++
+	if out.Detected {
+		p.Detected++
+	}
+	p.Activations += int64(out.Activations)
+	if out.Replayed {
+		p.ReplayHits++
+	} else {
+		p.Executed++
+	}
 }
 
 // Job phases reported in Progress.Phase.
@@ -531,8 +548,8 @@ type Metrics struct {
 	Workers            int   `json:"workers"`
 	BusyWorkers        int   `json:"busy_workers"`
 	// Engine is the aggregate of every cached runner's engine counters:
-	// replay-tier hits, execution fallbacks, forced executions, screening
-	// verdicts, and channel-memo traffic (see sim.EngineStats).
+	// sweep clearances, resumed-execution fallbacks, reference executions,
+	// and channel-memo traffic (see sim.EngineStats).
 	Engine sim.EngineStats `json:"engine"`
 }
 
@@ -641,15 +658,11 @@ func New(cfg Config) *Manager {
 		func() float64 { return float64(len(m.slots)) })
 	reg.GaugeFunc("xtalkd_jobs_pending", "jobs accepted and waiting to start (the queue depth)",
 		func() float64 { return float64(m.jobsInState(Pending)) })
-	reg.CounterFunc("xtalkd_engine_replay_hits_total", "defects resolved by trace replay alone",
-		m.engineStat(func(s sim.EngineStats) int64 { return s.ReplayHits }))
-	reg.CounterFunc("xtalkd_engine_fallbacks_total", "auto-engine runs that fell back to execution",
+	reg.CounterFunc("xtalkd_engine_fallbacks_total", "defect runs whose screening sweep diverged and resumed execution",
 		m.engineStat(func(s sim.EngineStats) int64 { return s.Fallbacks }))
 	reg.CounterFunc("xtalkd_engine_executes_total", "defect runs performed by the execute tier",
 		m.engineStat(func(s sim.EngineStats) int64 { return s.Executes }))
-	reg.CounterFunc("xtalkd_engine_screened_total", "replay-engine runs classified from divergence alone",
-		m.engineStat(func(s sim.EngineStats) int64 { return s.Screened }))
-	reg.CounterFunc("xtalkd_engine_degraded_executes_total", "replay-engine requests degraded to execution (replay precondition void)",
+	reg.CounterFunc("xtalkd_engine_degraded_executes_total", "batch-engine runs degraded to execution (screening precondition void)",
 		m.engineStat(func(s sim.EngineStats) int64 { return s.DegradedExecutes }))
 	reg.CounterFunc("xtalkd_engine_batch_screened_total", "defects cleared by the batched library-wide screening sweep",
 		m.engineStat(func(s sim.EngineStats) int64 { return s.BatchScreened }))
@@ -690,7 +703,7 @@ func New(cfg Config) *Manager {
 	})
 	t.SLO.Add(obs.Objective{
 		Name:        "degraded_execute_ratio",
-		Description: "replay-precondition degradations stay rare relative to total defect runs",
+		Description: "screening-precondition degradations stay rare relative to total defect runs",
 		Source: obs.RatioSource(
 			func() float64 { return float64(m.defectsSimulated.Value()) },
 			m.engineStat(func(s sim.EngineStats) int64 { return s.DegradedExecutes })),
@@ -768,11 +781,9 @@ func (m *Manager) Metrics() Metrics {
 	m.mu.Lock()
 	for _, r := range m.runners {
 		s := r.Stats()
-		eng.ReplayHits += s.ReplayHits
 		eng.Fallbacks += s.Fallbacks
 		eng.Executes += s.Executes
 		eng.DegradedExecutes += s.DegradedExecutes
-		eng.Screened += s.Screened
 		eng.BatchScreened += s.BatchScreened
 		eng.BatchSweeps += s.BatchSweeps
 		eng.MemoHits += s.MemoHits
@@ -1168,18 +1179,8 @@ func (m *Manager) execute(ctx context.Context, job *Job) (*sim.CampaignResult, *
 	// monotone counts continuing where it stopped.
 	p := Progress{Total: len(lib.Defects), Type: spec.JobType(), Phase: PhaseSimulate}
 	for i, done := range job.completed {
-		if !done {
-			continue
-		}
-		p.Done++
-		if job.outcomes[i].Detected {
-			p.Detected++
-		}
-		p.Activations += int64(job.outcomes[i].Activations)
-		if job.outcomes[i].Replayed {
-			p.ReplayHits++
-		} else {
-			p.Executed++
+		if done {
+			p.add(job.outcomes[i])
 		}
 	}
 	job.progress = p
@@ -1209,16 +1210,7 @@ func (m *Manager) execute(ctx context.Context, job *Job) (*sim.CampaignResult, *
 			}
 			job.completed[i] = true
 			job.outcomes[i] = out
-			job.progress.Done++
-			if out.Detected {
-				job.progress.Detected++
-			}
-			job.progress.Activations += int64(out.Activations)
-			if out.Replayed {
-				job.progress.ReplayHits++
-			} else {
-				job.progress.Executed++
-			}
+			job.progress.add(out)
 			m.defectsSimulated.Inc()
 			job.publishLocked()
 		},
@@ -1229,9 +1221,9 @@ func (m *Manager) execute(ctx context.Context, job *Job) (*sim.CampaignResult, *
 		var fellBack atomic.Bool
 		opts.Observe = func(out sim.Outcome, d time.Duration) {
 			observe(out, d)
-			// One event per job, not per defect: the fact that the replay
+			// One event per job, not per defect: the fact that the screening
 			// tier gave up is interesting; its thousandth repetition is not.
-			if !out.Replayed && (opts.Engine == sim.Auto || opts.Engine == sim.Batch) && fellBack.CompareAndSwap(false, true) {
+			if !out.Replayed && opts.Engine != sim.Execute && fellBack.CompareAndSwap(false, true) {
 				m.obs.Record("engine.fallback", obs.Label{Key: "job", Value: job.id})
 			}
 		}
@@ -1377,8 +1369,9 @@ func (m *Manager) verifyCampaign(ctx context.Context, spec Spec, minPlan *core.P
 }
 
 // observeTier maps a completed defect run to its engine tier's latency
-// histogram: replay (no CPU execution), execute (forced full execution), or
-// fallback (auto-engine replay divergence resolved by resumed execution).
+// histogram: replay (settled by the screening sweep, no CPU execution),
+// execute (the Execute engine's full execution), or fallback (a screening
+// divergence resolved by resumed execution).
 func (m *Manager) observeTier(engine sim.Engine) func(out sim.Outcome, d time.Duration) {
 	return func(out sim.Outcome, d time.Duration) {
 		tier := "fallback"

@@ -3,6 +3,8 @@ package campaign
 import (
 	"bytes"
 	"context"
+	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -221,6 +223,17 @@ func TestResumeSkipsCheckpointedDefects(t *testing.T) {
 	if !bytes.Equal(renderJSON(t, res, width), renderJSON(t, direct, directWidth)) {
 		t.Fatal("resumed result differs from direct run")
 	}
+
+	// The progress rebuilt from the checkpoint plus the resumed run's
+	// outcomes must end exactly where an uninterrupted job ends.
+	whole, err := m.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, whole)
+	if got, want := resumed.Status().Progress, whole.Status().Progress; !reflect.DeepEqual(got, want) {
+		t.Fatalf("resumed final progress %+v != uninterrupted %+v", got, want)
+	}
 }
 
 func TestProgressIsMonotone(t *testing.T) {
@@ -247,10 +260,10 @@ func TestProgressIsMonotone(t *testing.T) {
 	}
 }
 
-// TestEngineSpecAndCounters submits the same campaign under the auto and
+// TestEngineSpecAndCounters submits the same campaign under the default and
 // execute engines: the rendered results must be byte-identical, the job
-// progress must attribute every defect to replay or execution, and the
-// manager metrics must aggregate the runner's engine counters.
+// progress must attribute every defect to the screen or to execution, and
+// the manager metrics must aggregate the runner's engine counters.
 func TestEngineSpecAndCounters(t *testing.T) {
 	m := New(Config{Workers: 2})
 	auto, err := m.Submit(smallSpec())
@@ -267,12 +280,15 @@ func TestEngineSpecAndCounters(t *testing.T) {
 			st.Progress.ReplayHits, st.Progress.Executed, st.Progress.Done)
 	}
 	mt := m.Metrics()
-	if got := mt.Engine.ReplayHits + mt.Engine.Fallbacks; got != int64(st.Progress.Done) {
-		t.Fatalf("engine replay %d + fallbacks %d != %d defects",
-			mt.Engine.ReplayHits, mt.Engine.Fallbacks, st.Progress.Done)
+	if got := mt.Engine.BatchScreened + mt.Engine.Fallbacks; got != int64(st.Progress.Done) {
+		t.Fatalf("engine screened %d + fallbacks %d != %d defects",
+			mt.Engine.BatchScreened, mt.Engine.Fallbacks, st.Progress.Done)
 	}
-	if mt.Engine.Executes != 0 || mt.Engine.Screened != 0 {
-		t.Fatalf("auto campaign counted executes=%d screened=%d", mt.Engine.Executes, mt.Engine.Screened)
+	if mt.Engine.BatchScreened != int64(st.Progress.ReplayHits) {
+		t.Fatalf("engine screened %d, progress replay hits %d", mt.Engine.BatchScreened, st.Progress.ReplayHits)
+	}
+	if mt.Engine.Executes != 0 || mt.Engine.DegradedExecutes != 0 {
+		t.Fatalf("auto campaign counted executes=%d degraded=%d", mt.Engine.Executes, mt.Engine.DegradedExecutes)
 	}
 	if mt.Engine.MemoMisses == 0 {
 		t.Fatal("memoized channels recorded no traffic")
@@ -308,10 +324,29 @@ func TestSubmitValidation(t *testing.T) {
 		{Bus: "addr", Workers: -2},
 		{Bus: "addr", Plan: []byte(`{"programs": 42}`)},
 		{Bus: "addr", Engine: "warp"},
+		{Bus: "addr", Engine: "replay"},
 	}
 	for _, spec := range bad {
 		if _, err := m.Submit(spec); err == nil {
 			t.Errorf("Submit(%+v) accepted an invalid spec", spec)
+		}
+	}
+}
+
+// TestUnknownEngine pins the typed engine rejection through Spec.Validate:
+// removed and misspelled engines alike surface as *sim.UnknownEngineError,
+// while every kept spelling validates.
+func TestUnknownEngine(t *testing.T) {
+	for _, name := range []string{"replay", "warp"} {
+		err := Spec{Bus: "addr", Engine: name}.Validate()
+		var uee *sim.UnknownEngineError
+		if !errors.As(err, &uee) || uee.Name != name {
+			t.Errorf("engine %q: Validate error %v (%T) is not an UnknownEngineError naming it", name, err, err)
+		}
+	}
+	for _, name := range []string{"", "auto", "batch", "execute"} {
+		if err := (Spec{Bus: "addr", Engine: name}).Validate(); err != nil {
+			t.Errorf("engine %q rejected: %v", name, err)
 		}
 	}
 }

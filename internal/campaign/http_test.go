@@ -313,6 +313,11 @@ func TestHTTPBadSubmissions(t *testing.T) {
 			t.Errorf("submit %q: status %d, want 400", body, resp.StatusCode)
 		}
 	}
+	// The removed screening-only engine is a client error that says why.
+	resp, body := doJSON(t, http.MethodPost, ts.URL+"/v1/campaigns", `{"bus":"addr","engine":"replay"}`)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "removed") {
+		t.Errorf("submit with engine replay: status %d body %q, want 400 saying the mode was removed", resp.StatusCode, body)
+	}
 }
 
 func TestHTTPHealthAndMetrics(t *testing.T) {
@@ -351,10 +356,9 @@ func TestHTTPHealthAndMetrics(t *testing.T) {
 		"xtalkd_fleet_shards_served_total 0",
 		"xtalkd_golden_cache_misses_total 1",
 		"xtalkd_workers 2",
-		"xtalkd_engine_replay_hits_total ",
+		"xtalkd_engine_batch_screened_total ",
 		"xtalkd_engine_fallbacks_total ",
 		"xtalkd_engine_executes_total 0",
-		"xtalkd_engine_screened_total 0",
 		"xtalkd_channel_memo_hits_total ",
 		"xtalkd_channel_memo_misses_total ",
 	} {
@@ -362,11 +366,16 @@ func TestHTTPHealthAndMetrics(t *testing.T) {
 			t.Errorf("metrics missing %q:\n%s", want, text)
 		}
 	}
-	// The auto engine resolves every defect by replay or by fallback
-	// execution, so the two counters sum to the defect count.
-	if got := metricValue(t, text, "xtalkd_engine_replay_hits_total") +
+	for _, gone := range []string{"xtalkd_engine_replay_hits_total", "xtalkd_engine_screened_total"} {
+		if strings.Contains(text, gone) {
+			t.Errorf("metrics still expose the removed %s family", gone)
+		}
+	}
+	// The default engine resolves every defect by the screening sweep or by
+	// resumed execution, so the two counters sum to the defect count.
+	if got := metricValue(t, text, "xtalkd_engine_batch_screened_total") +
 		metricValue(t, text, "xtalkd_engine_fallbacks_total"); got != 60 {
-		t.Errorf("replay hits + fallbacks = %d, want 60:\n%s", got, text)
+		t.Errorf("batch screened + fallbacks = %d, want 60:\n%s", got, text)
 	}
 	if metricValue(t, text, "xtalkd_channel_memo_misses_total") == 0 {
 		t.Errorf("memoized channels recorded no traffic:\n%s", text)

@@ -21,7 +21,7 @@ import (
 // weighting, the same precomputed ascending-order total coupling in the
 // glitch charge divider, and the same strict threshold comparisons. The sim
 // layer's batched screening relies on this to clear a defect from a campaign
-// with exactly the verdict the per-defect replay tier would reach
+// with exactly the verdict a per-defect Channel walk would reach
 // (TestBatchMatchesChannelTransmit pins the equivalence).
 //
 // A Batch carries a scratch accumulator, so it must be confined to one

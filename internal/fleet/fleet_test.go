@@ -94,7 +94,8 @@ func TestFleetByteIdenticalE5(t *testing.T) {
 
 // TestFleetBatchEngineByteIdentity extends the fleet acceptance to the
 // batched screening engine: each worker batches its own shard's sub-library,
-// and the merged fleet JSON must match both the fleet's Auto rendering and a
+// and the merged fleet JSON must match both the fleet's rendering under the
+// "auto" spelling (a distinct spec and shard key for the same engine) and a
 // single-node batched run — on the paper's E5 campaign and on a wide-bus
 // target.
 func TestFleetBatchEngineByteIdentity(t *testing.T) {

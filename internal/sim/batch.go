@@ -6,29 +6,24 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/crosstalk"
-	"repro/internal/defects"
 	"repro/internal/logic"
 	"repro/internal/maf"
 )
 
-// The batched screening pass inverts the Auto engine's loop nesting at
-// campaign scope. Auto walks, per defect, over every session's golden trace;
-// a library campaign therefore replays each trace once per defect — fine for
-// one defect, wasteful for a thousand, because the overwhelming majority of
-// defects replay every trace cleanly and the walk itself (step decoding, map
-// lookups, channel dispatch) dominates over the verdict arithmetic.
+// The batched screening pass is the production engine's first tier. Walking
+// each session's golden trace once per defect would replay every trace once
+// per library defect — wasteful for a thousand, because the walk itself
+// (step decoding, map lookups, channel dispatch) dominates over the verdict
+// arithmetic.
 //
 // batchScreen instead makes ONE walk over each session's golden trace and
-// evaluates ALL library defects per transition through crosstalk.Batch's
+// evaluates ALL defects per transition through crosstalk.Batch's
 // structure-of-arrays kernel, maintaining a bitset survivor mask: a defect's
 // bit is cleared at its first diverging transition, and the transaction
-// index is recorded so the execution tier can resume exactly where Auto's
-// per-defect replay would have handed over. Defects whose bit survives every
-// session's sweep are proved undetected — the same determinism argument the
-// replay tier rests on — and their Outcome is emitted in O(1) without ever
-// constructing a Channel. Only the divergent (defect, session) pairs reach
-// core.Resume, so the expensive tier does exactly the work Auto would have
-// done, and campaign results stay byte-identical.
+// index is recorded so the execution tier can resume exactly there. Defects
+// whose bit survives every session's sweep are proved undetected (see
+// Engine) and their Outcome is emitted in O(1) without ever constructing a
+// Channel. Only the divergent (defect, session) pairs reach core.Resume.
 
 // batchPlan is the screening pass's verdict over one (bus, library) pair.
 type batchPlan struct {
@@ -49,14 +44,11 @@ type transKey struct {
 }
 
 // batchScreen sweeps every session's golden trace once, classifying each
-// library defect as clean (first[d] == nil) or divergent with per-session
+// defect as clean (first[d] == nil) or divergent with per-session
 // first-divergence indexes. One sweep per session is counted in BatchSweeps
-// regardless of library size — the point of inverting the loop.
-func (r *Runner) batchScreen(ctx context.Context, bus core.BusID, lib *defects.Library) (*batchPlan, error) {
-	params := make([]*crosstalk.Params, len(lib.Defects))
-	for i, d := range lib.Defects {
-		params[i] = d.Params
-	}
+// regardless of how many defects are screened — the point of inverting the
+// loop.
+func (r *Runner) batchScreen(ctx context.Context, bus core.BusID, params []*crosstalk.Params) (*batchPlan, error) {
 	b, err := crosstalk.NewBatch(params, r.models[bus].Thresholds)
 	if err != nil {
 		return nil, err
@@ -127,14 +119,11 @@ func (r *Runner) batchScreen(ctx context.Context, bus core.BusID, lib *defects.L
 
 // runDefectBatched resolves one defect from a batch screening plan. Clean
 // defects (first == nil) are settled without building a channel: the sweep
-// already proved every session's trace transfers unchanged, which is the
-// replay tier's exact undetected verdict, so the outcome matches Auto's
-// clean path byte for byte. Divergent defects resume execution from the
-// recorded first-divergence transaction of each diverging session — the
-// identical handover Auto computes with its own per-defect replay.
+// already proved every session's trace transfers unchanged, so the run is
+// bit-identical to golden. Divergent defects resume execution from the
+// recorded first-divergence transaction of each diverging session.
 func (r *Runner) runDefectBatched(bus core.BusID, defective *crosstalk.Params, first []int32) (Outcome, error) {
 	if first == nil {
-		r.replayHits.Add(1)
 		r.batchScreened.Add(1)
 		out := Outcome{Bus: bus, Replayed: true}
 		out.normalize()
@@ -144,8 +133,9 @@ func (r *Runner) runDefectBatched(bus core.BusID, defective *crosstalk.Params, f
 	if err != nil {
 		return Outcome{}, err
 	}
-	// Same per-run memoized channel as Auto's fallback: hung runs loop over
-	// a handful of transitions for thousands of steps.
+	// The defective channel lives for one defect run on one goroutine, so it
+	// can be memoized: hung runs loop over a handful of transitions for
+	// thousands of steps.
 	defCh.EnableMemo()
 	if defCh.MemoUnsupported() {
 		r.memoUnsupported.Add(1)

@@ -73,7 +73,7 @@ func TestBatchEngineMixedLibrary(t *testing.T) {
 	}
 
 	st := r.Stats()
-	if st.Executes != 0 || st.DegradedExecutes != 0 || st.Screened != 0 {
+	if st.Executes != 0 || st.DegradedExecutes != 0 {
 		t.Errorf("batch campaign leaked into other tiers: %+v", st)
 	}
 	if st.BatchScreened == 0 {
@@ -86,19 +86,16 @@ func TestBatchEngineMixedLibrary(t *testing.T) {
 		t.Errorf("batchScreened %d + fallbacks %d != %d defects",
 			st.BatchScreened, st.Fallbacks, len(lib.Defects))
 	}
-	if st.BatchScreened != st.ReplayHits {
-		t.Errorf("batch clearances (%d) must be counted under replay hits (%d)",
-			st.BatchScreened, st.ReplayHits)
-	}
 	if st.BatchSweeps != int64(len(plan.Programs)) {
 		t.Errorf("%d sweeps, want one per session (%d)", st.BatchSweeps, len(plan.Programs))
 	}
 }
 
-// TestBatchSingleDefectBehavesAsAuto pins the degenerate case: a
-// single-defect run has no library to batch over, so RunDefectEngine treats
-// Batch as Auto — same outcome, same counter attribution.
-func TestBatchSingleDefectBehavesAsAuto(t *testing.T) {
+// TestSingleDefectIsBatchOfOne pins the single-defect path: RunDefect screens
+// a one-defect batch and resumes its divergent sessions, so each run returns
+// the outcome (including the Replayed verdict) the library campaign gives the
+// same defect, and sweeps every session once.
+func TestSingleDefectIsBatchOfOne(t *testing.T) {
 	addr, data, err := DefaultSetups()
 	if err != nil {
 		t.Fatal(err)
@@ -112,33 +109,39 @@ func TestBatchSingleDefectBehavesAsAuto(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	camp, err := r.CampaignCtx(context.Background(), core.DataBus, lib, CampaignOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := r.Stats()
 	for i, d := range lib.Defects {
-		auto, err := r.RunDefectEngine(core.DataBus, d.Params, Auto)
+		out, err := r.RunDefect(core.DataBus, d.Params)
 		if err != nil {
 			t.Fatal(err)
 		}
-		batch, err := r.RunDefectEngine(core.DataBus, d.Params, Batch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(comparableOf(batch), comparableOf(auto)) || batch.Replayed != auto.Replayed {
-			t.Errorf("defect %d: batch %+v != auto %+v", i, batch, auto)
+		want := camp.Outcomes[i]
+		if !reflect.DeepEqual(comparableOf(out), comparableOf(want)) || out.Replayed != want.Replayed {
+			t.Errorf("defect %d: single run %+v != campaign %+v", i, out, want)
 		}
 	}
-	st := r.Stats()
-	if st.BatchScreened != 0 || st.BatchSweeps != 0 {
-		t.Errorf("single-defect batch runs recorded sweep counters: %+v", st)
+	after := r.Stats()
+	n := int64(len(lib.Defects))
+	if got := after.BatchSweeps - before.BatchSweeps; got != n*int64(len(plan.Programs)) {
+		t.Errorf("%d single-defect sweeps, want %d (one per session per run)", got, n*int64(len(plan.Programs)))
 	}
-	if st.ReplayHits+st.Fallbacks != 2*int64(len(lib.Defects)) {
-		t.Errorf("replayHits %d + fallbacks %d != %d runs", st.ReplayHits, st.Fallbacks, 2*len(lib.Defects))
+	if got, want := after.BatchScreened-before.BatchScreened, before.BatchScreened; got != want {
+		t.Errorf("single runs screened %d defects clean, campaign %d", got, want)
+	}
+	if got, want := after.Fallbacks-before.Fallbacks, before.Fallbacks; got != want {
+		t.Errorf("single runs fell back %d times, campaign %d", got, want)
 	}
 }
 
 // TestDegradedExecuteAccounting is the accounting bugfix's pin: when the
-// replay precondition is void (golden traffic itself errs), Auto, Replay and
-// Batch all run as full Execute, but those runs must be counted under the
-// distinct DegradedExecutes — not blended into Executes — and a batched
-// campaign must not sweep at all.
+// screening precondition is void (golden traffic itself errs), Batch runs as
+// full Execute, but those runs must be counted under the distinct
+// DegradedExecutes — not blended into Executes — and a batched campaign must
+// not sweep at all.
 func TestDegradedExecuteAccounting(t *testing.T) {
 	addr, data, err := DefaultSetups()
 	if err != nil {
@@ -166,25 +169,23 @@ func TestDegradedExecuteAccounting(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, eng := range []Engine{Auto, Replay, Batch} {
-			got, err := r.RunDefectEngine(core.DataBus, d.Params, eng)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(comparableOf(got), comparableOf(want)) {
-				t.Errorf("defect %d engine %v: degraded run %+v != execute %+v", i, eng, got, want)
-			}
+		got, err := r.RunDefectEngine(core.DataBus, d.Params, Batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(comparableOf(got), comparableOf(want)) {
+			t.Errorf("defect %d: degraded run %+v != execute %+v", i, got, want)
 		}
 	}
 	st := r.Stats()
-	if want := 3 * int64(len(lib.Defects)); st.DegradedExecutes != want {
+	if want := int64(len(lib.Defects)); st.DegradedExecutes != want {
 		t.Errorf("degradedExecutes = %d, want %d", st.DegradedExecutes, want)
 	}
 	if st.Executes != 0 {
 		t.Errorf("degraded runs leaked into Executes (%d); they were not requested as Execute", st.Executes)
 	}
-	if st.ReplayHits != 0 || st.Fallbacks != 0 || st.Screened != 0 {
-		t.Errorf("degraded runner recorded replay-tier counters: %+v", st)
+	if st.BatchScreened != 0 || st.Fallbacks != 0 || st.BatchSweeps != 0 {
+		t.Errorf("degraded runner recorded screening-tier counters: %+v", st)
 	}
 
 	// A whole batched campaign on a degraded runner: every defect degrades,
@@ -203,9 +204,8 @@ func TestDegradedExecuteAccounting(t *testing.T) {
 }
 
 // TestBusBoundsCheckedOnEveryEngine is the bounds-check bugfix's pin: an
-// out-of-range channel must fail identically on every engine — including
-// Execute and degraded runs, which historically skipped the replay-path
-// check — and on the batched campaign path.
+// out-of-range channel must fail identically on both engines — including
+// degraded runs — and on the batched campaign path.
 func TestBusBoundsCheckedOnEveryEngine(t *testing.T) {
 	addr, data, err := DefaultSetups()
 	if err != nil {
@@ -223,7 +223,7 @@ func TestBusBoundsCheckedOnEveryEngine(t *testing.T) {
 		}
 		r.replayOK = !degraded
 		for _, bus := range []core.BusID{core.BusID(2), core.BusID(-1)} {
-			for _, eng := range []Engine{Auto, Execute, Replay, Batch} {
+			for _, eng := range []Engine{Execute, Batch} {
 				if _, err := r.RunDefectEngine(bus, lib.Defects[0].Params, eng); err == nil {
 					t.Errorf("degraded=%v engine %v: out-of-range bus %d accepted", degraded, eng, bus)
 				}
@@ -238,11 +238,10 @@ func TestBusBoundsCheckedOnEveryEngine(t *testing.T) {
 	}
 }
 
-// TestOutcomeShapeAcrossEngines is the normalize bugfix's pin: every
-// engine's outcomes leave through the same canonicalization, so for the same
-// defect the report-visible fields must marshal to identical JSON wherever
-// the engine is exact, and DetectedBy must be sorted and deduplicated under
-// every engine (including Replay, which historically skipped normalize).
+// TestOutcomeShapeAcrossEngines is the normalize bugfix's pin: both engines'
+// outcomes leave through the same canonicalization, so for the same defect
+// the report-visible fields must marshal to identical JSON, and DetectedBy
+// must be sorted and deduplicated under both.
 func TestOutcomeShapeAcrossEngines(t *testing.T) {
 	addr, data, err := DefaultSetups()
 	if err != nil {
@@ -267,7 +266,7 @@ func TestOutcomeShapeAcrossEngines(t *testing.T) {
 	}
 	for i, d := range lib.Defects {
 		shapes := make(map[Engine][]byte)
-		for _, eng := range []Engine{Auto, Execute, Replay, Batch} {
+		for _, eng := range []Engine{Execute, Batch} {
 			out, err := r.RunDefectEngine(core.DataBus, d.Params, eng)
 			if err != nil {
 				t.Fatal(err)
@@ -281,12 +280,9 @@ func TestOutcomeShapeAcrossEngines(t *testing.T) {
 			}
 			shapes[eng] = js
 		}
-		// The exact engines must agree byte-for-byte; Replay is an
-		// approximation, but on replay-clean defects it sees the same clean
-		// traces and must produce the identical (normalized) outcome.
-		if string(shapes[Auto]) != string(shapes[Execute]) || string(shapes[Auto]) != string(shapes[Batch]) {
-			t.Errorf("defect %d: exact engines disagree:\nauto:    %s\nexecute: %s\nbatch:   %s",
-				i, shapes[Auto], shapes[Execute], shapes[Batch])
+		if string(shapes[Execute]) != string(shapes[Batch]) {
+			t.Errorf("defect %d: engines disagree:\nexecute: %s\nbatch:   %s",
+				i, shapes[Execute], shapes[Batch])
 		}
 	}
 }

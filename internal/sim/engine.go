@@ -1,120 +1,105 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/core"
 	"repro/internal/crosstalk"
-	"repro/internal/maf"
-	"repro/internal/target"
 )
 
-// Engine selects a Runner's defect-simulation strategy.
+// Engine selects a Runner's defect-simulation strategy: the exact production
+// engine or the Execute reference it is tested against.
 //
-// The runner is a two-tier engine. Tier 1 (replay) exploits a determinism
-// argument: the bus traffic a program drives is a function of the values the
-// initiator and responder have received so far, so as long as every
-// transaction of a defective run latches exactly the golden values, the
-// whole run is bit-identical to the golden run and the defect is provably
-// undetected. Replay therefore pushes the golden transaction trace through
-// the defective channel as pure channel arithmetic — no CPU, no RAM — and
-// only sessions whose trace diverges need tier 2 (execution). Tier 2 resumes
-// the full execution from the golden snapshot at the first diverging
-// transaction, so fault masking, crashes and hangs are modelled exactly as
-// the paper's Fig. 9 flow requires.
+// The production engine rests on a determinism argument: the bus traffic a
+// program drives is a function of the values the initiator and responder
+// have received so far, so as long as every transaction of a defective run
+// latches exactly the golden values, the whole run is bit-identical to the
+// golden run and the defect is provably undetected. A screening sweep
+// therefore pushes each session's golden transaction trace through the
+// defective channels as pure channel arithmetic — no CPU, no RAM — and only
+// the sessions whose trace diverges are executed, resumed from the golden
+// snapshot at the first diverging transaction, so fault masking, crashes and
+// hangs are modelled exactly as the paper's Fig. 9 flow requires.
 type Engine int
 
 const (
-	// Auto replays the golden trace through the defective channel and falls
-	// back to (resumed) full execution on the first diverging transaction.
-	// Exact: campaigns are byte-identical to Execute.
-	Auto Engine = iota
+	// Batch is the exact production engine: one batched sweep over each
+	// session's golden trace evaluates every defect per transition
+	// (structure-of-arrays over the perturbed coupling matrices, bitset
+	// survivor mask), clearing the clean defects in a single pass and handing
+	// only the divergent (defect, session) pairs — with their recorded
+	// first-divergence indexes — to the snapshot-resume execution tier. A
+	// single-defect run is a batch of one. Campaigns are byte-identical to
+	// Execute.
+	Batch Engine = iota
 	// Execute performs the complete execution of every session program for
-	// every defect — the paper's Fig. 9 flow and this package's original
-	// behaviour, kept as the reference tier.
+	// every defect — the paper's Fig. 9 flow verbatim, kept as the reference
+	// the production engine is tested against.
 	Execute
-	// Replay never executes: a defect whose trace replay diverges anywhere
-	// is reported detected without modelling what the corruption does to
-	// the program. A fast screening mode: exact for undetected defects
-	// (clean replay is a proof), but it over-approximates detection (no
-	// fault masking), never reports crashes, and cannot attribute
-	// detections to individual MA tests.
-	Replay
-	// Batch is Auto with the screening loop inverted at campaign scope: one
-	// batched walk over each session's golden trace evaluates every library
-	// defect per transition (structure-of-arrays over the perturbed coupling
-	// matrices, bitset survivor mask), clearing the clean majority of the
-	// library in a single sweep and handing only the divergent (defect,
-	// session) pairs — with their recorded first-divergence indexes — to the
-	// snapshot-resume execution tier. Exact: campaigns are byte-identical to
-	// Auto and Execute. Outside CampaignCtx (single-defect runs, which have
-	// no library to batch over) it behaves as Auto.
-	Batch
 )
 
 // String returns the engine's flag spelling.
 func (e Engine) String() string {
 	switch e {
-	case Auto:
-		return "auto"
-	case Execute:
-		return "execute"
-	case Replay:
-		return "replay"
 	case Batch:
 		return "batch"
+	case Execute:
+		return "execute"
 	default:
 		return fmt.Sprintf("Engine(%d)", int(e))
 	}
 }
 
-// ParseEngine parses an engine name. The empty string selects Auto.
+// UnknownEngineError is the typed rejection of an engine name ParseEngine
+// does not know, so callers can tell a bad engine from other failures
+// without matching error text.
+type UnknownEngineError struct{ Name string }
+
+func (e *UnknownEngineError) Error() string {
+	if e.Name == "replay" {
+		return `sim: engine "replay" was removed (screening-only mode is gone; want auto, batch, or execute)`
+	}
+	return fmt.Sprintf("sim: unknown engine %q (want auto, batch, or execute)", e.Name)
+}
+
+// ParseEngine parses an engine name. The empty string, "auto" and "batch"
+// all select Batch, so specs and keys written under older spellings stay
+// valid.
 func ParseEngine(s string) (Engine, error) {
 	switch s {
-	case "", "auto":
-		return Auto, nil
+	case "", "auto", "batch":
+		return Batch, nil
 	case "execute":
 		return Execute, nil
-	case "replay":
-		return Replay, nil
-	case "batch":
-		return Batch, nil
 	default:
-		return Auto, fmt.Errorf("sim: unknown engine %q (want auto, execute, replay, or batch)", s)
+		return Batch, &UnknownEngineError{Name: s}
 	}
 }
 
 // EngineStats are a Runner's cumulative engine counters across all defect
 // runs (atomic snapshot; the runner may be serving concurrent campaigns).
 type EngineStats struct {
-	// ReplayHits counts defect runs resolved as undetected by trace replay
-	// alone — no execution at all.
-	ReplayHits int64 `json:"replay_hits"`
-	// Fallbacks counts Auto runs whose replay diverged and fell back to
-	// (resumed) execution.
+	// Fallbacks counts defect runs whose screening sweep diverged, so they
+	// resumed execution from the first diverging transaction.
 	Fallbacks int64 `json:"fallbacks"`
 	// Executes counts defect runs performed entirely by the Execute tier
 	// because the caller asked for it.
 	Executes int64 `json:"executes"`
-	// DegradedExecutes counts defect runs that requested a replay-based
-	// engine (Auto, Replay, or Batch) but ran as full Execute because the
-	// golden traffic itself suffered crosstalk events (replayOK is false),
-	// voiding the replay precondition. Kept distinct from Executes so
-	// screening-stats consumers see the degradation instead of a silent
-	// engine swap; omitted from JSON when zero so existing report and
-	// metrics bytes are unchanged on healthy runs.
+	// DegradedExecutes counts defect runs that requested the Batch engine but
+	// ran as full Execute because the golden traffic itself suffered
+	// crosstalk events (replayOK is false), voiding the screening
+	// precondition. Kept distinct from Executes so stats consumers see the
+	// degradation instead of a silent engine swap; omitted from JSON when
+	// zero so existing report and metrics bytes are unchanged on healthy
+	// runs.
 	DegradedExecutes int64 `json:"degraded_executes,omitempty"`
-	// Screened counts Replay-engine runs classified as detected from the
-	// divergence alone, without execution.
-	Screened int64 `json:"screened"`
-	// BatchScreened counts defects the batched library-wide screening sweep
-	// cleared as undetected in O(1) — no channel construction, no per-defect
-	// replay, no execution. Always also counted under ReplayHits (a batch
-	// clearance is a replay-tier verdict), so tier sums stay engine-stable.
+	// BatchScreened counts defects the screening sweep cleared as undetected
+	// in O(1) — no channel construction, no execution.
 	BatchScreened int64 `json:"batch_screened,omitempty"`
-	// BatchSweeps counts session-trace sweeps the batched screening pass
-	// performed (one per (session, campaign) pair, regardless of library
-	// size — the point of inverting the loop).
+	// BatchSweeps counts session-trace sweeps the screening pass performed
+	// (one per (session, screened library) pair, regardless of library size —
+	// the point of inverting the loop).
 	BatchSweeps int64 `json:"batch_sweeps,omitempty"`
 	// MemoHits and MemoMisses count channel-transmit memo lookups across
 	// all memoized channels the runner used (the per-defect channels plus
@@ -132,11 +117,9 @@ type EngineStats struct {
 func (r *Runner) Stats() EngineStats {
 	coreHits, coreMisses := r.core.MemoStats()
 	return EngineStats{
-		ReplayHits:       r.replayHits.Load(),
 		Fallbacks:        r.fallbacks.Load(),
 		Executes:         r.executes.Load(),
 		DegradedExecutes: r.degradedExecutes.Load(),
-		Screened:         r.screened.Load(),
 		BatchScreened:    r.batchScreened.Load(),
 		BatchSweeps:      r.batchSweeps.Load(),
 		MemoHits:         r.memoHits.Load() + int64(coreHits),
@@ -147,57 +130,58 @@ func (r *Runner) Stats() EngineStats {
 
 // RunDefectEngine simulates one defective parameter set on the given channel
 // (the other channels stay nominal) across every session program, using the
-// selected engine. Auto and Execute produce identical Outcomes; Replay is a
-// screening approximation (see Engine). When the golden runs themselves
-// suffered crosstalk events — possible under aggressive threshold factors —
-// the replay precondition (golden traffic is error-free) does not hold, and
-// both Auto and Replay silently degrade to the exact Execute tier.
+// selected engine; both produce identical Outcomes. Batch runs the defect as
+// a batch of one through the same screen-then-resume path a campaign uses.
 func (r *Runner) RunDefectEngine(bus core.BusID, defective *crosstalk.Params, eng Engine) (Outcome, error) {
-	// Validate the channel before engine dispatch: every tier indexes
-	// r.models (and the traces and core state keyed alongside it), so an
-	// out-of-range bus must fail identically whether the run replays,
-	// executes, or degrades.
-	if int(bus) < 0 || int(bus) >= len(r.models) {
-		return Outcome{}, fmt.Errorf("sim: %s has no channel %d", r.tgt.Name(), bus)
+	if err := r.checkBus(bus); err != nil {
+		return Outcome{}, err
 	}
-	if eng == Execute {
-		r.executes.Add(1)
-		return r.runDefectExecute(bus, defective)
-	}
-	if !r.replayOK {
-		// The replay precondition (golden traffic is error-free) does not
-		// hold; the run is exact but its engine request was not honoured, so
-		// it is accounted separately from deliberate Execute runs.
-		r.degradedExecutes.Add(1)
-		return r.runDefectExecute(bus, defective)
-	}
-	if eng == Batch {
-		// Batching inverts the loop over a whole library (see CampaignCtx);
-		// a single-defect run has nothing to batch and Auto is outcome-
-		// identical by construction.
-		eng = Auto
-	}
-	th := r.models[bus].Thresholds
-	defCh, err := crosstalk.NewChannel(defective, th)
+	bplan, err := r.screen(context.Background(), bus, []*crosstalk.Params{defective}, eng)
 	if err != nil {
 		return Outcome{}, err
 	}
-	// The defective channel lives for one defect run on one goroutine, so it
-	// can be memoized too: hung runs loop over a handful of transitions for
-	// thousands of steps, and the replay pass pre-warms the memo the
-	// execution fallback then hits.
-	defCh.EnableMemo()
-	if defCh.MemoUnsupported() {
-		r.memoUnsupported.Add(1)
+	return r.runDefect(bus, defective, eng, bplan, 0)
+}
+
+// checkBus validates the channel before any engine work: every tier indexes
+// r.models (and the traces and core state keyed alongside it), so an
+// out-of-range bus must fail identically whether the run screens, executes,
+// or degrades.
+func (r *Runner) checkBus(bus core.BusID) error {
+	if int(bus) < 0 || int(bus) >= len(r.models) {
+		return fmt.Errorf("sim: %s has no channel %d", r.tgt.Name(), bus)
 	}
-	var out Outcome
-	if eng == Replay {
-		out = r.runDefectReplay(bus, defCh)
-	} else {
-		out, err = r.runDefectAuto(bus, defCh)
+	return nil
+}
+
+// screen runs the batched screening sweep over params for the Batch engine.
+// It returns nil — every defect runs as a full execution — when the caller
+// asked for Execute, when there is nothing to screen, or when the golden
+// traffic itself errs (replayOK is false), which voids the precondition the
+// sweep's clean verdicts rest on.
+func (r *Runner) screen(ctx context.Context, bus core.BusID, params []*crosstalk.Params, eng Engine) (*batchPlan, error) {
+	if eng == Execute || !r.replayOK || len(params) == 0 {
+		return nil, nil
 	}
-	r.harvestMemo(defCh)
-	return out, err
+	return r.batchScreen(ctx, bus, params)
+}
+
+// runDefect resolves defect i of a screened set: a full execution for the
+// Execute engine or a degraded runner (bplan nil), otherwise the batched
+// verdict with resumed execution of the divergent sessions.
+func (r *Runner) runDefect(bus core.BusID, defective *crosstalk.Params, eng Engine, bplan *batchPlan, i int) (Outcome, error) {
+	switch {
+	case eng == Execute:
+		r.executes.Add(1)
+		return r.runDefectExecute(bus, defective)
+	case bplan == nil:
+		// The screening precondition does not hold; the run is exact but its
+		// engine request was not honoured, so it is accounted separately
+		// from deliberate Execute runs.
+		r.degradedExecutes.Add(1)
+		return r.runDefectExecute(bus, defective)
+	}
+	return r.runDefectBatched(bus, defective, bplan.first[i])
 }
 
 // harvestMemo drains channel memo counters into the runner's totals.
@@ -207,76 +191,4 @@ func (r *Runner) harvestMemo(chs ...*crosstalk.Channel) {
 		r.memoHits.Add(int64(h))
 		r.memoMisses.Add(int64(m))
 	}
-}
-
-// replayDiverge pushes one session's golden transition sequence through the
-// defective channel and returns the index of the first transaction whose
-// received word differs from the golden (= driven) word, or -1 when the
-// whole trace transfers cleanly. Any error event changes the received word
-// (delays latch the previous value of a switching wire, glitches flip a
-// stable wire), so divergence is exactly "the transmit produced events".
-func replayDiverge(steps []target.BusStep, ch *crosstalk.Channel) int {
-	for t := range steps {
-		if _, events := ch.Transmit(steps[t].Prev, steps[t].Next, steps[t].Dir); len(events) > 0 {
-			return t
-		}
-	}
-	return -1
-}
-
-// runDefectAuto is the Auto tier: per session, replay first; resume
-// execution via the target core only from the first diverging transaction.
-func (r *Runner) runDefectAuto(bus core.BusID, defCh *crosstalk.Channel) (Outcome, error) {
-	out := Outcome{Bus: bus}
-	seen := make(map[maf.Fault]bool)
-	executed := false
-	for i, prog := range r.plan.Programs {
-		k := replayDiverge(r.traces[i][bus], defCh)
-		if k < 0 {
-			// Clean replay: the session run is bit-identical to golden, so
-			// it contributes no activations, no crash, and no mismatches.
-			continue
-		}
-		executed = true
-		res, err := r.core.Resume(i, bus, defCh, k)
-		if err != nil {
-			return Outcome{}, err
-		}
-		r.judge(&out, i, prog, res, seen)
-	}
-	if executed {
-		r.fallbacks.Add(1)
-	} else {
-		out.Replayed = true
-		r.replayHits.Add(1)
-	}
-	out.normalize()
-	return out, nil
-}
-
-// runDefectReplay is the screening tier: replay every session's full trace,
-// classifying any divergence as a detection and summing the error events
-// the golden traffic would suffer. Post-divergence steps replay the golden
-// trace rather than the (unknowable without execution) defective traffic,
-// so the activation count is an approximation.
-func (r *Runner) runDefectReplay(bus core.BusID, defCh *crosstalk.Channel) Outcome {
-	out := Outcome{Bus: bus, Replayed: true}
-	for i := range r.plan.Programs {
-		for _, s := range r.traces[i][bus] {
-			if _, events := defCh.Transmit(s.Prev, s.Next, s.Dir); len(events) > 0 {
-				out.Detected = true
-				out.Activations += len(events)
-			}
-		}
-	}
-	if out.Detected {
-		r.screened.Add(1)
-	} else {
-		r.replayHits.Add(1)
-	}
-	// Replay attributes no faults (DetectedBy stays empty), but the outcome
-	// must still leave through the same canonicalization as the other two
-	// tiers so every engine's outcomes share one field-level shape.
-	out.normalize()
-	return out
 }

@@ -2,9 +2,11 @@ package sim
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -18,20 +20,27 @@ func TestParseEngine(t *testing.T) {
 		want Engine
 		ok   bool
 	}{
-		{"", Auto, true},
-		{"auto", Auto, true},
-		{"execute", Execute, true},
-		{"replay", Replay, true},
+		{"", Batch, true},
+		{"auto", Batch, true},
 		{"batch", Batch, true},
-		{"warp", Auto, false},
+		{"execute", Execute, true},
+		{"replay", Batch, false},
+		{"warp", Batch, false},
 	}
 	for _, c := range cases {
 		got, err := ParseEngine(c.in)
 		if (err == nil) != c.ok || got != c.want {
 			t.Errorf("ParseEngine(%q) = %v, %v; want %v, ok=%v", c.in, got, err, c.want, c.ok)
 		}
+		var unknown *UnknownEngineError
+		if !c.ok && (!errors.As(err, &unknown) || unknown.Name != c.in) {
+			t.Errorf("ParseEngine(%q) error %v is not an *UnknownEngineError naming it", c.in, err)
+		}
 	}
-	for _, e := range []Engine{Auto, Execute, Replay, Batch} {
+	if _, err := ParseEngine("replay"); err == nil || !strings.Contains(err.Error(), "removed") {
+		t.Errorf(`ParseEngine("replay") error %v does not say the mode was removed`, err)
+	}
+	for _, e := range []Engine{Batch, Execute} {
 		back, err := ParseEngine(e.String())
 		if err != nil || back != e {
 			t.Errorf("round trip %v -> %q -> %v, %v", e, e.String(), back, err)
@@ -57,11 +66,11 @@ func comparableOf(out Outcome) comparable {
 	}
 }
 
-// TestEnginesAgreeProperty is the replay-soundness property test: over
-// randomized defect libraries and seeds on both busses, the Auto engine
-// (replay + divergence fallback) must return exactly the Outcome the
-// Execute engine (full per-session CPU execution) returns, and the Replay
-// screening engine must never clear a defect that Execute detects.
+// TestEnginesAgreeProperty is the screening-soundness property test: over
+// randomized defect libraries and seeds on both busses, a single-defect
+// Batch run (screen + resumed execution) must return exactly the Outcome the
+// Execute engine (full per-session CPU execution) returns, and a defect the
+// screen clears must fire no crosstalk event under Execute.
 func TestEnginesAgreeProperty(t *testing.T) {
 	addr, data, err := DefaultSetups()
 	if err != nil {
@@ -95,7 +104,7 @@ func TestEnginesAgreeProperty(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Library defects are all detectable by construction; add raw
-			// perturbations (detectable or not) so the replay-clean path is
+			// perturbations (detectable or not) so the screen-clean path is
 			// exercised as well as the fallback path.
 			params := make([]*crosstalk.Params, 0, 2*len(lib.Defects))
 			for _, d := range lib.Defects {
@@ -111,28 +120,20 @@ func TestEnginesAgreeProperty(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				auto, err := r.RunDefectEngine(c.bus, p, Auto)
+				batch, err := r.RunDefectEngine(c.bus, p, Batch)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got, want := comparableOf(auto), comparableOf(exec); !reflect.DeepEqual(got, want) {
-					t.Errorf("defect %d: auto %+v != execute %+v", i, got, want)
+				if got, want := comparableOf(batch), comparableOf(exec); !reflect.DeepEqual(got, want) {
+					t.Errorf("defect %d: batch %+v != execute %+v", i, got, want)
 				}
-				if auto.Replayed {
+				if batch.Replayed {
 					sawReplayed = true
+					if exec.Activations != 0 {
+						t.Errorf("defect %d: screen-clean defect fired %d events under execute", i, exec.Activations)
+					}
 				} else {
 					sawFallback = true
-				}
-				screen, err := r.RunDefectEngine(c.bus, p, Replay)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if exec.Detected && !screen.Detected {
-					t.Errorf("defect %d: detected by execute but cleared by replay screening", i)
-				}
-				if !screen.Detected && (auto.Activations != 0 || !auto.Replayed) {
-					t.Errorf("defect %d: replay-clean defect has activations=%d replayed=%v",
-						i, auto.Activations, auto.Replayed)
 				}
 			}
 			if !sawReplayed || !sawFallback {
@@ -143,7 +144,7 @@ func TestEnginesAgreeProperty(t *testing.T) {
 	}
 }
 
-// TestEngineStatsAccounting checks the replay/fallback/execute counters add
+// TestEngineStatsAccounting checks the screened/fallback/execute counters add
 // up across campaigns.
 func TestEngineStatsAccounting(t *testing.T) {
 	addr, data, err := DefaultSetups()
@@ -163,19 +164,19 @@ func TestEngineStatsAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.CampaignCtx(context.Background(), core.DataBus, lib, CampaignOpts{Engine: Auto}); err != nil {
+	if _, err := r.CampaignCtx(context.Background(), core.DataBus, lib, CampaignOpts{Engine: Batch}); err != nil {
 		t.Fatal(err)
 	}
 	st := r.Stats()
-	if st.ReplayHits+st.Fallbacks != int64(len(lib.Defects)) {
-		t.Errorf("auto: replayHits %d + fallbacks %d != %d defects",
-			st.ReplayHits, st.Fallbacks, len(lib.Defects))
+	if st.BatchScreened+st.Fallbacks != int64(len(lib.Defects)) {
+		t.Errorf("batch: screened %d + fallbacks %d != %d defects",
+			st.BatchScreened, st.Fallbacks, len(lib.Defects))
 	}
-	if st.Executes != 0 || st.Screened != 0 {
-		t.Errorf("auto: unexpected executes=%d screened=%d", st.Executes, st.Screened)
+	if st.Executes != 0 || st.DegradedExecutes != 0 {
+		t.Errorf("batch: unexpected executes=%d degraded=%d", st.Executes, st.DegradedExecutes)
 	}
 	if st.MemoHits+st.MemoMisses == 0 {
-		t.Error("auto: no memo traffic recorded")
+		t.Error("batch: no memo traffic recorded")
 	}
 
 	r2, err := NewRunner(plan, addr, data)
@@ -185,14 +186,13 @@ func TestEngineStatsAccounting(t *testing.T) {
 	if _, err := r2.CampaignCtx(context.Background(), core.DataBus, lib, CampaignOpts{Engine: Execute}); err != nil {
 		t.Fatal(err)
 	}
-	if st := r2.Stats(); st.Executes != int64(len(lib.Defects)) || st.ReplayHits != 0 || st.Fallbacks != 0 {
+	if st := r2.Stats(); st.Executes != int64(len(lib.Defects)) || st.BatchScreened != 0 || st.Fallbacks != 0 || st.BatchSweeps != 0 {
 		t.Errorf("execute: stats = %+v", st)
 	}
 }
 
 // TestFig11EngineEquivalence checks the parallelized, engine-driven Fig. 11
-// campaign returns the same coverage series under every engine that is
-// exact, and the same series the serial implementation produced.
+// campaign returns the same coverage series under both engines.
 func TestFig11EngineEquivalence(t *testing.T) {
 	addr, data, err := DefaultSetups()
 	if err != nil {
@@ -202,7 +202,7 @@ func TestFig11EngineEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	auto, err := Fig11CampaignCtx(context.Background(), addr, data, core.DataBus, lib, true, CampaignOpts{Engine: Auto})
+	batch, err := Fig11CampaignCtx(context.Background(), addr, data, core.DataBus, lib, true, CampaignOpts{Engine: Batch})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestFig11EngineEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(auto, exec) {
-		t.Errorf("Fig11 auto series %+v != execute series %+v", auto, exec)
+	if !reflect.DeepEqual(batch, exec) {
+		t.Errorf("Fig11 batch series %+v != execute series %+v", batch, exec)
 	}
 }

@@ -11,12 +11,11 @@
 // which a tester would observe as a timeout — contribute to the outcome.
 //
 // The runner is target-agnostic: it drives a target.Core (Parwan CPU-memory
-// by default, or any other backend) and owns only the two-tier engine logic
-// (see Engine): golden transaction traces captured at construction let most
-// defect runs be decided by replaying the trace through the defective
-// channel alone, falling back to full execution — resumed from the golden
-// snapshot at the first diverging transaction — only when the defect
-// actually fires.
+// by default, or any other backend) and owns only the engine logic (see
+// Engine): golden transaction traces captured at construction let a batched
+// sweep settle every clean (defect, session) pair by channel arithmetic
+// alone, with full execution — resumed from the golden snapshot at the first
+// diverging transaction — only where the defect actually fires.
 package sim
 
 import (
@@ -66,13 +65,11 @@ type Runner struct {
 
 	// traces[s][ch] is session s's golden transition sequence on channel ch.
 	traces   [][][]target.BusStep
-	replayOK bool // golden traffic is event-free (replay precondition)
+	replayOK bool // golden traffic is event-free (screening precondition)
 
-	replayHits       atomic.Int64
 	fallbacks        atomic.Int64
 	executes         atomic.Int64
 	degradedExecutes atomic.Int64
-	screened         atomic.Int64
 	batchScreened    atomic.Int64
 	batchSweeps      atomic.Int64
 	memoHits         atomic.Int64
@@ -88,7 +85,7 @@ func NewRunner(plan *core.Plan, addr, data BusSetup) (*Runner, error) {
 
 // NewTargetRunner builds a runner for any target backend and executes the
 // golden (defect-free) reference runs, capturing each session's per-channel
-// transaction traces for the replay engine. models is indexed by channel ID,
+// transaction traces for the screening sweep. models is indexed by channel ID,
 // as returned by the target's BusModels. It fails if any golden run does not
 // halt cleanly — a plan whose programs misbehave on a good chip is a
 // generation bug, not a test result.
@@ -110,8 +107,8 @@ func NewTargetRunner(tgt target.Target, plan *core.Plan, models []target.BusMode
 		if res.Events > 0 {
 			// The nominal channels already err on the golden traffic (possible
 			// under aggressive threshold factors): "identical to golden"
-			// can no longer be read off the trace, so replay is disabled
-			// and every engine degrades to Execute.
+			// can no longer be read off the trace, so screening is disabled
+			// and every defect run degrades to Execute.
 			r.replayOK = false
 		}
 		r.golden = append(r.golden, res)
@@ -156,10 +153,9 @@ type Outcome struct {
 	// how many times the defect fired while the programs executed.
 	Activations int
 	// Replayed is true when the outcome was settled without any execution:
-	// every session's trace replayed cleanly (Auto), or the defect was
-	// screened by replay alone (Replay). Diagnostic only — it is
-	// deliberately excluded from campaign reports so engines stay
-	// byte-identical.
+	// every session's trace passed the screening sweep cleanly. Diagnostic
+	// only — it is deliberately excluded from campaign reports so engines
+	// stay byte-identical.
 	Replayed bool `json:"-"`
 }
 
@@ -182,9 +178,9 @@ func (o *Outcome) normalize() {
 
 // RunDefect simulates one defective parameter set on the given channel (the
 // other channels stay nominal) across every session program, with the
-// default Auto engine.
+// default Batch engine.
 func (r *Runner) RunDefect(bus core.BusID, defective *crosstalk.Params) (Outcome, error) {
-	return r.RunDefectEngine(bus, defective, Auto)
+	return r.RunDefectEngine(bus, defective, Batch)
 }
 
 // runDefectExecute is the Execute tier: the paper's Fig. 9 flow verbatim, a
@@ -206,7 +202,7 @@ func (r *Runner) runDefectExecute(bus core.BusID, defective *crosstalk.Params) (
 // judge folds one session run into a defect outcome: activation counting,
 // crash/hang detection, and response-cell comparison against golden with
 // per-test attribution. It is the single verdict path shared by the Execute
-// tier and the Auto tier's divergence fallback, which is what keeps the two
+// tier and the Batch engine's resumed execution, which is what keeps the two
 // engines byte-identical.
 func (r *Runner) judge(out *Outcome, session int, prog *core.TestProgram, res RunResult, seen map[maf.Fault]bool) {
 	out.Activations += res.Events
@@ -261,13 +257,13 @@ func (c *CampaignResult) Coverage() float64 {
 }
 
 // CampaignOpts tunes a campaign run. The zero value reproduces the classic
-// Campaign behaviour: one worker per CPU, the Auto engine, no hooks, no
+// Campaign behaviour: one worker per CPU, the Batch engine, no hooks, no
 // external limiter.
 type CampaignOpts struct {
 	// Workers is the number of worker goroutines; zero selects GOMAXPROCS.
 	Workers int
-	// Engine selects the simulation strategy per defect; the zero value is
-	// Auto (replay with execution fallback, byte-identical to Execute).
+	// Engine selects the simulation strategy; the zero value is Batch
+	// (screening sweep with resumed execution, byte-identical to Execute).
 	Engine Engine
 	// Slots, when non-nil, is a shared concurrency limiter: each defect run
 	// sends a token before executing and receives it back after. A service
@@ -314,18 +310,17 @@ func (r *Runner) CampaignCtx(ctx context.Context, bus core.BusID, lib *defects.L
 	// The Batch engine pre-classifies the whole library with one screening
 	// sweep per session trace (see batchScreen); the worker pool then emits
 	// clean defects in O(1) and runs only divergent ones through the resume
-	// tier. The bounds check mirrors RunDefectEngine's, which the batched
-	// path bypasses; degraded runners (replayOK false) keep Batch requests
-	// on the per-defect path, where they degrade to Execute like Auto does.
-	var bplan *batchPlan
-	if opts.Engine == Batch && r.replayOK && len(lib.Defects) > 0 {
-		if int(bus) < 0 || int(bus) >= len(r.models) {
-			return nil, fmt.Errorf("sim: %s has no channel %d", r.tgt.Name(), bus)
-		}
-		var err error
-		if bplan, err = r.batchScreen(ctx, bus, lib); err != nil {
-			return nil, err
-		}
+	// tier.
+	if err := r.checkBus(bus); err != nil {
+		return nil, err
+	}
+	params := make([]*crosstalk.Params, len(lib.Defects))
+	for i, d := range lib.Defects {
+		params[i] = d.Params
+	}
+	bplan, err := r.screen(ctx, bus, params, opts.Engine)
+	if err != nil {
+		return nil, err
 	}
 
 	workers := opts.Workers
@@ -371,13 +366,7 @@ func (r *Runner) CampaignCtx(ctx context.Context, bus core.BusID, lib *defects.L
 				if opts.Observe != nil {
 					t0 = time.Now()
 				}
-				var out Outcome
-				var err error
-				if bplan != nil {
-					out, err = r.runDefectBatched(bus, lib.Defects[i].Params, bplan.first[i])
-				} else {
-					out, err = r.RunDefectEngine(bus, lib.Defects[i].Params, opts.Engine)
-				}
+				out, err := r.runDefect(bus, params[i], opts.Engine, bplan, i)
 				if opts.Observe != nil && err == nil {
 					opts.Observe(out, time.Since(t0))
 				}

@@ -228,7 +228,7 @@ func (s *System) SetChannels(addr, data, ctrl *crosstalk.Channel) error {
 
 // SetHeld forces the values the busses currently hold between transactions.
 // Together with direct CPU state assignment and Poke it lets the simulator
-// resume execution from a mid-program snapshot (the trace-replay engine's
+// resume execution from a mid-program snapshot (the batched engine's
 // divergence fallback) instead of re-executing a program from its entry.
 func (s *System) SetHeld(addr uint16, data uint8, ctrl uint8) {
 	s.prevAddr = logic.NewWord(uint64(addr), parwan.AddrBits)

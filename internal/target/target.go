@@ -100,7 +100,7 @@ type GenSpec struct {
 
 // BusStep is one transaction's transition on a single channel: the word the
 // channel held before, the word driven, and the drive direction. Sequences
-// of BusSteps are what the replay tier pushes through defective channels.
+// of BusSteps are what the screening sweep pushes through defective channels.
 type BusStep struct {
 	Prev, Next logic.Word
 	Dir        maf.Direction
