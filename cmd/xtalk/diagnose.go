@@ -206,7 +206,11 @@ func runAnalysis(spec campaign.Spec, workers string, shards int) (*campaign.Anal
 // manager would on the merged outcomes — the resulting report is
 // byte-identical to a standalone run's.
 func fleetAnalysis(spec campaign.Spec, urls string, shards int) (*campaign.Analysis, error) {
-	spec = spec.Normalized()
+	r, err := campaign.Resolve(spec)
+	if err != nil {
+		return nil, err
+	}
+	spec = r.Spec
 	coord := fleet.NewCoordinator(fleet.CoordinatorConfig{})
 	n := 0
 	for _, u := range strings.Split(urls, ",") {
@@ -224,29 +228,18 @@ func fleetAnalysis(spec campaign.Spec, urls string, shards int) (*campaign.Analy
 	base := spec
 	base.Type, base.Signature = "", nil
 	ctx := context.Background()
-	res, width, fs, err := coord.RunCampaign(ctx, base, shards)
+	res, _, fs, err := coord.RunCampaign(ctx, base, shards)
 	if err != nil {
 		return nil, err
 	}
 	fmt.Fprintf(os.Stderr, "fleet campaign: %s bus, %d defects across %d workers (%d shards, %d retries)\n",
 		spec.Bus, res.Total, n, fs.Shards, fs.Retries)
-
-	_, models, busID, _, err := resolveTarget(spec.Target, spec.Bus)
-	if err != nil {
-		return nil, err
-	}
-	setup := models[busID]
-	lib, err := defects.Generate(setup.Nominal, setup.Thresholds,
-		defects.Config{Size: spec.Size, Sigma: spec.Sigma, Seed: spec.Seed})
-	if err != nil {
-		return nil, err
-	}
-	fullPlan, err := campaign.SpecPlan(base)
+	lib, err := r.Library()
 	if err != nil {
 		return nil, err
 	}
 	round := 0
-	return campaign.AnalyzeOutcomes(spec, res.Outcomes, width, lib, fullPlan,
+	return campaign.AnalyzeOutcomes(r, res.Outcomes, lib,
 		func(minPlan *core.Plan) ([]sim.Outcome, error) {
 			// Each verification round ships the minimized plan inline, so
 			// every worker simulates exactly this plan rather than

@@ -16,7 +16,6 @@ import (
 	"repro/internal/infield"
 	"repro/internal/report"
 	"repro/internal/sim"
-	"repro/internal/target"
 )
 
 // The infield subcommand runs the defect-simulation campaign as an in-field
@@ -104,8 +103,8 @@ func infieldLocal(spec campaign.Spec) (*report.InfieldJSON, error) {
 // campaign, and the coverage ledger merges slice results on the client — the
 // merged end state is byte-identical to a standalone run's.
 func infieldFleet(spec campaign.Spec, urls string, shards int, interval time.Duration) (*report.InfieldJSON, error) {
-	n := spec.Normalized()
-	if err := n.Validate(); err != nil {
+	r, err := campaign.Resolve(spec)
+	if err != nil {
 		return nil, err
 	}
 	coord := fleet.NewCoordinator(fleet.CoordinatorConfig{})
@@ -119,46 +118,21 @@ func infieldFleet(spec campaign.Spec, urls string, shards int, interval time.Dur
 	if registered == 0 {
 		return nil, fmt.Errorf("no worker URLs in %q", urls)
 	}
-	plan, err := campaign.SpecPlan(spec)
+	runner, err := sim.NewTargetRunner(r.Target, r.Plan, r.Models)
 	if err != nil {
 		return nil, err
 	}
-	hash, err := campaign.PlanHash(plan)
+	manifest, err := r.Manifest(func(s int) uint64 { return runner.Golden(s).Cycles })
 	if err != nil {
 		return nil, err
 	}
-	tgt, err := target.Parse(n.Target)
-	if err != nil {
-		return nil, err
-	}
-	models, err := tgt.BusModels(n.CthFactor)
-	if err != nil {
-		return nil, err
-	}
-	runner, err := sim.NewTargetRunner(tgt, plan, models)
-	if err != nil {
-		return nil, err
-	}
-	manifest, err := infield.BuildManifest(plan,
-		func(s int) uint64 { return runner.Golden(s).Cycles },
-		infield.Config{
-			PlanHash:    hash,
-			Seed:        n.Seed,
-			Sigma:       n.Sigma,
-			CthFactor:   n.CthFactor,
-			SliceCycles: n.SliceCycles,
-			Slices:      n.Slices,
-		})
-	if err != nil {
-		return nil, err
-	}
-	ledger := infield.NewLedger(n.Size, len(manifest.Slices), n.BusID())
+	ledger := infield.NewLedger(r.Spec.Size, len(manifest.Slices), r.Bus)
 	sched := &infield.Scheduler{
 		Manifest: manifest,
 		Ledger:   ledger,
 		Interval: interval,
 		RunSlice: func(ctx context.Context, sl infield.Slice) ([]sim.Outcome, error) {
-			sub, err := infield.SubPlan(plan, sl)
+			sub, err := infield.SubPlan(r.Plan, sl)
 			if err != nil {
 				return nil, err
 			}
@@ -189,5 +163,5 @@ func infieldFleet(spec campaign.Spec, urls string, shards int, interval time.Dur
 	if err := sched.Run(context.Background()); err != nil {
 		return nil, err
 	}
-	return report.NewInfieldJSON(tgt.Name(), n.Bus, manifest, ledger), nil
+	return report.NewInfieldJSON(r.Target.Name(), r.Spec.Bus, manifest, ledger), nil
 }

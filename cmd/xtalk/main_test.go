@@ -87,6 +87,15 @@ func TestCmdDefectsBadBus(t *testing.T) {
 	}
 }
 
+// TestCmdMarginsTooWide checks that a bus wider than 64 wires is an error,
+// not a panic when the channel builds its words.
+func TestCmdMarginsTooWide(t *testing.T) {
+	_, err := capture(t, func() error { return cmdMargins([]string{"-width", "80"}) })
+	if err == nil {
+		t.Fatal("margins accepted an 80-wire bus")
+	}
+}
+
 func TestCmdSimSmoke(t *testing.T) {
 	out, err := capture(t, func() error {
 		return cmdSim([]string{"-bus", "addr", "-size", "20", "-seed", "7"})

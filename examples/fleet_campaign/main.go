@@ -89,11 +89,15 @@ func main() {
 
 	// The same campaign on a single node, through the same campaign engine.
 	mgr := campaign.New(campaign.Config{})
-	outcomes, _, err := mgr.RunShard(context.Background(), spec, 0, spec.Size)
+	r, err := campaign.Resolve(spec)
 	if err != nil {
 		log.Fatal(err)
 	}
-	single := sim.Aggregate(spec.BusID(), outcomes)
+	outcomes, _, err := mgr.RunShard(context.Background(), r, 0, r.Spec.Size)
+	if err != nil {
+		log.Fatal(err)
+	}
+	single := sim.Aggregate(r.Bus, outcomes)
 
 	var fleetJSON, singleJSON bytes.Buffer
 	if err := report.WriteCampaignJSON(&fleetJSON, res, width); err != nil {

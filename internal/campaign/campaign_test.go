@@ -12,6 +12,7 @@ import (
 	"repro/internal/defects"
 	"repro/internal/report"
 	"repro/internal/sim"
+	"repro/internal/target"
 )
 
 // smallSpec is an address-bus campaign small enough for unit tests but with
@@ -33,15 +34,15 @@ func waitDone(t *testing.T, job *Job) {
 func directResult(t *testing.T, spec Spec) (*sim.CampaignResult, int) {
 	t.Helper()
 	spec = spec.normalized()
-	models, err := modelsFor(spec)
+	tgt, err := target.Parse(spec.Target)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := planFor(spec)
+	models, err := tgt.BusModels(spec.CthFactor)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tgt, err := spec.backend()
+	plan, err := SpecPlan(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,13 +50,13 @@ func directResult(t *testing.T, spec Spec) (*sim.CampaignResult, int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	setup := models[spec.busID()]
+	setup := models[spec.BusID()]
 	lib, err := defects.Generate(setup.Nominal, setup.Thresholds,
 		defects.Config{Size: spec.Size, Sigma: spec.Sigma, Seed: spec.Seed})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := r.Campaign(spec.busID(), lib)
+	res, err := r.Campaign(spec.BusID(), lib)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -161,7 +161,7 @@ func TestJobTypeValidation(t *testing.T) {
 	}
 	inline := smallSpec()
 	inline.Type = TypeMinimize
-	plan, err := planFor(smallSpec().normalized())
+	plan, err := SpecPlan(smallSpec())
 	if err != nil {
 		t.Fatal(err)
 	}

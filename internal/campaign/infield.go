@@ -27,68 +27,24 @@ import (
 // derivation, and the slice schedule. The returned result is the merged
 // ledger's campaign result; the analysis is the coverage-over-time report.
 func (m *Manager) executeInfield(ctx context.Context, job *Job) (*sim.CampaignResult, *Analysis, error) {
-	spec := job.spec
-	_, setupSpan := obs.StartSpan(ctx, "job.setup")
-	tgt, err := spec.backend()
+	env, err := m.prepare(ctx, job)
 	if err != nil {
-		setupSpan.End()
 		return nil, nil, err
 	}
-	models, err := tgt.BusModels(spec.CthFactor)
-	if err != nil {
-		setupSpan.End()
-		return nil, nil, err
-	}
-	plan, err := planFor(spec)
-	if err != nil {
-		setupSpan.End()
-		return nil, nil, err
-	}
+	spec, lib := env.Spec, env.lib
 	// The full-plan runner provides the deterministic per-session golden
 	// costs the slicer partitions by (and warms the cache for the one-shot
 	// campaign the identity is proven against).
-	runner, goldenHit, err := m.runnerFor(tgt, plan, models, spec.CthFactor)
-	if err != nil {
-		setupSpan.End()
-		return nil, nil, err
-	}
-	setup := models[spec.busID()]
-	lib, libHit, err := m.libraryFor(spec, setup)
-	setupSpan.SetAttr("golden_cached", fmt.Sprint(goldenHit))
-	setupSpan.SetAttr("library_cached", fmt.Sprint(libHit))
-	setupSpan.End()
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	hash, err := PlanHash(plan)
-	if err != nil {
-		return nil, nil, err
-	}
-	manifest, err := infield.BuildManifest(plan,
-		func(s int) uint64 { return runner.Golden(s).Cycles },
-		infield.Config{
-			PlanHash:    hash,
-			Seed:        spec.Seed,
-			Sigma:       spec.Sigma,
-			CthFactor:   spec.CthFactor,
-			SliceCycles: spec.SliceCycles,
-			Slices:      spec.Slices,
-		})
+	manifest, err := env.Manifest(func(s int) uint64 { return env.runner.Golden(s).Cycles })
 	if err != nil {
 		return nil, nil, err
 	}
 
 	job.mu.Lock()
-	job.goldenCached = goldenHit
-	job.libCached = libHit
-	job.width = setup.Nominal.Width
 	if job.ledger == nil || job.ledger.Size() != len(lib.Defects) || job.ledger.Slices() != len(manifest.Slices) {
 		// First run (or a resume whose spec-derived shape changed, which
 		// cannot happen for an unchanged spec): fresh ledger.
-		job.ledger = infield.NewLedger(len(lib.Defects), len(manifest.Slices), spec.busID())
+		job.ledger = infield.NewLedger(len(lib.Defects), len(manifest.Slices), env.Bus)
 	}
 	ledger := job.ledger
 	// Rebuild progress from the ledger so a resumed schedule reports
@@ -112,10 +68,6 @@ func (m *Manager) executeInfield(ctx context.Context, job *Job) (*sim.CampaignRe
 	job.publishLocked()
 	job.mu.Unlock()
 
-	workers := spec.Workers
-	if workers <= 0 || workers > cap(m.slots) {
-		workers = cap(m.slots)
-	}
 	phases, err := workload.NewPhaseIterator(workload.DefaultPhases())
 	if err != nil {
 		return nil, nil, err
@@ -127,46 +79,42 @@ func (m *Manager) executeInfield(ctx context.Context, job *Job) (*sim.CampaignRe
 		Ledger:   ledger,
 		Phases:   phases,
 		Interval: time.Duration(spec.IntervalMS) * time.Millisecond,
-		RunPhase: m.phaseRunner(job, spec, setup),
+		RunPhase: m.phaseRunner(job, spec, env.Setup()),
 		RunSlice: func(ctx context.Context, sl infield.Slice) ([]sim.Outcome, error) {
 			if m.obs.Enabled() {
 				sliceStart = time.Now()
 			}
 			job.setPhase(PhaseSimulate)
-			sub, err := infield.SubPlan(plan, sl)
+			sub, err := infield.SubPlan(env.Plan, sl)
 			if err != nil {
 				return nil, err
 			}
 			// Each slice's sub-plan has its own content hash, so recurring
 			// executions of the same schedule hit the runner cache.
-			sliceRunner, _, err := m.runnerFor(tgt, sub, models, spec.CthFactor)
+			hash, err := PlanHash(sub)
 			if err != nil {
 				return nil, err
 			}
-			opts := sim.CampaignOpts{
-				Workers: workers,
-				Slots:   m.slots,
-				Engine:  spec.engine(),
-				OnOutcome: func(i int, out sim.Outcome) {
-					job.mu.Lock()
-					defer job.mu.Unlock()
-					job.progress.Done++
-					if out.Replayed {
-						job.progress.ReplayHits++
-					} else {
-						job.progress.Executed++
-					}
-					m.defectsSimulated.Inc()
-					job.publishLocked()
-				},
+			sliceRunner, _, err := m.runnerFor(env.Resolved, sub, hash)
+			if err != nil {
+				return nil, err
 			}
-			if m.obs.Enabled() {
-				opts.Observe = m.observeTier(spec.engine())
-			}
+			opts := m.campaignOpts(spec, env.workers, func(i int, out sim.Outcome) {
+				job.mu.Lock()
+				defer job.mu.Unlock()
+				job.progress.Done++
+				if out.Replayed {
+					job.progress.ReplayHits++
+				} else {
+					job.progress.Executed++
+				}
+				m.defectsSimulated.Inc()
+				job.publishLocked()
+			})
 			sctx, span := obs.StartSpan(ctx, "job.slice",
 				obs.Label{Key: "slice", Value: fmt.Sprint(sl.Index)},
 				obs.Label{Key: "sessions", Value: fmt.Sprint(len(sl.Sessions))})
-			res, err := sliceRunner.CampaignCtx(sctx, spec.busID(), lib, opts)
+			res, err := sliceRunner.CampaignCtx(sctx, env.Bus, lib, opts)
 			span.End()
 			if err != nil {
 				return nil, err

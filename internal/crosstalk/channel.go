@@ -76,8 +76,7 @@ type Channel struct {
 	// are never populated at once.
 	memo                 map[uint64]memoEntry
 	memoWide             map[wideKey]memoEntry
-	memoOff              bool // EnableMemo requested but the bus is unkeyable
-	memoLimit            int  // max cached entries; memoCap unless overridden by test hook
+	memoLimit            int // max cached entries; memoCap unless overridden by test hook
 	memoHits, memoMisses uint64
 }
 
@@ -126,9 +125,7 @@ func (c *Channel) Width() int { return c.p.Width }
 // converts the O(W²) analogue analysis of the hot path into a map lookup.
 // A memoized channel must be confined to a single goroutine. Busses up to
 // 31 wires pack the whole transition into one uint64 key (the fastest path);
-// wider busses up to 64 wires use a struct key. Anything wider (not
-// representable by logic.Word today) records the refusal — MemoUnsupported —
-// so callers can surface a metric instead of silently losing the cache.
+// wider busses, up to the 64 wires Params.Validate admits, use a struct key.
 func (c *Channel) EnableMemo() {
 	if c.memoLimit == 0 {
 		c.memoLimit = memoCap
@@ -137,10 +134,8 @@ func (c *Channel) EnableMemo() {
 	case c.memo != nil || c.memoWide != nil:
 	case 2*c.p.Width+1 <= 64:
 		c.memo = make(map[uint64]memoEntry)
-	case c.p.Width <= 64:
-		c.memoWide = make(map[wideKey]memoEntry)
 	default:
-		c.memoOff = true
+		c.memoWide = make(map[wideKey]memoEntry)
 	}
 }
 
@@ -151,10 +146,6 @@ func (c *Channel) setMemoCapForTest(n int) { c.memoLimit = n }
 
 // MemoActive reports whether transmits are currently being memoized.
 func (c *Channel) MemoActive() bool { return c.memo != nil || c.memoWide != nil }
-
-// MemoUnsupported reports that EnableMemo was requested but the bus is too
-// wide to key; transmission stays uncached (and correct).
-func (c *Channel) MemoUnsupported() bool { return c.memoOff }
 
 // TakeMemoStats returns the number of memoized transmit hits and misses
 // accumulated since the last call, and resets both counters to zero. The

@@ -2,6 +2,7 @@ package crosstalk
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"testing"
 	"testing/quick"
@@ -51,7 +52,7 @@ func defective(t *testing.T, width, victim int, factor float64) *Channel {
 }
 
 func TestNominalValidates(t *testing.T) {
-	for _, w := range []int{2, 8, 12, 32} {
+	for _, w := range []int{2, 8, 12, 32, MaxWidth} {
 		if err := Nominal(w).Validate(); err != nil {
 			t.Errorf("Nominal(%d).Validate: %v", w, err)
 		}
@@ -84,6 +85,7 @@ func TestValidateRejectsBadParams(t *testing.T) {
 		mod  func(*Params)
 	}{
 		{"narrow", func(p *Params) { p.Width = 1 }},
+		{"wider than a word", func(p *Params) { *p = *Nominal(MaxWidth + 1) }},
 		{"cg length", func(p *Params) { p.Cg = p.Cg[:3] }},
 		{"cg sign", func(p *Params) { p.Cg[2] = -1 }},
 		{"row length", func(p *Params) { p.Cc[1] = p.Cc[1][:2] }},
@@ -470,6 +472,23 @@ func TestReadRejectsGarbage(t *testing.T) {
 	}
 	if _, _, err := Read(bytes.NewBufferString(`{"params":{"width":0},"thresholds":{}}`)); err == nil {
 		t.Error("invalid params accepted")
+	}
+}
+
+// TestReadRejectsTooWide checks that a parameter file describing a bus
+// wider than a logic.Word is refused at the edge, instead of panicking
+// later when a channel builds words of that width.
+func TestReadRejectsTooWide(t *testing.T) {
+	th, err := DeriveThresholds(Nominal(8), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := json.Marshal(parameterFile{Params: Nominal(80), Thresholds: th})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Read(bytes.NewReader(doc)); err == nil {
+		t.Error("80-wire parameter file accepted")
 	}
 }
 

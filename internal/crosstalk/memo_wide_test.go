@@ -9,10 +9,10 @@ import (
 	"repro/internal/maf"
 )
 
-// The transmit memo has three tiers: a packed uint64 key for busses whose
-// (prev, next, dir) triple fits 64 bits (width <= 31), a struct key for the
-// wide-bus targets up to 64 wires, and a recorded refusal beyond that. These
-// tests cover the wide tier — the packed tier is pinned by
+// The transmit memo has two tiers: a packed uint64 key for busses whose
+// (prev, next, dir) triple fits 64 bits (width <= 31), and a struct key for
+// the wide-bus targets up to 64 wires (Params.Validate refuses anything
+// wider). This test covers the wide tier — the packed tier is pinned by
 // TestMemoNeverChangesResults — including the 31/32 boundary.
 
 func TestWideMemoNeverChangesResults(t *testing.T) {
@@ -46,9 +46,6 @@ func TestWideMemoNeverChangesResults(t *testing.T) {
 		if !memoized.MemoActive() {
 			t.Fatalf("width %d: memo did not activate", width)
 		}
-		if memoized.MemoUnsupported() {
-			t.Fatalf("width %d: memo reported unsupported inside the wide tier", width)
-		}
 
 		mask := ^uint64(0) >> (64 - width)
 		pool := make([]logic.Word, 12)
@@ -75,30 +72,5 @@ func TestWideMemoNeverChangesResults(t *testing.T) {
 		if hits+misses != steps {
 			t.Errorf("width %d: hits %d + misses %d != %d transmits", width, hits, misses, steps)
 		}
-	}
-}
-
-// TestMemoUnsupportedBeyondWordRange checks the refusal tier: a bus wider
-// than logic.Word can represent cannot be keyed, so EnableMemo must record
-// the refusal instead of silently (mis)caching.
-func TestMemoUnsupportedBeyondWordRange(t *testing.T) {
-	p := Nominal(80)
-	th, err := DeriveThresholds(p, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ch, err := NewChannel(p, th)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ch.MemoUnsupported() {
-		t.Fatal("channel reported unsupported before EnableMemo was requested")
-	}
-	ch.EnableMemo()
-	if ch.MemoActive() {
-		t.Error("memo activated on an unkeyable 80-wire bus")
-	}
-	if !ch.MemoUnsupported() {
-		t.Error("refusal not recorded for an unkeyable bus")
 	}
 }

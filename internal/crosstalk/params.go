@@ -56,6 +56,10 @@ const (
 	DefaultGlitchMargin = 1.15
 )
 
+// MaxWidth is the widest bus a parameter set may describe: bus words
+// (logic.Word) carry at most 64 wires.
+const MaxWidth = 64
+
 // Params describes the electrical parameters of one N-wire bus: the
 // capacitance network plus the drive strength at each end. It corresponds to
 // the "parameter file containing the values of the coupling capacitance
@@ -98,8 +102,8 @@ func Nominal(width int) *Params {
 
 // Validate checks structural and physical consistency of p.
 func (p *Params) Validate() error {
-	if p.Width < 2 {
-		return fmt.Errorf("crosstalk: width %d, need at least 2 wires", p.Width)
+	if p.Width < 2 || p.Width > MaxWidth {
+		return fmt.Errorf("crosstalk: width %d outside [2, %d] wires", p.Width, MaxWidth)
 	}
 	if len(p.Cg) != p.Width || len(p.Cc) != p.Width {
 		return errors.New("crosstalk: capacitance arrays do not match width")

@@ -15,7 +15,6 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/target"
 )
 
 // CoordinatorConfig tunes a Coordinator. The zero value selects the
@@ -356,10 +355,11 @@ func (c *Coordinator) RunCampaign(ctx context.Context, spec campaign.Spec, shard
 }
 
 func (c *Coordinator) runCampaign(ctx context.Context, spec campaign.Spec, shardCount int) (*sim.CampaignResult, int, FleetStats, error) {
-	if err := spec.Validate(); err != nil {
+	r, err := campaign.Resolve(spec)
+	if err != nil {
 		return nil, 0, FleetStats{}, err
 	}
-	spec = spec.Normalized()
+	spec = r.Spec
 	live := c.LiveWorkers()
 	if live == 0 {
 		return nil, 0, FleetStats{}, fmt.Errorf("fleet: no live workers registered")
@@ -367,19 +367,10 @@ func (c *Coordinator) runCampaign(ctx context.Context, spec campaign.Spec, shard
 	if shardCount <= 0 {
 		shardCount = c.cfg.ShardsPerWorker * live
 	}
-	key, err := SpecShardKey(spec, shardCount)
+	plan, err := PlanShards(resolvedShardKey(r, shardCount), spec.Size, shardCount)
 	if err != nil {
 		return nil, 0, FleetStats{}, err
 	}
-	plan, err := PlanShards(key, spec.Size, shardCount)
-	if err != nil {
-		return nil, 0, FleetStats{}, err
-	}
-	tgt, err := target.Parse(spec.Target)
-	if err != nil {
-		return nil, 0, FleetStats{}, err
-	}
-	width := tgt.Topology().Channels[spec.BusID()].Width
 
 	inflight := c.cfg.MaxInFlight
 	if inflight <= 0 {
@@ -429,13 +420,13 @@ func (c *Coordinator) runCampaign(ctx context.Context, spec campaign.Spec, shard
 		fs.ReplayHits += st.ReplayHits
 		fs.Executed += st.Executed
 	}
-	res, err := sim.MergeOutcomes(spec.BusID(), plan.Total, results)
+	res, err := sim.MergeOutcomes(r.Bus, plan.Total, results)
 	if err != nil {
 		return nil, 0, FleetStats{}, err
 	}
 	res.BusName = spec.Bus
 	c.defectsMerged.Add(int64(plan.Total))
-	return res, width, fs, nil
+	return res, r.Width(), fs, nil
 }
 
 // dispatchShard runs one shard to completion: pick a live worker, post the

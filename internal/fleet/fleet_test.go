@@ -33,13 +33,23 @@ func startWorkers(t *testing.T, n int) (*Coordinator, []*httptest.Server) {
 	return coord, servers
 }
 
+// resolve resolves a spec the way a worker does.
+func resolve(t *testing.T, spec campaign.Spec) *campaign.Resolved {
+	t.Helper()
+	r, err := campaign.Resolve(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 // singleNodeJSON renders the spec's campaign result from one node through
 // the same campaign engine the workers use.
 func singleNodeJSON(t *testing.T, spec campaign.Spec) []byte {
 	t.Helper()
 	mgr := campaign.New(campaign.Config{})
 	n := spec.Normalized()
-	outcomes, _, err := mgr.RunShard(context.Background(), spec, 0, n.Size)
+	outcomes, _, err := mgr.RunShard(context.Background(), resolve(t, spec), 0, n.Size)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,6 +209,31 @@ func TestWorkerRejectsShardKeyMismatch(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("mismatched shard key got status %d, want %d", resp.StatusCode, http.StatusConflict)
+	}
+}
+
+// TestWorkerRejectsInvalidShardSpec checks that a spec naming a bus the
+// target lacks is a client error whether or not the request carries a key:
+// it must neither derive a key (409) nor fail inside the shard run (500).
+func TestWorkerRejectsInvalidShardSpec(t *testing.T) {
+	ts := httptest.NewServer(NewWorker(campaign.New(campaign.Config{})))
+	defer ts.Close()
+	for _, key := range []string{"", "some-key"} {
+		body, _ := json.Marshal(ShardRequest{
+			Spec:   campaign.Spec{Bus: "nope", Size: 20, Seed: 1},
+			Key:    key,
+			Shards: 2,
+			Start:  0,
+			End:    10,
+		})
+		resp, err := http.Post(ts.URL+"/v1/fleet/shards", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("bad bus with key %q got status %d, want %d", key, resp.StatusCode, http.StatusBadRequest)
+		}
 	}
 }
 

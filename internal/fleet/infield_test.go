@@ -88,7 +88,7 @@ func TestFleetInfieldByteIdentical(t *testing.T) {
 	}
 
 	mgr := campaign.New(campaign.Config{})
-	outcomes, _, err := mgr.RunShard(context.Background(), spec, 0, n.Size)
+	outcomes, _, err := mgr.RunShard(context.Background(), resolve(t, spec), 0, n.Size)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,16 +57,16 @@ func ShardKey(planHash string, seed int64, sigma, cth float64, total, count int)
 // computes the same key for the same spec and shard count, which is how a
 // worker verifies that an assignment matches its own view of the campaign.
 func SpecShardKey(spec campaign.Spec, count int) (string, error) {
-	hash, err := campaign.SpecPlanHash(spec)
+	r, err := campaign.Resolve(spec)
 	if err != nil {
 		return "", err
 	}
-	n := spec.Normalized()
-	cth, err := campaign.SpecCth(spec)
-	if err != nil {
-		return "", err
-	}
-	return ShardKey(hash, n.Seed, n.Sigma, cth, n.Size, count), nil
+	return resolvedShardKey(r, count), nil
+}
+
+// resolvedShardKey is SpecShardKey over an already resolved spec.
+func resolvedShardKey(r *campaign.Resolved, count int) string {
+	return ShardKey(r.Hash, r.Spec.Seed, r.Spec.Sigma, r.Setup().Thresholds.Cth, r.Spec.Size, count)
 }
 
 // PlanShards deterministically partitions total library indices into count

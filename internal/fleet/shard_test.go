@@ -2,6 +2,8 @@ package fleet
 
 import (
 	"testing"
+
+	"repro/internal/campaign"
 )
 
 func TestPlanShardsTilesExactly(t *testing.T) {
@@ -85,5 +87,28 @@ func TestShardKeySensitivity(t *testing.T) {
 	}
 	if again := ShardKey("plan", 1, 0.5, 1e-15, 1000, 4); again != base {
 		t.Fatalf("ShardKey not deterministic: %s vs %s", again, base)
+	}
+}
+
+// TestSpecShardKeyPinned pins the shard-plan keys of two reference specs.
+// Workers answer an assignment whose key differs from their own derivation
+// with 409, so a changed key splits mixed-version fleets: update the pins
+// only together with a deliberate campaign-identity change.
+func TestSpecShardKeyPinned(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		spec campaign.Spec
+		want string
+	}{
+		{"parwan addr", campaign.Spec{Bus: "addr", Seed: 1}, "4cc11be208671dc3e962a3ee29535d0d"},
+		{"widebus32", campaign.Spec{Target: "widebus32", Bus: "bus", Seed: 1}, "db180af5f642fc0202a412cde5447bf5"},
+	} {
+		got, err := SpecShardKey(tc.spec, 4)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got != tc.want {
+			t.Errorf("%s: SpecShardKey = %s, want %s", tc.name, got, tc.want)
+		}
 	}
 }

@@ -77,13 +77,14 @@ func (w *Worker) shard(rw http.ResponseWriter, r *http.Request) {
 		writeJSONError(rw, http.StatusBadRequest, fmt.Errorf("decoding shard request: %w", err))
 		return
 	}
+	// One resolution serves both the key check and the shard itself.
+	resolved, err := campaign.Resolve(req.Spec)
+	if err != nil {
+		writeJSONError(rw, http.StatusBadRequest, err)
+		return
+	}
 	if req.Key != "" {
-		key, err := SpecShardKey(req.Spec, req.Shards)
-		if err != nil {
-			writeJSONError(rw, http.StatusBadRequest, err)
-			return
-		}
-		if key != req.Key {
+		if key := resolvedShardKey(resolved, req.Shards); key != req.Key {
 			w.m.Obs().Record("shard.conflict",
 				obs.Label{Key: "coordinator_key", Value: req.Key},
 				obs.Label{Key: "worker_key", Value: key})
@@ -105,7 +106,7 @@ func (w *Worker) shard(rw http.ResponseWriter, r *http.Request) {
 	ctx, span := obs.StartSpan(ctx, "worker.shard",
 		obs.Label{Key: "start", Value: fmt.Sprint(req.Start)},
 		obs.Label{Key: "end", Value: fmt.Sprint(req.End)})
-	outcomes, stats, err := w.m.RunShard(ctx, req.Spec, req.Start, req.End)
+	outcomes, stats, err := w.m.RunShard(ctx, resolved, req.Start, req.End)
 	span.End()
 	if err != nil {
 		code := http.StatusInternalServerError

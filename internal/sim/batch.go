@@ -137,9 +137,6 @@ func (r *Runner) runDefectBatched(bus core.BusID, defective *crosstalk.Params, f
 	// can be memoized: hung runs loop over a handful of transitions for
 	// thousands of steps.
 	defCh.EnableMemo()
-	if defCh.MemoUnsupported() {
-		r.memoUnsupported.Add(1)
-	}
 	out := Outcome{Bus: bus}
 	seen := make(map[maf.Fault]bool)
 	for i, prog := range r.plan.Programs {

@@ -106,9 +106,6 @@ type EngineStats struct {
 	// the target core's nominal channels).
 	MemoHits   int64 `json:"memo_hits"`
 	MemoMisses int64 `json:"memo_misses"`
-	// MemoUnsupported counts defective channels whose width exceeds the
-	// transmit memo's 64-wire ceiling, so they ran memo-off.
-	MemoUnsupported int64 `json:"memo_unsupported,omitempty"`
 }
 
 // Stats snapshots the runner's engine counters. Memo counters combine the
@@ -124,7 +121,6 @@ func (r *Runner) Stats() EngineStats {
 		BatchSweeps:      r.batchSweeps.Load(),
 		MemoHits:         r.memoHits.Load() + int64(coreHits),
 		MemoMisses:       r.memoMisses.Load() + int64(coreMisses),
-		MemoUnsupported:  r.memoUnsupported.Load(),
 	}
 }
 

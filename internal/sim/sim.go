@@ -74,7 +74,6 @@ type Runner struct {
 	batchSweeps      atomic.Int64
 	memoHits         atomic.Int64
 	memoMisses       atomic.Int64
-	memoUnsupported  atomic.Int64
 }
 
 // NewRunner builds a Parwan-backend runner from this package's historical
