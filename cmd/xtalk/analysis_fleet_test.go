@@ -24,41 +24,73 @@ func startTestWorkers(t *testing.T, n int) string {
 	return strings.Join(urls, ",")
 }
 
-// TestFleetMinimizeMatchesStandaloneWideBus is the CLI-level acceptance for
-// the wide-bus backend: `xtalk minimize -target widebus16 -workers ...`
-// (fleetAnalysis) must render the same minimize report bytes as the
-// standalone manager path, verification rounds included.
-func TestFleetMinimizeMatchesStandaloneWideBus(t *testing.T) {
-	spec := campaign.Spec{
-		Target: "widebus16",
-		Bus:    "bus",
-		Type:   campaign.TypeMinimize,
-		Size:   60,
-		Seed:   13,
+// renderAnalysis renders a job's analysis product as the report document
+// its subcommand writes.
+func renderAnalysis(t *testing.T, an *campaign.Analysis) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	var err error
+	switch {
+	case an.Diagnosis != nil:
+		err = report.WriteDiagnosisJSON(&buf, an.Diagnosis)
+	case an.Minimize != nil:
+		err = report.WriteMinimizeJSON(&buf, an.Minimize)
+	case an.Rank != nil:
+		err = report.WriteRankJSON(&buf, an.Rank)
+	case an.Infield != nil:
+		err = report.WriteInfieldNDJSON(&buf, an.Infield)
+	default:
+		t.Fatal("analysis carries no product")
 	}
-	standalone, err := runAnalysis(spec, "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	distributed, err := runAnalysis(spec, startTestWorkers(t, 2), 0)
-	if err != nil {
-		t.Fatal(err)
+	return buf.Bytes()
+}
+
+// TestFleetJobsMatchStandalone is the CLI-level acceptance for -workers:
+// every job type the CLI submits renders the same report bytes on a
+// 2-worker fleet as standalone, minimize verification rounds and in-field
+// workload phases included.
+func TestFleetJobsMatchStandalone(t *testing.T) {
+	workers := startTestWorkers(t, 2)
+	wide := campaign.Spec{Target: "widebus16", Bus: "bus", Size: 60, Seed: 13}
+	cases := []struct {
+		name string
+		spec campaign.Spec
+	}{
+		{"diagnose-widebus16", withType(wide, campaign.TypeDiagnose)},
+		{"minimize-widebus16", withType(wide, campaign.TypeMinimize)},
+		{"rank-widebus16", withType(wide, campaign.TypeRank)},
+		{"infield-parwan-addr", campaign.Spec{Type: campaign.TypeInfield, Bus: "addr", Size: 60, Seed: 3, Slices: 4}},
+		{"infield-widebus16", campaign.Spec{Type: campaign.TypeInfield, Target: "widebus16", Bus: "bus", Size: 60, Seed: 17, MaxSessions: 6}},
 	}
-	var want, got bytes.Buffer
-	if err := report.WriteMinimizeJSON(&want, standalone.Minimize); err != nil {
-		t.Fatal(err)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			standalone, err := runJob(tc.spec, "", 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			distributed, err := runJob(tc.spec, workers, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, got := renderAnalysis(t, standalone), renderAnalysis(t, distributed)
+			if !bytes.Equal(want, got) {
+				t.Fatalf("fleet report differs from standalone (%d vs %d bytes)\nfleet:\n%s\nstandalone:\n%s",
+					len(got), len(want), got, want)
+			}
+			if m := standalone.Minimize; m != nil && (m.Verification == nil || !m.Verification.Identical) {
+				t.Fatalf("minimized program did not verify byte-identical: %+v", m.Verification)
+			}
+			t.Logf("fleet report byte-identical to standalone (%d bytes)", len(got))
+		})
 	}
-	if err := report.WriteMinimizeJSON(&got, distributed.Minimize); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(want.Bytes(), got.Bytes()) {
-		t.Fatalf("fleet minimize report differs from standalone (%d vs %d bytes)", got.Len(), want.Len())
-	}
-	if v := standalone.Minimize.Verification; v == nil || !v.Identical {
-		t.Fatalf("minimized wide-bus program did not verify byte-identical: %+v", v)
-	}
-	t.Logf("widebus16 minimize: %d -> %d tests, fleet report byte-identical (%d bytes)",
-		standalone.Minimize.FullTests, len(standalone.Minimize.Chosen), got.Len())
+}
+
+func withType(spec campaign.Spec, jobType string) campaign.Spec {
+	spec.Type = jobType
+	return spec
 }
 
 // TestCmdSimWideBusSmoke pins the -target flag end to end: the default

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -9,20 +8,18 @@ import (
 	"strings"
 
 	"repro/internal/campaign"
-	"repro/internal/core"
 	"repro/internal/defects"
-	"repro/internal/fleet"
 	"repro/internal/report"
 	"repro/internal/sim"
 )
 
 // The diagnose, minimize and rank subcommands run a base defect-simulation
 // campaign and layer the internal/diagnose analytics on top, emitting the
-// deterministic JSON documents of internal/report. Standalone runs go
-// through a local campaign.Manager (the same path xtalkd serves); with
-// -workers the base campaign — and, for minimize, every verification round —
-// is distributed across fleet workers, and the identical analysis runs on
-// the merged result.
+// deterministic JSON documents of internal/report. Each submits its spec as
+// a job to a local campaign.Manager (see runJob). With -workers that
+// manager runs the job's campaigns (the base campaign and, for minimize,
+// every verification round) on a fleet, and the analysis, progress and
+// report stay in the manager, so the report bytes are the same either way.
 
 // analysisFlags are the flags shared by the three analysis subcommands.
 type analysisFlags struct {
@@ -46,7 +43,7 @@ func newAnalysisFlags(fs *flag.FlagSet) *analysisFlags {
 		compaction: fs.Bool("compaction", false, "compact responses"),
 		engine:     fs.String("engine", "auto", engineUsage),
 		out:        fs.String("o", "", "write the JSON report to this file (default stdout)"),
-		workers:    fs.String("workers", "", "comma-separated fleet worker base URLs; runs the campaigns distributed"),
+		workers:    fs.String("workers", "", "comma-separated fleet worker base URLs; runs the job's campaigns distributed"),
 		shards:     fs.Int("shards", 0, "fleet shard count (0 = 4 per worker)"),
 	}
 }
@@ -84,7 +81,7 @@ func cmdDiagnose(args []string) error {
 			spec.Signature = append(spec.Signature, s)
 		}
 	}
-	an, err := runAnalysis(spec, *af.workers, *af.shards)
+	an, err := runJob(spec, *af.workers, *af.shards)
 	if err != nil {
 		return err
 	}
@@ -114,7 +111,7 @@ func cmdMinimize(args []string) error {
 	if err != nil {
 		return err
 	}
-	an, err := runAnalysis(spec, *af.workers, *af.shards)
+	an, err := runJob(spec, *af.workers, *af.shards)
 	if err != nil {
 		return err
 	}
@@ -143,7 +140,7 @@ func cmdRank(args []string) error {
 	if err != nil {
 		return err
 	}
-	an, err := runAnalysis(spec, *af.workers, *af.shards)
+	an, err := runJob(spec, *af.workers, *af.shards)
 	if err != nil {
 		return err
 	}
@@ -179,83 +176,34 @@ func writeReport(path string, write func(*os.File) error) error {
 	return nil
 }
 
-// runAnalysis executes an analysis job standalone (local manager) or
-// distributed (-workers).
-func runAnalysis(spec campaign.Spec, workers string, shards int) (*campaign.Analysis, error) {
-	if workers == "" {
-		m := campaign.New(campaign.Config{})
-		job, err := m.Submit(spec)
+// runJob submits the spec to a campaign.Manager, the job runner xtalkd
+// serves, and returns the job's analysis product. With workers
+// (comma-separated base URLs) the manager runs every campaign of the job on
+// that fleet, cut into shards shards (0 = 4 per worker); the analysis is
+// the same either way.
+func runJob(spec campaign.Spec, workers string, shards int) (*campaign.Analysis, error) {
+	var cfg campaign.Config
+	if workers != "" {
+		coord, err := newFleet(workers)
 		if err != nil {
 			return nil, err
 		}
-		<-job.Done()
-		if err := job.Err(); err != nil {
-			return nil, err
+		cfg.Fleet = func(ctx context.Context, spec campaign.Spec) (*sim.CampaignResult, error) {
+			res, _, _, err := coord.RunCampaign(ctx, spec, shards)
+			return res, err
 		}
-		an, ok := job.Analysis()
-		if !ok {
-			return nil, fmt.Errorf("job %s produced no analysis", job.ID())
-		}
-		return an, nil
 	}
-	return fleetAnalysis(spec, workers, shards)
-}
-
-// fleetAnalysis distributes the base campaign (and minimize verification
-// rounds) across fleet workers, then runs the same analysis the standalone
-// manager would on the merged outcomes — the resulting report is
-// byte-identical to a standalone run's.
-func fleetAnalysis(spec campaign.Spec, urls string, shards int) (*campaign.Analysis, error) {
-	r, err := campaign.Resolve(spec)
+	job, err := campaign.New(cfg).Submit(spec)
 	if err != nil {
 		return nil, err
 	}
-	spec = r.Spec
-	coord := fleet.NewCoordinator(fleet.CoordinatorConfig{})
-	n := 0
-	for _, u := range strings.Split(urls, ",") {
-		if u = strings.TrimSpace(u); u != "" {
-			coord.Register(u)
-			n++
-		}
-	}
-	if n == 0 {
-		return nil, fmt.Errorf("no worker URLs in %q", urls)
-	}
-	// The wire spec is a plain campaign: workers only simulate; type and
-	// signature stay client-side, so shard caches are shared with ordinary
-	// distributed campaigns of the same spec.
-	base := spec
-	base.Type, base.Signature = "", nil
-	ctx := context.Background()
-	res, _, fs, err := coord.RunCampaign(ctx, base, shards)
-	if err != nil {
+	<-job.Done()
+	if err := job.Err(); err != nil {
 		return nil, err
 	}
-	fmt.Fprintf(os.Stderr, "fleet campaign: %s bus, %d defects across %d workers (%d shards, %d retries)\n",
-		spec.Bus, res.Total, n, fs.Shards, fs.Retries)
-	lib, err := r.Library()
-	if err != nil {
-		return nil, err
+	an, ok := job.Analysis()
+	if !ok {
+		return nil, fmt.Errorf("job %s produced no analysis", job.ID())
 	}
-	round := 0
-	return campaign.AnalyzeOutcomes(r, res.Outcomes, lib,
-		func(minPlan *core.Plan) ([]sim.Outcome, error) {
-			// Each verification round ships the minimized plan inline, so
-			// every worker simulates exactly this plan rather than
-			// re-deriving one.
-			var buf bytes.Buffer
-			if err := core.WritePlan(&buf, minPlan); err != nil {
-				return nil, err
-			}
-			vspec := base
-			vspec.Plan = buf.Bytes()
-			round++
-			vres, _, vfs, err := coord.RunCampaign(ctx, vspec, shards)
-			if err != nil {
-				return nil, err
-			}
-			fmt.Fprintf(os.Stderr, "fleet verify round %d: %d shards, %d retries\n", round, vfs.Shards, vfs.Retries)
-			return vres.Outcomes, nil
-		})
+	return an, nil
 }

@@ -363,23 +363,16 @@ func cmdSim(args []string) error {
 // traceOut, the coordinator's trace — including the worker-side spans shipped
 // back in shard responses — is written as NDJSON.
 func simFleet(urls string, shards int, traceOut string, spec campaign.Spec) error {
-	coord := fleet.NewCoordinator(fleet.CoordinatorConfig{})
-	n := 0
-	for _, u := range strings.Split(urls, ",") {
-		if u = strings.TrimSpace(u); u != "" {
-			coord.Register(u)
-			n++
-		}
-	}
-	if n == 0 {
-		return fmt.Errorf("no worker URLs in %q", urls)
+	coord, err := newFleet(urls)
+	if err != nil {
+		return err
 	}
 	res, _, fs, err := coord.RunCampaign(context.Background(), spec, shards)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("fleet campaign: %s bus, %d defects across %d workers (%d shards, %d retries)\n",
-		spec.Bus, res.Total, n, fs.Shards, fs.Retries)
+		spec.Bus, res.Total, len(coord.Workers()), fs.Shards, fs.Retries)
 	fmt.Printf("coverage: %d/%d = %.2f%% (paper: 100%%)\n", res.Detected, res.Total, res.Coverage()*100)
 	fmt.Printf("crashed/hung runs counted as detections: %d\n", res.Crashed)
 	fmt.Printf("engine: %d swept clean, %d executed (worker-side attribution)\n",
@@ -392,6 +385,21 @@ func simFleet(urls string, shards int, traceOut string, spec campaign.Spec) erro
 			fs.TraceID, traceOut, len(coord.Obs().Tracer.Trace(fs.TraceID)))
 	}
 	return nil
+}
+
+// newFleet builds a client-side fleet coordinator over comma-separated
+// worker base URLs; the workers need no coordinator of their own.
+func newFleet(urls string) (*fleet.Coordinator, error) {
+	coord := fleet.NewCoordinator(fleet.CoordinatorConfig{})
+	for _, u := range strings.Split(urls, ",") {
+		if u = strings.TrimSpace(u); u != "" {
+			coord.Register(u)
+		}
+	}
+	if coord.LiveWorkers() == 0 {
+		return nil, fmt.Errorf("no worker URLs in %q", urls)
+	}
+	return coord, nil
 }
 
 // writeTraceFile dumps one trace from a collector as NDJSON.

@@ -93,7 +93,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	outcomes, _, err := mgr.RunShard(context.Background(), r, 0, r.Spec.Size)
+	outcomes, err := mgr.RunShard(context.Background(), r, 0, r.Spec.Size)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/defects"
 	"repro/internal/diagnose"
 	"repro/internal/maf"
 	"repro/internal/obs"
@@ -20,39 +19,14 @@ import (
 // verification from scratch).
 func (m *Manager) analyze(ctx context.Context, job *Job, res *sim.CampaignResult, env *jobEnv) (*Analysis, error) {
 	job.setPhase(PhaseAnalyze)
+	spec := env.Spec
 	ctx, span := obs.StartSpan(ctx, "job.analyze",
-		obs.Label{Key: "type", Value: env.Spec.JobType()})
+		obs.Label{Key: "type", Value: spec.JobType()})
 	defer span.End()
-	verifying := false
-	return AnalyzeOutcomes(env.Resolved, res.Outcomes, env.lib,
-		func(minPlan *core.Plan) ([]sim.Outcome, error) {
-			if !verifying {
-				verifying = true
-				job.setPhase(PhaseVerify)
-			}
-			vres, err := m.verifyCampaign(ctx, minPlan, env)
-			if err != nil {
-				return nil, err
-			}
-			return vres.Outcomes, nil
-		})
-}
-
-// AnalyzeOutcomes builds a diagnose, minimize or rank job's analysis product
-// from a completed base campaign over the resolved spec: outcomes in library
-// order and the defect library they index. simulateMin re-simulates the same
-// library under a minimized plan and returns outcomes in the same order; it
-// is only called for minimize jobs (the verify-augment loop, one call per
-// round). The manager's analysis phase and the CLI's fleet path share this
-// function, so a distributed run's report is byte-identical to a standalone
-// one's.
-func AnalyzeOutcomes(r *Resolved, outcomes []sim.Outcome, lib *defects.Library,
-	simulateMin func(minPlan *core.Plan) ([]sim.Outcome, error)) (*Analysis, error) {
-	spec := r.Spec
-	sets := diagnose.Collect(outcomes)
+	sets := diagnose.Collect(res.Outcomes)
 	switch spec.JobType() {
 	case TypeDiagnose:
-		acc, err := sets.EvaluateAccuracy(lib)
+		acc, err := sets.EvaluateAccuracy(env.lib)
 		if err != nil {
 			return nil, err
 		}
@@ -66,7 +40,7 @@ func AnalyzeOutcomes(r *Resolved, outcomes []sim.Outcome, lib *defects.Library,
 		return &Analysis{Diagnosis: report.NewDiagnosisJSON(spec.Bus, sets, &acc, spec.Signature, cands)}, nil
 
 	case TypeRank:
-		return &Analysis{Rank: report.NewRankJSON(spec.Bus, r.Width(), diagnose.RankWires(sets, r.Width(), lib))}, nil
+		return &Analysis{Rank: report.NewRankJSON(spec.Bus, env.Width(), diagnose.RankWires(sets, env.Width(), env.lib))}, nil
 
 	case TypeMinimize:
 		cover := diagnose.GreedyCover(sets)
@@ -76,14 +50,21 @@ func AnalyzeOutcomes(r *Resolved, outcomes []sim.Outcome, lib *defects.Library,
 		// program and augments the test set until the per-defect detection
 		// vector is byte-identical to the full campaign's.
 		var minPlan *core.Plan
-		rep, err := diagnose.RepairCover(sets, cover, outcomes, 0,
+		rep, err := diagnose.RepairCover(sets, cover, res.Outcomes, 0,
 			func(filter func(maf.Fault) bool) ([]sim.Outcome, error) {
-				p, err := spec.plan(r.Target, filter)
+				p, err := spec.plan(env.Target, filter)
 				if err != nil {
 					return nil, err
 				}
+				if minPlan == nil {
+					job.setPhase(PhaseVerify)
+				}
 				minPlan = p
-				return simulateMin(p)
+				vres, err := m.verifyCampaign(ctx, minPlan, env)
+				if err != nil {
+					return nil, err
+				}
+				return vres.Outcomes, nil
 			})
 		if err != nil {
 			return nil, err
@@ -93,7 +74,7 @@ func AnalyzeOutcomes(r *Resolved, outcomes []sim.Outcome, lib *defects.Library,
 			mj.Augmented = append(mj.Augmented, f.String())
 		}
 		mj.VerifyRounds = rep.Rounds
-		mj.FullProgramTests = r.Plan.TotalApplied()
+		mj.FullProgramTests = env.Plan.TotalApplied()
 		mj.MinProgramTests = minPlan.TotalApplied()
 		return &Analysis{Minimize: mj}, nil
 	}
@@ -101,20 +82,11 @@ func AnalyzeOutcomes(r *Resolved, outcomes []sim.Outcome, lib *defects.Library,
 }
 
 // verifyCampaign re-simulates the job's defect library under a minimized
-// plan, sharing the manager's runner cache, worker pool and engine choice
-// with the base campaign.
+// plan, sharing the manager's runner cache, worker pool (or fleet) and
+// engine choice with the base campaign.
 func (m *Manager) verifyCampaign(ctx context.Context, minPlan *core.Plan, env *jobEnv) (*sim.CampaignResult, error) {
-	hash, err := PlanHash(minPlan)
-	if err != nil {
-		return nil, err
-	}
-	runner, _, err := m.runnerFor(env.Resolved, minPlan, hash)
-	if err != nil {
-		return nil, err
-	}
 	vctx, span := obs.StartSpan(ctx, "job.verify",
 		obs.Label{Key: "defects", Value: fmt.Sprint(len(env.lib.Defects))})
-	res, err := runner.CampaignCtx(vctx, env.Bus, env.lib, m.campaignOpts(env.Spec, env.workers, nil))
-	span.End()
-	return res, err
+	defer span.End()
+	return m.simulate(vctx, env, minPlan, m.campaignOpts(env.Spec, env.workers, nil))
 }

@@ -17,11 +17,11 @@ import (
 // The infield job type: the spec's plan is deterministically partitioned
 // into bounded-cycle slices (internal/infield), each slice runs as its own
 // sub-plan campaign over the full defect library — sharing the manager's
-// runner cache, worker pool and engine — interleaved with functional
-// workload phases, and a coverage ledger accumulates the per-slice detection
-// vectors. The completed ledger's result is byte-identical to the one-shot
-// campaign over the same spec (see infield's package comment for why), which
-// TestInfieldConvergenceIdentity enforces.
+// runner cache, worker pool (or fleet) and engine — interleaved with
+// functional workload phases, and a coverage ledger accumulates the
+// per-slice detection vectors. The completed ledger's result is
+// byte-identical to the one-shot campaign over the same spec (see infield's
+// package comment for why), which TestInfieldConvergenceIdentity enforces.
 
 // executeInfield runs an infield job to completion: setup, manifest
 // derivation, and the slice schedule. The returned result is the merged
@@ -89,16 +89,6 @@ func (m *Manager) executeInfield(ctx context.Context, job *Job) (*sim.CampaignRe
 			if err != nil {
 				return nil, err
 			}
-			// Each slice's sub-plan has its own content hash, so recurring
-			// executions of the same schedule hit the runner cache.
-			hash, err := PlanHash(sub)
-			if err != nil {
-				return nil, err
-			}
-			sliceRunner, _, err := m.runnerFor(env.Resolved, sub, hash)
-			if err != nil {
-				return nil, err
-			}
 			opts := m.campaignOpts(spec, env.workers, func(i int, out sim.Outcome) {
 				job.mu.Lock()
 				defer job.mu.Unlock()
@@ -114,7 +104,7 @@ func (m *Manager) executeInfield(ctx context.Context, job *Job) (*sim.CampaignRe
 			sctx, span := obs.StartSpan(ctx, "job.slice",
 				obs.Label{Key: "slice", Value: fmt.Sprint(sl.Index)},
 				obs.Label{Key: "sessions", Value: fmt.Sprint(len(sl.Sessions))})
-			res, err := sliceRunner.CampaignCtx(sctx, env.Bus, lib, opts)
+			res, err := m.simulate(sctx, env, sub, opts)
 			span.End()
 			if err != nil {
 				return nil, err

@@ -61,8 +61,8 @@ func PlanHash(p *core.Plan) (string, error) {
 // Resolved is a spec as every serving node derives it: validated and
 // normalized, with its target backend, per-channel nominal bus models, bus
 // under test, self-test plan and the plan's content hash. Jobs, fleet
-// shards, shard keys and the CLI's fleet paths all start from Resolve, so
-// they cannot disagree about what a spec means.
+// shards and shard keys all start from Resolve, so they cannot disagree
+// about what a spec means.
 type Resolved struct {
 	Spec   Spec // normalized
 	Target target.Target
@@ -129,11 +129,11 @@ func (r *Resolved) Manifest(cycles func(session int) uint64) (*infield.Manifest,
 // roles. Outcomes are pure functions of (plan, bus parameters, defect), so
 // shards computed on different nodes merge into exactly the single-node
 // result (see sim.MergeOutcomes).
-func (m *Manager) RunShard(ctx context.Context, r *Resolved, start, end int) ([]sim.Outcome, sim.EngineStats, error) {
+func (m *Manager) RunShard(ctx context.Context, r *Resolved, start, end int) ([]sim.Outcome, error) {
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
-		return nil, sim.EngineStats{}, errors.New("campaign: manager is draining; not accepting shards")
+		return nil, errors.New("campaign: manager is draining; not accepting shards")
 	}
 	m.wg.Add(1)
 	m.mu.Unlock()
@@ -141,14 +141,14 @@ func (m *Manager) RunShard(ctx context.Context, r *Resolved, start, end int) ([]
 
 	runner, _, err := m.runnerFor(r, r.Plan, r.Hash)
 	if err != nil {
-		return nil, sim.EngineStats{}, err
+		return nil, err
 	}
 	lib, _, err := m.libraryFor(r)
 	if err != nil {
-		return nil, sim.EngineStats{}, err
+		return nil, err
 	}
 	if start < 0 || end > len(lib.Defects) || start >= end {
-		return nil, sim.EngineStats{}, fmt.Errorf("campaign: shard [%d, %d) out of range for %d defects",
+		return nil, fmt.Errorf("campaign: shard [%d, %d) out of range for %d defects",
 			start, end, len(lib.Defects))
 	}
 	// A shallow sub-library: defect IDs are carried by the defects
@@ -167,9 +167,9 @@ func (m *Manager) RunShard(ctx context.Context, r *Resolved, start, end int) ([]
 	res, err := runner.CampaignCtx(sctx, r.Bus, sub, m.campaignOpts(r.Spec, cap(m.slots), nil))
 	span.End()
 	if err != nil {
-		return nil, sim.EngineStats{}, err
+		return nil, err
 	}
 	m.shardsServed.Inc()
 	m.defectsSimulated.Add(int64(end - start))
-	return res.Outcomes, runner.Stats(), nil
+	return res.Outcomes, nil
 }

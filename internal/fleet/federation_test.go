@@ -32,7 +32,7 @@ func TestFederationEndpoints(t *testing.T) {
 	urls := make([]string, 0, 2)
 	for i := 0; i < 2; i++ {
 		mgr := campaign.New(campaign.Config{Workers: 2})
-		if _, _, err := mgr.RunShard(context.Background(), resolve(t, spec), 0, 40); err != nil {
+		if _, err := mgr.RunShard(context.Background(), resolve(t, spec), 0, 40); err != nil {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer

@@ -49,7 +49,7 @@ func singleNodeJSON(t *testing.T, spec campaign.Spec) []byte {
 	t.Helper()
 	mgr := campaign.New(campaign.Config{})
 	n := spec.Normalized()
-	outcomes, _, err := mgr.RunShard(context.Background(), resolve(t, spec), 0, n.Size)
+	outcomes, err := mgr.RunShard(context.Background(), resolve(t, spec), 0, n.Size)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,6 +319,40 @@ func TestCoordinatorServerEndToEnd(t *testing.T) {
 		if !strings.Contains(metrics.String(), want) {
 			t.Fatalf("metrics missing %q:\n%s", want, metrics.String())
 		}
+	}
+
+	// A spec the fleet cannot run is the client's error, refused before any
+	// dispatch; a worker failure is the gateway's.
+	for _, body := range []string{
+		`{"spec":{"bus":"ctrl","size":10,"seed":1}}`,
+		`{"spec":{"bus":"addr","size":10,"seed":1,"engine":"replay"}}`,
+		`{"spec":{"bus":"addr","size":10,"seed":1,"type":"minimize"}}`,
+		`{"spec":{"bus":"addr","size":10,"seed":1,"type":"infield","slices":2}}`,
+	} {
+		resp, err := http.Post(cs.URL+"/v1/fleet/campaigns", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want %d", body, resp.StatusCode, http.StatusBadRequest)
+		}
+	}
+	if m := coord.Metrics(); m.Campaigns != 1 {
+		t.Errorf("refused specs counted as campaigns: %d campaigns run, want 1", m.Campaigns)
+	}
+	dead := NewCoordinator(CoordinatorConfig{Backoff: time.Millisecond})
+	dead.Register("http://127.0.0.1:1") // nothing listens on port 1
+	ds := httptest.NewServer(NewCoordinatorServer(dead))
+	defer ds.Close()
+	resp, err = http.Post(ds.URL+"/v1/fleet/campaigns", "application/json",
+		strings.NewReader(`{"spec":{"bus":"addr","size":10,"seed":1}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadGateway {
+		t.Errorf("worker failure: status %d, want %d", resp.StatusCode, http.StatusBadGateway)
 	}
 
 	// Coordinator healthz carries its role.

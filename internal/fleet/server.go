@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -19,7 +20,9 @@ import (
 //	POST /v1/fleet/campaigns  run a distributed campaign synchronously;
 //	                          the body is the campaign-result JSON
 //	                          (byte-identical to a single-node run), with
-//	                          fleet attribution in X-Fleet-* headers
+//	                          fleet attribution in X-Fleet-* headers; 400
+//	                          for a spec the fleet cannot run (invalid, or
+//	                          not a plain campaign), 502 when workers fail
 //	GET  /healthz             role, uptime, build info, live registry facts,
 //	                          alert summary, per-worker scrape staleness
 //	GET  /metrics             fleet-wide Prometheus text exposition: the
@@ -105,8 +108,7 @@ func (s *CoordinatorServer) workers(w http.ResponseWriter, _ *http.Request) {
 // CampaignRequest asks the coordinator for one distributed campaign run.
 type CampaignRequest struct {
 	Spec campaign.Spec `json:"spec"`
-	// Shards overrides the shard count; zero selects ShardsPerWorker × live
-	// workers.
+	// Shards overrides the shard count; zero selects 4 × live workers.
 	Shards int `json:"shards,omitempty"`
 }
 
@@ -120,7 +122,12 @@ func (s *CoordinatorServer) campaign(w http.ResponseWriter, r *http.Request) {
 	}
 	res, width, fs, err := s.c.RunCampaign(r.Context(), req.Spec, req.Shards)
 	if err != nil {
-		writeJSONError(w, http.StatusBadGateway, err)
+		code := http.StatusBadGateway
+		var refused *specError
+		if errors.As(err, &refused) {
+			code = http.StatusBadRequest
+		}
+		writeJSONError(w, code, err)
 		return
 	}
 	h := w.Header()

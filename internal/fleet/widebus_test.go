@@ -31,7 +31,7 @@ func TestFleetWideBusByteIdentical(t *testing.T) {
 
 	mgr := campaign.New(campaign.Config{})
 	n := spec.Normalized()
-	outcomes, _, err := mgr.RunShard(context.Background(), resolve(t, spec), 0, n.Size)
+	outcomes, err := mgr.RunShard(context.Background(), resolve(t, spec), 0, n.Size)
 	if err != nil {
 		t.Fatal(err)
 	}

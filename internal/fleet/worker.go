@@ -25,17 +25,11 @@ type ShardRequest struct {
 }
 
 // ShardResponse carries one executed shard back to the coordinator:
-// per-defect outcomes in range order plus the engine attribution for this
-// shard and the worker's cumulative engine/memo counters.
+// per-defect outcomes in range order, each carrying its engine attribution
+// (sim.Outcome.Replayed).
 type ShardResponse struct {
 	Start    int           `json:"start"`
 	Outcomes []sim.Outcome `json:"outcomes"`
-	// ReplayHits and Executed attribute this shard's defects to the replay
-	// tier versus (fallback or forced) CPU execution.
-	ReplayHits int `json:"replay_hits"`
-	Executed   int `json:"executed"`
-	// Stats is the worker runner's cumulative engine counter snapshot.
-	Stats sim.EngineStats `json:"stats"`
 	// Spans are the worker-side spans of this shard's execution, joined to
 	// the coordinator's trace via the X-Xtalk-Trace request header. The
 	// coordinator ingests them so its collector holds the nested
@@ -106,7 +100,7 @@ func (w *Worker) shard(rw http.ResponseWriter, r *http.Request) {
 	ctx, span := obs.StartSpan(ctx, "worker.shard",
 		obs.Label{Key: "start", Value: fmt.Sprint(req.Start)},
 		obs.Label{Key: "end", Value: fmt.Sprint(req.End)})
-	outcomes, stats, err := w.m.RunShard(ctx, resolved, req.Start, req.End)
+	outcomes, err := w.m.RunShard(ctx, resolved, req.Start, req.End)
 	span.End()
 	if err != nil {
 		code := http.StatusInternalServerError
@@ -116,16 +110,9 @@ func (w *Worker) shard(rw http.ResponseWriter, r *http.Request) {
 		writeJSONError(rw, code, err)
 		return
 	}
-	resp := ShardResponse{Start: req.Start, Outcomes: outcomes, Stats: stats}
+	resp := ShardResponse{Start: req.Start, Outcomes: outcomes}
 	if reqTracer != nil {
 		resp.Spans = reqTracer.Spans()
-	}
-	for _, out := range outcomes {
-		if out.Replayed {
-			resp.ReplayHits++
-		} else {
-			resp.Executed++
-		}
 	}
 	rw.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(rw).Encode(resp)

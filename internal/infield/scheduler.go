@@ -18,8 +18,7 @@ import (
 type Scheduler struct {
 	Manifest *Manifest
 	Ledger   *Ledger
-	// Phases supplies the functional phases interleaved before each slice;
-	// nil schedules slices back to back with no functional accounting.
+	// Phases supplies the functional phase interleaved before each slice.
 	Phases *workload.PhaseIterator
 	// Interval paces recurring slices: the wait between one slice's merge
 	// and the next slice's phase. Zero runs the schedule without pacing.
@@ -39,8 +38,8 @@ type Scheduler struct {
 // early on context cancellation with the ledger holding every slice merged
 // so far — the checkpoint a resume continues from.
 func (s *Scheduler) Run(ctx context.Context) error {
-	if s.Manifest == nil || s.Ledger == nil || s.RunSlice == nil {
-		return fmt.Errorf("infield: scheduler needs a manifest, a ledger and a slice runner")
+	if s.Manifest == nil || s.Ledger == nil || s.Phases == nil || s.RunSlice == nil {
+		return fmt.Errorf("infield: scheduler needs a manifest, a ledger, functional phases and a slice runner")
 	}
 	if s.Ledger.Slices() != len(s.Manifest.Slices) {
 		return fmt.Errorf("infield: ledger tracks %d slices, manifest has %d",
@@ -64,22 +63,17 @@ func (s *Scheduler) Run(ctx context.Context) error {
 			}
 		}
 		started = true
-		var meta PointMeta
-		meta.SliceCycles = sl.Cycles
-		if s.Phases != nil {
-			// Realign after a resume: phase sequence index == slice index.
-			if d := sl.Index - s.Phases.Seq(); d > 0 {
-				s.Phases.Skip(d)
-			}
-			ph := s.Phases.Next()
-			if s.RunPhase != nil {
-				if err := s.RunPhase(ctx, ph); err != nil {
-					return fmt.Errorf("infield: functional phase %q before slice %d: %w", ph.Name, sl.Index, err)
-				}
-			}
-			meta.Phase = ph.Name
-			meta.WorkloadCycles = s.Phases.CyclesIssued()
+		// Realign after a resume: phase sequence index == slice index.
+		if d := sl.Index - s.Phases.Seq(); d > 0 {
+			s.Phases.Skip(d)
 		}
+		ph := s.Phases.Next()
+		if s.RunPhase != nil {
+			if err := s.RunPhase(ctx, ph); err != nil {
+				return fmt.Errorf("infield: functional phase %q before slice %d: %w", ph.Name, sl.Index, err)
+			}
+		}
+		meta := PointMeta{SliceCycles: sl.Cycles, Phase: ph.Name, WorkloadCycles: s.Phases.CyclesIssued()}
 		outs, err := s.RunSlice(ctx, sl)
 		if err != nil {
 			return err

@@ -15,7 +15,7 @@ const (
 	// AlertOK: the objective is within budget on at least one window.
 	AlertOK AlertState = iota
 	// AlertPending: both burn-rate windows are over threshold but the
-	// breach has not persisted for the objective's For duration yet.
+	// breach has not persisted to the next evaluation tick yet.
 	AlertPending
 	// AlertFiring: the breach persisted; the alert is active.
 	AlertFiring
@@ -38,24 +38,25 @@ func (s AlertState) String() string {
 	}
 }
 
-// Default burn-rate thresholds, following the multi-window multi-burn-rate
-// recipe: the fast window catches a budget-destroying spike, the slow
-// window confirms it is sustained rather than a blip.
+// Burn-rate thresholds of every objective, following the multi-window
+// multi-burn-rate recipe: the fast window catches a budget-destroying
+// spike, the slow window confirms it is sustained rather than a blip.
 const (
 	DefaultFastBurn = 14.4
 	DefaultSlowBurn = 6.0
 )
 
-// Default windows. Both are short by dashboard standards because xtalkd
-// campaigns live on minute, not month, horizons.
+// Burn-rate windows of every objective. Both are short by dashboard
+// standards because xtalkd campaigns live on minute, not month, horizons.
 const (
 	DefaultFastWindow = 5 * time.Minute
 	DefaultSlowWindow = 30 * time.Minute
 )
 
 // Objective is one declarative SLO: a Source reporting cumulative
-// (total, bad) event counts, a Budget (allowed bad/total ratio), and the
-// burn-rate windows/thresholds that turn budget consumption into an alert.
+// (total, bad) event counts and a Budget (allowed bad/total ratio). An
+// alert needs both burn-rate windows over their thresholds (the Default*
+// constants above), and fires one evaluation tick after it goes pending.
 type Objective struct {
 	Name        string
 	Description string
@@ -66,16 +67,6 @@ type Objective struct {
 	// Budget is the allowed bad/total ratio (e.g. 0.01 = 1% of events may
 	// violate the objective). Burn rate = (windowed bad ratio) / Budget.
 	Budget float64
-	// FastWindow/SlowWindow are the two burn-rate windows (defaults
-	// DefaultFastWindow/DefaultSlowWindow). An alert needs both windows
-	// over their thresholds.
-	FastWindow, SlowWindow time.Duration
-	// FastBurn/SlowBurn are the burn-rate thresholds (defaults
-	// DefaultFastBurn/DefaultSlowBurn).
-	FastBurn, SlowBurn float64
-	// For is how long the breach must persist in pending before the alert
-	// fires. Zero still requires one additional evaluation tick.
-	For time.Duration
 }
 
 type sloSample struct {
@@ -141,18 +132,6 @@ func NewEvaluator(reg *Registry, rec *Recorder) *Evaluator {
 func (e *Evaluator) Add(obj Objective) {
 	if e == nil || obj.Name == "" || obj.Source == nil || obj.Budget <= 0 {
 		return
-	}
-	if obj.FastWindow <= 0 {
-		obj.FastWindow = DefaultFastWindow
-	}
-	if obj.SlowWindow <= 0 {
-		obj.SlowWindow = DefaultSlowWindow
-	}
-	if obj.FastBurn <= 0 {
-		obj.FastBurn = DefaultFastBurn
-	}
-	if obj.SlowBurn <= 0 {
-		obj.SlowBurn = DefaultSlowBurn
 	}
 	e.mu.Lock()
 	st, existed := e.byName[obj.Name]
@@ -254,7 +233,7 @@ func (e *Evaluator) Tick(now time.Time) {
 		st.samples = append(st.samples, sloSample{t: now, total: total, bad: bad})
 		// Prune beyond the slow window, keeping one sample at or before
 		// the boundary so the slow delta spans the full window.
-		cutoff := now.Add(-st.obj.SlowWindow)
+		cutoff := now.Add(-DefaultSlowWindow)
 		drop := 0
 		for drop < len(st.samples)-1 && st.samples[drop+1].t.Before(cutoff) {
 			drop++
@@ -262,9 +241,9 @@ func (e *Evaluator) Tick(now time.Time) {
 		if drop > 0 {
 			st.samples = append([]sloSample(nil), st.samples[drop:]...)
 		}
-		st.fastBurn = windowBurn(st.samples, st.obj.FastWindow, st.obj.Budget)
-		st.slowBurn = windowBurn(st.samples, st.obj.SlowWindow, st.obj.Budget)
-		breach := st.fastBurn >= st.obj.FastBurn && st.slowBurn >= st.obj.SlowBurn
+		st.fastBurn = windowBurn(st.samples, DefaultFastWindow, st.obj.Budget)
+		st.slowBurn = windowBurn(st.samples, DefaultSlowWindow, st.obj.Budget)
+		breach := st.fastBurn >= DefaultFastBurn && st.slowBurn >= DefaultSlowBurn
 
 		from := st.state
 		switch st.state {
@@ -277,7 +256,7 @@ func (e *Evaluator) Tick(now time.Time) {
 			if !breach {
 				st.state = AlertOK
 				st.since = now
-			} else if now.Sub(st.since) >= st.obj.For && now.After(st.since) {
+			} else if now.After(st.since) {
 				st.state = AlertFiring
 				st.since = now
 			}
@@ -290,7 +269,7 @@ func (e *Evaluator) Tick(now time.Time) {
 			if breach {
 				st.state = AlertFiring
 				st.since = now
-			} else if now.Sub(st.since) >= st.obj.FastWindow {
+			} else if now.Sub(st.since) >= DefaultFastWindow {
 				st.state = AlertOK
 				st.since = now
 			}

@@ -274,6 +274,9 @@ func TestOutcomeShapeAcrossEngines(t *testing.T) {
 			if !sorted(out.DetectedBy) {
 				t.Errorf("defect %d engine %v: DetectedBy not in canonical order: %v", i, eng, out.DetectedBy)
 			}
+			// Replayed is engine attribution (Execute never screens), not a
+			// report-visible field; it marshals only for the shard wire.
+			out.Replayed = false
 			js, err := json.Marshal(out)
 			if err != nil {
 				t.Fatal(err)

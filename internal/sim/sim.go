@@ -154,8 +154,9 @@ type Outcome struct {
 	// Replayed is true when the outcome was settled without any execution:
 	// every session's trace passed the screening sweep cleanly. Diagnostic
 	// only — it is deliberately excluded from campaign reports so engines
-	// stay byte-identical.
-	Replayed bool `json:"-"`
+	// stay byte-identical — but it crosses the fleet's shard wire, so a job
+	// run on a fleet attributes its defects exactly as a local run does.
+	Replayed bool `json:"replayed,omitempty"`
 }
 
 // normalize puts DetectedBy into the canonical byte-stable form: sorted by
