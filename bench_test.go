@@ -223,9 +223,6 @@ func benchE5Engine(b *testing.B, eng sim.Engine) {
 	st := r.Stats()
 	b.ReportMetric(float64(st.BatchScreened)/float64(b.N), "batch-screened/op")
 	b.ReportMetric(float64(st.Fallbacks)/float64(b.N), "fallbacks/op")
-	if st.MemoHits+st.MemoMisses > 0 {
-		b.ReportMetric(float64(st.MemoHits)/float64(st.MemoHits+st.MemoMisses)*100, "memo-hit-%")
-	}
 }
 
 // BenchmarkE5_EngineExecute measures the E5 campaign under the execute-only

@@ -416,7 +416,7 @@ func writeTraceFile(path string, tr *obs.Tracer, traceID string) error {
 }
 
 // printEngineStats summarizes how the engine resolved the campaign's defect
-// runs: sweep-cleared defects versus executions, plus channel-memo traffic.
+// runs: sweep-cleared defects versus executions.
 func printEngineStats(eng sim.Engine, r *sim.Runner) {
 	st := r.Stats()
 	fmt.Printf("engine %s: %d swept clean in %d sweeps, %d divergence fallbacks, %d full executions\n",
@@ -424,10 +424,6 @@ func printEngineStats(eng sim.Engine, r *sim.Runner) {
 	if st.DegradedExecutes > 0 {
 		fmt.Printf("engine %s: %d runs degraded to full execution (golden traffic errs; screening unsound)\n",
 			eng, st.DegradedExecutes)
-	}
-	if total := st.MemoHits + st.MemoMisses; total > 0 {
-		fmt.Printf("channel memo: %d/%d transmit hits (%.1f%%)\n",
-			st.MemoHits, total, 100*float64(st.MemoHits)/float64(total))
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -93,6 +94,21 @@ func TestCmdMarginsTooWide(t *testing.T) {
 	_, err := capture(t, func() error { return cmdMargins([]string{"-width", "80"}) })
 	if err == nil {
 		t.Fatal("margins accepted an 80-wire bus")
+	}
+}
+
+// TestCmdMarginsRaggedFile checks that a parameter file whose coupling
+// matrix has a short later row is an error, not a panic in validation.
+func TestCmdMarginsRaggedFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ragged.json")
+	ragged := `{"params":{"width":2,"cg":[1,1],"cc":[[0,0],[]],"r_drive":[1,1],"vdd":1},` +
+		`"thresholds":{"cth":1,"glitch_frac":0.5,"slack":[1,1],"cg0":1}}`
+	if err := os.WriteFile(path, []byte(ragged), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := capture(t, func() error { return cmdMargins([]string{"-file", path}) })
+	if err == nil || !strings.Contains(err.Error(), "coupling row 1") {
+		t.Fatalf("margins on a ragged file: err = %v, want a coupling row 1 error", err)
 	}
 }
 

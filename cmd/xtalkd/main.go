@@ -7,7 +7,7 @@
 // its synonym "batch") for the exact batched engine, or "execute" for the
 // full-execution reference; see internal/sim. Progress events report how
 // many defects the screening sweep resolved versus resumed execution for,
-// and /metrics exposes the aggregate engine and channel-memo counters.
+// and /metrics exposes the aggregate engine counters.
 //
 // Beyond plain campaigns, a spec's "type" field selects an analysis job
 // (see internal/diagnose): "diagnose" builds the fault dictionary and

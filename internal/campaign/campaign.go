@@ -511,8 +511,8 @@ type Metrics struct {
 	Workers            int   `json:"workers"`
 	BusyWorkers        int   `json:"busy_workers"`
 	// Engine is the aggregate of every cached runner's engine counters:
-	// sweep clearances, resumed-execution fallbacks, reference executions,
-	// and channel-memo traffic (see sim.EngineStats).
+	// sweep clearances, resumed-execution fallbacks and reference
+	// executions (see sim.EngineStats).
 	Engine sim.EngineStats `json:"engine"`
 }
 
@@ -635,10 +635,6 @@ func New(cfg Config) *Manager {
 		m.engineStat(func(s sim.EngineStats) int64 { return s.BatchScreened }))
 	reg.CounterFunc("xtalkd_engine_batch_sweeps_total", "session-trace sweeps performed by the batched screening pass",
 		m.engineStat(func(s sim.EngineStats) int64 { return s.BatchSweeps }))
-	reg.CounterFunc("xtalkd_channel_memo_hits_total", "channel-transmit memo hits",
-		m.engineStat(func(s sim.EngineStats) int64 { return s.MemoHits }))
-	reg.CounterFunc("xtalkd_channel_memo_misses_total", "channel-transmit memo misses",
-		m.engineStat(func(s sim.EngineStats) int64 { return s.MemoMisses }))
 	m.simLatency = map[string]*obs.Histogram{
 		"replay": reg.Histogram("xtalkd_sim_defect_seconds", "per-defect simulation latency by engine tier",
 			nil, obs.Label{Key: "tier", Value: "replay"}),
@@ -708,8 +704,6 @@ func (m *Manager) engineStats() sim.EngineStats {
 		t.DegradedExecutes += s.DegradedExecutes
 		t.BatchScreened += s.BatchScreened
 		t.BatchSweeps += s.BatchSweeps
-		t.MemoHits += s.MemoHits
-		t.MemoMisses += s.MemoMisses
 	}
 	return t
 }

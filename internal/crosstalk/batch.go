@@ -11,10 +11,17 @@ import (
 // Batch evaluates one bus transition against many parameter sets at once —
 // the vectorized form of Channel.Transmit's error decision. A defect
 // library's perturbed coupling matrices are transposed into structure-of-
-// arrays layout (per (victim, aggressor) pair, one contiguous slice over all
-// sets), so a single walk over a transition's aggressors accumulates every
-// set's effective capacitance in a tight inner loop instead of constructing
-// and dispatching through N Channel values.
+// arrays layout, so a single walk over a transition's aggressors
+// accumulates many sets' effective capacitance in a tight inner loop
+// instead of constructing and dispatching through N Channel values.
+//
+// Only the sets at risk on a wire are stored and evaluated for it: per
+// victim wire, the batch keeps the ascending indexes of the sets whose risk
+// masks (see riskMasks, shared with NewChannel) admit that wire, plus those
+// sets' compacted columns. A set outside a wire's list provably never errs
+// on that wire, so skipping it changes no verdict. A defect library puts
+// 1.15–1.35 wires per set at risk, so the batch holds about n·1.2·W coupling
+// values rather than n·W².
 //
 // The per-set error decision is arithmetic-identical to Channel.transmit:
 // the same accumulation order (ascending aggressor index), the same Miller
@@ -31,15 +38,22 @@ type Batch struct {
 	n     int
 	th    Thresholds
 
-	// cg[i][d], ctot[i][d] and rdrive[dir][d] are parameter set d's per-wire
-	// ground capacitance, ascending-order total coupling (as Channel.ctot),
-	// and drive resistance. cc[i*width+j][d] is set d's coupling Cc[i][j].
-	cg     [][]float64
-	ctot   [][]float64
-	cc     [][]float64
-	rdrive [2][]float64
+	victims []batchVictim // indexed by victim wire
 
 	acc []float64 // per-set accumulator reused across EventMask calls
+}
+
+// batchVictim holds the sets at risk on one victim wire i. sets lists their
+// batch indexes ascending; column k of every other slice belongs to set
+// sets[k]: its ground capacitance cg, its ascending-order total coupling
+// ctot (as Channel.ctot), its drive resistance rdrive[dir], and in cc[j] its
+// coupling Cc[i][j].
+type batchVictim struct {
+	sets   []int32
+	cg     []float64
+	ctot   []float64
+	rdrive [2][]float64
+	cc     [][]float64
 }
 
 // NewBatch builds a batch evaluator over the given parameter sets, judged
@@ -61,43 +75,36 @@ func NewBatch(params []*Params, th Thresholds) (*Batch, error) {
 			return nil, fmt.Errorf("crosstalk: batch set %d is %d wires, set 0 is %d", d, p.Width, width)
 		}
 	}
-	n := len(params)
 	b := &Batch{
-		width: width,
-		n:     n,
-		th:    th,
-		cg:    make([][]float64, width),
-		ctot:  make([][]float64, width),
-		cc:    make([][]float64, width*width),
-		acc:   make([]float64, n),
+		width:   width,
+		n:       len(params),
+		th:      th,
+		victims: make([]batchVictim, width),
 	}
-	for dir := range b.rdrive {
-		b.rdrive[dir] = make([]float64, n)
-		for d, p := range params {
-			b.rdrive[dir][d] = p.RDrive[dir]
-		}
+	for i := range b.victims {
+		b.victims[i].cc = make([][]float64, width)
 	}
-	for i := 0; i < width; i++ {
-		b.cg[i] = make([]float64, n)
-		b.ctot[i] = make([]float64, n)
-		for d, p := range params {
-			b.cg[i][d] = p.Cg[i]
-		}
-		for j := 0; j < width; j++ {
-			row := make([]float64, n)
-			for d, p := range params {
-				row[d] = p.Cc[i][j]
+	for d, p := range params {
+		ctot, delayRisk, glitchRisk := riskMasks(p, th)
+		for risk := delayRisk[0] | delayRisk[1] | glitchRisk; risk != 0; risk &= risk - 1 {
+			i := bits.TrailingZeros64(risk)
+			v := &b.victims[i]
+			v.sets = append(v.sets, int32(d))
+			v.cg = append(v.cg, p.Cg[i])
+			v.ctot = append(v.ctot, ctot[i])
+			for dir, r := range p.RDrive {
+				v.rdrive[dir] = append(v.rdrive[dir], r)
 			}
-			b.cc[i*width+j] = row
-			if j != i {
-				// Ascending-j accumulation, bit-identical to the sum
-				// NewChannel forms for Channel.ctot.
-				for d := range row {
-					b.ctot[i][d] += row[d]
-				}
+			for j, c := range p.Cc[i] {
+				v.cc[j] = append(v.cc[j], c)
 			}
 		}
 	}
+	most := 0
+	for _, v := range b.victims {
+		most = max(most, len(v.sets))
+	}
+	b.acc = make([]float64, most)
 	return b, nil
 }
 
@@ -135,35 +142,40 @@ func (b *Batch) EventMask(prev, next logic.Word, dir maf.Direction, mask []uint6
 		// set by construction (as in Channel.transmit).
 		return
 	}
-	acc := b.acc
-	for i := 0; i < b.width; i++ {
+	for i := range b.victims {
+		v := &b.victims[i]
+		if len(v.sets) == 0 {
+			continue
+		}
+		acc := b.acc[:len(v.sets)]
 		bitI := uint64(1) << uint(i)
 		if edges&bitI != 0 {
 			// Switching victim: Miller-weighted Elmore delay per set, visiting
 			// aggressors in ascending order exactly as Channel.transmit does.
-			copy(acc, b.cg[i])
-			for j := 0; j < b.width; j++ {
+			copy(acc, v.cg)
+			for j, row := range v.cc {
 				if j == i {
 					continue
 				}
 				bitJ := uint64(1) << uint(j)
-				row := b.cc[i*b.width+j]
+				row = row[:len(acc)]
 				if edges&bitJ != 0 {
 					if (v2&bitI != 0) != (v2&bitJ != 0) {
-						for d := range acc {
-							acc[d] += 2 * row[d]
+						for k := range acc {
+							acc[k] += 2 * row[k]
 						}
 					}
 				} else {
-					for d := range acc {
-						acc[d] += row[d]
+					for k := range acc {
+						acc[k] += row[k]
 					}
 				}
 			}
 			slack := b.th.Slack[dir]
-			r := b.rdrive[dir]
-			for d := range acc {
-				if ln2*r[d]*acc[d] > slack {
+			r := v.rdrive[dir][:len(acc)]
+			for k := range acc {
+				if ln2*r[k]*acc[k] > slack {
+					d := v.sets[k]
 					mask[d>>6] |= 1 << uint(d&63)
 				}
 			}
@@ -171,30 +183,31 @@ func (b *Batch) EventMask(prev, next logic.Word, dir maf.Direction, mask []uint6
 		}
 		// Stable victim: net coupled charge from the switching aggressors,
 		// walking the edge mask's set bits ascending as Channel.transmit does.
-		for d := range acc {
-			acc[d] = 0
+		for k := range acc {
+			acc[k] = 0
 		}
 		for e := edges; e != 0; e &= e - 1 {
 			bitJ := e & -e
-			row := b.cc[i*b.width+bits.TrailingZeros64(e)]
+			row := v.cc[bits.TrailingZeros64(e)][:len(acc)]
 			if v2&bitJ != 0 {
-				for d := range acc {
-					acc[d] += row[d]
+				for k := range acc {
+					acc[k] += row[k]
 				}
 			} else {
-				for d := range acc {
-					acc[d] -= row[d]
+				for k := range acc {
+					acc[k] -= row[k]
 				}
 			}
 		}
 		neg := a&bitI != 0
-		cgi, ctoti := b.cg[i], b.ctot[i]
-		for d := range acc {
-			push := acc[d]
+		cgi, ctoti := v.cg[:len(acc)], v.ctot[:len(acc)]
+		for k := range acc {
+			push := acc[k]
 			if neg {
 				push = -push // a downward pull flips a high wire
 			}
-			if push/(cgi[d]+ctoti[d]) > b.th.GlitchFrac {
+			if push/(cgi[k]+ctoti[k]) > b.th.GlitchFrac {
+				d := v.sets[k]
 				mask[d>>6] |= 1 << uint(d&63)
 			}
 		}

@@ -36,10 +36,14 @@ func perturbedSets(t *testing.T, width, n int, seed int64) []*Params {
 
 // TestBatchMatchesChannelTransmit is the batched screening's soundness pin:
 // over random perturbed parameter sets and random transitions, bit d of the
-// batch event mask must be set exactly when Channel.Transmit on set d
-// produces a non-empty event list — the same per-transition divergence
-// verdict the per-defect replay tier reaches, across packed-key (<=31 wires)
-// and wide (>31 wires) widths and both drive directions.
+// batch event mask must be set exactly when the specification form of
+// transmission (Analyze plus thresholding) on set d produces a non-empty
+// event list — the same per-transition divergence verdict the per-defect
+// replay tier reaches, across widths on both sides of the 32-wire boundary
+// and both drive directions. The reference does not use the risk masks,
+// which Batch and Channel share. Besides the mixed library, a quiet batch
+// (no wire has an at-risk set) and a loud one (every wire has every set at
+// risk) cover the ends of the compaction.
 func TestBatchMatchesChannelTransmit(t *testing.T) {
 	for _, width := range []int{2, 8, 12, 32, 40, 64} {
 		width := width
@@ -49,33 +53,62 @@ func TestBatchMatchesChannelTransmit(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sets := perturbedSets(t, width, 70, int64(90+width))
-			b, err := NewBatch(sets, th)
-			if err != nil {
-				t.Fatal(err)
+			quiet, loud := extremeSets(width)
+			mixed := append(perturbedSets(t, width, 70, int64(90+width)), quiet, loud)
+			// Raising any coupling of the loud set keeps every wire at risk.
+			loudBatch := []*Params{loud}
+			raise := rand.New(rand.NewSource(int64(width)))
+			for len(loudBatch) < 5 {
+				p := loud.Clone()
+				for a := 0; a < width; a++ {
+					for b := a + 1; b < width; b++ {
+						p.Cc[a][b] *= 1 + raise.Float64()
+						p.Cc[b][a] = p.Cc[a][b]
+					}
+				}
+				loudBatch = append(loudBatch, p)
 			}
-			chans := make([]*Channel, len(sets))
-			for d, p := range sets {
-				if chans[d], err = NewChannel(p, th); err != nil {
+			for _, tc := range []struct {
+				name string
+				sets []*Params
+				want int // sets at risk on every wire; -1 for a mixed library
+			}{
+				{"mixed", mixed, -1},
+				{"quiet", []*Params{nominal, quiet, nominal.Clone()}, 0},
+				{"loud", loudBatch, len(loudBatch)},
+			} {
+				b, err := NewBatch(tc.sets, th)
+				if err != nil {
 					t.Fatal(err)
 				}
-			}
-			rng := rand.New(rand.NewSource(int64(7 * width)))
-			mask := make([]uint64, b.MaskWords())
-			for step := 0; step < 300; step++ {
-				v1 := logic.NewWord(rng.Uint64(), width)
-				v2 := logic.NewWord(rng.Uint64(), width)
-				if step%17 == 0 {
-					v2 = v1 // exercise the no-edges shortcut
+				for i, v := range b.victims {
+					if tc.want >= 0 && len(v.sets) != tc.want {
+						t.Fatalf("%s: wire %d keeps %d sets, want %d", tc.name, i, len(v.sets), tc.want)
+					}
 				}
-				dir := maf.Direction(rng.Intn(2))
-				b.EventMask(v1, v2, dir, mask)
-				for d, ch := range chans {
-					_, events := ch.Transmit(v1, v2, dir)
-					got := mask[d>>6]&(1<<uint(d&63)) != 0
-					if got != (len(events) > 0) {
-						t.Fatalf("width %d step %d set %d: batch says events=%v, channel produced %d events for %v->%v %v",
-							width, step, d, got, len(events), v1, v2, dir)
+				chans := make([]*Channel, len(tc.sets))
+				for d, p := range tc.sets {
+					if chans[d], err = NewChannel(p, th); err != nil {
+						t.Fatal(err)
+					}
+				}
+				rng := rand.New(rand.NewSource(int64(7 * width)))
+				mask := make([]uint64, b.MaskWords())
+				for step := 0; step < 300; step++ {
+					v1 := logic.NewWord(rng.Uint64(), width)
+					v2 := logic.NewWord(rng.Uint64(), width)
+					if step%17 == 0 {
+						v2 = v1 // exercise the no-edges shortcut
+					}
+					dir := maf.Direction(rng.Intn(2))
+					b.EventMask(v1, v2, dir, mask)
+					for d, ch := range chans {
+						_, events := referenceTransmit(ch, v1, v2, dir)
+						got := mask[d>>6]&(1<<uint(d&63)) != 0
+						if got != (len(events) > 0) {
+							t.Fatalf("%s step %d set %d: batch says events=%v, reference produced %d events for %v->%v %v",
+								tc.name, step, d, got, len(events), v1, v2, dir)
+						}
 					}
 				}
 			}

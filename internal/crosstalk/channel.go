@@ -69,6 +69,13 @@ type Channel struct {
 	// aggressors instead of every wire.
 	ctot []float64
 
+	// delayRisk[dir] and glitchRisk are the channel's risk masks (see
+	// riskMasks): delayRisk[dir] bit i is set iff wire i can err by delay
+	// when driven in direction dir, glitchRisk bit i iff it can err by
+	// glitch. transmit evaluates only those wires.
+	delayRisk  [2]uint64
+	glitchRisk uint64
+
 	// memo caches transmit outcomes keyed by the packed (prev, next, dir)
 	// triple: prev<<(width+1) | next<<1 | dir. The channel's parameter and
 	// threshold sets are fixed, so the key fully determines the outcome.
@@ -97,15 +104,57 @@ func NewChannel(p *Params, th Thresholds) (*Channel, error) {
 	if err := th.Validate(); err != nil {
 		return nil, err
 	}
-	ctot := make([]float64, p.Width)
+	c := &Channel{p: p, th: th}
+	c.ctot, c.delayRisk, c.glitchRisk = riskMasks(p, th)
+	return c, nil
+}
+
+// riskMasks computes a validated parameter set's per-wire total coupling
+// (Channel.ctot) and its exact worst-case risk masks, shared by NewChannel
+// and NewBatch so the two kernels cannot disagree:
+//
+//   - delayRisk[dir] bit i is set iff ln2*RDrive[dir]*ceffMax > Slack[dir],
+//     where ceffMax = Cg[i] + Σ_{j≠i, ascending} 2*Cc[i][j];
+//   - glitchRisk bit i is set iff ctot[i]/(Cg[i]+ctot[i]) > GlitchFrac.
+//
+// Both are transmit's own expressions in its own summation order: this is
+// the paper's Cth criterion (only a wire whose net coupling is too large
+// can err, and only under its maximum-aggressor pattern) made exact for
+// floating-point arithmetic.
+//
+// The masks are sound: a wire outside them cannot err on any transition.
+// Validate guarantees Cc >= 0, Cg > 0 and RDrive > 0, and IEEE
+// round-to-nearest addition, multiplication and division by a positive
+// number are monotone. A transition's accumulated ceff adds 0, Cc or 2*Cc
+// per aggressor in the same order, so it is at most ceffMax; its signed
+// glitch charge adds ±Cc for a subset of the same terms, so |push| is at
+// most ctot[i]. Neither can then cross a threshold the bound does not.
+//
+// The masks are tight: the bound is attained exactly by wire i's MA tests
+// (the rising-delay pattern opposes every aggressor; the positive-glitch
+// pattern raises every aggressor), so the masks equal the verdicts of
+// Margins, which evaluates those patterns through Analyze.
+func riskMasks(p *Params, th Thresholds) (ctot []float64, delayRisk [2]uint64, glitchRisk uint64) {
+	ctot = make([]float64, p.Width)
 	for i := 0; i < p.Width; i++ {
+		ceffMax := p.Cg[i]
 		for j := 0; j < p.Width; j++ {
 			if j != i {
 				ctot[i] += p.Cc[i][j]
+				ceffMax += 2 * p.Cc[i][j]
 			}
 		}
+		bit := uint64(1) << uint(i)
+		for dir, r := range p.RDrive {
+			if ln2*r*ceffMax > th.Slack[dir] {
+				delayRisk[dir] |= bit
+			}
+		}
+		if ctot[i]/(p.Cg[i]+ctot[i]) > th.GlitchFrac {
+			glitchRisk |= bit
+		}
 	}
-	return &Channel{p: p, th: th, ctot: ctot}, nil
+	return ctot, delayRisk, glitchRisk
 }
 
 // Params returns the channel's parameter set.
@@ -119,10 +168,9 @@ func (c *Channel) Width() int { return c.p.Width }
 
 // EnableMemo switches the channel to memoized transmission: each distinct
 // (previous word, next word, direction) triple is analysed once and its
-// outcome cached. A defect-simulation campaign's transition working set is
-// tiny compared to the number of transmissions (programs replay the same
-// traffic, and hung runs loop over a handful of transitions), so the memo
-// converts the O(W²) analogue analysis of the hot path into a map lookup.
+// outcome cached. Campaigns do not memoize: the risk masks make a clean
+// transmit O(1) and an erring one O(W) per at-risk wire, which is cheaper
+// than the map lookup the memo adds.
 // A memoized channel must be confined to a single goroutine. Busses up to
 // 31 wires pack the whole transition into one uint64 key (the fastest path);
 // wider busses, up to the 64 wires Params.Validate admits, use a struct key.
@@ -250,10 +298,12 @@ func (c *Channel) Transmit(v1, v2 logic.Word, dir maf.Direction) (logic.Word, []
 
 // transmit is the uncached transmission path. It is the fused form of
 // Analyze followed by thresholding — same arithmetic, same visit order —
-// but works on the raw bit vectors and allocates nothing on a clean
-// transfer, which matters because it sits under every bus transaction of
-// every simulated defect run (TestTransmitMatchesAnalyze pins the
-// equivalence).
+// but works on the raw bit vectors, evaluates only the wires the risk masks
+// admit (a switching wire in delayRisk, a stable one in glitchRisk), and
+// allocates nothing on a clean transfer, which matters because it sits
+// under every bus transaction of every simulated defect run
+// (TestTransmitMatchesAnalyze pins the equivalence). On a channel with no
+// wire at risk, such as a nominal one, every transfer is O(1).
 func (c *Channel) transmit(v1, v2 logic.Word, dir maf.Direction) (logic.Word, []Event) {
 	if v1.Width() != c.p.Width || v2.Width() != c.p.Width {
 		panic(fmt.Sprintf("crosstalk: word width %d/%d does not match %d-wire channel",
@@ -267,11 +317,17 @@ func (c *Channel) transmit(v1, v2 logic.Word, dir maf.Direction) (logic.Word, []
 		// clean by construction.
 		return v2, nil
 	}
+	risk := edges&c.delayRisk[dir] | ^edges&c.glitchRisk
+	if risk == 0 {
+		return v2, nil
+	}
 	received := v2
 	var events []Event
 	r := c.p.RDrive[dir]
 	slack := c.th.Slack[dir]
-	for i := 0; i < c.p.Width; i++ {
+	// Visit the at-risk wires ascending, so events keep their wire order.
+	for ; risk != 0; risk &= risk - 1 {
+		i := bits.TrailingZeros64(risk)
 		bitI := uint64(1) << uint(i)
 		cci := c.p.Cc[i]
 		if edges&bitI != 0 {

@@ -89,6 +89,7 @@ func TestValidateRejectsBadParams(t *testing.T) {
 		{"cg length", func(p *Params) { p.Cg = p.Cg[:3] }},
 		{"cg sign", func(p *Params) { p.Cg[2] = -1 }},
 		{"row length", func(p *Params) { p.Cc[1] = p.Cc[1][:2] }},
+		{"short later row", func(p *Params) { p.Cc[7] = p.Cc[7][:0] }},
 		{"self coupling", func(p *Params) { p.Cc[3][3] = 1e-15 }},
 		{"negative coupling", func(p *Params) { p.Cc[0][1] = -1e-15; p.Cc[1][0] = -1e-15 }},
 		{"asymmetric", func(p *Params) { p.Cc[0][1] *= 2 }},

@@ -107,45 +107,70 @@ func referenceTransmit(c *Channel, v1, v2 logic.Word, dir maf.Direction) (logic.
 	return received, events
 }
 
-// TestTransmitMatchesAnalyze pins the fused Transmit hot path to the
-// specification form (Analyze + thresholding), over random perturbed
-// parameter sets, word pairs, and both directions.
+// TestTransmitMatchesAnalyze pins the fused, risk-masked Transmit hot path
+// to the specification form (Analyze + thresholding): over random perturbed
+// parameter sets and the two extreme sets (no wire at risk, every wire at
+// risk), on random word pairs in both directions at widths on both sides of
+// the 32-wire boundary, and on every (v1, v2, dir) triple at widths 2–4.
 func TestTransmitMatchesAnalyze(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for _, width := range []int{2, 8, 12} {
+	check := func(c *Channel, v1, v2 logic.Word, dir maf.Direction) {
+		t.Helper()
+		gotW, gotE := c.Transmit(v1, v2, dir)
+		wantW, wantE := referenceTransmit(c, v1, v2, dir)
+		if gotW != wantW || !reflect.DeepEqual(gotE, wantE) {
+			t.Fatalf("width %d: transmit (%v, %v) != reference (%v, %v) for %v->%v %v",
+				c.Width(), gotW, gotE, wantW, wantE, v1, v2, dir)
+		}
+	}
+	// channels builds the nominal set, three random perturbations of it and
+	// the two extreme sets, all judged against the nominal thresholds.
+	channels := func(width int) []*Channel {
 		nominal := Nominal(width)
 		th, err := DeriveThresholds(nominal, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for trial := 0; trial < 4; trial++ {
-			p := nominal
-			if trial > 0 {
-				p = nominal.Clone()
-				for a := 0; a < width; a++ {
-					for b := a + 1; b < width; b++ {
-						f := 1 + 0.8*rng.NormFloat64()
-						if f < 0.05 {
-							f = 0.05
-						}
-						p.Cc[a][b] *= f
-						p.Cc[b][a] = p.Cc[a][b]
+		quiet, loud := extremeSets(width)
+		sets := []*Params{nominal, quiet, loud}
+		for trial := 0; trial < 3; trial++ {
+			p := nominal.Clone()
+			for a := 0; a < width; a++ {
+				for b := a + 1; b < width; b++ {
+					f := 1 + 0.8*rng.NormFloat64()
+					if f < 0.05 {
+						f = 0.05
 					}
+					p.Cc[a][b] *= f
+					p.Cc[b][a] = p.Cc[a][b]
 				}
 			}
-			c, err := NewChannel(p, th)
-			if err != nil {
+			sets = append(sets, p)
+		}
+		out := make([]*Channel, len(sets))
+		for i, p := range sets {
+			if out[i], err = NewChannel(p, th); err != nil {
 				t.Fatal(err)
 			}
+		}
+		return out
+	}
+	for _, width := range []int{2, 8, 12, 32, 33, 64} {
+		for _, c := range channels(width) {
 			for step := 0; step < 2000; step++ {
 				v1 := logic.NewWord(rng.Uint64(), width)
 				v2 := logic.NewWord(rng.Uint64(), width)
-				dir := maf.Direction(rng.Intn(2))
-				gotW, gotE := c.Transmit(v1, v2, dir)
-				wantW, wantE := referenceTransmit(c, v1, v2, dir)
-				if gotW != wantW || !reflect.DeepEqual(gotE, wantE) {
-					t.Fatalf("width %d trial %d: transmit (%v, %v) != reference (%v, %v) for %v->%v %v",
-						width, trial, gotW, gotE, wantW, wantE, v1, v2, dir)
+				check(c, v1, v2, maf.Direction(rng.Intn(2)))
+			}
+		}
+	}
+	for width := 2; width <= 4; width++ {
+		for _, c := range channels(width) {
+			for a := uint64(0); a < 1<<uint(width); a++ {
+				for b := uint64(0); b < 1<<uint(width); b++ {
+					for _, dir := range []maf.Direction{maf.Forward, maf.Reverse} {
+						check(c, logic.NewWord(a, width), logic.NewWord(b, width), dir)
+					}
 				}
 			}
 		}

@@ -113,10 +113,14 @@ func (p *Params) Validate() error {
 			return fmt.Errorf("crosstalk: wire %d ground capacitance %g <= 0", i, cg)
 		}
 	}
+	// Every row's length is checked before any entry is read, because the
+	// symmetry check below reads Cc[j][i] from rows after row i.
 	for i := range p.Cc {
 		if len(p.Cc[i]) != p.Width {
 			return fmt.Errorf("crosstalk: coupling row %d has %d entries, want %d", i, len(p.Cc[i]), p.Width)
 		}
+	}
+	for i := range p.Cc {
 		if p.Cc[i][i] != 0 {
 			return fmt.Errorf("crosstalk: nonzero self-coupling on wire %d", i)
 		}

@@ -36,8 +36,8 @@ type batchPlan struct {
 
 // transKey identifies one bus transition for the cross-session event-mask
 // memo. Golden traffic revisits a small pool of (prev, next, dir) triples
-// many times — the same locality the per-channel transmit memo exploits —
-// so each distinct transition runs the batch kernel once per campaign.
+// many times, so each distinct transition runs the batch kernel once per
+// campaign.
 type transKey struct {
 	prev, next logic.Word
 	dir        maf.Direction
@@ -129,14 +129,12 @@ func (r *Runner) runDefectBatched(bus core.BusID, defective *crosstalk.Params, f
 		out.normalize()
 		return out, nil
 	}
+	// The defective channel is not memoized: its risk masks make a clean
+	// transmit cheaper than a memo lookup.
 	defCh, err := crosstalk.NewChannel(defective, r.models[bus].Thresholds)
 	if err != nil {
 		return Outcome{}, err
 	}
-	// The defective channel lives for one defect run on one goroutine, so it
-	// can be memoized: hung runs loop over a handful of transitions for
-	// thousands of steps.
-	defCh.EnableMemo()
 	out := Outcome{Bus: bus}
 	seen := make(map[maf.Fault]bool)
 	for i, prog := range r.plan.Programs {
@@ -152,6 +150,5 @@ func (r *Runner) runDefectBatched(bus core.BusID, defective *crosstalk.Params, f
 	}
 	r.fallbacks.Add(1)
 	out.normalize()
-	r.harvestMemo(defCh)
 	return out, nil
 }

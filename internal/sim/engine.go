@@ -101,26 +101,21 @@ type EngineStats struct {
 	// (one per (session, screened library) pair, regardless of library size —
 	// the point of inverting the loop).
 	BatchSweeps int64 `json:"batch_sweeps,omitempty"`
-	// MemoHits and MemoMisses count channel-transmit memo lookups across
-	// all memoized channels the runner used (the per-defect channels plus
-	// the target core's nominal channels).
+	// MemoHits and MemoMisses count channel-transmit memo lookups
+	// (crosstalk.Channel.EnableMemo). Production runs memoize no channel,
+	// so a Runner leaves both zero.
 	MemoHits   int64 `json:"memo_hits"`
 	MemoMisses int64 `json:"memo_misses"`
 }
 
-// Stats snapshots the runner's engine counters. Memo counters combine the
-// per-defect channels (harvested by the runner) with the target core's
-// nominal-channel totals.
+// Stats snapshots the runner's engine counters.
 func (r *Runner) Stats() EngineStats {
-	coreHits, coreMisses := r.core.MemoStats()
 	return EngineStats{
 		Fallbacks:        r.fallbacks.Load(),
 		Executes:         r.executes.Load(),
 		DegradedExecutes: r.degradedExecutes.Load(),
 		BatchScreened:    r.batchScreened.Load(),
 		BatchSweeps:      r.batchSweeps.Load(),
-		MemoHits:         r.memoHits.Load() + int64(coreHits),
-		MemoMisses:       r.memoMisses.Load() + int64(coreMisses),
 	}
 }
 
@@ -178,13 +173,4 @@ func (r *Runner) runDefect(bus core.BusID, defective *crosstalk.Params, eng Engi
 		return r.runDefectExecute(bus, defective)
 	}
 	return r.runDefectBatched(bus, defective, bplan.first[i])
-}
-
-// harvestMemo drains channel memo counters into the runner's totals.
-func (r *Runner) harvestMemo(chs ...*crosstalk.Channel) {
-	for _, c := range chs {
-		h, m := c.TakeMemoStats()
-		r.memoHits.Add(int64(h))
-		r.memoMisses.Add(int64(m))
-	}
 }

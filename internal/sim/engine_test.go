@@ -175,8 +175,9 @@ func TestEngineStatsAccounting(t *testing.T) {
 	if st.Executes != 0 || st.DegradedExecutes != 0 {
 		t.Errorf("batch: unexpected executes=%d degraded=%d", st.Executes, st.DegradedExecutes)
 	}
-	if st.MemoHits+st.MemoMisses == 0 {
-		t.Error("batch: no memo traffic recorded")
+	if st.MemoHits != 0 || st.MemoMisses != 0 {
+		t.Errorf("batch: memo traffic %d hits / %d misses, want none (production runs memoize no channel)",
+			st.MemoHits, st.MemoMisses)
 	}
 
 	r2, err := NewRunner(plan, addr, data)

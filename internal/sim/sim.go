@@ -72,8 +72,6 @@ type Runner struct {
 	degradedExecutes atomic.Int64
 	batchScreened    atomic.Int64
 	batchSweeps      atomic.Int64
-	memoHits         atomic.Int64
-	memoMisses       atomic.Int64
 }
 
 // NewRunner builds a Parwan-backend runner from this package's historical

@@ -217,7 +217,7 @@ func (s *System) Reset() {
 // SetChannels replaces the crosstalk channels routing the system's busses
 // (nil makes that bus ideal). Swapping channels on a Reset system is how a
 // campaign reuses one System across defects: only the defective bus's
-// channel changes per run, the nominal channels persist with their memo.
+// channel changes per run, the nominal channels persist.
 func (s *System) SetChannels(addr, data, ctrl *crosstalk.Channel) error {
 	if err := checkChannels(addr, data, ctrl); err != nil {
 		return err

@@ -3,7 +3,6 @@ package target
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/crosstalk"
@@ -105,7 +104,7 @@ type parwanTrace struct {
 // parwanCore executes Parwan session programs. Golden runs are step-driven
 // with per-instruction CPU snapshots; defective full runs build fresh
 // systems (the Fig. 9 reference flow verbatim); resumed runs reuse pooled
-// execution rigs whose nominal channels stay memoized across defects.
+// execution rigs.
 type parwanCore struct {
 	plan *core.Plan
 	data BusModel
@@ -114,8 +113,7 @@ type parwanCore struct {
 	traces []parwanTrace
 	images [][]byte
 
-	pool                 sync.Pool // *execUnit
-	memoHits, memoMisses atomic.Uint64
+	pool sync.Pool // *execUnit
 }
 
 func (c *parwanCore) Golden(s int) (RunResult, [][]BusStep, error) {
@@ -236,15 +234,14 @@ func (c *parwanCore) Run(s int, ch core.BusID, defective *crosstalk.Params) (Run
 	return res, nil
 }
 
-// execUnit is a reusable execution rig: one System plus persistent memoized
-// nominal channels. Units are pooled per core and confined to one goroutine
-// while in use, so the channel memos need no locking; the nominal memos
-// survive across defects, which is where the bulk of the transmit working
-// set repeats.
+// execUnit is a reusable execution rig: one System plus its nominal
+// channels. Units are pooled per core and confined to one goroutine while
+// in use. The nominal channels need no memo: no wire of a nominal channel
+// is at risk, so every transmit through one is O(1).
 type execUnit struct {
 	sys    *soc.System
-	addrCh *crosstalk.Channel // nominal address channel, memoized
-	dataCh *crosstalk.Channel // nominal data channel, memoized
+	addrCh *crosstalk.Channel // nominal address channel
+	dataCh *crosstalk.Channel // nominal data channel
 }
 
 // getUnit takes an execution rig from the pool, building one on first use.
@@ -260,8 +257,6 @@ func (c *parwanCore) getUnit() (*execUnit, error) {
 	if err != nil {
 		return nil, err
 	}
-	addrCh.EnableMemo()
-	dataCh.EnableMemo()
 	sys, err := soc.New(soc.Config{AddrChannel: addrCh, DataChannel: dataCh})
 	if err != nil {
 		return nil, err
@@ -270,15 +265,9 @@ func (c *parwanCore) getUnit() (*execUnit, error) {
 }
 
 // putUnit returns a rig to the pool, restoring the nominal channels so the
-// defective channel of the last run can be collected, and draining the
-// nominal memo counters into the core totals.
+// defective channel of the last run can be collected.
 func (c *parwanCore) putUnit(u *execUnit) {
 	_ = u.sys.SetChannels(u.addrCh, u.dataCh, nil)
-	for _, chn := range []*crosstalk.Channel{u.addrCh, u.dataCh} {
-		h, m := chn.TakeMemoStats()
-		c.memoHits.Add(h)
-		c.memoMisses.Add(m)
-	}
 	c.pool.Put(u)
 }
 
@@ -351,8 +340,4 @@ func searchSnaps(snaps []cpuSnap, tx int) int {
 		}
 	}
 	return lo - 1
-}
-
-func (c *parwanCore) MemoStats() (hits, misses uint64) {
-	return c.memoHits.Load(), c.memoMisses.Load()
 }

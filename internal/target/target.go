@@ -139,9 +139,6 @@ type Core interface {
 	// transfers cleanly through defCh, so Resume must produce exactly the
 	// RunResult a full Run would.
 	Resume(s int, ch core.BusID, defCh *crosstalk.Channel, divergeTx int) (RunResult, error)
-	// MemoStats returns the cumulative transmit-memo hit/miss counters of
-	// the nominal channels the core's execution machinery uses.
-	MemoStats() (hits, misses uint64)
 }
 
 // Target is one pluggable system under test.

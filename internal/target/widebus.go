@@ -262,5 +262,3 @@ func (c *wideBusCore) Resume(s int, chID core.BusID, defCh *crosstalk.Channel, d
 	})
 	return c.result(prog, res, events), nil
 }
-
-func (c *wideBusCore) MemoStats() (hits, misses uint64) { return 0, 0 }
