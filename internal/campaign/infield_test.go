@@ -234,9 +234,9 @@ func TestHTTPInfieldResultNDJSON(t *testing.T) {
 	}
 }
 
-// TestInfieldMetricsExposition extends the exposition lint to the infield
+// TestInfieldMetricsExposition extends the exposition parse to the infield
 // metric families: after a completed schedule the slice counter equals the
-// manifest's slice count and the payload still lints clean.
+// manifest's slice count and the payload still parses.
 func TestInfieldMetricsExposition(t *testing.T) {
 	m, ts := newTestServer(t, 4)
 	job, err := m.Submit(Spec{Type: TypeInfield, Bus: "addr", Size: 60, Seed: 1, TargetOnly: true, Slices: 3})
@@ -253,7 +253,7 @@ func TestInfieldMetricsExposition(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("metrics: %d", resp.StatusCode)
 	}
-	if err := obs.LintExposition(bytes.NewReader(body)); err != nil {
+	if _, err := obs.ParseExposition(bytes.NewReader(body)); err != nil {
 		t.Fatalf("exposition lint: %v\n%s", err, body)
 	}
 	text := string(body)

@@ -49,7 +49,7 @@ func TestMetricsRaceDuringJob(t *testing.T) {
 }
 
 // TestMetricsExpositionWellFormed parses the whole /metrics payload with the
-// strict exposition linter: HELP/TYPE before samples, no duplicate families,
+// strict exposition parser: HELP/TYPE before samples, no duplicate families,
 // no duplicate series, histograms complete.
 func TestMetricsExpositionWellFormed(t *testing.T) {
 	m, ts := newTestServer(t, 2)
@@ -63,7 +63,7 @@ func TestMetricsExpositionWellFormed(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
 		t.Fatalf("metrics content type %q", ct)
 	}
-	if err := obs.LintExposition(bytes.NewReader(body)); err != nil {
+	if _, err := obs.ParseExposition(bytes.NewReader(body)); err != nil {
 		t.Fatalf("exposition lint: %v\n%s", err, body)
 	}
 

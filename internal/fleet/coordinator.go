@@ -127,6 +127,8 @@ type Coordinator struct {
 	workers map[string]*workerState
 	rr      int // round-robin cursor
 
+	ingestMu sync.Mutex // serializes IngestMetrics
+
 	campaigns, campaignsFailed, shardsDispatched, shardRetries, defectsMerged *obs.Counter
 	shardsInflight                                                            *obs.Gauge
 	shardRoundtrip, shardDispatch                                             *obs.Histogram

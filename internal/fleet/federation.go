@@ -19,11 +19,22 @@ import (
 
 // IngestMetrics parses a worker's pushed exposition and retains it as that
 // worker's federation snapshot. The worker must already be registered (the
-// heartbeat handler registers before ingesting). A parse failure leaves the
-// previous snapshot in place.
+// heartbeat handler registers before ingesting). A push is refused, and the
+// previous snapshot kept, when it does not parse or when it would not
+// federate with the coordinator's registry and the other retained
+// snapshots, so the retained set always renders a valid /metrics.
 func (c *Coordinator) IngestMetrics(url, exposition string) error {
 	snap, err := obs.ParseExposition(strings.NewReader(exposition))
 	if err != nil {
+		return fmt.Errorf("fleet: ingest metrics from %s: %w", url, err)
+	}
+	// One ingest at a time, so two pushes cannot each pass the check
+	// against a set the other is about to change.
+	c.ingestMu.Lock()
+	defer c.ingestMu.Unlock()
+	snaps := c.workerSnapshots()
+	snaps[url] = snap
+	if _, err := c.federate(snaps); err != nil {
 		return fmt.Errorf("fleet: ingest metrics from %s: %w", url, err)
 	}
 	c.mu.Lock()
@@ -52,28 +63,31 @@ func (c *Coordinator) workerSnapshots() map[string]*obs.Snapshot {
 	return out
 }
 
+// federate merges the coordinator's own registry with the worker snapshots
+// relabeled into xtalkd_fleet_* families carrying a worker label. It must
+// not be called with c.mu held: the registry's GaugeFuncs lock it.
+func (c *Coordinator) federate(snaps map[string]*obs.Snapshot) (*obs.Snapshot, error) {
+	fed, err := obs.Federate(snaps)
+	if err != nil {
+		return nil, err
+	}
+	own := c.obs.Reg.Snapshot()
+	if err := own.Add(fed); err != nil {
+		return nil, err
+	}
+	return own, nil
+}
+
 // WriteFederatedMetrics renders the fleet-wide exposition: the
-// coordinator's own registry merged with every worker's snapshot relabeled
-// into xtalkd_fleet_* families carrying a worker label. Workers are merged
-// in sorted URL order, so the output is byte-stable regardless of heartbeat
-// arrival order.
+// coordinator's own registry merged with every worker's relabeled snapshot.
+// Workers are merged in sorted URL order, so the output is byte-stable
+// regardless of heartbeat arrival order.
 func (c *Coordinator) WriteFederatedMetrics(w io.Writer) error {
-	var own strings.Builder
-	if err := c.obs.Reg.WritePrometheus(&own); err != nil {
-		return err
-	}
-	snap, err := obs.ParseExposition(strings.NewReader(own.String()))
-	if err != nil {
-		return fmt.Errorf("fleet: parsing own registry: %w", err)
-	}
-	fed, err := obs.Federate(c.workerSnapshots())
+	fed, err := c.federate(c.workerSnapshots())
 	if err != nil {
 		return err
 	}
-	if err := snap.Add(fed); err != nil {
-		return err
-	}
-	return snap.WritePrometheus(w)
+	return fed.WritePrometheus(w)
 }
 
 // WorkerStatus is one worker's row in the fleet status snapshot. Slot,

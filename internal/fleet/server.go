@@ -9,13 +9,17 @@ import (
 	"time"
 
 	"repro/internal/campaign"
+	"repro/internal/obs"
 	"repro/internal/report"
 )
 
 // CoordinatorServer is the HTTP face of a Coordinator, served by
 // xtalkd -role coordinator.
 //
-//	POST /v1/fleet/workers    register a worker / refresh its heartbeat
+//	POST /v1/fleet/workers    register a worker / refresh its heartbeat;
+//	                          400 for metrics that do not parse or would
+//	                          not federate, 413 for a body over
+//	                          obs.MaxExpositionBytes
 //	GET  /v1/fleet/workers    registry snapshot
 //	POST /v1/fleet/campaigns  run a distributed campaign synchronously;
 //	                          the body is the campaign-result JSON
@@ -81,8 +85,14 @@ type RegisterRequest struct {
 
 func (s *CoordinatorServer) register(w http.ResponseWriter, r *http.Request) {
 	var req RegisterRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSONError(w, http.StatusBadRequest, fmt.Errorf("decoding registration: %w", err))
+	body := http.MaxBytesReader(w, r.Body, obs.MaxExpositionBytes)
+	if err := json.NewDecoder(body).Decode(&req); err != nil {
+		code := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeJSONError(w, code, fmt.Errorf("decoding registration: %w", err))
 		return
 	}
 	if req.URL == "" {

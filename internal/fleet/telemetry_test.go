@@ -105,7 +105,7 @@ func TestFleetNestedTrace(t *testing.T) {
 }
 
 // TestCoordinatorServerTelemetryEndpoints covers /healthz facts, /metrics
-// exposition lint, and the flight recorder on the coordinator's HTTP face.
+// exposition parse, and the flight recorder on the coordinator's HTTP face.
 func TestCoordinatorServerTelemetryEndpoints(t *testing.T) {
 	spec := campaign.Spec{Bus: "addr", Size: 60, Seed: 1, TargetOnly: true}
 	coord, _ := startWorkers(t, 2)
@@ -140,7 +140,7 @@ func TestCoordinatorServerTelemetryEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if err := obs.LintExposition(bytes.NewReader(buf.Bytes())); err != nil {
+	if _, err := obs.ParseExposition(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatalf("coordinator exposition lint: %v\n%s", err, buf.Bytes())
 	}
 	for _, want := range []string{
@@ -189,9 +189,13 @@ func TestCrossRoleFamiliesDisjoint(t *testing.T) {
 	expose := func(tel *obs.Telemetry) map[string]bool {
 		var buf bytes.Buffer
 		tel.Reg.WritePrometheus(&buf)
-		fams, err := obs.ExpositionFamilies(bytes.NewReader(buf.Bytes()))
+		snap, err := obs.ParseExposition(bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			t.Fatal(err)
+		}
+		fams := make(map[string]bool, len(snap.Families))
+		for name := range snap.Families {
+			fams[name] = true
 		}
 		return fams
 	}

@@ -144,7 +144,7 @@ func TestFederateByteStable(t *testing.T) {
 		fed.WritePrometheus(&buf)
 		if perm == 0 {
 			first = buf.String()
-			if err := LintExposition(bytes.NewReader(buf.Bytes())); err != nil {
+			if _, err := ParseExposition(bytes.NewReader(buf.Bytes())); err != nil {
 				t.Fatalf("federated exposition lint: %v\n%s", err, buf.String())
 			}
 			continue
@@ -246,24 +246,43 @@ func TestFederateHistogramMerge(t *testing.T) {
 	}
 }
 
-// TestFederateScalarSum proves counters and gauges with identical fleet
-// names and labels sum across snapshots (the coordinator-side merge of its
-// own families with relabeled worker families never collides, but two
-// pre-relabeled snapshots of the same worker URL would).
-func TestFederateScalarSum(t *testing.T) {
+// TestFederateSeriesCollision proves federation is a disjoint union: a
+// series present on both sides of Add is an error, never a sum.
+func TestFederateSeriesCollision(t *testing.T) {
 	mk := func(v int64) *Snapshot {
 		reg := NewRegistry()
 		reg.Counter("xtalkd_defects_simulated_total", "Defect runs simulated.").Add(v)
-		return snapshotOf(t, reg)
+		rl, err := snapshotOf(t, reg).Relabel("w")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rl
 	}
-	a, _ := mk(7).Relabel("w")
-	b, _ := mk(5).Relabel("w")
-	if err := a.Add(b); err != nil {
-		t.Fatal(err)
+	if err := mk(7).Add(mk(5)); err == nil {
+		t.Fatal("a series on both sides merged without error")
 	}
-	v, ok := a.Value("xtalkd_fleet_defects_simulated_total", `{worker="w"}`)
-	if !ok || v != 12 {
-		t.Fatalf("merged counter = %v (ok=%v), want 12", v, ok)
+}
+
+// TestRelabelRejects proves Relabel refuses the two pushes that would make
+// two series one: a series that already carries a worker label, and two
+// families that map to one fleet name.
+func TestRelabelRejects(t *testing.T) {
+	for name, text := range map[string]string{
+		"pushed worker label": "# HELP g x\n# TYPE g gauge\ng{worker=\"evil\"} 1\n",
+		"rename collision": "# HELP xtalkd_fleet_x x\n# TYPE xtalkd_fleet_x histogram\n" +
+			"xtalkd_fleet_x_bucket{le=\"+Inf\"} 1\nxtalkd_fleet_x_sum 1\nxtalkd_fleet_x_count 1\n" +
+			"# HELP xtalkd_x x\n# TYPE xtalkd_x counter\nxtalkd_x 1\n",
+	} {
+		snap, err := ParseExposition(strings.NewReader(text))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if _, err := snap.Relabel("http://w:1"); err == nil {
+			t.Errorf("%s: relabeled without error", name)
+		}
+		if _, err := Federate(map[string]*Snapshot{"http://w:1": snap}); err == nil {
+			t.Errorf("%s: federated without error", name)
+		}
 	}
 }
 
@@ -278,4 +297,68 @@ func TestFederateKindConflict(t *testing.T) {
 	if err := a.Add(snapshotOf(t, gr)); err == nil {
 		t.Fatal("kind conflict merged without error")
 	}
+}
+
+// FuzzParseExposition holds the parser to the renderer: whatever parses
+// renders to text that parses and renders to the same bytes again, and it
+// federates to text that parses unless it has a shape Relabel refuses.
+func FuzzParseExposition(f *testing.F) {
+	f.Fuzz(func(t *testing.T, b []byte) {
+		snap, err := ParseExposition(bytes.NewReader(b))
+		if err != nil {
+			return
+		}
+		first := renderSnapshot(t, snap)
+		again, err := ParseExposition(strings.NewReader(first))
+		if err != nil {
+			t.Fatalf("rendering does not parse: %v\n%s", err, first)
+		}
+		if second := renderSnapshot(t, again); second != first {
+			t.Fatalf("render, parse, render changed bytes:\n--- first ---\n%s--- second ---\n%s", first, second)
+		}
+		fed, err := Federate(map[string]*Snapshot{"w": snap})
+		if refused := relabelRefuses(t, snap); (err != nil) != refused {
+			t.Fatalf("Federate error %v, Relabel refusal expected %v", err, refused)
+		}
+		if err != nil {
+			return
+		}
+		out := renderSnapshot(t, fed)
+		if _, err := ParseExposition(strings.NewReader(out)); err != nil {
+			t.Fatalf("federated rendering does not parse: %v\n%s", err, out)
+		}
+	})
+}
+
+func renderSnapshot(t *testing.T, s *Snapshot) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := s.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String()
+}
+
+// relabelRefuses reports whether snap has a shape Relabel refuses: a series
+// with a worker label, or two families with one fleet name.
+func relabelRefuses(t *testing.T, snap *Snapshot) bool {
+	fleet := make(map[string]bool, len(snap.Families))
+	for name, f := range snap.Families {
+		if fleet[FleetFamilyName(name)] {
+			return true
+		}
+		fleet[FleetFamilyName(name)] = true
+		for key := range f.Series {
+			ls, err := ParseLabels(key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, l := range ls {
+				if l.Key == "worker" {
+					return true
+				}
+			}
+		}
+	}
+	return false
 }

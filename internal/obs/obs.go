@@ -16,7 +16,6 @@ package obs
 import (
 	"io"
 	"log/slog"
-	"time"
 )
 
 // Telemetry bundles the three pillars handed to an instrumented subsystem:
@@ -87,9 +86,3 @@ func (t *Telemetry) Record(typ string, labels ...Label) {
 	}
 	t.Rec.Record(typ, labels...)
 }
-
-// Since is a convenience for histogram observation of a duration started at
-// t0, honouring the enabled switch so disabled telemetry skips even the
-// clock read at the call site (the caller guards the time.Now for t0 the
-// same way).
-func Since(t0 time.Time) float64 { return time.Since(t0).Seconds() }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"math"
@@ -223,9 +222,6 @@ func (h *Histogram) Count() int64 {
 // Sum returns the sum of observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 
-// Bounds returns the histogram's upper bucket bounds (without +Inf).
-func (h *Histogram) Bounds() []float64 { return append([]float64(nil), h.bounds...) }
-
 // CountLE returns the number of observations ≤ bound, counting whole
 // buckets: bound is rounded up to the enclosing bucket bound, so callers
 // with thresholds between bounds (e.g. an SLO of 150 ms against ×4 log
@@ -275,63 +271,65 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Labe
 
 func formatFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
-// WritePrometheus renders every family in name order as Prometheus text
-// exposition: one # HELP and # TYPE line per family followed by its sample
-// lines, histograms expanded into cumulative _bucket/_sum/_count series.
-func (r *Registry) WritePrometheus(w io.Writer) error {
-	// Snapshot under the lock (including each family's series slice, which
-	// registration may still be appending to) so scrapes never race setup.
+// Snapshot reads the registry into the exposition model. Counters and
+// gauges keep their integer text as Raw, and histogram bounds their
+// formatFloat text. The family and series lists are copied under the
+// registry lock, so a scrape never races registration; values are read and
+// GaugeFuncs called outside it.
+func (r *Registry) Snapshot() *Snapshot {
 	r.mu.Lock()
-	names := make([]string, 0, len(r.families))
-	for name := range r.families {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	fams := make([]family, len(names))
-	for i, name := range names {
-		f := r.families[name]
-		fams[i] = family{name: f.name, help: f.help, kind: f.kind,
-			series: append([]*series(nil), f.series...)}
+	fams := make([]family, 0, len(r.families))
+	for _, f := range r.families {
+		ss := make([]*series, len(f.series))
+		for i, s := range f.series {
+			cp := *s
+			ss[i] = &cp
+		}
+		fams = append(fams, family{name: f.name, help: f.help, kind: f.kind, series: ss})
 	}
 	r.mu.Unlock()
 
-	bw := bufio.NewWriter(w)
+	snap := newSnapshot()
 	for _, f := range fams {
-		help := strings.NewReplacer("\\", `\\`, "\n", `\n`).Replace(f.help)
-		fmt.Fprintf(bw, "# HELP %s %s\n", f.name, help)
-		fmt.Fprintf(bw, "# TYPE %s %s\n", f.name, f.kind)
+		out := &Family{Name: f.name, Help: f.help, Kind: f.kind.String(),
+			Series: make(map[string]*SeriesValue, len(f.series))}
 		for _, s := range f.series {
+			sv := &SeriesValue{Labels: s.labels}
 			switch {
 			case s.h != nil:
-				writeHistogram(bw, f.name, s.labels, s.h)
+				sv.Hist = s.h.value()
 			case s.fn != nil:
-				fmt.Fprintf(bw, "%s%s %s\n", f.name, s.labels, formatFloat(s.fn()))
+				sv.Value = s.fn()
 			case s.c != nil:
-				fmt.Fprintf(bw, "%s%s %d\n", f.name, s.labels, s.c.Value())
+				sv.Value, sv.Raw = intValue(s.c.Value())
 			case s.g != nil:
-				fmt.Fprintf(bw, "%s%s %d\n", f.name, s.labels, s.g.Value())
+				sv.Value, sv.Raw = intValue(s.g.Value())
+			default:
+				continue // registered, metric not yet attached
 			}
+			out.Series[s.labels] = sv
+		}
+		if len(out.Series) > 0 {
+			snap.Families[f.name] = out
 		}
 	}
-	return bw.Flush()
+	return snap
 }
 
-// writeHistogram renders one histogram series: cumulative buckets with the
-// le label merged into any existing labels, then _sum and _count.
-func writeHistogram(w io.Writer, name, labels string, h *Histogram) {
-	merge := func(le string) string {
-		if labels == "" {
-			return `{le="` + le + `"}`
-		}
-		return labels[:len(labels)-1] + `,le="` + le + `"}`
+func intValue(n int64) (float64, string) { return float64(n), strconv.FormatInt(n, 10) }
+
+// value reads the histogram's buckets and sum.
+func (h *Histogram) value() *HistValue {
+	hv := &HistValue{Bounds: make([]string, len(h.bounds)), Counts: make([]int64, len(h.counts)), Sum: h.Sum()}
+	for i, b := range h.bounds {
+		hv.Bounds[i] = formatFloat(b)
 	}
-	var cum int64
-	for i, bound := range h.bounds {
-		cum += h.counts[i].Load()
-		fmt.Fprintf(w, "%s_bucket%s %d\n", name, merge(formatFloat(bound)), cum)
+	for i := range h.counts {
+		hv.Counts[i] = h.counts[i].Load()
 	}
-	cum += h.counts[len(h.bounds)].Load()
-	fmt.Fprintf(w, "%s_bucket%s %d\n", name, merge("+Inf"), cum)
-	fmt.Fprintf(w, "%s_sum%s %s\n", name, labels, formatFloat(h.Sum()))
-	fmt.Fprintf(w, "%s_count%s %d\n", name, labels, cum)
+	return hv
 }
+
+// WritePrometheus renders the registry as Prometheus text exposition
+// through its Snapshot.
+func (r *Registry) WritePrometheus(w io.Writer) error { return r.Snapshot().WritePrometheus(w) }

@@ -169,7 +169,7 @@ func TestSLOExpositionLint(t *testing.T) {
 	e.Tick(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))
 	var buf bytes.Buffer
 	reg.WritePrometheus(&buf)
-	if err := LintExposition(bytes.NewReader(buf.Bytes())); err != nil {
+	if _, err := ParseExposition(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatalf("SLO exposition lint: %v\n%s", err, buf.String())
 	}
 	for _, want := range []string{
