@@ -1,10 +1,11 @@
 // Package campaign is the job service tier above internal/sim: it accepts
 // defect-simulation campaign specs, schedules them on a bounded worker pool
-// shared across jobs, caches golden runners and defect libraries so repeated
-// submissions do not recompute them, checkpoints per-defect outcomes so an
-// interrupted job resumes where it stopped, and publishes progress events to
-// subscribers. cmd/xtalkd exposes it over HTTP; the CLI's -workers runs the
-// same jobs with their campaigns on a fleet (Config.Fleet).
+// shared across jobs, caches self-test plans, golden runners and defect
+// libraries so repeated submissions do not recompute them, checkpoints
+// per-defect outcomes so an interrupted job resumes where it stopped, and
+// publishes progress events to subscribers. cmd/xtalkd exposes it over HTTP;
+// the CLI's -workers runs the same jobs with their campaigns on a fleet
+// (Config.Fleet).
 //
 // Determinism is preserved end to end: a campaign run through the service
 // produces exactly the result of a direct sim.Runner.Campaign call with the
@@ -182,6 +183,15 @@ func (s Spec) normalized() Spec {
 }
 
 func (s Spec) validate() error {
+	if err := s.validateFields(); err != nil {
+		return err
+	}
+	_, err := s.inlinePlan()
+	return err
+}
+
+// validateFields is validate without parsing the inline plan.
+func (s Spec) validateFields() error {
 	if _, _, err := s.backend(); err != nil {
 		return err
 	}
@@ -199,11 +209,6 @@ func (s Spec) validate() error {
 	}
 	if _, err := sim.ParseEngine(s.Engine); err != nil {
 		return fmt.Errorf("campaign: %w", err)
-	}
-	if len(s.Plan) > 0 {
-		if _, err := core.ReadPlan(bytes.NewReader(s.Plan)); err != nil {
-			return fmt.Errorf("campaign: inline plan: %w", err)
-		}
 	}
 	switch s.JobType() {
 	case TypeCampaign, TypeDiagnose, TypeMinimize, TypeRank, TypeInfield:
@@ -233,6 +238,18 @@ func (s Spec) validate() error {
 		return errors.New("campaign: minimize jobs need a generation config, not an inline plan")
 	}
 	return nil
+}
+
+// inlinePlan parses the spec's inline plan document; nil when it has none.
+func (s Spec) inlinePlan() (*core.Plan, error) {
+	if len(s.Plan) == 0 {
+		return nil, nil
+	}
+	p, err := core.ReadPlan(bytes.NewReader(s.Plan))
+	if err != nil {
+		return nil, fmt.Errorf("campaign: inline plan: %w", err)
+	}
+	return p, nil
 }
 
 // engine resolves the spec's engine name; validate has already vetted it.
@@ -497,6 +514,8 @@ type Metrics struct {
 	GoldenCacheMisses  int64 `json:"golden_cache_misses"`
 	LibraryCacheHits   int64 `json:"library_cache_hits"`
 	LibraryCacheMisses int64 `json:"library_cache_misses"`
+	PlanCacheHits      int64 `json:"plan_cache_hits"`
+	PlanCacheMisses    int64 `json:"plan_cache_misses"`
 	// InfieldSlices counts slices executed and merged by infield jobs;
 	// InfieldDetections and InfieldGap mirror the cumulative-coverage
 	// gauges of the most recent merge; InfieldWorkloadCycles totals the
@@ -559,7 +578,9 @@ type Manager struct {
 	order   []string
 	seq     int
 	runners map[string]*sim.Runner // keyed by plan hash + cth factor
-	libs    map[libKey]*defects.Library
+
+	plans *PlanCache
+	libs  *lru[libKey, *defects.Library]
 
 	wg sync.WaitGroup // running jobs, for Drain
 
@@ -595,7 +616,7 @@ func New(cfg Config) *Manager {
 		obs:       t,
 		jobs:      make(map[string]*Job),
 		runners:   make(map[string]*sim.Runner),
-		libs:      make(map[libKey]*defects.Library),
+		plans:     NewPlanCache(t.Reg, "xtalkd_"),
 		baselines: infield.NewBaselineStore(cfg.BaselineDir),
 		fleet:     cfg.Fleet,
 	}
@@ -611,6 +632,8 @@ func New(cfg Config) *Manager {
 	m.goldenMisses = reg.Counter("xtalkd_golden_cache_misses_total", "golden runner cache misses")
 	m.libHits = reg.Counter("xtalkd_library_cache_hits_total", "defect library cache hits")
 	m.libMisses = reg.Counter("xtalkd_library_cache_misses_total", "defect library cache misses")
+	m.libs = newLRU[libKey, *defects.Library](libraryCacheSize, m.libHits, m.libMisses,
+		reg.Counter("xtalkd_library_cache_evictions_total", "defect libraries evicted from the bounded library cache"))
 	m.infieldSlices = reg.Counter("xtalkd_infield_slices_run_total", "in-field test slices executed and merged into a coverage ledger")
 	m.infieldWorkloadCycles = reg.Counter("xtalkd_infield_workload_cycles_total", "functional-workload cycles interleaved between in-field slices")
 	m.infieldDetections = reg.Gauge("xtalkd_infield_cumulative_detections", "cumulative defects detected by the most recently merged in-field slice")
@@ -758,6 +781,8 @@ func (m *Manager) Metrics() Metrics {
 		GoldenCacheMisses:     m.goldenMisses.Value(),
 		LibraryCacheHits:      m.libHits.Value(),
 		LibraryCacheMisses:    m.libMisses.Value(),
+		PlanCacheHits:         m.plans.lru.hits.Value(),
+		PlanCacheMisses:       m.plans.lru.misses.Value(),
 		InfieldSlices:         m.infieldSlices.Value(),
 		InfieldDetections:     m.infieldDetections.Value(),
 		InfieldGap:            m.infieldGap.Value(),
@@ -932,32 +957,19 @@ func (m *Manager) runnerFor(r *Resolved, plan *core.Plan, hash string) (*sim.Run
 }
 
 // libraryFor returns a cached defect library for the spec, generating and
-// caching one on miss. Libraries are read-only during campaigns.
+// caching one on miss. Libraries are read-only during campaigns, so evicting
+// one never disturbs a job still using it.
 func (m *Manager) libraryFor(r *Resolved) (*defects.Library, bool, error) {
 	s := r.Spec
 	key := libKey{target: s.TargetName(), bus: s.Bus, size: s.Size,
 		sigma: s.Sigma, seed: s.Seed, cth: r.Setup().Thresholds.Cth}
-	m.mu.Lock()
-	lib, ok := m.libs[key]
-	m.mu.Unlock()
-	if ok {
-		m.libHits.Add(1)
-		return lib, true, nil
-	}
-	m.libMisses.Add(1)
-	lib, err := r.Library()
-	if err != nil {
-		return nil, false, err
-	}
-	m.mu.Lock()
-	if prev, ok := m.libs[key]; ok {
-		lib = prev
-	} else {
-		m.libs[key] = lib
-	}
-	m.mu.Unlock()
-	return lib, false, nil
+	return m.libs.get(key, r.Library)
 }
+
+// Resolve is campaign.Resolve answered from the manager's plan cache: a
+// generation config the manager has resolved before costs no plan
+// generation.
+func (m *Manager) Resolve(spec Spec) (*Resolved, error) { return m.plans.Resolve(spec) }
 
 // run executes a job to a terminal state. enqueued is when the job entered
 // the table (submission or resume), for the queue-wait histogram.
@@ -1038,10 +1050,11 @@ type jobEnv struct {
 func (m *Manager) prepare(ctx context.Context, job *Job) (*jobEnv, error) {
 	_, span := obs.StartSpan(ctx, "job.setup")
 	defer span.End()
-	r, err := Resolve(job.spec)
+	r, planHit, err := resolve(job.spec, m.plans)
 	if err != nil {
 		return nil, err
 	}
+	span.SetAttr("plan_cached", fmt.Sprint(planHit))
 	runner, goldenHit, err := m.runnerFor(r, r.Plan, r.Hash)
 	if err != nil {
 		return nil, err

@@ -137,6 +137,10 @@ func TestCacheReuseAcrossJobs(t *testing.T) {
 	if mt.LibraryCacheHits != 1 || mt.LibraryCacheMisses != 2 {
 		t.Fatalf("library cache hits/misses = %d/%d, want 1/2", mt.LibraryCacheHits, mt.LibraryCacheMisses)
 	}
+	// All three jobs share one generation config: one plan generation.
+	if mt.PlanCacheHits != 2 || mt.PlanCacheMisses != 1 {
+		t.Fatalf("plan cache hits/misses = %d/%d, want 2/1", mt.PlanCacheHits, mt.PlanCacheMisses)
+	}
 }
 
 func TestCancelStopsPromptly(t *testing.T) {

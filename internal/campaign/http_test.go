@@ -320,6 +320,24 @@ func TestHTTPBadSubmissions(t *testing.T) {
 	}
 }
 
+// TestHTTPOversizedSubmission posts a spec over MaxRequestBytes: the server
+// stops reading at the cap and answers 413.
+func TestHTTPOversizedSubmission(t *testing.T) {
+	m, ts := newTestServer(t, 1)
+	body := `{"bus":"addr","plan":"` + strings.Repeat("a", MaxRequestBytes) + `"}`
+	resp, err := http.Post(ts.URL+"/v1/campaigns", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("%d-byte submission: status %d, want 413", len(body), resp.StatusCode)
+	}
+	if n := len(m.Jobs()); n != 0 {
+		t.Fatalf("oversized submission registered %d jobs", n)
+	}
+}
+
 func TestHTTPHealthAndMetrics(t *testing.T) {
 	m, ts := newTestServer(t, 2)
 	resp, body := doJSON(t, http.MethodGet, ts.URL+"/healthz", "")

@@ -33,18 +33,24 @@ func SpecPlan(spec Spec) (*core.Plan, error) {
 // the tests filter accepts (nil accepts every test).
 func (s Spec) plan(tgt target.Target, filter func(maf.Fault) bool) (*core.Plan, error) {
 	if len(s.Plan) > 0 {
-		return core.ReadPlan(bytes.NewReader(s.Plan))
+		return s.inlinePlan()
 	}
+	return tgt.Generate(s.genSpec(filter))
+}
+
+// genSpec is the spec's plan-generation config, restricted to the tests
+// filter accepts (nil accepts every test).
+func (s Spec) genSpec(filter func(maf.Fault) bool) target.GenSpec {
 	only := ""
 	if s.TargetOnly {
 		only = s.Bus
 	}
-	return tgt.Generate(target.GenSpec{
+	return target.GenSpec{
 		Compaction:  s.Compaction,
 		MaxSessions: s.MaxSessions,
 		OnlyChannel: only,
 		Filter:      filter,
-	})
+	}
 }
 
 // PlanHash is the cache identity of a plan: SHA-256 over its canonical
@@ -73,26 +79,56 @@ type Resolved struct {
 }
 
 // Resolve validates and normalizes the spec and derives its target, bus
-// models, plan and plan hash: the one place a spec becomes a campaign.
+// models, plan and plan hash: the one place a spec becomes a campaign. It
+// generates the plan on every call; PlanCache.Resolve is the same function
+// with a cache.
 func Resolve(spec Spec) (*Resolved, error) {
-	if err := spec.validate(); err != nil {
-		return nil, err
+	r, _, err := resolve(spec, nil)
+	return r, err
+}
+
+// resolve is Resolve, taking a generated plan from plans when it is non-nil
+// (cached reports whether it did).
+func resolve(spec Spec, plans *PlanCache) (r *Resolved, cached bool, err error) {
+	if err := spec.validateFields(); err != nil {
+		return nil, false, err
 	}
-	r := &Resolved{Spec: spec.normalized()}
-	var err error
+	inline, err := spec.inlinePlan()
+	if err != nil {
+		return nil, false, err
+	}
+	r = &Resolved{Spec: spec.normalized()}
 	if r.Target, r.Bus, err = r.Spec.backend(); err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	if r.Models, err = r.Target.BusModels(r.Spec.CthFactor); err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	if r.Plan, err = r.Spec.plan(r.Target, nil); err != nil {
-		return nil, err
+	gen := r.Spec.genSpec(nil)
+	build := func() (generatedPlan, error) {
+		p := inline
+		if p == nil {
+			var err error
+			if p, err = r.Target.Generate(gen); err != nil {
+				return generatedPlan{}, err
+			}
+		}
+		hash, err := PlanHash(p)
+		return generatedPlan{plan: p, hash: hash}, err
 	}
-	if r.Hash, err = PlanHash(r.Plan); err != nil {
-		return nil, err
+	var g generatedPlan
+	if inline != nil || plans == nil {
+		g, err = build()
+	} else {
+		key := planKey{target: r.Target.Name(), compaction: gen.Compaction,
+			maxSessions: gen.MaxSessions, only: gen.OnlyChannel}
+		g, cached, err = plans.lru.get(key, build)
 	}
-	return r, nil
+	if err != nil {
+		return nil, false, err
+	}
+	r.Plan, r.Hash = g.plan, g.hash
+	return r, cached, nil
 }
 
 // Setup returns the nominal model of the bus under test.

@@ -129,6 +129,8 @@ type Coordinator struct {
 
 	ingestMu sync.Mutex // serializes IngestMetrics
 
+	plans *campaign.PlanCache
+
 	campaigns, campaignsFailed, shardsDispatched, shardRetries, defectsMerged *obs.Counter
 	shardsInflight                                                            *obs.Gauge
 	shardRoundtrip, shardDispatch                                             *obs.Histogram
@@ -141,7 +143,8 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 	if t == nil {
 		t = obs.NewTelemetry()
 	}
-	c := &Coordinator{cfg: cfg, obs: t, workers: make(map[string]*workerState)}
+	c := &Coordinator{cfg: cfg, obs: t, workers: make(map[string]*workerState),
+		plans: campaign.NewPlanCache(t.Reg, "xtalkd_fleet_")}
 	reg := t.Reg
 	c.campaigns = reg.Counter("xtalkd_fleet_campaigns_total", "distributed campaigns run")
 	c.campaignsFailed = reg.Counter("xtalkd_fleet_campaigns_failed_total", "distributed campaigns that failed")
@@ -336,7 +339,7 @@ func (c *Coordinator) LiveWorkers() int {
 // in-field jobs run in a campaign.Manager whose Config.Fleet ships each of
 // their campaigns here.
 func (c *Coordinator) RunCampaign(ctx context.Context, spec campaign.Spec, shardCount int) (*sim.CampaignResult, int, FleetStats, error) {
-	r, err := campaign.Resolve(spec)
+	r, err := c.plans.Resolve(spec)
 	if err == nil && r.Spec.JobType() != campaign.TypeCampaign {
 		err = fmt.Errorf("fleet: runs plain campaigns only, not %q jobs", r.Spec.JobType())
 	}

@@ -333,6 +333,15 @@ xtalkd_fleet_job_seconds_bucket{worker="http://w2:1",le="1"} 1
 xtalkd_fleet_job_seconds_bucket{worker="http://w2:1",le="+Inf"} 2
 xtalkd_fleet_job_seconds_sum{worker="http://w2:1"} 2.05
 xtalkd_fleet_job_seconds_count{worker="http://w2:1"} 2
+# HELP xtalkd_fleet_plan_cache_evictions_total self-test plans evicted from the bounded plan cache
+# TYPE xtalkd_fleet_plan_cache_evictions_total counter
+xtalkd_fleet_plan_cache_evictions_total 0
+# HELP xtalkd_fleet_plan_cache_hits_total self-test plan cache hits (plan generation skipped)
+# TYPE xtalkd_fleet_plan_cache_hits_total counter
+xtalkd_fleet_plan_cache_hits_total 0
+# HELP xtalkd_fleet_plan_cache_misses_total self-test plan cache misses (plan generated and hashed)
+# TYPE xtalkd_fleet_plan_cache_misses_total counter
+xtalkd_fleet_plan_cache_misses_total 0
 # HELP xtalkd_fleet_shard_dispatch_seconds one shard's full dispatch including retries and backoff
 # TYPE xtalkd_fleet_shard_dispatch_seconds histogram
 xtalkd_fleet_shard_dispatch_seconds_bucket{le="1e-06"} 0

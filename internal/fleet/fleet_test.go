@@ -237,6 +237,66 @@ func TestWorkerRejectsInvalidShardSpec(t *testing.T) {
 	}
 }
 
+// TestOversizedRequestBodies posts a body over campaign.MaxRequestBytes to
+// the worker's shard endpoint and to the coordinator's campaign endpoint:
+// both stop reading at the cap and answer 413.
+func TestOversizedRequestBodies(t *testing.T) {
+	coord, servers := startWorkers(t, 1)
+	cs := httptest.NewServer(NewCoordinatorServer(coord))
+	t.Cleanup(cs.Close)
+	body := `{"spec":{"bus":"addr","plan":"` + strings.Repeat("a", campaign.MaxRequestBytes) + `"}}`
+	for _, url := range []string{servers[0].URL + "/v1/fleet/shards", cs.URL + "/v1/fleet/campaigns"} {
+		resp, err := http.Post(url, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s with %d bytes: status %d, want 413", url, len(body), resp.StatusCode)
+		}
+	}
+	if m := coord.Metrics(); m.Campaigns != 0 {
+		t.Errorf("an oversized request ran %d campaigns", m.Campaigns)
+	}
+}
+
+// TestFleetPlanGeneratedOncePerNode runs two 8-shard campaigns of one spec
+// over 2 workers: each worker generates the plan for its first shard only,
+// and the coordinator for its first campaign only. Shards go out one at a
+// time, since two shards missing on one worker at once would both generate.
+func TestFleetPlanGeneratedOncePerNode(t *testing.T) {
+	spec := campaign.Spec{Bus: "addr", Size: 80, Seed: 4, TargetOnly: true}
+	coord := NewCoordinator(CoordinatorConfig{MaxInFlight: 1, Backoff: 5 * time.Millisecond})
+	mgrs := []*campaign.Manager{campaign.New(campaign.Config{}), campaign.New(campaign.Config{})}
+	for _, m := range mgrs {
+		ts := httptest.NewServer(NewWorker(m))
+		t.Cleanup(ts.Close)
+		coord.Register(ts.URL)
+	}
+	want := singleNodeJSON(t, spec)
+	for run := 0; run < 2; run++ {
+		got, fs := fleetJSON(t, coord, spec, 8)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("run %d: fleet campaign JSON differs from single-node run", run)
+		}
+		if fs.Shards != 8 {
+			t.Fatalf("run %d: %d shards, want 8", run, fs.Shards)
+		}
+	}
+	for i, m := range mgrs {
+		if mt := m.Metrics(); mt.PlanCacheHits != 7 || mt.PlanCacheMisses != 1 {
+			t.Errorf("worker %d: plan cache hits/misses = %d/%d over 8 shards, want 7/1",
+				i, mt.PlanCacheHits, mt.PlanCacheMisses)
+		}
+	}
+	snap := coord.Obs().Reg.Snapshot()
+	hits, _ := snap.Value("xtalkd_fleet_plan_cache_hits_total", "")
+	misses, _ := snap.Value("xtalkd_fleet_plan_cache_misses_total", "")
+	if hits != 1 || misses != 1 {
+		t.Errorf("coordinator plan cache hits/misses = %g/%g over 2 campaigns, want 1/1", hits, misses)
+	}
+}
+
 func TestHeartbeatExpiryAndRevival(t *testing.T) {
 	coord := NewCoordinator(CoordinatorConfig{HeartbeatTTL: 30 * time.Millisecond})
 	coord.Register("http://w1")

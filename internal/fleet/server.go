@@ -26,7 +26,9 @@ import (
 //	                          (byte-identical to a single-node run), with
 //	                          fleet attribution in X-Fleet-* headers; 400
 //	                          for a spec the fleet cannot run (invalid, or
-//	                          not a plain campaign), 502 when workers fail
+//	                          not a plain campaign), 413 for a body over
+//	                          campaign.MaxRequestBytes, 502 when workers
+//	                          fail
 //	GET  /healthz             role, uptime, build info, live registry facts,
 //	                          alert summary, per-worker scrape staleness
 //	GET  /metrics             fleet-wide Prometheus text exposition: the
@@ -124,10 +126,8 @@ type CampaignRequest struct {
 
 func (s *CoordinatorServer) campaign(w http.ResponseWriter, r *http.Request) {
 	var req CampaignRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeJSONError(w, http.StatusBadRequest, fmt.Errorf("decoding campaign request: %w", err))
+	if code, err := campaign.DecodeRequest(w, r, &req); err != nil {
+		writeJSONError(w, code, fmt.Errorf("decoding campaign request: %w", err))
 		return
 	}
 	res, width, fs, err := s.c.RunCampaign(r.Context(), req.Spec, req.Shards)

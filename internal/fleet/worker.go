@@ -12,10 +12,10 @@ import (
 
 // ShardRequest assigns one defect-library index range to a worker. The spec
 // fully identifies the campaign (the worker regenerates plan and library
-// from it, or hits its caches); Key, when present, is the shard-plan
-// identity the coordinator planned against — the worker recomputes it and
-// rejects a mismatch, so a node whose view of the plan or library differs
-// can never contribute wrong-order outcomes to a merge.
+// from it, or hits its manager's caches); Key, when present, is the
+// shard-plan identity the coordinator planned against — the worker
+// recomputes it and rejects a mismatch, so a node whose view of the plan or
+// library differs can never contribute wrong-order outcomes to a merge.
 type ShardRequest struct {
 	Spec   campaign.Spec `json:"spec"`
 	Key    string        `json:"key,omitempty"`
@@ -65,14 +65,14 @@ func (w *Worker) ServeHTTP(rw http.ResponseWriter, r *http.Request) { w.mux.Serv
 
 func (w *Worker) shard(rw http.ResponseWriter, r *http.Request) {
 	var req ShardRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeJSONError(rw, http.StatusBadRequest, fmt.Errorf("decoding shard request: %w", err))
+	if code, err := campaign.DecodeRequest(rw, r, &req); err != nil {
+		writeJSONError(rw, code, fmt.Errorf("decoding shard request: %w", err))
 		return
 	}
-	// One resolution serves both the key check and the shard itself.
-	resolved, err := campaign.Resolve(req.Spec)
+	// One resolution serves both the key check and the shard itself, and
+	// the manager's plan cache serves every shard of the campaign after the
+	// first.
+	resolved, err := w.m.Resolve(req.Spec)
 	if err != nil {
 		writeJSONError(rw, http.StatusBadRequest, err)
 		return
