@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -128,4 +129,39 @@ func TestCmdSimBadTarget(t *testing.T) {
 	if err == nil {
 		t.Fatal("sim accepted a channel the target does not have")
 	}
+}
+
+// TestCmdSimPlanWithWorkers runs one saved plan with and without -workers:
+// both print the same coverage and crash lines. The plan has one session,
+// so a fleet that generated the default plan instead would differ.
+func TestCmdSimPlanWithWorkers(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "plan.json")
+	if _, err := capture(t, func() error { return cmdGen([]string{"-sessions", "1", "-o", path}) }); err != nil {
+		t.Fatal(err)
+	}
+	args := []string{"-plan", path, "-bus", "data", "-size", "40", "-seed", "5"}
+	results := func(out string) []string {
+		var lines []string
+		for _, l := range strings.Split(out, "\n") {
+			if strings.HasPrefix(l, "coverage:") || strings.HasPrefix(l, "crashed/hung") {
+				lines = append(lines, l)
+			}
+		}
+		return lines
+	}
+	local, err := capture(t, func() error { return cmdSim(args) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	distributed, err := capture(t, func() error {
+		return cmdSim(append(args, "-workers", startTestWorkers(t, 2)))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, got := results(local), results(distributed)
+	if len(want) != 2 || strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("-workers printed %q, standalone %q\nfleet output:\n%s", got, want, distributed)
+	}
+	t.Logf("%s", strings.Join(got, "; "))
 }

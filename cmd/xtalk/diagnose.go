@@ -1,7 +1,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -10,7 +9,6 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/defects"
 	"repro/internal/report"
-	"repro/internal/sim"
 )
 
 // The diagnose, minimize and rank subcommands run a base defect-simulation
@@ -176,29 +174,11 @@ func writeReport(path string, write func(*os.File) error) error {
 	return nil
 }
 
-// runJob submits the spec to a campaign.Manager, the job runner xtalkd
-// serves, and returns the job's analysis product. With workers
-// (comma-separated base URLs) the manager runs every campaign of the job on
-// that fleet, cut into shards shards (0 = 4 per worker); the analysis is
-// the same either way.
+// runJob runs the spec as a job (see submitJob) and returns the job's
+// analysis product, which is the same with and without workers.
 func runJob(spec campaign.Spec, workers string, shards int) (*campaign.Analysis, error) {
-	var cfg campaign.Config
-	if workers != "" {
-		coord, err := newFleet(workers)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Fleet = func(ctx context.Context, spec campaign.Spec) (*sim.CampaignResult, error) {
-			res, _, _, err := coord.RunCampaign(ctx, spec, shards)
-			return res, err
-		}
-	}
-	job, err := campaign.New(cfg).Submit(spec)
+	_, job, err := submitJob(spec, workers, shards)
 	if err != nil {
-		return nil, err
-	}
-	<-job.Done()
-	if err := job.Err(); err != nil {
 		return nil, err
 	}
 	an, ok := job.Analysis()
@@ -206,4 +186,29 @@ func runJob(spec campaign.Spec, workers string, shards int) (*campaign.Analysis,
 		return nil, fmt.Errorf("job %s produced no analysis", job.ID())
 	}
 	return an, nil
+}
+
+// submitJob runs the spec to completion as a job of a campaign.Manager, the
+// job runner xtalkd serves, and returns the manager and the finished job.
+// With workers (comma-separated base URLs) the manager runs every campaign
+// of the job on that fleet, cut into shards shards (0 = 4 per worker), and
+// shares one telemetry bundle with the fleet's coordinator, so the job's
+// trace holds the coordinator's and the workers' spans.
+func submitJob(spec campaign.Spec, workers string, shards int) (*campaign.Manager, *campaign.Job, error) {
+	var m *campaign.Manager
+	if workers == "" {
+		m = campaign.New(campaign.Config{})
+	} else {
+		coord, err := newFleet(workers)
+		if err != nil {
+			return nil, nil, err
+		}
+		m = coord.NewManager(campaign.Config{}, shards)
+	}
+	job, err := m.Submit(spec)
+	if err != nil {
+		return nil, nil, err
+	}
+	<-job.Done()
+	return m, job, job.Err()
 }

@@ -8,7 +8,7 @@
 //	xtalk params  [-width N] [-cth F] [-o file]
 //	xtalk defects [-target T] [-bus name] [-size N] [-sigma S] [-seed N]
 //	xtalk sim     [-target T] [-bus name] [-size N] [-seed N] [-compaction] [-engine auto|execute]
-//	              [-workers url1,url2,...] [-shards N] [-trace out.ndjson]
+//	              [-plan file] [-workers url1,url2,...] [-shards N] [-trace out.ndjson]
 //	xtalk fig11   [-size N] [-seed N] [-csv] [-engine auto|execute]
 //	xtalk compare [-size N] [-seed N]
 //	xtalk diagnose [-target T] [-bus name] [-size N] [-seed N] [-signature "dr[3]/fwd,..."] [-engine auto|execute]
@@ -292,17 +292,35 @@ func cmdSim(args []string) error {
 		return err
 	}
 	if *workers != "" {
+		// The job's campaign runs on the fleet, a saved plan riding inline.
+		spec := campaign.Spec{Target: *targetName, Bus: busName, Size: *size, Seed: *seed,
+			Compaction: *compaction, Engine: *engine}
 		if *planFile != "" {
-			return fmt.Errorf("-plan is not supported with -workers (fleet nodes generate the plan from the spec)")
+			if spec.Plan, err = os.ReadFile(*planFile); err != nil {
+				return err
+			}
 		}
-		return simFleet(*workers, *shards, *traceOut, campaign.Spec{
-			Target:     *targetName,
-			Bus:        busName,
-			Size:       *size,
-			Seed:       *seed,
-			Compaction: *compaction,
-			Engine:     *engine,
-		})
+		m, job, err := submitJob(spec, *workers, *shards)
+		if err != nil {
+			return err
+		}
+		res, _, _ := job.Result()
+		snap := m.Obs().Reg.Snapshot()
+		shardsRun, _ := snap.Value("xtalkd_fleet_shards_dispatched_total", "")
+		retries, _ := snap.Value("xtalkd_fleet_shard_retries_total", "")
+		fmt.Printf("fleet campaign %s: %s bus, %d defects (%g shards, %g retries)\n",
+			job.ID(), busName, res.Total, shardsRun, retries)
+		printCoverage(res)
+		p := job.Status().Progress
+		fmt.Printf("engine: %d swept clean, %d executed (worker-side attribution)\n", p.ReplayHits, p.Executed)
+		if *traceOut != "" {
+			if err := writeTraceFile(*traceOut, m.Obs().Tracer, job.ID()); err != nil {
+				return err
+			}
+			fmt.Printf("trace %s written to %s (%d spans)\n",
+				job.ID(), *traceOut, len(m.Obs().Tracer.Trace(job.ID())))
+		}
+		return nil
 	}
 	setup := models[busID]
 	ctx := context.Background()
@@ -349,41 +367,10 @@ func cmdSim(args []string) error {
 		fmt.Printf("trace written to %s (%d spans)\n", *traceOut, len(tracer.Trace("sim")))
 	}
 	fmt.Printf("campaign: %s %s bus, %d defects\n", tgt.Name(), busName, res.Total)
-	fmt.Printf("coverage: %d/%d = %.2f%% (paper: 100%%)\n", res.Detected, res.Total, res.Coverage()*100)
-	fmt.Printf("crashed/hung runs counted as detections: %d\n", res.Crashed)
+	printCoverage(res)
 	fmt.Printf("golden execution time: %d CPU cycles across %d sessions (paper: 1720)\n",
 		r.GoldenCycles(), len(plan.Programs))
 	printEngineStats(eng, r)
-	return nil
-}
-
-// simFleet runs the campaign distributed across the given worker URLs: a
-// client-side fleet coordinator shards the library, dispatches the shards,
-// and merges the partial results into the exact single-node result. With
-// traceOut, the coordinator's trace — including the worker-side spans shipped
-// back in shard responses — is written as NDJSON.
-func simFleet(urls string, shards int, traceOut string, spec campaign.Spec) error {
-	coord, err := newFleet(urls)
-	if err != nil {
-		return err
-	}
-	res, _, fs, err := coord.RunCampaign(context.Background(), spec, shards)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("fleet campaign: %s bus, %d defects across %d workers (%d shards, %d retries)\n",
-		spec.Bus, res.Total, len(coord.Workers()), fs.Shards, fs.Retries)
-	fmt.Printf("coverage: %d/%d = %.2f%% (paper: 100%%)\n", res.Detected, res.Total, res.Coverage()*100)
-	fmt.Printf("crashed/hung runs counted as detections: %d\n", res.Crashed)
-	fmt.Printf("engine: %d swept clean, %d executed (worker-side attribution)\n",
-		res.Total-fs.Executed, fs.Executed)
-	if traceOut != "" {
-		if err := writeTraceFile(traceOut, coord.Obs().Tracer, fs.TraceID); err != nil {
-			return err
-		}
-		fmt.Printf("trace %s written to %s (%d spans)\n",
-			fs.TraceID, traceOut, len(coord.Obs().Tracer.Trace(fs.TraceID)))
-	}
 	return nil
 }
 
@@ -400,6 +387,12 @@ func newFleet(urls string) (*fleet.Coordinator, error) {
 		return nil, fmt.Errorf("no worker URLs in %q", urls)
 	}
 	return coord, nil
+}
+
+// printCoverage prints a campaign's coverage and crash lines.
+func printCoverage(res *sim.CampaignResult) {
+	fmt.Printf("coverage: %d/%d = %.2f%% (paper: 100%%)\n", res.Detected, res.Total, res.Coverage()*100)
+	fmt.Printf("crashed/hung runs counted as detections: %d\n", res.Crashed)
 }
 
 // writeTraceFile dumps one trace from a collector as NDJSON.

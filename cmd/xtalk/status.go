@@ -19,9 +19,9 @@ import (
 // The status subcommand renders a live daemon's health at a glance: the
 // /healthz document, the SLO alert list (/alerts), the fleet federation
 // summary (/fleet/status, coordinators only), and per-job drift verdicts
-// from the campaign list. Endpoints a role does not serve (a coordinator has
-// no /v1/campaigns; a standalone node has no /fleet/status) are skipped, so
-// one invocation works against any role.
+// from the campaign list (every role runs jobs). Endpoints a role does not
+// serve (a standalone node or a worker has no /fleet/status) are skipped,
+// so one invocation works against any role.
 func cmdStatus(args []string) error {
 	fs := flag.NewFlagSet("status", flag.ExitOnError)
 	daemon := fs.String("daemon", "http://localhost:8080", "base URL of the xtalkd daemon to query")

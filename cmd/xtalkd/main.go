@@ -34,17 +34,17 @@
 //     (POST /v1/fleet/shards); with -coordinator it registers itself and
 //     heartbeats so the coordinator dispatches shards to it.
 //   - coordinator: the fleet head node — worker registry
-//     (POST/GET /v1/fleet/workers), synchronous distributed campaigns
-//     (POST /v1/fleet/campaigns, byte-identical to a single-node run), and
-//     fleet metrics.
+//     (POST/GET /v1/fleet/workers), fleet metrics, and the same campaign
+//     API, whose jobs run every campaign on the registered workers (results
+//     byte-identical to a single-node run).
 //
 // Every role serves the unified telemetry endpoints (see internal/obs):
 // GET /metrics (Prometheus text exposition from a single typed registry),
 // GET /debug/events (the flight-recorder ring of structured events, also
 // mirrored to stderr as structured logs), and GET /debug/trace/{id} (one
-// trace as NDJSON — a job ID on campaign nodes, a fleet trace ID on the
-// coordinator). -debug-addr additionally serves net/http/pprof plus the
-// same telemetry endpoints on a private listener.
+// job's trace as NDJSON, on the coordinator with its shard dispatches and
+// the workers' spans). -debug-addr additionally serves net/http/pprof plus
+// the same telemetry endpoints on a private listener.
 //
 // Usage:
 //
@@ -75,12 +75,14 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"strconv"
 	"syscall"
 	"time"
 
@@ -164,7 +166,8 @@ func run(cfg daemonConfig) error {
 			HeartbeatTTL: cfg.heartbeatTTL,
 			Obs:          tel,
 		})
-		handler = fleet.NewCoordinatorServer(coord)
+		mgr = coord.NewManager(campaign.Config{Workers: cfg.workers, BaselineDir: cfg.baselineDir}, 0)
+		handler = fleet.NewCoordinatorServer(coord, mgr)
 	default:
 		return fmt.Errorf("unknown role %q (want standalone, worker, or coordinator)", cfg.role)
 	}
@@ -198,11 +201,7 @@ func run(cfg daemonConfig) error {
 
 	errc := make(chan error, 1)
 	go func() {
-		if mgr != nil {
-			log.Printf("xtalkd: %s listening on %s (%d workers)", cfg.role, cfg.addr, mgr.Workers())
-		} else {
-			log.Printf("xtalkd: %s listening on %s", cfg.role, cfg.addr)
-		}
+		log.Printf("xtalkd: %s listening on %s (%d workers)", cfg.role, cfg.addr, mgr.Workers())
 		if err := srv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
 			errc <- err
 		}
@@ -224,15 +223,13 @@ func run(cfg daemonConfig) error {
 	if err := srv.Shutdown(shutdownCtx); err != nil {
 		log.Printf("xtalkd: http shutdown: %v", err)
 	}
-	if mgr != nil {
-		if err := mgr.Drain(shutdownCtx); err != nil {
-			log.Printf("xtalkd: drain timed out; cancelling in-flight jobs")
-			mgr.CancelAll()
-			finalCtx, cancel2 := context.WithTimeout(context.Background(), 5*time.Second)
-			defer cancel2()
-			if err := mgr.Drain(finalCtx); err != nil {
-				return fmt.Errorf("jobs did not stop: %w", err)
-			}
+	if err := mgr.Drain(shutdownCtx); err != nil {
+		log.Printf("xtalkd: drain timed out; cancelling in-flight jobs")
+		mgr.CancelAll()
+		finalCtx, cancel2 := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel2()
+		if err := mgr.Drain(finalCtx); err != nil {
+			return fmt.Errorf("jobs did not stop: %w", err)
 		}
 	}
 	log.Printf("xtalkd: drained; bye")
@@ -257,31 +254,9 @@ func debugMux(tel *obs.Telemetry) *http.ServeMux {
 
 // heartbeatLoop registers the worker with the coordinator immediately and
 // then keeps the registration fresh, so an expired or restarted coordinator
-// re-learns the worker within one period. Each beat carries the worker's
-// rendered metrics exposition, which the coordinator federates into the
-// fleet-wide xtalkd_fleet_* families — the heartbeat doubles as the scrape
-// transport, so no extra listener or pull path is needed.
+// re-learns the worker within one period.
 func heartbeatLoop(ctx context.Context, tel *obs.Telemetry, coordinator, advertise string, period time.Duration) {
-	beat := func() {
-		var metrics bytes.Buffer
-		if tel.Enabled() {
-			tel.Reg.WritePrometheus(&metrics)
-		}
-		body, _ := json.Marshal(fleet.RegisterRequest{URL: advertise, Metrics: metrics.String()})
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-			coordinator+"/v1/fleet/workers", bytes.NewReader(body))
-		if err != nil {
-			return
-		}
-		req.Header.Set("Content-Type", "application/json")
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			log.Printf("xtalkd: heartbeat to %s failed: %v", coordinator, err)
-			return
-		}
-		resp.Body.Close()
-	}
-	beat()
+	heartbeat(ctx, tel, coordinator, advertise)
 	t := time.NewTicker(period)
 	defer t.Stop()
 	for {
@@ -289,8 +264,42 @@ func heartbeatLoop(ctx context.Context, tel *obs.Telemetry, coordinator, adverti
 		case <-ctx.Done():
 			return
 		case <-t.C:
-			beat()
+			heartbeat(ctx, tel, coordinator, advertise)
 		}
+	}
+}
+
+// heartbeat sends one registration. It carries the worker's rendered
+// metrics exposition, which the coordinator federates into the fleet-wide
+// xtalkd_fleet_* families — the heartbeat doubles as the scrape transport,
+// so no extra listener or pull path is needed. A beat the coordinator
+// refuses (a 400 for metrics that would not federate, a 413 for an
+// oversized body) is recorded as a heartbeat.refused event with its status
+// and error body, which the flight recorder also writes to the log.
+func heartbeat(ctx context.Context, tel *obs.Telemetry, coordinator, advertise string) {
+	var metrics bytes.Buffer
+	if tel.Enabled() {
+		tel.Reg.WritePrometheus(&metrics)
+	}
+	body, _ := json.Marshal(fleet.RegisterRequest{URL: advertise, Metrics: metrics.String()})
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
+		coordinator+"/v1/fleet/workers", bytes.NewReader(body))
+	if err != nil {
+		return
+	}
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		log.Printf("xtalkd: heartbeat to %s failed: %v", coordinator, err)
+		return
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
+		tel.Record("heartbeat.refused",
+			obs.Label{Key: "coordinator", Value: coordinator},
+			obs.Label{Key: "status", Value: strconv.Itoa(resp.StatusCode)},
+			obs.Label{Key: "error", Value: string(bytes.TrimSpace(msg))})
 	}
 }
 

@@ -86,7 +86,7 @@ func (m *Manager) analyze(ctx context.Context, job *Job, res *sim.CampaignResult
 // engine choice with the base campaign.
 func (m *Manager) verifyCampaign(ctx context.Context, minPlan *core.Plan, env *jobEnv) (*sim.CampaignResult, error) {
 	vctx, span := obs.StartSpan(ctx, "job.verify",
-		obs.Label{Key: "defects", Value: fmt.Sprint(len(env.lib.Defects))})
+		obs.Label{Key: "defects", Value: fmt.Sprint(env.Spec.Size)})
 	defer span.End()
 	return m.simulate(vctx, env, minPlan, m.campaignOpts(env.Spec, env.workers, nil))
 }

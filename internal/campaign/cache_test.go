@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/infield"
 	"repro/internal/obs"
+	"repro/internal/sim"
 )
 
 func TestLRUEvictsLeastRecentlyUsed(t *testing.T) {
@@ -265,5 +266,55 @@ func TestLibraryCacheEviction(t *testing.T) {
 	}
 	if !bytes.Equal(bytesAgain, first) {
 		t.Fatal("a resubmitted evicted spec rendered a different result")
+	}
+}
+
+// TestFleetManagerBuildsOnlyWhatJobsRead runs every job type on a manager
+// whose campaigns go to a fleet (here a direct run): it builds the golden
+// runner only for the infield manifest's cycles and the library only for
+// diagnose and rank analysis, and every job still finishes.
+func TestFleetManagerBuildsOnlyWhatJobsRead(t *testing.T) {
+	fleet := func(ctx context.Context, spec Spec) (*sim.CampaignResult, error) {
+		r, err := Resolve(spec)
+		if err != nil {
+			return nil, err
+		}
+		lib, err := r.Library()
+		if err != nil {
+			return nil, err
+		}
+		runner, err := sim.NewTargetRunner(r.Target, r.Plan, r.Models)
+		if err != nil {
+			return nil, err
+		}
+		return runner.CampaignCtx(ctx, r.Bus, lib, sim.CampaignOpts{})
+	}
+	wide := Spec{Target: "widebus16", Bus: "bus", Size: 40, Seed: 3}
+	for _, tc := range []struct {
+		typ                 string
+		goldenMiss, libMiss int64
+	}{
+		{TypeCampaign, 0, 0},
+		{TypeMinimize, 0, 0},
+		{TypeInfield, 1, 0},
+		{TypeDiagnose, 0, 1},
+		{TypeRank, 0, 1},
+	} {
+		m := New(Config{Fleet: fleet})
+		spec := wide
+		spec.Type = tc.typ
+		job, err := m.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitDone(t, job)
+		if st := job.Status(); st.State != Done || st.Progress.Total == 0 {
+			t.Fatalf("%s job finished %s (total %d): %s", tc.typ, st.State, st.Progress.Total, st.Error)
+		}
+		mt := m.Metrics()
+		if mt.GoldenCacheMisses != tc.goldenMiss || mt.LibraryCacheMisses != tc.libMiss {
+			t.Errorf("%s job: golden/library misses = %d/%d, want %d/%d", tc.typ,
+				mt.GoldenCacheMisses, mt.LibraryCacheMisses, tc.goldenMiss, tc.libMiss)
+		}
 	}
 }

@@ -552,9 +552,10 @@ type Config struct {
 	// Fleet, when set, runs every campaign a job simulates (the base
 	// campaign, each minimize verification round, each in-field slice) on a
 	// fleet instead of the local worker pool: it receives a plain campaign
-	// spec and returns the merged result, e.g. a closure over
-	// fleet.Coordinator.RunCampaign. Nil runs locally. Analysis, in-field
-	// scheduling, progress and drift stay in the manager either way.
+	// spec and returns the merged result (fleet.Coordinator.NewManager
+	// closes it over RunCampaign). Nil runs locally. Analysis, in-field
+	// scheduling, progress and drift stay in the manager either way; on a
+	// fleet the manager builds locally only what they read.
 	Fleet func(ctx context.Context, spec Spec) (*sim.CampaignResult, error)
 }
 
@@ -1036,7 +1037,7 @@ func (m *Manager) run(ctx context.Context, job *Job, enqueued time.Time) {
 // jobEnv is a prepared job: its resolved spec, the cached golden runner and
 // defect library, and its defect-run concurrency. The analysis phase of
 // diagnose/minimize/rank jobs and every in-field slice reuse it instead of
-// re-deriving.
+// re-deriving. On a fleet either may be nil (see prepare).
 type jobEnv struct {
 	*Resolved
 	runner  *sim.Runner
@@ -1046,7 +1047,10 @@ type jobEnv struct {
 
 // prepare performs a job's cached setup steps: it resolves the spec, fetches
 // the golden runner and defect library from the caches, and records the
-// cache and width facts on the job.
+// cache and width facts on the job. On a fleet the workers simulate, so it
+// builds only what the job itself reads: the golden runner for an infield
+// manifest's per-session cycles, the library for diagnose accuracy and the
+// rank of each wire.
 func (m *Manager) prepare(ctx context.Context, job *Job) (*jobEnv, error) {
 	_, span := obs.StartSpan(ctx, "job.setup")
 	defer span.End()
@@ -1055,18 +1059,26 @@ func (m *Manager) prepare(ctx context.Context, job *Job) (*jobEnv, error) {
 		return nil, err
 	}
 	span.SetAttr("plan_cached", fmt.Sprint(planHit))
-	runner, goldenHit, err := m.runnerFor(r, r.Plan, r.Hash)
-	if err != nil {
-		return nil, err
+	env := &jobEnv{Resolved: r, workers: r.Spec.Workers}
+	if env.workers <= 0 || env.workers > cap(m.slots) {
+		env.workers = cap(m.slots)
+	}
+	typ := r.Spec.JobType()
+	var goldenHit, libHit bool
+	if m.fleet == nil || typ == TypeInfield {
+		if env.runner, goldenHit, err = m.runnerFor(r, r.Plan, r.Hash); err != nil {
+			return nil, err
+		}
+		span.SetAttr("golden_cached", fmt.Sprint(goldenHit))
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	lib, libHit, err := m.libraryFor(r)
-	span.SetAttr("golden_cached", fmt.Sprint(goldenHit))
-	span.SetAttr("library_cached", fmt.Sprint(libHit))
-	if err != nil {
-		return nil, err
+	if m.fleet == nil || typ == TypeDiagnose || typ == TypeRank {
+		if env.lib, libHit, err = m.libraryFor(r); err != nil {
+			return nil, err
+		}
+		span.SetAttr("library_cached", fmt.Sprint(libHit))
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -1074,11 +1086,7 @@ func (m *Manager) prepare(ctx context.Context, job *Job) (*jobEnv, error) {
 	job.mu.Lock()
 	job.goldenCached, job.libCached, job.width = goldenHit, libHit, r.Width()
 	job.mu.Unlock()
-	workers := r.Spec.Workers
-	if workers <= 0 || workers > cap(m.slots) {
-		workers = cap(m.slots)
-	}
-	return &jobEnv{Resolved: r, runner: runner, lib: lib, workers: workers}, nil
+	return env, nil
 }
 
 // campaignOpts builds the options every manager campaign runs with: the
@@ -1144,17 +1152,19 @@ func (m *Manager) execute(ctx context.Context, job *Job) (*sim.CampaignResult, *
 	if err != nil {
 		return nil, nil, err
 	}
-	spec, lib := env.Spec, env.lib
+	// The library holds exactly Spec.Size defects (defects.Generate's
+	// contract), so a fleet job sizes its checkpoint without building it.
+	spec, size := env.Spec, env.Spec.Size
 	job.mu.Lock()
-	if len(job.outcomes) != len(lib.Defects) {
+	if len(job.outcomes) != size {
 		// First run (or a resume whose library size changed, which cannot
 		// happen for an unchanged spec): fresh checkpoint.
-		job.outcomes = make([]sim.Outcome, len(lib.Defects))
-		job.completed = make([]bool, len(lib.Defects))
+		job.outcomes = make([]sim.Outcome, size)
+		job.completed = make([]bool, size)
 	}
 	// Rebuild progress from the checkpoint so a resumed job reports
 	// monotone counts continuing where it stopped.
-	p := Progress{Total: len(lib.Defects), Type: spec.JobType(), Phase: PhaseSimulate}
+	p := Progress{Total: size, Type: spec.JobType(), Phase: PhaseSimulate}
 	for i, done := range job.completed {
 		if done {
 			p.add(job.outcomes[i])
@@ -1197,7 +1207,7 @@ func (m *Manager) execute(ctx context.Context, job *Job) (*sim.CampaignResult, *
 		}
 	}
 	cctx, campSpan := obs.StartSpan(ctx, "job.campaign",
-		obs.Label{Key: "defects", Value: fmt.Sprint(len(lib.Defects))})
+		obs.Label{Key: "defects", Value: fmt.Sprint(size)})
 	res, err := m.simulate(cctx, env, env.Plan, opts)
 	campSpan.End()
 	if err != nil {

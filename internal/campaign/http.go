@@ -134,7 +134,7 @@ func (s *Server) job(w http.ResponseWriter, r *http.Request) (*Job, bool) {
 }
 
 // MaxRequestBytes caps the body of every JSON POST that carries a spec:
-// campaign submissions, fleet shard requests and fleet campaign requests.
+// job submissions (on every role) and fleet shard requests.
 // The largest legitimate body measured, a widebus64 spec carrying its
 // max_sessions-256 plan inline as core.WritePlan writes it, is about 229 KB.
 const MaxRequestBytes = 4 << 20

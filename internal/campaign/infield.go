@@ -31,7 +31,7 @@ func (m *Manager) executeInfield(ctx context.Context, job *Job) (*sim.CampaignRe
 	if err != nil {
 		return nil, nil, err
 	}
-	spec, lib := env.Spec, env.lib
+	spec, size := env.Spec, env.Spec.Size
 	// The full-plan runner provides the deterministic per-session golden
 	// costs the slicer partitions by (and warms the cache for the one-shot
 	// campaign the identity is proven against).
@@ -41,10 +41,10 @@ func (m *Manager) executeInfield(ctx context.Context, job *Job) (*sim.CampaignRe
 	}
 
 	job.mu.Lock()
-	if job.ledger == nil || job.ledger.Size() != len(lib.Defects) || job.ledger.Slices() != len(manifest.Slices) {
+	if job.ledger == nil || job.ledger.Size() != size || job.ledger.Slices() != len(manifest.Slices) {
 		// First run (or a resume whose spec-derived shape changed, which
 		// cannot happen for an unchanged spec): fresh ledger.
-		job.ledger = infield.NewLedger(len(lib.Defects), len(manifest.Slices), env.Bus)
+		job.ledger = infield.NewLedger(size, len(manifest.Slices), env.Bus)
 	}
 	ledger := job.ledger
 	// Rebuild progress from the ledger so a resumed schedule reports
@@ -54,8 +54,8 @@ func (m *Manager) executeInfield(ctx context.Context, job *Job) (*sim.CampaignRe
 	p := Progress{
 		Type:     TypeInfield,
 		Phase:    PhaseSimulate,
-		Total:    len(lib.Defects) * len(manifest.Slices),
-		Done:     len(lib.Defects) * ledger.MergedCount(),
+		Total:    size * len(manifest.Slices),
+		Done:     size * ledger.MergedCount(),
 		Detected: ledger.Detected(),
 		Slice:    ledger.MergedCount(),
 		Slices:   len(manifest.Slices),
@@ -137,7 +137,7 @@ func (m *Manager) executeInfield(ctx context.Context, job *Job) (*sim.CampaignRe
 	}
 	sctx, schedSpan := obs.StartSpan(ctx, "job.schedule",
 		obs.Label{Key: "slices", Value: fmt.Sprint(len(manifest.Slices))},
-		obs.Label{Key: "defects", Value: fmt.Sprint(len(lib.Defects))})
+		obs.Label{Key: "defects", Value: fmt.Sprint(size)})
 	err = sched.Run(sctx)
 	schedSpan.End()
 	if err != nil {

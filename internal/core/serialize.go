@@ -154,6 +154,9 @@ func ReadPlan(r io.Reader) (*Plan, error) {
 		} else if dir != "fwd" {
 			return maf.Fault{}, fmt.Errorf("core: unknown direction %q", dir)
 		}
+		if width < 1 || width > 64 { // bus words are 64-bit (logic.Word)
+			return maf.Fault{}, fmt.Errorf("core: fault width %d outside [1, 64] wires", width)
+		}
 		if victim < 0 || victim >= width {
 			return maf.Fault{}, fmt.Errorf("core: victim %d out of range for width %d", victim, width)
 		}

@@ -122,3 +122,30 @@ func TestSaveLoadPlanFile(t *testing.T) {
 		t.Error("missing file accepted")
 	}
 }
+
+// FuzzReadPlan holds ReadPlan to WritePlan, since every xtalkd role parses
+// inline plans from untrusted specs: whatever ReadPlan accepts renders,
+// reads back, and renders to the same bytes again.
+func FuzzReadPlan(f *testing.F) {
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		p, err := core.ReadPlan(bytes.NewReader(doc))
+		if err != nil {
+			return
+		}
+		var first bytes.Buffer
+		if err := core.WritePlan(&first, p); err != nil {
+			t.Fatalf("WritePlan refuses a plan ReadPlan accepted: %v", err)
+		}
+		again, err := core.ReadPlan(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("rendering does not read back: %v\n%s", err, first.Bytes())
+		}
+		var second bytes.Buffer
+		if err := core.WritePlan(&second, again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("render, read, render changed bytes:\n--- first ---\n%s--- second ---\n%s", first.Bytes(), second.Bytes())
+		}
+	})
+}

@@ -45,11 +45,10 @@ type CoordinatorConfig struct {
 	// ShardTimeout contexts).
 	Client *http.Client
 	// Obs is the telemetry bundle the coordinator registers its metrics in
-	// and emits spans and events to; nil selects a fresh enabled bundle. Use
-	// a bundle separate from any campaign.Manager in the same process only
-	// if that manager serves a different /metrics endpoint; co-registered
-	// names never collide (fleet metrics are xtalkd_fleet_*-prefixed, except
-	// xtalkd_fleet_shards_served_total which belongs to the worker manager).
+	// and emits spans and events to; nil selects a fresh enabled bundle.
+	// NewManager shares it with the job manager; co-registered names never
+	// collide (fleet metrics are xtalkd_fleet_*-prefixed, except
+	// xtalkd_fleet_shards_served_total which belongs to the manager).
 	Obs *obs.Telemetry
 }
 
@@ -89,28 +88,15 @@ type workerState struct {
 	snapshotAt time.Time
 }
 
-// Metrics is a snapshot of the coordinator's counters.
-type Metrics struct {
-	Workers          int   `json:"workers"`
-	WorkersAlive     int   `json:"workers_alive"`
-	Campaigns        int64 `json:"campaigns"`
-	CampaignsFailed  int64 `json:"campaigns_failed"`
-	ShardsDispatched int64 `json:"shards_dispatched"`
-	ShardRetries     int64 `json:"shard_retries"`
-	DefectsMerged    int64 `json:"defects_merged"`
-}
-
-// FleetStats describes one distributed campaign: its shards, its retries,
-// and its defects attributed to the workers' engine tiers (counted from the
-// merged outcomes).
+// FleetStats describes one distributed campaign: its shards and its retries.
 type FleetStats struct {
-	Shards     int `json:"shards"`
-	Retries    int `json:"retries"`
-	ReplayHits int `json:"replay_hits"`
-	Executed   int `json:"executed"`
-	// TraceID identifies this campaign's trace in the coordinator's span
-	// collector (GET /debug/trace/{TraceID}), including the worker spans
-	// shipped back in shard responses. Empty when tracing is disabled.
+	Shards  int `json:"shards"`
+	Retries int `json:"retries"`
+	// TraceID identifies the trace holding this campaign's spans in the
+	// coordinator's span collector (GET /debug/trace/{TraceID}), the worker
+	// spans shipped back in shard responses included: the caller's trace
+	// (a job ID) when its context carries one, else a fresh "f…" trace.
+	// Empty when tracing is disabled.
 	TraceID string `json:"trace_id,omitempty"`
 }
 
@@ -244,27 +230,6 @@ func (c *Coordinator) Workers() []WorkerInfo {
 	return out
 }
 
-// Metrics snapshots the coordinator counters.
-func (c *Coordinator) Metrics() Metrics {
-	c.mu.Lock()
-	total, alive := len(c.workers), 0
-	for _, w := range c.workers {
-		if c.aliveLocked(w) {
-			alive++
-		}
-	}
-	c.mu.Unlock()
-	return Metrics{
-		Workers:          total,
-		WorkersAlive:     alive,
-		Campaigns:        c.campaigns.Value(),
-		CampaignsFailed:  c.campaignsFailed.Value(),
-		ShardsDispatched: c.shardsDispatched.Value(),
-		ShardRetries:     c.shardRetries.Value(),
-		DefectsMerged:    c.defectsMerged.Value(),
-	}
-}
-
 func (c *Coordinator) aliveLocked(w *workerState) bool {
 	if w.dead {
 		return false
@@ -333,24 +298,26 @@ func (c *Coordinator) LiveWorkers() int {
 // partitioned into shards (shardCount <= 0 selects 4 × live workers),
 // shards are dispatched with bounded fan-out and per-shard retries, and the
 // merged result — byte-identical to a single-node run — is returned together
-// with the bus width for report rendering and the fleet's engine
-// attribution. A spec that is invalid, or not a plain campaign, is refused
-// before anything is dispatched: the fleet only simulates, and analysis and
-// in-field jobs run in a campaign.Manager whose Config.Fleet ships each of
-// their campaigns here.
+// with the bus width for report rendering. A spec that is invalid, or not a
+// plain campaign, is refused before anything is dispatched: the fleet only
+// simulates, and every job runs in a campaign.Manager whose Config.Fleet
+// ships each of its campaigns here (see NewManager). When ctx carries a
+// trace, the campaign's spans join it.
 func (c *Coordinator) RunCampaign(ctx context.Context, spec campaign.Spec, shardCount int) (*sim.CampaignResult, int, FleetStats, error) {
 	r, err := c.plans.Resolve(spec)
 	if err == nil && r.Spec.JobType() != campaign.TypeCampaign {
 		err = fmt.Errorf("fleet: runs plain campaigns only, not %q jobs", r.Spec.JobType())
 	}
 	if err != nil {
-		return nil, 0, FleetStats{}, &specError{err}
+		return nil, 0, FleetStats{}, err
 	}
 	traceID := ""
 	var span *obs.Span
 	if c.obs.Enabled() {
-		traceID = c.obs.Tracer.NewTraceID("f")
-		ctx = obs.WithTracer(ctx, c.obs.Tracer, traceID)
+		if traceID = obs.TraceID(ctx); traceID == "" {
+			traceID = c.obs.Tracer.NewTraceID("f")
+			ctx = obs.WithTracer(ctx, c.obs.Tracer, traceID)
+		}
 		ctx, span = obs.StartSpan(ctx, "fleet.campaign",
 			obs.Label{Key: "bus", Value: spec.Bus})
 	}
@@ -364,6 +331,21 @@ func (c *Coordinator) RunCampaign(ctx context.Context, spec campaign.Spec, shard
 	span.SetAttr("shards", fmt.Sprint(stats.Shards))
 	span.End()
 	return res, width, stats, err
+}
+
+// NewManager builds a campaign.Manager that runs every campaign of its jobs
+// on this fleet, cut into shardCount shards (0 selects 4 × live workers):
+// the job runner of xtalkd -role coordinator and of the CLI's -workers. It
+// shares the coordinator's telemetry bundle, so a job's trace holds the
+// coordinator's and the workers' spans under its job ID. NewManager sets
+// cfg.Obs and cfg.Fleet.
+func (c *Coordinator) NewManager(cfg campaign.Config, shardCount int) *campaign.Manager {
+	cfg.Obs = c.obs
+	cfg.Fleet = func(ctx context.Context, spec campaign.Spec) (*sim.CampaignResult, error) {
+		res, _, _, err := c.RunCampaign(ctx, spec, shardCount)
+		return res, err
+	}
+	return campaign.New(cfg)
 }
 
 func (c *Coordinator) runCampaign(ctx context.Context, r *campaign.Resolved, shardCount int) (*sim.CampaignResult, int, FleetStats, error) {
@@ -387,9 +369,19 @@ func (c *Coordinator) runCampaign(ctx context.Context, r *campaign.Resolved, sha
 	sem := make(chan struct{}, inflight)
 	results := make([]sim.OutcomeShard, len(plan.Shards))
 	retries := make([]int, len(plan.Shards))
-	errs := make([]error, len(plan.Shards))
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
+	// One unrecoverable shard fails the campaign and cancels the others. Its
+	// error is kept, not theirs: a job whose fleet failed must end failed,
+	// not canceled. The caller's own cancellation is kept the same way.
+	var failed sync.Once
+	var failure error
+	fail := func(sh Shard, err error) {
+		failed.Do(func() {
+			failure = fmt.Errorf("fleet: shard %d [%d, %d): %w", sh.Index, sh.Start, sh.End, err)
+		})
+		cancel()
+	}
 	var wg sync.WaitGroup
 	for i, sh := range plan.Shards {
 		wg.Add(1)
@@ -398,7 +390,7 @@ func (c *Coordinator) runCampaign(ctx context.Context, r *campaign.Resolved, sha
 			select {
 			case sem <- struct{}{}:
 			case <-ctx.Done():
-				errs[i] = ctx.Err()
+				fail(sh, ctx.Err())
 				return
 			}
 			defer func() { <-sem }()
@@ -406,8 +398,7 @@ func (c *Coordinator) runCampaign(ctx context.Context, r *campaign.Resolved, sha
 			defer c.shardsInflight.Add(-1)
 			resp, n, err := c.dispatchShard(ctx, spec, plan, sh)
 			if err != nil {
-				errs[i] = err
-				cancel() // one unrecoverable shard fails the campaign
+				fail(sh, err)
 				return
 			}
 			results[i] = sim.OutcomeShard{Start: resp.Start, Outcomes: resp.Outcomes}
@@ -415,11 +406,8 @@ func (c *Coordinator) runCampaign(ctx context.Context, r *campaign.Resolved, sha
 		}(i, sh)
 	}
 	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, 0, FleetStats{}, fmt.Errorf("fleet: shard %d [%d, %d): %w",
-				i, plan.Shards[i].Start, plan.Shards[i].End, err)
-		}
+	if failure != nil {
+		return nil, 0, FleetStats{}, failure
 	}
 	res, err := sim.MergeOutcomes(r.Bus, plan.Total, results)
 	if err != nil {
@@ -429,13 +417,6 @@ func (c *Coordinator) runCampaign(ctx context.Context, r *campaign.Resolved, sha
 	fs := FleetStats{Shards: len(plan.Shards)}
 	for _, n := range retries {
 		fs.Retries += n
-	}
-	for _, out := range res.Outcomes {
-		if out.Replayed {
-			fs.ReplayHits++
-		} else {
-			fs.Executed++
-		}
 	}
 	c.defectsMerged.Add(int64(plan.Total))
 	return res, r.Width(), fs, nil
@@ -547,11 +528,3 @@ func (c *Coordinator) postShard(ctx context.Context, w *workerState, spec campai
 	}
 	return &resp, nil
 }
-
-// specError is RunCampaign's refusal of a spec the fleet cannot run, as
-// opposed to a failure of the fleet itself (400 versus 502 over HTTP).
-type specError struct{ err error }
-
-func (e *specError) Error() string { return e.err.Error() }
-
-func (e *specError) Unwrap() error { return e.err }

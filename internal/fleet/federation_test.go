@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -23,8 +22,7 @@ import (
 // push order), /fleet/status, and /healthz staleness facts.
 func TestFederationEndpoints(t *testing.T) {
 	coord := NewCoordinator(CoordinatorConfig{HeartbeatTTL: time.Minute})
-	ts := httptest.NewServer(NewCoordinatorServer(coord))
-	t.Cleanup(ts.Close)
+	ts := serveCoordinator(t, coord)
 
 	// Two worker-shaped registries with real campaign traffic in their
 	// counters and histograms.
@@ -176,8 +174,7 @@ func TestIngestMetricsErrors(t *testing.T) {
 	if err := coord.IngestMetrics("http://nobody:1", "# HELP x x\n# TYPE x counter\nx 1\n"); err == nil {
 		t.Fatal("ingest for an unregistered worker succeeded")
 	}
-	ts := httptest.NewServer(NewCoordinatorServer(coord))
-	t.Cleanup(ts.Close)
+	ts := serveCoordinator(t, coord)
 	push := func(url, metrics string) int {
 		t.Helper()
 		body, err := json.Marshal(RegisterRequest{URL: url, Metrics: metrics})

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -95,9 +96,6 @@ func TestFleetByteIdenticalE5(t *testing.T) {
 	if fs.Shards != 16 { // 4 shards per worker × 4 workers
 		t.Fatalf("fleet used %d shards, want 16", fs.Shards)
 	}
-	if fs.ReplayHits+fs.Executed != size {
-		t.Fatalf("fleet attribution covers %d defects, want %d", fs.ReplayHits+fs.Executed, size)
-	}
 	t.Logf("4-worker fleet: %d defects, %d shards, %d bytes byte-identical to single node",
 		size, fs.Shards, len(got))
 }
@@ -118,16 +116,13 @@ func TestFleetBatchEngineByteIdentity(t *testing.T) {
 	batchSpec := campaign.Spec{Bus: "addr", Size: size, Seed: 1, Engine: "batch"}
 	autoSpec := batchSpec
 	autoSpec.Engine = "auto"
-	batch, fs := fleetJSON(t, coord, batchSpec, 0)
+	batch, _ := fleetJSON(t, coord, batchSpec, 0)
 	auto, _ := fleetJSON(t, coord, autoSpec, 0)
 	if !bytes.Equal(batch, auto) {
 		t.Fatalf("fleet batch JSON differs from fleet auto (%d vs %d bytes)", len(batch), len(auto))
 	}
 	if single := singleNodeJSON(t, batchSpec); !bytes.Equal(batch, single) {
 		t.Fatalf("fleet batch JSON differs from single-node batch run (%d vs %d bytes)", len(batch), len(single))
-	}
-	if fs.ReplayHits+fs.Executed != size {
-		t.Fatalf("fleet attribution covers %d defects, want %d", fs.ReplayHits+fs.Executed, size)
 	}
 
 	wideBatch := campaign.Spec{Target: "widebus32", Bus: "bus", Size: 160, Seed: 9, Engine: "batch"}
@@ -238,14 +233,16 @@ func TestWorkerRejectsInvalidShardSpec(t *testing.T) {
 }
 
 // TestOversizedRequestBodies posts a body over campaign.MaxRequestBytes to
-// the worker's shard endpoint and to the coordinator's campaign endpoint:
-// both stop reading at the cap and answer 413.
+// the worker's shard endpoint and to the coordinator's job endpoint: both
+// stop reading at the cap and answer 413.
 func TestOversizedRequestBodies(t *testing.T) {
 	coord, servers := startWorkers(t, 1)
-	cs := httptest.NewServer(NewCoordinatorServer(coord))
-	t.Cleanup(cs.Close)
-	body := `{"spec":{"bus":"addr","plan":"` + strings.Repeat("a", campaign.MaxRequestBytes) + `"}}`
-	for _, url := range []string{servers[0].URL + "/v1/fleet/shards", cs.URL + "/v1/fleet/campaigns"} {
+	cs := serveCoordinator(t, coord)
+	plan := `"plan":"` + strings.Repeat("a", campaign.MaxRequestBytes) + `"`
+	for url, body := range map[string]string{
+		servers[0].URL + "/v1/fleet/shards": `{"spec":{"bus":"addr",` + plan + `}}`,
+		cs.URL + "/v1/campaigns":            `{"bus":"addr",` + plan + `}`,
+	} {
 		resp, err := http.Post(url, "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
@@ -255,8 +252,11 @@ func TestOversizedRequestBodies(t *testing.T) {
 			t.Errorf("POST %s with %d bytes: status %d, want 413", url, len(body), resp.StatusCode)
 		}
 	}
-	if m := coord.Metrics(); m.Campaigns != 0 {
-		t.Errorf("an oversized request ran %d campaigns", m.Campaigns)
+	snap := coord.Obs().Reg.Snapshot()
+	jobs, _ := snap.Value("xtalkd_jobs_submitted_total", "")
+	campaigns, _ := snap.Value("xtalkd_fleet_campaigns_total", "")
+	if jobs != 0 || campaigns != 0 {
+		t.Errorf("an oversized request submitted %g jobs and ran %g campaigns", jobs, campaigns)
 	}
 }
 
@@ -313,47 +313,108 @@ func TestHeartbeatExpiryAndRevival(t *testing.T) {
 	}
 }
 
-func TestCoordinatorServerEndToEnd(t *testing.T) {
-	spec := campaign.Spec{Bus: "data", Size: 80, Seed: 9, TargetOnly: true}
-	coord, _ := startWorkers(t, 2)
-	cs := httptest.NewServer(NewCoordinatorServer(coord))
-	defer cs.Close()
+// serveCoordinator serves coord's HTTP face with the job manager xtalkd
+// -role coordinator builds over it.
+func serveCoordinator(t *testing.T, coord *Coordinator) *httptest.Server {
+	t.Helper()
+	ts := httptest.NewServer(NewCoordinatorServer(coord, coord.NewManager(campaign.Config{}, 0)))
+	t.Cleanup(ts.Close)
+	return ts
+}
 
-	// Registry endpoints.
-	resp, err := http.Get(cs.URL + "/v1/fleet/workers")
+// submit posts a spec body to a job API and returns the job ID.
+func submit(t *testing.T, base, body string) string {
+	t.Helper()
+	resp, err := http.Post(base+"/v1/campaigns", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var infos []WorkerInfo
-	if err := json.NewDecoder(resp.Body).Decode(&infos); err != nil {
+	defer resp.Body.Close()
+	var st campaign.Status
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("POST %s: status %d (%s)", body, resp.StatusCode, st.Error)
+	}
+	return st.ID
+}
+
+// finish watches a job to its terminal state and returns its status.
+func finish(t *testing.T, base, id string) campaign.Status {
+	t.Helper()
+	resp, err := http.Get(base + "/v1/campaigns/" + id + "/watch")
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
+	resp, err = http.Get(base + "/v1/campaigns/" + id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st campaign.Status
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// get fetches a path and returns its status code and body.
+func get(t *testing.T, url string) (int, []byte) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, body
+}
+
+func TestCoordinatorServerEndToEnd(t *testing.T) {
+	spec := campaign.Spec{Bus: "data", Size: 80, Seed: 9, TargetOnly: true}
+	coord, _ := startWorkers(t, 2)
+	cs := serveCoordinator(t, coord)
+
+	// Registry endpoints.
+	_, body := get(t, cs.URL+"/v1/fleet/workers")
+	var infos []WorkerInfo
+	if err := json.Unmarshal(body, &infos); err != nil {
+		t.Fatal(err)
+	}
 	if len(infos) != 2 {
 		t.Fatalf("registry lists %d workers, want 2", len(infos))
 	}
 
-	// Distributed campaign over HTTP: body must be the exact single-node
-	// campaign JSON.
-	body, _ := json.Marshal(CampaignRequest{Spec: spec, Shards: 4})
-	resp, err = http.Post(cs.URL+"/v1/fleet/campaigns", "application/json", bytes.NewReader(body))
+	// A job on the coordinator runs its campaign on the fleet: its result
+	// must be the exact single-node campaign JSON.
+	specJSON, _ := json.Marshal(spec)
+	id := submit(t, cs.URL, string(specJSON))
+	if st := finish(t, cs.URL, id); st.State != campaign.Done {
+		t.Fatalf("job %s finished %s: %s", id, st.State, st.Error)
+	}
+	code, got := get(t, cs.URL+"/v1/campaigns/"+id+"/result")
+	if code != http.StatusOK {
+		t.Fatalf("result status %d", code)
+	}
+	if want := singleNodeJSON(t, spec); !bytes.Equal(got, want) {
+		t.Fatalf("coordinator job result differs from single-node run (%d vs %d bytes)", len(got), len(want))
+	}
+
+	// The synchronous campaign endpoint is gone.
+	resp, err := http.Post(cs.URL+"/v1/fleet/campaigns", "application/json",
+		strings.NewReader(`{"spec":{"bus":"addr","size":10,"seed":1}}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("fleet campaign status %d", resp.StatusCode)
-	}
-	if got := resp.Header.Get("X-Fleet-Shards"); got != "4" {
-		t.Fatalf("X-Fleet-Shards = %q, want 4", got)
-	}
-	var got bytes.Buffer
-	if _, err := got.ReadFrom(resp.Body); err != nil {
-		t.Fatal(err)
-	}
 	resp.Body.Close()
-	if want := singleNodeJSON(t, spec); !bytes.Equal(got.Bytes(), want) {
-		t.Fatalf("HTTP fleet campaign JSON differs from single-node run (%d vs %d bytes)",
-			got.Len(), len(want))
+	if resp.StatusCode != http.StatusNotFound && resp.StatusCode != http.StatusMethodNotAllowed {
+		t.Errorf("POST /v1/fleet/campaigns: status %d, want 404 or 405", resp.StatusCode)
 	}
 
 	// Registration endpoint + metrics exposition.
@@ -363,33 +424,26 @@ func TestCoordinatorServerEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	resp, err = http.Get(cs.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var metrics bytes.Buffer
-	metrics.ReadFrom(resp.Body)
-	resp.Body.Close()
+	_, metrics := get(t, cs.URL+"/metrics")
 	for _, want := range []string{
 		"xtalkd_fleet_workers 3",
 		"xtalkd_fleet_campaigns_total 1",
-		"xtalkd_fleet_shards_dispatched_total 4",
+		"xtalkd_fleet_shards_dispatched_total 8", // 4 shards per worker × 2 workers
 		"xtalkd_fleet_defects_merged_total 80",
+		"xtalkd_jobs_completed_total 1",
 	} {
-		if !strings.Contains(metrics.String(), want) {
-			t.Fatalf("metrics missing %q:\n%s", want, metrics.String())
+		if !bytes.Contains(metrics, []byte(want)) {
+			t.Fatalf("metrics missing %q:\n%s", want, metrics)
 		}
 	}
 
-	// A spec the fleet cannot run is the client's error, refused before any
-	// dispatch; a worker failure is the gateway's.
+	// An invalid spec is refused before any dispatch; a fleet failure fails
+	// the job.
 	for _, body := range []string{
-		`{"spec":{"bus":"ctrl","size":10,"seed":1}}`,
-		`{"spec":{"bus":"addr","size":10,"seed":1,"engine":"replay"}}`,
-		`{"spec":{"bus":"addr","size":10,"seed":1,"type":"minimize"}}`,
-		`{"spec":{"bus":"addr","size":10,"seed":1,"type":"infield","slices":2}}`,
+		`{"bus":"ctrl","size":10,"seed":1}`,
+		`{"bus":"addr","size":10,"seed":1,"engine":"replay"}`,
 	} {
-		resp, err := http.Post(cs.URL+"/v1/fleet/campaigns", "application/json", strings.NewReader(body))
+		resp, err := http.Post(cs.URL+"/v1/campaigns", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -398,33 +452,23 @@ func TestCoordinatorServerEndToEnd(t *testing.T) {
 			t.Errorf("%s: status %d, want %d", body, resp.StatusCode, http.StatusBadRequest)
 		}
 	}
-	if m := coord.Metrics(); m.Campaigns != 1 {
-		t.Errorf("refused specs counted as campaigns: %d campaigns run, want 1", m.Campaigns)
+	if n, _ := coord.Obs().Reg.Snapshot().Value("xtalkd_fleet_campaigns_total", ""); n != 1 {
+		t.Errorf("refused specs counted as campaigns: %g campaigns run, want 1", n)
 	}
 	dead := NewCoordinator(CoordinatorConfig{Backoff: time.Millisecond})
 	dead.Register("http://127.0.0.1:1") // nothing listens on port 1
-	ds := httptest.NewServer(NewCoordinatorServer(dead))
-	defer ds.Close()
-	resp, err = http.Post(ds.URL+"/v1/fleet/campaigns", "application/json",
-		strings.NewReader(`{"spec":{"bus":"addr","size":10,"seed":1}}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadGateway {
-		t.Errorf("worker failure: status %d, want %d", resp.StatusCode, http.StatusBadGateway)
+	ds := serveCoordinator(t, dead)
+	id = submit(t, ds.URL, `{"bus":"addr","size":10,"seed":1}`)
+	if st := finish(t, ds.URL, id); st.State != campaign.Failed || !strings.Contains(st.Error, "shard") {
+		t.Errorf("job on a dead fleet finished %s (%q), want failed with a shard error", st.State, st.Error)
 	}
 
 	// Coordinator healthz carries its role.
-	resp, err = http.Get(cs.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, body = get(t, cs.URL+"/healthz")
 	var h campaign.Health
-	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
+	if err := json.Unmarshal(body, &h); err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
 	if h.Status != "ok" || h.Role != "coordinator" {
 		t.Fatalf("coordinator healthz = %+v", h)
 	}

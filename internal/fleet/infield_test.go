@@ -20,7 +20,7 @@ func TestFleetInfieldByteIdentical(t *testing.T) {
 	spec := campaign.Spec{Type: campaign.TypeInfield, Target: "widebus16", Bus: "bus",
 		Size: 60, Seed: 17, MaxSessions: 6, Slices: 4}
 	coord, _ := startWorkers(t, 3)
-	job := runJob(t, fleetManager(coord), spec)
+	job := runJob(t, coord.NewManager(campaign.Config{}, 0), spec)
 	an, ok := job.Analysis()
 	if !ok || an.Infield == nil {
 		t.Fatal("fleet infield job carries no infield analysis")

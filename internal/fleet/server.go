@@ -5,30 +5,24 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 	"time"
 
 	"repro/internal/campaign"
 	"repro/internal/obs"
-	"repro/internal/report"
 )
 
-// CoordinatorServer is the HTTP face of a Coordinator, served by
-// xtalkd -role coordinator.
+// CoordinatorServer is the HTTP face of a Coordinator and of the
+// campaign.Manager that runs its jobs, served by xtalkd -role coordinator.
 //
 //	POST /v1/fleet/workers    register a worker / refresh its heartbeat;
 //	                          400 for metrics that do not parse or would
 //	                          not federate, 413 for a body over
 //	                          obs.MaxExpositionBytes
 //	GET  /v1/fleet/workers    registry snapshot
-//	POST /v1/fleet/campaigns  run a distributed campaign synchronously;
-//	                          the body is the campaign-result JSON
-//	                          (byte-identical to a single-node run), with
-//	                          fleet attribution in X-Fleet-* headers; 400
-//	                          for a spec the fleet cannot run (invalid, or
-//	                          not a plain campaign), 413 for a body over
-//	                          campaign.MaxRequestBytes, 502 when workers
-//	                          fail
+//	/v1/campaigns...          the job API of campaign.Server: every job
+//	                          type, each of its campaigns run on the fleet;
+//	                          a job's result is byte-identical to a
+//	                          single-node run's
 //	GET  /healthz             role, uptime, build info, live registry facts,
 //	                          alert summary, per-worker scrape staleness
 //	GET  /metrics             fleet-wide Prometheus text exposition: the
@@ -38,19 +32,23 @@ import (
 //	                          slots, queue depth, engines, staleness)
 //	GET  /alerts              SLO alert list + summary
 //	GET  /debug/events        flight-recorder ring as JSON
-//	GET  /debug/trace/{id}    one campaign trace as NDJSON (see
-//	                          FleetStats.TraceID / the X-Fleet-Trace header)
+//	GET  /debug/trace/{id}    one trace as NDJSON: a job's under its job ID,
+//	                          coordinator and worker spans included
 type CoordinatorServer struct {
 	c   *Coordinator
 	mux *http.ServeMux
 }
 
-// NewCoordinatorServer wires the routes.
-func NewCoordinatorServer(c *Coordinator) *CoordinatorServer {
+// NewCoordinatorServer wires c's registry, federation and telemetry routes
+// and the job routes of m, a manager built by c.NewManager (which shares
+// c's telemetry bundle, so the telemetry routes cover its jobs too).
+func NewCoordinatorServer(c *Coordinator, m *campaign.Manager) *CoordinatorServer {
 	s := &CoordinatorServer{c: c, mux: http.NewServeMux()}
 	s.mux.HandleFunc("POST /v1/fleet/workers", s.register)
 	s.mux.HandleFunc("GET /v1/fleet/workers", s.workers)
-	s.mux.HandleFunc("POST /v1/fleet/campaigns", s.campaign)
+	jobs := campaign.NewServer(m)
+	s.mux.Handle("/v1/campaigns", jobs)
+	s.mux.Handle("/v1/campaigns/", jobs)
 	s.mux.HandleFunc("GET /healthz", campaign.HealthzHandler("coordinator", time.Now(), c.HealthFacts))
 	s.mux.HandleFunc("GET /metrics", s.metrics)
 	s.mux.HandleFunc("GET /fleet/status", s.status)
@@ -115,39 +113,4 @@ func (s *CoordinatorServer) register(w http.ResponseWriter, r *http.Request) {
 func (s *CoordinatorServer) workers(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(s.c.Workers())
-}
-
-// CampaignRequest asks the coordinator for one distributed campaign run.
-type CampaignRequest struct {
-	Spec campaign.Spec `json:"spec"`
-	// Shards overrides the shard count; zero selects 4 × live workers.
-	Shards int `json:"shards,omitempty"`
-}
-
-func (s *CoordinatorServer) campaign(w http.ResponseWriter, r *http.Request) {
-	var req CampaignRequest
-	if code, err := campaign.DecodeRequest(w, r, &req); err != nil {
-		writeJSONError(w, code, fmt.Errorf("decoding campaign request: %w", err))
-		return
-	}
-	res, width, fs, err := s.c.RunCampaign(r.Context(), req.Spec, req.Shards)
-	if err != nil {
-		code := http.StatusBadGateway
-		var refused *specError
-		if errors.As(err, &refused) {
-			code = http.StatusBadRequest
-		}
-		writeJSONError(w, code, err)
-		return
-	}
-	h := w.Header()
-	h.Set("Content-Type", "application/json")
-	h.Set("X-Fleet-Shards", strconv.Itoa(fs.Shards))
-	h.Set("X-Fleet-Retries", strconv.Itoa(fs.Retries))
-	h.Set("X-Fleet-Replay-Hits", strconv.Itoa(fs.ReplayHits))
-	h.Set("X-Fleet-Executed", strconv.Itoa(fs.Executed))
-	if fs.TraceID != "" {
-		h.Set("X-Fleet-Trace", fs.TraceID)
-	}
-	report.WriteCampaignJSON(w, res, width)
 }

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -34,7 +33,6 @@ func TestCoordinatorMetricsRace(t *testing.T) {
 					return
 				default:
 				}
-				_ = coord.Metrics()
 				var buf bytes.Buffer
 				coord.Obs().Reg.WritePrometheus(&buf)
 				_ = coord.HealthFacts()
@@ -46,8 +44,8 @@ func TestCoordinatorMetricsRace(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	if got := coord.Metrics().Campaigns; got != 1 {
-		t.Fatalf("Campaigns = %d, want 1", got)
+	if got, _ := coord.Obs().Reg.Snapshot().Value("xtalkd_fleet_campaigns_total", ""); got != 1 {
+		t.Fatalf("xtalkd_fleet_campaigns_total = %g, want 1", got)
 	}
 }
 
@@ -112,8 +110,7 @@ func TestCoordinatorServerTelemetryEndpoints(t *testing.T) {
 	if _, _, _, err := coord.RunCampaign(context.Background(), spec, 2); err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(NewCoordinatorServer(coord))
-	t.Cleanup(ts.Close)
+	ts := serveCoordinator(t, coord)
 
 	resp, err := http.Get(ts.URL + "/healthz")
 	if err != nil {

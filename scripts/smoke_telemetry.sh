@@ -6,9 +6,12 @@
 # 2-worker fleet (coordinator + two heartbeating workers) and asserts the
 # federation surface: /fleet/status sees both workers scraped, /alerts
 # serves the SLO alert document, and the coordinator's /metrics carries
-# worker-labeled xtalkd_fleet_* families. Run by CI after the unit tests to
-# catch wiring regressions a package test cannot (route conflicts, handler
-# registration, daemon startup).
+# worker-labeled xtalkd_fleet_* families. Last, it submits one spec to both
+# the standalone node and the coordinator, watches both jobs to the end, and
+# asserts the two /result bodies are byte-identical and the coordinator's
+# /debug/trace/{job} holds the job's, the dispatch's and the workers' spans.
+# Run by CI after the unit tests to catch wiring regressions a package test
+# cannot (route conflicts, handler registration, daemon startup).
 #
 # Usage: scripts/smoke_telemetry.sh [port]
 set -eu
@@ -21,7 +24,8 @@ go build -o /tmp/xtalkd-smoke ./cmd/xtalkd
 /tmp/xtalkd-smoke -addr "127.0.0.1:$port" &
 pid=$!
 pids="$pid"
-trap 'kill $pids 2>/dev/null || true' EXIT INT TERM
+tmp=$(mktemp -d)
+trap 'kill $pids 2>/dev/null || true; rm -rf "$tmp"' EXIT INT TERM
 
 # Wait for the daemon to accept connections.
 i=0
@@ -101,3 +105,25 @@ echo "$fleet_metrics" | grep -q '^# TYPE xtalkd_fleet_shards_dispatched_total co
 
 echo "fleet smoke ok: 2 workers federated," \
     "$(echo "$fleet_metrics" | grep -c '^# TYPE') fleet families" >&2
+
+# --- the coordinator's job API: one spec on both roles, same bytes ---
+spec='{"bus":"addr","size":60,"seed":4,"target_only":true}'
+for node in standalone coordinator; do
+    url=$base
+    [ "$node" = coordinator ] && url=$cbase
+    id=$(curl -fsS -X POST -H 'Content-Type: application/json' -d "$spec" \
+        "$url/v1/campaigns" | sed -n 's/.*"id": *"\([^"]*\)".*/\1/p' | head -n 1)
+    [ -n "$id" ] || { echo "$node job submission returned no job id" >&2; exit 1; }
+    curl -fsS "$url/v1/campaigns/$id/watch" >/dev/null
+    curl -fsS "$url/v1/campaigns/$id/result" -o "$tmp/$node.json"
+done
+cmp "$tmp/standalone.json" "$tmp/coordinator.json" ||
+    { echo "coordinator job result differs from the standalone node's" >&2; exit 1; }
+trace=$(curl -fsS "$cbase/debug/trace/$id")
+for span in job.run fleet.campaign worker.shard; do
+    echo "$trace" | grep -q '"name": *"'"$span"'"' ||
+        { echo "coordinator trace of $id has no $span span:"; echo "$trace"; exit 1; } >&2
+done
+
+echo "coordinator job smoke ok: $id byte-identical to the standalone node," \
+    "$(echo "$trace" | grep -c '"name"') spans traced" >&2
