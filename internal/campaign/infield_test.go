@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/report"
 )
 
 // oneShot strips the infield scheduling fields off a spec, leaving the plain
@@ -172,6 +173,92 @@ func TestInfieldResume(t *testing.T) {
 	}
 	if got, want := renderJSON(t, res, width), renderJSON(t, refRes, refWidth); !bytes.Equal(got, want) {
 		t.Fatalf("resumed infield report differs from one-shot campaign report (%d vs %d bytes)", len(got), len(want))
+	}
+}
+
+// infieldNDJSON renders a finished infield job's coverage report as NDJSON.
+func infieldNDJSON(t *testing.T, job *Job) []byte {
+	t.Helper()
+	an, ok := job.Analysis()
+	if !ok || an.Infield == nil {
+		t.Fatalf("job %s finished %s (err=%v) without an infield analysis",
+			job.ID(), job.Status().State, job.Err())
+	}
+	var buf bytes.Buffer
+	if err := report.WriteInfieldNDJSON(&buf, an.Infield); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestInfieldSchedulePinned pins the schedule's functional-phase accounting
+// and its checkpoint: slice i records phase [boot, compute, io, idle][i mod
+// 4] and the cumulative nominal workload cycles through phase i, and a paced
+// schedule canceled after two or more merges and then resumed renders the
+// NDJSON an uninterrupted run renders on a fresh manager, byte for byte.
+func TestInfieldSchedulePinned(t *testing.T) {
+	spec := Spec{Type: TypeInfield, Target: "widebus16", Bus: "bus", Size: 40, Seed: 7, MaxSessions: 8}
+	job, err := New(Config{Workers: 2}).Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, job)
+	an, ok := job.Analysis()
+	if !ok || an.Infield == nil {
+		t.Fatalf("job finished %s (err=%v), want done", job.Status().State, job.Err())
+	}
+	phases := []string{"boot", "compute", "io", "idle", "boot", "compute", "io", "idle"}
+	cycles := []uint64{256, 2304, 2816, 3840, 4096, 6144, 6656, 7680}
+	pts := an.Infield.Points
+	if len(pts) != len(phases) {
+		t.Fatalf("schedule merged %d points, want %d", len(pts), len(phases))
+	}
+	for i, pt := range pts {
+		if pt.Slice != i || pt.Phase != phases[i] || pt.WorkloadCycles != cycles[i] {
+			t.Errorf("point %d = slice %d, phase %q, %d workload cycles; want slice %d, %q, %d",
+				i, pt.Slice, pt.Phase, pt.WorkloadCycles, i, phases[i], cycles[i])
+		}
+	}
+	if got := an.Infield.Summary.WorkloadCycles; got != cycles[len(cycles)-1] {
+		t.Errorf("summary workload cycles %d, want %d", got, cycles[len(cycles)-1])
+	}
+
+	paced := spec
+	paced.IntervalMS = 100
+	ref, err := New(Config{Workers: 2}).Submit(paced)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, ref)
+	want := infieldNDJSON(t, ref)
+
+	m := New(Config{Workers: 2})
+	cut, err := m.Submit(paced)
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, unsub := cut.Subscribe()
+	for p := range events {
+		if p.Slice >= 2 {
+			if err := m.Cancel(cut.ID()); err != nil {
+				t.Fatal(err)
+			}
+			break
+		}
+	}
+	unsub()
+	waitDone(t, cut)
+	if st := cut.Status(); st.State != Canceled || st.Progress.Slice < 2 || st.Progress.Slice >= len(phases) {
+		t.Fatalf("cancel left the job %s at slice %d of %d; test needs a partial schedule",
+			st.State, st.Progress.Slice, len(phases))
+	}
+	resumed, err := m.Resume(cut.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, resumed)
+	if got := infieldNDJSON(t, resumed); !bytes.Equal(got, want) {
+		t.Fatalf("resumed schedule's NDJSON differs from an uninterrupted run:\n%s\nwant:\n%s", got, want)
 	}
 }
 
