@@ -12,14 +12,14 @@ import (
 
 // The infield subcommand runs the defect-simulation campaign as an in-field
 // test schedule: the self-test plan is partitioned into bounded-cycle slices,
-// slices execute interleaved with functional workload phases (paced by
-// -interval), and the coverage ledger accumulates per-slice detections into
-// the convergence curve the NDJSON report renders. The merged end state is
-// byte-identical to the one-shot campaign over the same spec. The schedule
-// runs as a job of a local campaign.Manager (see runJob). With -workers that
-// manager ships each slice to the fleet as an inline sub-plan campaign,
-// while the workload phases, the ledger and drift detection stay in the
-// manager, so the NDJSON is the same either way.
+// slices run in order (paced by -interval), each recorded after a nominal
+// functional workload phase, and the coverage ledger accumulates per-slice
+// detections into the convergence curve the NDJSON report renders. The
+// merged end state is byte-identical to the one-shot campaign over the same
+// spec. The schedule runs as a job of a local campaign.Manager (see runJob).
+// With -workers that manager ships each slice to the fleet as an inline
+// sub-plan campaign, while the schedule, the ledger and drift detection stay
+// in the manager, so the NDJSON is the same either way.
 func cmdInfield(args []string) error {
 	fs := flag.NewFlagSet("infield", flag.ExitOnError)
 	targetName := fs.String("target", "", "target backend: parwan (default) or widebusN")

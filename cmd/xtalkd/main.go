@@ -20,10 +20,10 @@
 //
 // Type "infield" runs the campaign as an in-field test schedule (see
 // internal/infield): the plan is partitioned into bounded-cycle slices
-// ("slices" or "slice_cycles"), slices execute interleaved with functional
-// workload phases and paced by "interval_ms", and a checkpointed coverage
-// ledger accumulates per-slice detections — canceled schedules resume at the
-// next unmerged slice. Progress events carry the slice index and cumulative
+// ("slices" or "slice_cycles"), slices run in order paced by "interval_ms",
+// each curve point names the nominal functional workload phase the slice
+// follows, and a checkpointed coverage ledger accumulates per-slice
+// detections — canceled schedules resume at the next unmerged slice. Progress events carry the slice index and cumulative
 // coverage, /metrics gains the xtalkd_infield_* families, and the result
 // endpoint streams the coverage-over-time curve as NDJSON.
 //

@@ -49,7 +49,7 @@ func (m *Manager) checkDrift(job *Job, doc *report.InfieldJSON) {
 			obs.Label{Key: "points", Value: strconv.Itoa(len(doc.Points))})
 		return
 	}
-	rep := infield.Compare(base, doc.Points, infield.Tolerance{})
+	rep := infield.Compare(base, doc.Points)
 	doc.Drift = &report.InfieldDriftJSON{Kind: "drift", DriftReport: rep}
 	job.mu.Lock()
 	job.progress.Drift = rep.Verdict

@@ -13,7 +13,7 @@ import (
 // against the first completed run under the same manifest key (the
 // plan-hash/seed/σ/Cth/slice-budget identity). Because the slicer and the
 // simulation engines are deterministic, a byte-identical rerun reproduces
-// the baseline curve exactly — any deviation beyond the tolerance band is
+// the baseline curve exactly — any deviation beyond the drift band is
 // evidence the system under test (or the test system itself) changed:
 // convergence arriving later means activations are being masked, a lower
 // final coverage means defects stopped being observable.
@@ -28,35 +28,19 @@ const (
 	VerdictDrift = "drift"
 )
 
-// Tolerance is the drift band. The zero value selects the noted defaults
-// via withDefaults; to demand exact reproduction set Exact.
-type Tolerance struct {
-	// CoverageDrop is the maximum allowed per-point coverage shortfall
-	// against the baseline point at the same merge position. Default 0.02.
-	CoverageDrop float64 `json:"coverage_drop"`
-	// FinalDrop is the maximum allowed drop of final coverage. Default 0 —
-	// a deterministic schedule must reach the same final coverage.
-	FinalDrop float64 `json:"final_drop"`
-	// SlackSlices is how many extra slices the run may take to reach the
+// The drift band. A byte-identical rerun reproduces the baseline exactly, so
+// the band only decides how far a degraded curve may stray.
+const (
+	// coverageDrop is the largest allowed per-point coverage shortfall
+	// against the baseline point at the same merge position.
+	coverageDrop = 0.02
+	// finalDrop is the largest allowed drop of final coverage: none, since a
+	// deterministic schedule must reach the same final coverage.
+	finalDrop = 0.0
+	// slackSlices is how many extra merges the run may take to reach the
 	// baseline's final coverage before convergence counts as slowed.
-	// Default 1.
-	SlackSlices int `json:"slack_slices"`
-	// Exact suppresses the defaults, demanding a point-for-point match.
-	Exact bool `json:"exact,omitempty"`
-}
-
-func (t Tolerance) withDefaults() Tolerance {
-	if t.Exact {
-		return t
-	}
-	if t.CoverageDrop == 0 {
-		t.CoverageDrop = 0.02
-	}
-	if t.SlackSlices == 0 {
-		t.SlackSlices = 1
-	}
-	return t
-}
+	slackSlices = 1
+)
 
 // Baseline is the persisted reference curve for one manifest key.
 type Baseline struct {
@@ -95,13 +79,12 @@ func slicesTo(pts []CoveragePoint, target float64) int {
 	return 0
 }
 
-// Compare evaluates a run's curve against the baseline under the tolerance
+// Compare evaluates a run's curve against the baseline under the drift
 // band. A byte-identical rerun yields VerdictOK with no reasons; a curve
-// that converges slower than SlackSlices extra merges, dips more than
-// CoverageDrop below the baseline at any merge position, or ends more than
-// FinalDrop below the baseline's final coverage yields VerdictDrift.
-func Compare(base *Baseline, pts []CoveragePoint, tol Tolerance) DriftReport {
-	tol = tol.withDefaults()
+// that converges slower than slackSlices extra merges, dips more than
+// coverageDrop below the baseline at any merge position, or ends more than
+// finalDrop below the baseline's final coverage yields VerdictDrift.
+func Compare(base *Baseline, pts []CoveragePoint) DriftReport {
 	rep := DriftReport{Verdict: VerdictOK}
 	if base == nil || len(base.Points) == 0 {
 		rep.Verdict = VerdictBaseline
@@ -129,25 +112,25 @@ func Compare(base *Baseline, pts []CoveragePoint, tol Tolerance) DriftReport {
 			worstAt = i
 		}
 	}
-	if rep.MaxCoverageDrop > tol.CoverageDrop {
+	if rep.MaxCoverageDrop > coverageDrop {
 		rep.Verdict = VerdictDrift
 		rep.Reasons = append(rep.Reasons, fmt.Sprintf(
 			"coverage at merge %d dropped %.4f below baseline (tolerance %.4f)",
-			worstAt+1, rep.MaxCoverageDrop, tol.CoverageDrop))
+			worstAt+1, rep.MaxCoverageDrop, coverageDrop))
 	}
 
 	// Final coverage: the deterministic schedule must land where it did.
-	if drop := rep.BaselineFinalCoverage - rep.FinalCoverage; drop > tol.FinalDrop {
+	if drop := rep.BaselineFinalCoverage - rep.FinalCoverage; drop > finalDrop {
 		rep.Verdict = VerdictDrift
 		rep.Reasons = append(rep.Reasons, fmt.Sprintf(
 			"final coverage %.4f fell %.4f below baseline %.4f (tolerance %.4f)",
-			rep.FinalCoverage, drop, rep.BaselineFinalCoverage, tol.FinalDrop))
+			rep.FinalCoverage, drop, rep.BaselineFinalCoverage, finalDrop))
 	}
 
 	// Convergence speed: merges needed to reach the baseline's final
 	// coverage (minus the final tolerance, so a within-band final still
 	// defines a reachable target).
-	target := rep.BaselineFinalCoverage - tol.FinalDrop
+	target := rep.BaselineFinalCoverage - finalDrop
 	rep.BaselineSlicesToFinal = slicesTo(basePts, target)
 	rep.SlicesToFinal = slicesTo(pts, target)
 	switch {
@@ -157,11 +140,11 @@ func Compare(base *Baseline, pts []CoveragePoint, tol Tolerance) DriftReport {
 			rep.Reasons = append(rep.Reasons, fmt.Sprintf(
 				"run never reached the baseline's final coverage %.4f", target))
 		}
-	case rep.SlicesToFinal > rep.BaselineSlicesToFinal+tol.SlackSlices:
+	case rep.SlicesToFinal > rep.BaselineSlicesToFinal+slackSlices:
 		rep.Verdict = VerdictDrift
 		rep.Reasons = append(rep.Reasons, fmt.Sprintf(
 			"convergence slowed: %d merges to reach %.4f coverage vs baseline %d (+%d slack)",
-			rep.SlicesToFinal, target, rep.BaselineSlicesToFinal, tol.SlackSlices))
+			rep.SlicesToFinal, target, rep.BaselineSlicesToFinal, slackSlices))
 	}
 	return rep
 }

@@ -3,6 +3,7 @@ package infield
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -21,10 +22,10 @@ func baselineOf(coverages ...float64) *Baseline {
 }
 
 func TestCompareFirstRunIsBaseline(t *testing.T) {
-	if rep := Compare(nil, curve(0.5, 0.9), Tolerance{}); rep.Verdict != VerdictBaseline {
+	if rep := Compare(nil, curve(0.5, 0.9)); rep.Verdict != VerdictBaseline {
 		t.Fatalf("nil baseline verdict = %s, want %s", rep.Verdict, VerdictBaseline)
 	}
-	if rep := Compare(&Baseline{Key: "k"}, curve(0.5), Tolerance{}); rep.Verdict != VerdictBaseline {
+	if rep := Compare(&Baseline{Key: "k"}, curve(0.5)); rep.Verdict != VerdictBaseline {
 		t.Fatalf("empty baseline verdict = %s, want %s", rep.Verdict, VerdictBaseline)
 	}
 }
@@ -33,7 +34,7 @@ func TestCompareFirstRunIsBaseline(t *testing.T) {
 // rerun of a deterministic schedule must not raise drift.
 func TestCompareIdenticalRerunIsSilent(t *testing.T) {
 	base := baselineOf(0.3, 0.6, 0.85, 0.92, 0.92)
-	rep := Compare(base, curve(0.3, 0.6, 0.85, 0.92, 0.92), Tolerance{})
+	rep := Compare(base, curve(0.3, 0.6, 0.85, 0.92, 0.92))
 	if rep.Verdict != VerdictOK || len(rep.Reasons) != 0 {
 		t.Fatalf("identical rerun = %+v, want silent ok", rep)
 	}
@@ -49,7 +50,7 @@ func TestCompareIdenticalRerunIsSilent(t *testing.T) {
 func TestComparePerPointDrop(t *testing.T) {
 	base := baselineOf(0.3, 0.6, 0.9)
 	// Mid-curve dip beyond the 0.02 default band, same final coverage.
-	rep := Compare(base, curve(0.3, 0.5, 0.9), Tolerance{})
+	rep := Compare(base, curve(0.3, 0.5, 0.9))
 	if !rep.Drifted() {
 		t.Fatalf("mid-curve dip verdict = %s, want drift", rep.Verdict)
 	}
@@ -57,7 +58,7 @@ func TestComparePerPointDrop(t *testing.T) {
 		t.Fatalf("MaxCoverageDrop = %v, want ~0.1", rep.MaxCoverageDrop)
 	}
 	// A dip inside the band stays ok.
-	rep = Compare(base, curve(0.29, 0.59, 0.9), Tolerance{})
+	rep = Compare(base, curve(0.29, 0.59, 0.9))
 	if rep.Drifted() {
 		t.Fatalf("in-band dip verdict = %+v, want ok", rep)
 	}
@@ -65,47 +66,45 @@ func TestComparePerPointDrop(t *testing.T) {
 
 func TestCompareFinalCoverageDrop(t *testing.T) {
 	base := baselineOf(0.3, 0.6, 0.9)
-	// FinalDrop defaults to 0: any shortfall at the end drifts (the
-	// per-point band does not excuse the final point, and the run also never
-	// reaches the baseline's final coverage).
-	rep := Compare(base, curve(0.3, 0.6, 0.89), Tolerance{CoverageDrop: 0.05})
+	// The final drop allowed is 0: a shortfall at the end drifts even inside
+	// the per-point band (the run also never reaches the baseline's final
+	// coverage).
+	rep := Compare(base, curve(0.3, 0.6, 0.89))
 	if !rep.Drifted() {
 		t.Fatalf("final shortfall verdict = %+v, want drift", rep)
+	}
+	if rep.MaxCoverageDrop > coverageDrop || len(rep.Reasons) != 1 ||
+		!strings.HasPrefix(rep.Reasons[0], "final coverage") {
+		t.Fatalf("final shortfall reasons = %q, want only the final-coverage one", rep.Reasons)
 	}
 }
 
 func TestCompareSlowedConvergence(t *testing.T) {
 	base := baselineOf(0.5, 0.9, 0.9, 0.9, 0.9, 0.9)
-	// Same final coverage, but it arrives four merges later than the
-	// baseline's two (slack 1 ⇒ three is forgiven, six is not).
-	rep := Compare(base, curve(0.5, 0.6, 0.7, 0.8, 0.85, 0.9), Tolerance{CoverageDrop: 0.5})
+	// Same final coverage and every point inside the per-point band, but it
+	// arrives four merges later than the baseline's two (slack 1 ⇒ three is
+	// forgiven, six is not).
+	rep := Compare(base, curve(0.5, 0.89, 0.89, 0.89, 0.89, 0.9))
 	if !rep.Drifted() {
 		t.Fatalf("slowed convergence verdict = %+v, want drift", rep)
+	}
+	if len(rep.Reasons) != 1 || !strings.HasPrefix(rep.Reasons[0], "convergence slowed") {
+		t.Fatalf("slowed convergence reasons = %q, want only the convergence one", rep.Reasons)
 	}
 	if rep.BaselineSlicesToFinal != 2 || rep.SlicesToFinal != 6 {
 		t.Fatalf("convergence = %d vs baseline %d, want 6 vs 2",
 			rep.SlicesToFinal, rep.BaselineSlicesToFinal)
 	}
 	// One extra merge is within the default slack.
-	rep = Compare(base, curve(0.5, 0.89, 0.9, 0.9, 0.9, 0.9), Tolerance{})
+	rep = Compare(base, curve(0.5, 0.89, 0.9, 0.9, 0.9, 0.9))
 	if rep.Drifted() {
 		t.Fatalf("one-slice slack verdict = %+v, want ok", rep)
 	}
 }
 
 func TestCompareEmptyRun(t *testing.T) {
-	if rep := Compare(baselineOf(0.5), nil, Tolerance{}); !rep.Drifted() {
+	if rep := Compare(baselineOf(0.5), nil); !rep.Drifted() {
 		t.Fatalf("empty run verdict = %s, want drift", rep.Verdict)
-	}
-}
-
-func TestCompareExactTolerance(t *testing.T) {
-	base := baselineOf(0.5, 0.9)
-	if rep := Compare(base, curve(0.4999, 0.9), Tolerance{Exact: true}); !rep.Drifted() {
-		t.Fatalf("exact tolerance forgave a dip: %+v", rep)
-	}
-	if rep := Compare(base, curve(0.5, 0.9), Tolerance{Exact: true}); rep.Drifted() {
-		t.Fatalf("exact tolerance rejected an identical curve: %+v", rep)
 	}
 }
 

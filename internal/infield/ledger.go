@@ -34,9 +34,10 @@ type CoveragePoint struct {
 	// slices merged so far (including this one).
 	Slice  int `json:"slice"`
 	Merged int `json:"merged"`
-	// Phase names the functional-workload phase the scheduler interleaved
-	// before this slice; WorkloadCycles is the cumulative functional cycles
-	// issued up to this point.
+	// Phase names the nominal functional-workload phase the schedule
+	// accounts before this slice; WorkloadCycles is the cumulative nominal
+	// functional cycles through it. Both are fixed by the slice index
+	// (campaign's schedule loop), not measured.
 	Phase          string `json:"phase,omitempty"`
 	WorkloadCycles uint64 `json:"workload_cycles,omitempty"`
 	// SliceCycles is this slice's own golden test cost.

@@ -1,9 +1,9 @@
 // Package infield turns the one-shot MA-test campaign into an in-field test
 // schedule: the self-test plan is deterministically partitioned into
-// bounded-cycle slices, slices are interleaved with functional workload
-// phases (internal/workload), and a coverage ledger accumulates the
-// per-slice detection vectors into the cumulative defect-library coverage
-// curve.
+// bounded-cycle slices that run one at a time between functional workload
+// phases (the schedule loop lives in internal/campaign), and a coverage
+// ledger accumulates the per-slice detection vectors into the cumulative
+// defect-library coverage curve.
 //
 // The central invariant is exact convergence: the ledger's merged outcome
 // for each defect after all slices ran is byte-identical to the one-shot

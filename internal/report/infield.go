@@ -141,10 +141,3 @@ func WriteInfieldNDJSON(w io.Writer, doc *InfieldJSON) error {
 	}
 	return nil
 }
-
-// WriteInfieldJSON renders the whole report as one indented JSON document.
-func WriteInfieldJSON(w io.Writer, doc *InfieldJSON) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
-}
