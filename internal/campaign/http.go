@@ -137,7 +137,15 @@ func (s *Server) job(w http.ResponseWriter, r *http.Request) (*Job, bool) {
 // job submissions (on every role) and fleet shard requests.
 // The largest legitimate body measured, a widebus64 spec carrying its
 // max_sessions-256 plan inline as core.WritePlan writes it, is about 229 KB.
+// A body under the cap still gets a 400 when its spec asks for more than
+// MaxLibrarySize defects or its inline plan for more than core.MaxPlanSteps
+// steps or core.MaxPlanPrograms programs.
 const MaxRequestBytes = 4 << 20
+
+// MaxLibrarySize caps a spec's defect library size at 10× the paper's 1000.
+// A widebus64 defect holds a 64×64 coupling matrix (about 33 KB), so a
+// library at the cap takes about 330 MB.
+const MaxLibrarySize = 10000
 
 // DecodeRequest decodes r's JSON body into v, refusing unknown fields and
 // bodies over MaxRequestBytes. On failure it returns the status to answer:

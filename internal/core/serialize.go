@@ -124,12 +124,30 @@ func WritePlan(w io.Writer, p *Plan) error {
 	return enc.Encode(out)
 }
 
-// ReadPlan parses a plan previously produced by WritePlan.
+// Bounds ReadPlan puts on a plan, since every xtalkd role reads inline plans
+// from untrusted specs. A golden run keeps a snapshot and a traced
+// transaction per step, so its memory grows with the step limit: one
+// program looping for 4,194,304 steps allocates about 6.9 GiB. The largest
+// generated plans stay well inside: parwan's has 8 programs whose step
+// limits sum to 9,520, and widebus64's has 256 programs.
+const (
+	// MaxPlanSteps caps the sum of a plan's program step limits.
+	MaxPlanSteps = 1 << 16
+	// MaxPlanPrograms caps the number of programs in a plan.
+	MaxPlanPrograms = 1024
+)
+
+// ReadPlan parses a plan previously produced by WritePlan. It refuses a
+// plan over MaxPlanPrograms programs or MaxPlanSteps steps.
 func ReadPlan(r io.Reader) (*Plan, error) {
 	var in planJSON
 	if err := json.NewDecoder(r).Decode(&in); err != nil {
 		return nil, fmt.Errorf("core: decoding plan: %w", err)
 	}
+	if len(in.Programs) > MaxPlanPrograms {
+		return nil, fmt.Errorf("core: plan has %d programs, more than %d", len(in.Programs), MaxPlanPrograms)
+	}
+	steps := 0
 	p := &Plan{Compaction: in.Compaction, Target: in.Target, Channels: in.Channels}
 	busFor := func(name string) (BusID, bool) {
 		for i, ch := range in.Channels {
@@ -163,6 +181,11 @@ func ReadPlan(r io.Reader) (*Plan, error) {
 		return maf.Fault{Victim: victim, Kind: k, Dir: d, Width: width}, nil
 	}
 	for _, pj := range in.Programs {
+		if pj.StepLimit < 0 || pj.StepLimit > MaxPlanSteps-steps {
+			return nil, fmt.Errorf("core: step limit %d of session %d is negative or takes the plan over %d steps",
+				pj.StepLimit, pj.Session, MaxPlanSteps)
+		}
+		steps += pj.StepLimit
 		prog := &TestProgram{
 			Session:       pj.Session,
 			Entry:         pj.Entry,

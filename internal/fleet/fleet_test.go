@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/campaign"
+	"repro/internal/core"
 	"repro/internal/parwan"
 	"repro/internal/report"
 	"repro/internal/sim"
@@ -257,6 +259,50 @@ func TestOversizedRequestBodies(t *testing.T) {
 	campaigns, _ := snap.Value("xtalkd_fleet_campaigns_total", "")
 	if jobs != 0 || campaigns != 0 {
 		t.Errorf("an oversized request submitted %g jobs and ran %g campaigns", jobs, campaigns)
+	}
+}
+
+// TestSpecBoundsOnFleetRoles submits specs past the library-size and plan
+// bounds to a fleet-backed manager, the coordinator's job endpoint and a
+// worker's shard endpoint: Submit refuses them and both endpoints answer
+// 400 without running anything.
+func TestSpecBoundsOnFleetRoles(t *testing.T) {
+	coord, servers := startWorkers(t, 1)
+	cs := serveCoordinator(t, coord)
+	m := coord.NewManager(campaign.Config{}, 0)
+	loop := `{"programs":[{"session":0,"entry":16,"step_limit":%d,"image":[{"addr":16,"hex":"e08010"}]}]}`
+	for name, spec := range map[string]string{
+		"size":      fmt.Sprintf(`{"bus":"addr","seed":1,"size":%d}`, campaign.MaxLibrarySize+1),
+		"size 2^60": `{"bus":"addr","seed":1,"size":1152921504606846976}`,
+		"steps":     fmt.Sprintf(`{"bus":"addr","seed":1,"plan":`+loop+`}`, core.MaxPlanSteps+1),
+		"programs":  `{"bus":"addr","seed":1,"plan":{"programs":[` + strings.Repeat(`{},`, core.MaxPlanPrograms) + `{}]}}`,
+	} {
+		var s campaign.Spec
+		if err := json.Unmarshal([]byte(spec), &s); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Submit(s); err == nil {
+			t.Errorf("%s: a fleet-backed manager accepted the spec", name)
+		}
+		for url, body := range map[string]string{
+			cs.URL + "/v1/campaigns":            spec,
+			servers[0].URL + "/v1/fleet/shards": `{"spec":` + spec + `,"start":0,"end":1}`,
+		} {
+			resp, err := http.Post(url, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s: POST %s status %d, want 400", name, url, resp.StatusCode)
+			}
+		}
+	}
+	snap := coord.Obs().Reg.Snapshot()
+	jobs, _ := snap.Value("xtalkd_jobs_submitted_total", "")
+	campaigns, _ := snap.Value("xtalkd_fleet_campaigns_total", "")
+	if jobs != 0 || campaigns != 0 {
+		t.Errorf("specs past the bounds submitted %g jobs and ran %g campaigns", jobs, campaigns)
 	}
 }
 

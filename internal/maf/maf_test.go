@@ -1,6 +1,7 @@
 package maf
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -348,6 +349,29 @@ func TestParseFaultRoundTrip(t *testing.T) {
 	if q.Matches(Fault{Victim: 11, Kind: RisingDelay, Dir: Reverse, Width: 8}) {
 		t.Error("width-qualified pattern matched the wrong bus")
 	}
+}
+
+// FuzzParseFault holds ParseFault to a canonical spelling, since a
+// diagnose spec's signature reaches it: whatever it accepts round-trips
+// through f.String(), plus "@W" when the name carries a width.
+func FuzzParseFault(f *testing.F) {
+	for _, s := range []string{"gp[4]/fwd", "dr[11]/rev@12", "df[63]/fwd@64", "gn[04]/rev@+8", "gp[12]/fwd@8", "gp[4]/up"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		got, err := ParseFault(s)
+		if err != nil {
+			return
+		}
+		canonical := got.String()
+		if got.Width > 0 {
+			canonical += fmt.Sprintf("@%d", got.Width)
+		}
+		again, err := ParseFault(canonical)
+		if err != nil || again != got {
+			t.Fatalf("ParseFault(%q) = %+v, but its canonical spelling %q parses to %+v (%v)", s, got, canonical, again, err)
+		}
+	})
 }
 
 func TestParseFaultErrors(t *testing.T) {

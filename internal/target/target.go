@@ -162,13 +162,16 @@ type Target interface {
 
 // Parse resolves a target descriptor: "parwan" (the default; empty selects
 // it) or "widebusN" for a synthetic N-wire scripted bus, e.g. "widebus32".
+// Only the canonical spelling, the target's Name, is accepted, so caches
+// keyed on the descriptor and caches keyed on Name agree.
 func Parse(s string) (Target, error) {
 	switch {
 	case s == "" || s == "parwan":
 		return Parwan(), nil
 	case strings.HasPrefix(s, "widebus"):
-		n, err := strconv.Atoi(strings.TrimPrefix(s, "widebus"))
-		if err != nil {
+		digits := strings.TrimPrefix(s, "widebus")
+		n, err := strconv.Atoi(digits)
+		if err != nil || strconv.Itoa(n) != digits {
 			return nil, fmt.Errorf("target: bad wide-bus descriptor %q (want e.g. widebus32)", s)
 		}
 		return WideBus(n)

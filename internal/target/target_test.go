@@ -28,11 +28,28 @@ func TestParse(t *testing.T) {
 			t.Errorf("Parse(%q).Name() = %q, want %q", tc.in, tgt.Name(), tc.name)
 		}
 	}
-	for _, bad := range []string{"widebus", "widebus1", "widebus65", "widebusx", "i8051"} {
+	for _, bad := range []string{"widebus", "widebus1", "widebus65", "widebusx", "i8051", "widebus032", "widebus+32"} {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("Parse(%q) accepted an invalid descriptor", bad)
 		}
 	}
+}
+
+// FuzzTargetParse holds Parse to canonical descriptors, since every spec's
+// target reaches it: whatever it accepts is empty or the target's own Name.
+func FuzzTargetParse(f *testing.F) {
+	for _, s := range []string{"", "parwan", "widebus2", "widebus64", "widebus032", "widebus+32", "widebus65", "widebus-8"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		tgt, err := Parse(s)
+		if err != nil {
+			return
+		}
+		if s != "" && tgt.Name() != s {
+			t.Fatalf("Parse(%q) accepted a non-canonical spelling of %s", s, tgt.Name())
+		}
+	})
 }
 
 func TestParwanTopology(t *testing.T) {
