@@ -151,8 +151,8 @@ func TestCachedPlanStaysUnchanged(t *testing.T) {
 	}
 	cachedPlan("SubPlan")
 
-	if mt := m.Metrics(); mt.PlanCacheMisses != 1 {
-		t.Fatalf("plan generated %d times for one generation config, want once", mt.PlanCacheMisses)
+	if misses := series(t, m, "xtalkd_plan_cache_misses_total"); misses != 1 {
+		t.Fatalf("plan generated %d times for one generation config, want once", misses)
 	}
 }
 
@@ -188,8 +188,9 @@ func TestConcurrentJobsShareCachedPlan(t *testing.T) {
 			t.Fatalf("%s job's campaign result differs from a direct run", types[i])
 		}
 	}
-	if mt := m.Metrics(); mt.PlanCacheMisses != 1 || mt.PlanCacheHits != int64(len(types)) {
-		t.Fatalf("plan cache hits/misses = %d/%d, want %d/1", mt.PlanCacheHits, mt.PlanCacheMisses, len(types))
+	hits, misses := series(t, m, "xtalkd_plan_cache_hits_total"), series(t, m, "xtalkd_plan_cache_misses_total")
+	if misses != 1 || hits != int64(len(types)) {
+		t.Fatalf("plan cache hits/misses = %d/%d, want %d/1", hits, misses, len(types))
 	}
 }
 
@@ -203,8 +204,9 @@ func TestNewManagerStartsCold(t *testing.T) {
 			t.Fatal(err)
 		}
 		waitDone(t, job)
-		if mt := m.Metrics(); mt.PlanCacheHits != 0 || mt.PlanCacheMisses != 1 {
-			t.Fatalf("manager %d: plan cache hits/misses = %d/%d, want 0/1", i, mt.PlanCacheHits, mt.PlanCacheMisses)
+		hits, misses := series(t, m, "xtalkd_plan_cache_hits_total"), series(t, m, "xtalkd_plan_cache_misses_total")
+		if hits != 0 || misses != 1 {
+			t.Fatalf("manager %d: plan cache hits/misses = %d/%d, want 0/1", i, hits, misses)
 		}
 	}
 }

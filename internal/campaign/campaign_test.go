@@ -30,6 +30,17 @@ func waitDone(t *testing.T, job *Job) {
 	}
 }
 
+// series reads one unlabeled series from the manager's registry, the
+// source /metrics and the CLI read.
+func series(t *testing.T, m *Manager, name string) int64 {
+	t.Helper()
+	v, ok := m.Obs().Reg.Snapshot().Value(name, "")
+	if !ok {
+		t.Fatalf("registry has no series %s", name)
+	}
+	return int64(v)
+}
+
 // directResult runs the same campaign without the service tier.
 func directResult(t *testing.T, spec Spec) (*sim.CampaignResult, int) {
 	t.Helper()
@@ -138,8 +149,9 @@ func TestCacheReuseAcrossJobs(t *testing.T) {
 		t.Fatalf("library cache hits/misses = %d/%d, want 1/2", mt.LibraryCacheHits, mt.LibraryCacheMisses)
 	}
 	// All three jobs share one generation config: one plan generation.
-	if mt.PlanCacheHits != 2 || mt.PlanCacheMisses != 1 {
-		t.Fatalf("plan cache hits/misses = %d/%d, want 2/1", mt.PlanCacheHits, mt.PlanCacheMisses)
+	hits, misses := series(t, m, "xtalkd_plan_cache_hits_total"), series(t, m, "xtalkd_plan_cache_misses_total")
+	if hits != 2 || misses != 1 {
+		t.Fatalf("plan cache hits/misses = %d/%d, want 2/1", hits, misses)
 	}
 }
 
@@ -208,7 +220,7 @@ func TestResumeSkipsCheckpointedDefects(t *testing.T) {
 	if checkpointed == 0 {
 		t.Fatal("no checkpointed outcomes before resume")
 	}
-	simulatedBefore := m.Metrics().DefectsSimulated
+	simulatedBefore := series(t, m, "xtalkd_defects_simulated_total")
 
 	resumed, err := m.Resume(job.ID())
 	if err != nil {
@@ -219,7 +231,7 @@ func TestResumeSkipsCheckpointedDefects(t *testing.T) {
 	if !ok {
 		t.Fatalf("resumed job finished %s (err=%v), want done", resumed.Status().State, resumed.Err())
 	}
-	fresh := m.Metrics().DefectsSimulated - simulatedBefore
+	fresh := series(t, m, "xtalkd_defects_simulated_total") - simulatedBefore
 	if want := int64(res.Total) - int64(checkpointed); fresh != want {
 		t.Fatalf("resume simulated %d defects, want %d (total %d - checkpointed %d)",
 			fresh, want, res.Total, checkpointed)

@@ -80,7 +80,7 @@ func TestInfieldDriftLifecycle(t *testing.T) {
 	if lastLine["kind"] != "drift" || lastLine["verdict"] != infield.VerdictOK {
 		t.Fatalf("rerun trailing line = %v, want a drift line with verdict ok", lastLine)
 	}
-	if got := m.Metrics().InfieldDriftAlerts; got != 0 {
+	if got := series(t, m, "xtalkd_infield_drift_alerts_total"); got != 0 {
 		t.Fatalf("drift alert counter = %d after identical rerun, want 0", got)
 	}
 	for _, a := range m.Obs().SLO.Alerts() {
@@ -115,7 +115,7 @@ func TestInfieldDriftLifecycle(t *testing.T) {
 		t.Fatalf("degraded run drift = %q (reasons %v), want drift with reasons",
 			st.Progress.Drift, st.Progress.DriftReasons)
 	}
-	if got := m.Metrics().InfieldDriftAlerts; got != 1 {
+	if got := series(t, m, "xtalkd_infield_drift_alerts_total"); got != 1 {
 		t.Fatalf("drift alert counter = %d, want 1", got)
 	}
 	found := false

@@ -367,8 +367,9 @@ func TestInfieldMetricsExposition(t *testing.T) {
 	if metricValue(t, text, "xtalkd_infield_workload_cycles_total") <= 0 {
 		t.Error("workload cycle counter did not advance on a parwan schedule")
 	}
-	snap := m.Metrics()
-	if snap.InfieldSlices != int64(len(an.Infield.Points)) || snap.InfieldDetections != int64(res.Detected) {
-		t.Errorf("metrics snapshot %+v does not match the completed schedule", snap)
+	slices, detections := series(t, m, "xtalkd_infield_slices_run_total"), series(t, m, "xtalkd_infield_cumulative_detections")
+	if slices != int64(len(an.Infield.Points)) || detections != int64(res.Detected) {
+		t.Errorf("registry reads %d slices and %d detections, want %d and %d",
+			slices, detections, len(an.Infield.Points), res.Detected)
 	}
 }

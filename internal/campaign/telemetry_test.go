@@ -43,8 +43,8 @@ func TestMetricsRaceDuringJob(t *testing.T) {
 	waitDone(t, job)
 	close(stop)
 	wg.Wait()
-	if got := m.Metrics().JobsCompleted; got != 1 {
-		t.Fatalf("JobsCompleted = %d, want 1", got)
+	if got := series(t, m, "xtalkd_jobs_completed_total"); got != 1 {
+		t.Fatalf("xtalkd_jobs_completed_total = %d, want 1", got)
 	}
 }
 

@@ -172,7 +172,7 @@ func TestFleetWorkerDeathMidCampaign(t *testing.T) {
 	if fs.Retries == 0 {
 		t.Fatal("worker death produced no shard retries")
 	}
-	for _, w := range coord.Workers() {
+	for _, w := range coord.FleetStatus().Workers {
 		if w.URL == victim.URL && w.Alive {
 			t.Fatalf("dead worker %s still marked alive", w.URL)
 		}
@@ -330,9 +330,11 @@ func TestFleetPlanGeneratedOncePerNode(t *testing.T) {
 		}
 	}
 	for i, m := range mgrs {
-		if mt := m.Metrics(); mt.PlanCacheHits != 7 || mt.PlanCacheMisses != 1 {
-			t.Errorf("worker %d: plan cache hits/misses = %d/%d over 8 shards, want 7/1",
-				i, mt.PlanCacheHits, mt.PlanCacheMisses)
+		snap := m.Obs().Reg.Snapshot()
+		hits, _ := snap.Value("xtalkd_plan_cache_hits_total", "")
+		misses, _ := snap.Value("xtalkd_plan_cache_misses_total", "")
+		if hits != 7 || misses != 1 {
+			t.Errorf("worker %d: plan cache hits/misses = %g/%g over 8 shards, want 7/1", i, hits, misses)
 		}
 	}
 	snap := coord.Obs().Reg.Snapshot()
@@ -427,14 +429,14 @@ func TestCoordinatorServerEndToEnd(t *testing.T) {
 	coord, _ := startWorkers(t, 2)
 	cs := serveCoordinator(t, coord)
 
-	// Registry endpoints.
-	_, body := get(t, cs.URL+"/v1/fleet/workers")
-	var infos []WorkerInfo
-	if err := json.Unmarshal(body, &infos); err != nil {
+	// The registry, as /fleet/status serves it.
+	_, body := get(t, cs.URL+"/fleet/status")
+	var fs FleetStatus
+	if err := json.Unmarshal(body, &fs); err != nil {
 		t.Fatal(err)
 	}
-	if len(infos) != 2 {
-		t.Fatalf("registry lists %d workers, want 2", len(infos))
+	if len(fs.Workers) != 2 {
+		t.Fatalf("fleet status lists %d workers, want 2", len(fs.Workers))
 	}
 
 	// A job on the coordinator runs its campaign on the fleet: its result
