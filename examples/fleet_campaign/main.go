@@ -66,8 +66,8 @@ func main() {
 	}
 	fmt.Printf("merged %d shards (%d retries after the worker loss): %d/%d detected (%.1f%% coverage)\n",
 		fs.Shards, fs.Retries, res.Detected, res.Total, res.Coverage()*100)
-	for _, w := range coord.Workers() {
-		fmt.Printf("  %s  alive=%-5v shards=%d failures=%d\n", w.URL, w.Alive, w.Shards, w.Failures)
+	for _, w := range coord.FleetStatus().Workers {
+		fmt.Printf("  %s  alive=%-5v shards=%d failures=%d\n", w.URL, w.Alive, w.ShardsCompleted, w.Failures)
 	}
 
 	// The coordinator's span collector holds the whole distributed trace:

@@ -496,36 +496,15 @@ func (j *Job) publishLocked() {
 	}
 }
 
-// Metrics is a snapshot of the manager's counters.
+// Metrics is the snapshot of the counters the benchmark harness reads
+// around its timed jobs: golden-runner and defect-library cache traffic and
+// the engine aggregate. Every other counter is read from the registry
+// (Obs().Reg), as /metrics, /fleet/status and the CLI do.
 type Metrics struct {
-	JobsSubmitted    int64 `json:"jobs_submitted"`
-	JobsCompleted    int64 `json:"jobs_completed"`
-	JobsFailed       int64 `json:"jobs_failed"`
-	JobsCanceled     int64 `json:"jobs_canceled"`
-	JobsResumed      int64 `json:"jobs_resumed"`
-	DefectsSimulated int64 `json:"defects_simulated"`
-	// ShardsServed counts fleet shard assignments this node executed as a
-	// worker (see internal/fleet and Manager.RunShard).
-	ShardsServed       int64 `json:"shards_served"`
 	GoldenCacheHits    int64 `json:"golden_cache_hits"`
 	GoldenCacheMisses  int64 `json:"golden_cache_misses"`
 	LibraryCacheHits   int64 `json:"library_cache_hits"`
 	LibraryCacheMisses int64 `json:"library_cache_misses"`
-	PlanCacheHits      int64 `json:"plan_cache_hits"`
-	PlanCacheMisses    int64 `json:"plan_cache_misses"`
-	// InfieldSlices counts slices executed and merged by infield jobs;
-	// InfieldDetections and InfieldGap mirror the cumulative-coverage
-	// gauges of the most recent merge; InfieldWorkloadCycles totals the
-	// functional cycles interleaved between slices.
-	InfieldSlices         int64 `json:"infield_slices_run"`
-	InfieldDetections     int64 `json:"infield_cumulative_detections"`
-	InfieldGap            int64 `json:"infield_convergence_gap"`
-	InfieldWorkloadCycles int64 `json:"infield_workload_cycles"`
-	// InfieldDriftAlerts counts completed in-field runs whose coverage
-	// curve drifted beyond tolerance of their manifest key's baseline.
-	InfieldDriftAlerts int64 `json:"infield_drift_alerts"`
-	Workers            int   `json:"workers"`
-	BusyWorkers        int   `json:"busy_workers"`
 	// Engine is the aggregate of every cached runner's engine counters:
 	// sweep clearances, resumed-execution fallbacks and reference
 	// executions (see sim.EngineStats).
@@ -582,9 +561,9 @@ type Manager struct {
 
 	wg sync.WaitGroup // running jobs, for Drain
 
-	// All counters live in the obs registry, so the three concerns — the
-	// Metrics() snapshot API, the /metrics exposition, and synchronized
-	// concurrent reads — share one atomic source of truth.
+	// All counters live in the obs registry, the one atomic source that
+	// /metrics, /fleet/status and the CLI read; Metrics() copies the few the
+	// benchmark reads.
 	jobsSubmitted, jobsCompleted, jobsFailed, jobsCanceled, jobsResumed *obs.Counter
 	defectsSimulated, shardsServed                                      *obs.Counter
 	goldenHits, goldenMisses, libHits, libMisses                        *obs.Counter
@@ -764,30 +743,14 @@ func (m *Manager) HealthFacts() map[string]any {
 	return facts
 }
 
-// Metrics snapshots the counters.
+// Metrics snapshots the counters the benchmark reads.
 func (m *Manager) Metrics() Metrics {
 	return Metrics{
-		Engine:                m.engineStats(),
-		JobsSubmitted:         m.jobsSubmitted.Value(),
-		JobsCompleted:         m.jobsCompleted.Value(),
-		JobsFailed:            m.jobsFailed.Value(),
-		JobsCanceled:          m.jobsCanceled.Value(),
-		JobsResumed:           m.jobsResumed.Value(),
-		DefectsSimulated:      m.defectsSimulated.Value(),
-		ShardsServed:          m.shardsServed.Value(),
-		GoldenCacheHits:       m.goldenHits.Value(),
-		GoldenCacheMisses:     m.goldenMisses.Value(),
-		LibraryCacheHits:      m.libHits.Value(),
-		LibraryCacheMisses:    m.libMisses.Value(),
-		PlanCacheHits:         m.plans.lru.hits.Value(),
-		PlanCacheMisses:       m.plans.lru.misses.Value(),
-		InfieldSlices:         m.infieldSlices.Value(),
-		InfieldDetections:     m.infieldDetections.Value(),
-		InfieldGap:            m.infieldGap.Value(),
-		InfieldWorkloadCycles: m.infieldWorkloadCycles.Value(),
-		InfieldDriftAlerts:    m.infieldDriftAlerts.Value(),
-		Workers:               cap(m.slots),
-		BusyWorkers:           len(m.slots),
+		GoldenCacheHits:    m.goldenHits.Value(),
+		GoldenCacheMisses:  m.goldenMisses.Value(),
+		LibraryCacheHits:   m.libHits.Value(),
+		LibraryCacheMisses: m.libMisses.Value(),
+		Engine:             m.engineStats(),
 	}
 }
 

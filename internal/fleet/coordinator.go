@@ -65,22 +65,13 @@ func (c CoordinatorConfig) withDefaults() CoordinatorConfig {
 	return c
 }
 
-// WorkerInfo is one registry entry snapshot.
-type WorkerInfo struct {
-	URL      string    `json:"url"`
-	Alive    bool      `json:"alive"`
-	LastSeen time.Time `json:"last_seen"`
-	Shards   int64     `json:"shards"`   // shards completed by this worker
-	Failures int64     `json:"failures"` // shard attempts failed on this worker
-}
-
 type workerState struct {
 	url      string
 	lastSeen time.Time
-	dead     bool // marked on transport failure; a heartbeat revives it
-	expired  bool // TTL expiry already recorded, so the event fires once
-	shards   atomic.Int64
-	failures atomic.Int64
+	dead     bool         // marked on transport failure; a heartbeat revives it
+	expired  bool         // TTL expiry already recorded, so the event fires once
+	shards   atomic.Int64 // shards completed by this worker
+	failures atomic.Int64 // shard attempts failed on this worker
 
 	// Federation state: the last parsed registry exposition this worker
 	// pushed on its heartbeat, and when it arrived (staleness source).
@@ -143,7 +134,11 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 	c.shardDispatch = reg.Histogram("xtalkd_fleet_shard_dispatch_seconds",
 		"one shard's full dispatch including retries and backoff", nil)
 	reg.GaugeFunc("xtalkd_fleet_workers", "registered workers",
-		func() float64 { return float64(len(c.Workers())) })
+		func() float64 {
+			c.mu.Lock()
+			defer c.mu.Unlock()
+			return float64(len(c.workers))
+		})
 	reg.GaugeFunc("xtalkd_fleet_workers_alive", "registered workers currently alive",
 		func() float64 { return float64(c.LiveWorkers()) })
 	t.SLO.Add(obs.Objective{
@@ -210,24 +205,6 @@ func (c *Coordinator) Register(url string) {
 	if event != "" {
 		c.obs.Record(event, obs.Label{Key: "worker", Value: url})
 	}
-}
-
-// Workers snapshots the registry, sorted by URL.
-func (c *Coordinator) Workers() []WorkerInfo {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]WorkerInfo, 0, len(c.workers))
-	for _, w := range c.workers {
-		out = append(out, WorkerInfo{
-			URL:      w.url,
-			Alive:    c.aliveLocked(w),
-			LastSeen: w.lastSeen,
-			Shards:   w.shards.Load(),
-			Failures: w.failures.Load(),
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].URL < out[j].URL })
-	return out
 }
 
 func (c *Coordinator) aliveLocked(w *workerState) bool {

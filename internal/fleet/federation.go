@@ -125,63 +125,37 @@ type FleetStatus struct {
 // the coordinator's alert summary.
 func (c *Coordinator) FleetStatus() FleetStatus {
 	now := time.Now()
-	type row struct {
-		info       WorkerInfo
-		snap       *obs.Snapshot
-		snapshotAt time.Time
-	}
+	var st FleetStatus
 	c.mu.Lock()
-	rows := make([]row, 0, len(c.workers))
+	st.Workers = make([]WorkerStatus, 0, len(c.workers))
 	for _, w := range c.workers {
-		rows = append(rows, row{
-			info: WorkerInfo{
-				URL:      w.url,
-				Alive:    c.aliveLocked(w),
-				LastSeen: w.lastSeen,
-				Shards:   w.shards.Load(),
-				Failures: w.failures.Load(),
-			},
-			snap:       w.snapshot,
-			snapshotAt: w.snapshotAt,
-		})
-	}
-	c.mu.Unlock()
-	sort.Slice(rows, func(i, j int) bool { return rows[i].info.URL < rows[j].info.URL })
-
-	st := FleetStatus{
-		Workers:        make([]WorkerStatus, 0, len(rows)),
-		ShardsInflight: c.shardsInflight.Value(),
-		Campaigns:      c.campaigns.Value(),
-		Alerts:         c.obs.SLO.Summary(),
-	}
-	for _, r := range rows {
 		ws := WorkerStatus{
-			URL:             r.info.URL,
-			Alive:           r.info.Alive,
-			LastSeenSeconds: now.Sub(r.info.LastSeen).Seconds(),
-			ShardsCompleted: r.info.Shards,
-			Failures:        r.info.Failures,
+			URL:             w.url,
+			Alive:           c.aliveLocked(w),
+			LastSeenSeconds: now.Sub(w.lastSeen).Seconds(),
+			ShardsCompleted: w.shards.Load(),
+			Failures:        w.failures.Load(),
 		}
-		if r.info.Alive {
+		if ws.Alive {
 			st.WorkersAlive++
 		}
-		if r.snap != nil {
+		if snap := w.snapshot; snap != nil {
 			ws.Scraped = true
-			ws.ScrapeAgeSeconds = now.Sub(r.snapshotAt).Seconds()
-			if v, ok := r.snap.Value("xtalkd_workers", ""); ok {
+			ws.ScrapeAgeSeconds = now.Sub(w.snapshotAt).Seconds()
+			if v, ok := snap.Value("xtalkd_workers", ""); ok {
 				ws.Slots = int(v)
 			}
-			if v, ok := r.snap.Value("xtalkd_workers_busy", ""); ok {
+			if v, ok := snap.Value("xtalkd_workers_busy", ""); ok {
 				ws.BusySlots = int(v)
 			}
-			if v, ok := r.snap.Value("xtalkd_jobs_pending", ""); ok {
+			if v, ok := snap.Value("xtalkd_jobs_pending", ""); ok {
 				ws.QueueDepth = int(v)
 				st.QueueDepth += int(v)
 			}
-			if v, ok := r.snap.Value("xtalkd_fleet_shards_served_total", ""); ok {
+			if v, ok := snap.Value("xtalkd_fleet_shards_served_total", ""); ok {
 				ws.ShardsServed = int64(v)
 			}
-			for name, fam := range r.snap.Families {
+			for name, fam := range snap.Families {
 				if !strings.HasPrefix(name, "xtalkd_engine_") {
 					continue
 				}
@@ -196,5 +170,10 @@ func (c *Coordinator) FleetStatus() FleetStatus {
 		}
 		st.Workers = append(st.Workers, ws)
 	}
+	c.mu.Unlock()
+	sort.Slice(st.Workers, func(i, j int) bool { return st.Workers[i].URL < st.Workers[j].URL })
+	st.ShardsInflight = c.shardsInflight.Value()
+	st.Campaigns = c.campaigns.Value()
+	st.Alerts = c.obs.SLO.Summary()
 	return st
 }

@@ -465,13 +465,25 @@ func TestCoordinatorServerEndToEnd(t *testing.T) {
 		t.Errorf("POST /v1/fleet/campaigns: status %d, want 404 or 405", resp.StatusCode)
 	}
 
-	// Registration endpoint + metrics exposition.
+	// Registration endpoint + metrics exposition. A registration is
+	// answered 200 with no body, and the registry is read from
+	// /fleet/status only.
 	resp, err = http.Post(cs.URL+"/v1/fleet/workers", "application/json",
 		strings.NewReader(`{"url":"http://late-worker"}`))
 	if err != nil {
 		t.Fatal(err)
 	}
+	reply, err := io.ReadAll(resp.Body)
 	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || len(reply) != 0 {
+		t.Errorf("registration: status %d with a %d-byte body %q, want 200 with none", resp.StatusCode, len(reply), reply)
+	}
+	if code, _ := get(t, cs.URL+"/v1/fleet/workers"); code != http.StatusMethodNotAllowed {
+		t.Errorf("GET /v1/fleet/workers: status %d, want 405", code)
+	}
 	_, metrics := get(t, cs.URL+"/metrics")
 	for _, want := range []string{
 		"xtalkd_fleet_workers 3",

@@ -14,11 +14,10 @@ import (
 // CoordinatorServer is the HTTP face of a Coordinator and of the
 // campaign.Manager that runs its jobs, served by xtalkd -role coordinator.
 //
-//	POST /v1/fleet/workers    register a worker / refresh its heartbeat;
-//	                          400 for metrics that do not parse or would
-//	                          not federate, 413 for a body over
-//	                          obs.MaxExpositionBytes
-//	GET  /v1/fleet/workers    registry snapshot
+//	POST /v1/fleet/workers    register a worker / refresh its heartbeat:
+//	                          200 with no body; 400 for metrics that do
+//	                          not parse or would not federate, 413 for a
+//	                          body over obs.MaxExpositionBytes
 //	/v1/campaigns...          the job API of campaign.Server: every job
 //	                          type, each of its campaigns run on the fleet;
 //	                          a job's result is byte-identical to a
@@ -28,8 +27,10 @@ import (
 //	GET  /metrics             fleet-wide Prometheus text exposition: the
 //	                          coordinator registry merged with every
 //	                          worker's heartbeat-pushed snapshot
-//	GET  /fleet/status        machine-readable fleet snapshot (workers,
-//	                          slots, queue depth, engines, staleness)
+//	GET  /fleet/status        machine-readable fleet snapshot: the worker
+//	                          registry (URL, liveness, last heartbeat,
+//	                          shards, failures) with each worker's slots,
+//	                          queue depth, engines and scrape staleness
 //	GET  /alerts              SLO alert list + summary
 //	GET  /debug/events        flight-recorder ring as JSON
 //	GET  /debug/trace/{id}    one trace as NDJSON: a job's under its job ID,
@@ -45,7 +46,6 @@ type CoordinatorServer struct {
 func NewCoordinatorServer(c *Coordinator, m *campaign.Manager) *CoordinatorServer {
 	s := &CoordinatorServer{c: c, mux: http.NewServeMux()}
 	s.mux.HandleFunc("POST /v1/fleet/workers", s.register)
-	s.mux.HandleFunc("GET /v1/fleet/workers", s.workers)
 	jobs := campaign.NewServer(m)
 	s.mux.Handle("/v1/campaigns", jobs)
 	s.mux.Handle("/v1/campaigns/", jobs)
@@ -106,11 +106,4 @@ func (s *CoordinatorServer) register(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(s.c.Workers())
-}
-
-func (s *CoordinatorServer) workers(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(s.c.Workers())
 }
