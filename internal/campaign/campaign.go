@@ -72,8 +72,8 @@ type Spec struct {
 	Size  int     `json:"size,omitempty"`
 	Sigma float64 `json:"sigma,omitempty"`
 	Seed  int64   `json:"seed"`
-	// CthFactor overrides the detectability-threshold factor; zero selects
-	// the default (1.55).
+	// CthFactor overrides the detectability-threshold factor; it must exceed
+	// 1, and zero selects the default (1.55).
 	CthFactor float64 `json:"cth_factor,omitempty"`
 	// Workers caps this job's concurrent defect runs; zero means "up to the
 	// shared pool size". The shared pool bounds total concurrency anyway.
@@ -200,6 +200,10 @@ func (s Spec) validateFields() error {
 	}
 	if s.Sigma < 0 {
 		return fmt.Errorf("campaign: negative sigma %g", s.Sigma)
+	}
+	if s.CthFactor != 0 && !(s.CthFactor > 1) {
+		return fmt.Errorf("campaign: cth_factor %g must exceed 1 (0 selects the default %g)",
+			s.CthFactor, crosstalk.DefaultCthFactor)
 	}
 	if s.MaxSessions < 0 {
 		return fmt.Errorf("campaign: negative max_sessions %d", s.MaxSessions)

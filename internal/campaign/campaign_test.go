@@ -339,6 +339,9 @@ func TestSubmitValidation(t *testing.T) {
 		{Bus: "ctrl"},
 		{Bus: "addr", Size: -1},
 		{Bus: "addr", Sigma: -0.5},
+		{Bus: "addr", CthFactor: -1},
+		{Bus: "addr", CthFactor: 0.5},
+		{Bus: "addr", CthFactor: 1},
 		{Bus: "addr", Workers: -2},
 		{Bus: "addr", Plan: []byte(`{"programs": 42}`)},
 		{Bus: "addr", Engine: "warp"},

@@ -350,10 +350,11 @@ func loopSpec(steps int) string {
 // TestSpecBounds submits specs just past each request bound: a library one
 // defect over MaxLibrarySize, the reproduction that used to panic in
 // defects.Generate, a one-program plan looping one step past
-// core.MaxPlanSteps, and a plan of core.MaxPlanPrograms+1 empty programs.
-// Submit refuses each, POST /v1/campaigns answers 400, and no job is
-// registered. A library of exactly MaxLibrarySize defects and a plan of
-// exactly core.MaxPlanSteps steps are still valid specs.
+// core.MaxPlanSteps, a plan of core.MaxPlanPrograms+1 empty programs, and
+// cth_factor values that are neither 0 nor above 1. Submit refuses each,
+// POST /v1/campaigns answers 400, and no job is registered. A library of
+// exactly MaxLibrarySize defects, a plan of exactly core.MaxPlanSteps steps
+// and cth_factor 0 and 1.55 are still valid specs.
 func TestSpecBounds(t *testing.T) {
 	m, ts := newTestServer(t, 1)
 	for name, body := range map[string]string{
@@ -361,6 +362,9 @@ func TestSpecBounds(t *testing.T) {
 		"size 2^60": `{"bus":"addr","seed":1,"size":1152921504606846976}`,
 		"steps":     loopSpec(core.MaxPlanSteps + 1),
 		"programs":  `{"bus":"addr","seed":1,"plan":{"programs":[` + strings.Repeat(`{},`, core.MaxPlanPrograms) + `{}]}}`,
+		"cth -1":    `{"bus":"addr","seed":1,"cth_factor":-1}`,
+		"cth 0.5":   `{"bus":"addr","seed":1,"cth_factor":0.5}`,
+		"cth 1":     `{"bus":"addr","seed":1,"cth_factor":1}`,
 	} {
 		var spec Spec
 		if err := json.Unmarshal([]byte(body), &spec); err != nil {
@@ -385,6 +389,11 @@ func TestSpecBounds(t *testing.T) {
 	}
 	if err := atCap.Validate(); err != nil {
 		t.Errorf("a plan at the step cap is refused: %v", err)
+	}
+	for _, cth := range []float64{0, 1.55} {
+		if err := (Spec{Bus: "addr", Seed: 1, CthFactor: cth}).Validate(); err != nil {
+			t.Errorf("cth_factor %g is refused: %v", cth, err)
+		}
 	}
 }
 

@@ -262,8 +262,8 @@ func TestOversizedRequestBodies(t *testing.T) {
 	}
 }
 
-// TestSpecBoundsOnFleetRoles submits specs past the library-size and plan
-// bounds to a fleet-backed manager, the coordinator's job endpoint and a
+// TestSpecBoundsOnFleetRoles submits specs past the library-size, plan and
+// cth_factor bounds to a fleet-backed manager, the coordinator's job endpoint and a
 // worker's shard endpoint: Submit refuses them and both endpoints answer
 // 400 without running anything.
 func TestSpecBoundsOnFleetRoles(t *testing.T) {
@@ -276,6 +276,9 @@ func TestSpecBoundsOnFleetRoles(t *testing.T) {
 		"size 2^60": `{"bus":"addr","seed":1,"size":1152921504606846976}`,
 		"steps":     fmt.Sprintf(`{"bus":"addr","seed":1,"plan":`+loop+`}`, core.MaxPlanSteps+1),
 		"programs":  `{"bus":"addr","seed":1,"plan":{"programs":[` + strings.Repeat(`{},`, core.MaxPlanPrograms) + `{}]}}`,
+		"cth -1":    `{"bus":"addr","seed":1,"cth_factor":-1}`,
+		"cth 0.5":   `{"bus":"addr","seed":1,"cth_factor":0.5}`,
+		"cth 1":     `{"bus":"addr","seed":1,"cth_factor":1}`,
 	} {
 		var s campaign.Spec
 		if err := json.Unmarshal([]byte(spec), &s); err != nil {
