@@ -88,5 +88,5 @@ func (m *Manager) verifyCampaign(ctx context.Context, minPlan *core.Plan, env *j
 	vctx, span := obs.StartSpan(ctx, "job.verify",
 		obs.Label{Key: "defects", Value: fmt.Sprint(env.Spec.Size)})
 	defer span.End()
-	return m.simulate(vctx, env, minPlan, m.campaignOpts(env.Spec, env.workers, nil))
+	return m.simulate(vctx, env, minPlan, m.campaignOpts(env.Spec, nil))
 }

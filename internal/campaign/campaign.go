@@ -75,9 +75,6 @@ type Spec struct {
 	// CthFactor overrides the detectability-threshold factor; it must exceed
 	// 1, and zero selects the default (1.55).
 	CthFactor float64 `json:"cth_factor,omitempty"`
-	// Workers caps this job's concurrent defect runs; zero means "up to the
-	// shared pool size". The shared pool bounds total concurrency anyway.
-	Workers int `json:"workers,omitempty"`
 	// Engine selects the simulation engine: "auto" or "batch" (the exact
 	// production engine, sim.Batch: a library-wide screening sweep with
 	// resumed execution of the divergent remainder) or "execute" (the
@@ -207,9 +204,6 @@ func (s Spec) validateFields() error {
 	}
 	if s.MaxSessions < 0 {
 		return fmt.Errorf("campaign: negative max_sessions %d", s.MaxSessions)
-	}
-	if s.Workers < 0 {
-		return fmt.Errorf("campaign: negative workers %d", s.Workers)
 	}
 	if _, err := sim.ParseEngine(s.Engine); err != nil {
 		return fmt.Errorf("campaign: %w", err)
@@ -998,15 +992,14 @@ func (m *Manager) run(ctx context.Context, job *Job, enqueued time.Time) {
 	span.End()
 }
 
-// jobEnv is a prepared job: its resolved spec, the cached golden runner and
-// defect library, and its defect-run concurrency. The analysis phase of
+// jobEnv is a prepared job: its resolved spec and the cached golden runner
+// and defect library. The analysis phase of
 // diagnose/minimize/rank jobs and every in-field slice reuse it instead of
 // re-deriving. On a fleet either may be nil (see prepare).
 type jobEnv struct {
 	*Resolved
-	runner  *sim.Runner
-	lib     *defects.Library
-	workers int
+	runner *sim.Runner
+	lib    *defects.Library
 }
 
 // prepare performs a job's cached setup steps: it resolves the spec, fetches
@@ -1023,10 +1016,7 @@ func (m *Manager) prepare(ctx context.Context, job *Job) (*jobEnv, error) {
 		return nil, err
 	}
 	span.SetAttr("plan_cached", fmt.Sprint(planHit))
-	env := &jobEnv{Resolved: r, workers: r.Spec.Workers}
-	if env.workers <= 0 || env.workers > cap(m.slots) {
-		env.workers = cap(m.slots)
-	}
+	env := &jobEnv{Resolved: r}
 	typ := r.Spec.JobType()
 	var goldenHit, libHit bool
 	if m.fleet == nil || typ == TypeInfield {
@@ -1054,10 +1044,10 @@ func (m *Manager) prepare(ctx context.Context, job *Job) (*jobEnv, error) {
 }
 
 // campaignOpts builds the options every manager campaign runs with: the
-// shared slot pool, the spec's engine, per-tier latency observation when
-// telemetry is on, and onOutcome (nil for none).
-func (m *Manager) campaignOpts(spec Spec, workers int, onOutcome func(int, sim.Outcome)) sim.CampaignOpts {
-	opts := sim.CampaignOpts{Workers: workers, Slots: m.slots, Engine: spec.engine(), OnOutcome: onOutcome}
+// shared slot pool at its full width, the spec's engine, per-tier latency
+// observation when telemetry is on, and onOutcome (nil for none).
+func (m *Manager) campaignOpts(spec Spec, onOutcome func(int, sim.Outcome)) sim.CampaignOpts {
+	opts := sim.CampaignOpts{Workers: cap(m.slots), Slots: m.slots, Engine: spec.engine(), OnOutcome: onOutcome}
 	if m.obs.Enabled() {
 		opts.Observe = m.observeTier(opts.Engine)
 	}
@@ -1138,7 +1128,7 @@ func (m *Manager) execute(ctx context.Context, job *Job) (*sim.CampaignResult, *
 	job.publishLocked()
 	job.mu.Unlock()
 
-	opts := m.campaignOpts(spec, env.workers, func(i int, out sim.Outcome) {
+	opts := m.campaignOpts(spec, func(i int, out sim.Outcome) {
 		job.mu.Lock()
 		defer job.mu.Unlock()
 		if job.completed[i] {

@@ -342,7 +342,6 @@ func TestSubmitValidation(t *testing.T) {
 		{Bus: "addr", CthFactor: -1},
 		{Bus: "addr", CthFactor: 0.5},
 		{Bus: "addr", CthFactor: 1},
-		{Bus: "addr", Workers: -2},
 		{Bus: "addr", Plan: []byte(`{"programs": 42}`)},
 		{Bus: "addr", Engine: "warp"},
 		{Bus: "addr", Engine: "replay"},

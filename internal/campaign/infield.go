@@ -114,7 +114,7 @@ func (m *Manager) runSchedule(ctx context.Context, job *Job, env *jobEnv, manife
 		obs.Label{Key: "defects", Value: fmt.Sprint(env.Spec.Size)})
 	defer span.End()
 	interval := time.Duration(env.Spec.IntervalMS) * time.Millisecond
-	opts := m.campaignOpts(env.Spec, env.workers, func(i int, out sim.Outcome) {
+	opts := m.campaignOpts(env.Spec, func(i int, out sim.Outcome) {
 		job.mu.Lock()
 		defer job.mu.Unlock()
 		job.progress.Done++

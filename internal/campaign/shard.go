@@ -200,7 +200,7 @@ func (m *Manager) RunShard(ctx context.Context, r *Resolved, start, end int) ([]
 		obs.Label{Key: "start", Value: fmt.Sprint(start)},
 		obs.Label{Key: "end", Value: fmt.Sprint(end)},
 		obs.Label{Key: "bus", Value: r.Spec.Bus})
-	res, err := runner.CampaignCtx(sctx, r.Bus, sub, m.campaignOpts(r.Spec, cap(m.slots), nil))
+	res, err := runner.CampaignCtx(sctx, r.Bus, sub, m.campaignOpts(r.Spec, nil))
 	span.End()
 	if err != nil {
 		return nil, err
