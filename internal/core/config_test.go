@@ -21,48 +21,6 @@ func TestMaxSessionsOne(t *testing.T) {
 	}
 }
 
-func TestCustomEntry(t *testing.T) {
-	plan := generate(t, core.GenConfig{Entry: 0x300, SkipAddrBus: true})
-	prog := plan.Programs[0]
-	if prog.Entry != 0x300 {
-		t.Fatalf("entry = %03x", prog.Entry)
-	}
-	goldenRun(t, prog)
-}
-
-func TestCustomRegions(t *testing.T) {
-	plan := generate(t, core.GenConfig{
-		SkipAddrBus: true,
-		ConstBase:   0x900,
-		RespBase:    0xA00,
-		DataPages:   []int{4, 5, 6, 7, 8, 9, 10, 11, 3, 2},
-	})
-	prog := plan.Programs[0]
-	goldenRun(t, prog)
-	// Response cells land in or after the requested region.
-	for _, c := range prog.ResponseCells {
-		if c < 0xA00 && !isReverseTarget(prog, c) {
-			t.Errorf("response cell %03x below RespBase", c)
-		}
-	}
-}
-
-// isReverseTarget reports whether the cell belongs to a reverse test (those
-// responses are ordinary response cells too, allocated from RespBase, so
-// this is only a guard against false positives if the layout changes).
-func isReverseTarget(prog *core.TestProgram, cell uint16) bool {
-	for _, a := range prog.Applied {
-		if a.Scheme == core.DataReverse {
-			for _, rc := range a.ResponseCells {
-				if rc == cell {
-					return true
-				}
-			}
-		}
-	}
-	return false
-}
-
 func TestFilterSingleVictim(t *testing.T) {
 	plan := generate(t, core.GenConfig{
 		Filter: func(f maf.Fault) bool { return f.Victim == 5 },

@@ -24,16 +24,6 @@ type GenConfig struct {
 	// MaxSessions bounds how many follow-up programs are generated for
 	// tests deferred by address conflicts; zero selects the default.
 	MaxSessions int
-	// Entry is the program entry point; zero selects the default. The
-	// external tester directs the CPU to begin execution here after loading
-	// the program.
-	Entry uint16
-	// DataPages overrides the page preference order for seeded data cells.
-	DataPages []int
-	// ConstBase and RespBase override the constant-pool and response-cell
-	// regions; zero selects the defaults.
-	ConstBase uint16
-	RespBase  uint16
 	// SkipDataBus / SkipAddrBus exclude one bus's tests entirely.
 	SkipDataBus bool
 	SkipAddrBus bool
@@ -45,18 +35,6 @@ type GenConfig struct {
 func (cfg *GenConfig) defaults() {
 	if cfg.MaxSessions == 0 {
 		cfg.MaxSessions = DefaultMaxSessions
-	}
-	if cfg.Entry == 0 {
-		cfg.Entry = DefaultEntry
-	}
-	if cfg.DataPages == nil {
-		cfg.DataPages = defaultDataPages
-	}
-	if cfg.ConstBase == 0 {
-		cfg.ConstBase = DefaultConstBase
-	}
-	if cfg.RespBase == 0 {
-		cfg.RespBase = DefaultRespBase
 	}
 }
 
@@ -118,8 +96,8 @@ func generateSession(session int, pendingData, pendingAddr []maf.Fault, cfg GenC
 
 	// Protect a runway at the entry point so fragment placement cannot
 	// occupy it; released before mainline emission.
-	if err := l.hold(cfg.Entry, 4); err != nil {
-		return nil, nil, nil, fmt.Errorf("core: entry %03x unusable: %w", cfg.Entry, err)
+	if err := l.hold(DefaultEntry, 4); err != nil {
+		return nil, nil, nil, fmt.Errorf("core: entry %03x unusable: %w", DefaultEntry, err)
 	}
 
 	// Phase 1: place address-bus fragments at their fixed footprints. The
@@ -137,14 +115,14 @@ func generateSession(session int, pendingData, pendingAddr []maf.Fault, cfg GenC
 		var err error
 		if f.Dir == maf.Forward {
 			var cell uint16
-			cell, err = placeDataForwardCell(l, f, cfg.DataPages)
+			cell, err = placeDataForwardCell(l, f, defaultDataPages)
 			if err == nil {
 				dataFwd = append(dataFwd, dataPlacement{fault: f, cell: cell})
 				fwdCells[cell] = true
 			}
 		} else {
 			var ca, tg uint16
-			ca, tg, err = placeDataReverse(l, f, cfg.DataPages, cfg.ConstBase, scratch, fwdCells)
+			ca, tg, err = placeDataReverse(l, f, defaultDataPages, DefaultConstBase, scratch, fwdCells)
 			if err == nil {
 				dataRev = append(dataRev, dataPlacement{fault: f, constAddr: ca, target: tg})
 			}
@@ -167,11 +145,11 @@ func generateSession(session int, pendingData, pendingAddr []maf.Fault, cfg GenC
 
 	// Phase 3: emit the mainline program.
 	for i := uint16(0); i < 4; i++ {
-		l.release(cfg.Entry + i)
+		l.release(DefaultEntry + i)
 	}
-	prog := &TestProgram{Session: session, Entry: cfg.Entry}
-	e := newEmitter(l, cfg.Entry)
-	respCursor := cfg.RespBase
+	prog := &TestProgram{Session: session, Entry: DefaultEntry}
+	e := newEmitter(l, DefaultEntry)
+	respCursor := uint16(DefaultRespBase)
 	allocResp := func() (uint16, error) {
 		a, err := l.findFreeRun(respCursor, 1)
 		if err != nil {
