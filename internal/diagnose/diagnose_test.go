@@ -61,28 +61,6 @@ func TestCollect(t *testing.T) {
 	}
 }
 
-func TestCollectorOrderIndependent(t *testing.T) {
-	outs := fixtureOutcomes()
-	c := NewCollector(len(outs))
-	// Deliver in reverse completion order, as a parallel campaign might.
-	for i := len(outs) - 1; i >= 0; i-- {
-		c.OnOutcome(i, outs[i])
-	}
-	s, err := c.Sets()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(s.ByDefect, Collect(outs).ByDefect) {
-		t.Error("collector order changed the dictionary")
-	}
-
-	missing := NewCollector(2)
-	missing.OnOutcome(0, outs[0])
-	if _, err := missing.Sets(); err == nil {
-		t.Error("incomplete collector should fail")
-	}
-}
-
 func TestResolveSignature(t *testing.T) {
 	s := Collect(fixtureOutcomes())
 	sig, err := s.ResolveSignature([]string{"dr[2]/fwd@4"})

@@ -31,7 +31,6 @@ package diagnose
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/maf"
 	"repro/internal/sim"
@@ -63,8 +62,6 @@ type Sets struct {
 	// target them, so minimization reports them explicitly and verification
 	// re-checks them empirically.
 	CrashOnly []int
-
-	index map[maf.Fault]int // fault → index into Faults
 }
 
 // Collect builds the detection-set dictionary from a campaign's outcomes in
@@ -77,23 +74,23 @@ func Collect(outcomes []sim.Outcome) *Sets {
 		ByDefect:  make([][]int, len(outcomes)),
 		Detected:  make([]bool, len(outcomes)),
 		Crashed:   make([]bool, len(outcomes)),
-		index:     make(map[maf.Fault]int),
 	}
 	// First pass: the fault universe actually observed, in canonical order.
+	index := make(map[maf.Fault]int) // fault → index into Faults
 	for _, out := range outcomes {
 		for _, f := range out.DetectedBy {
-			if _, ok := s.index[f]; !ok {
-				s.index[f] = -1 // placeholder; renumbered below
+			if _, ok := index[f]; !ok {
+				index[f] = -1 // placeholder; renumbered below
 			}
 		}
 	}
-	s.Faults = make([]maf.Fault, 0, len(s.index))
-	for f := range s.index {
+	s.Faults = make([]maf.Fault, 0, len(index))
+	for f := range index {
 		s.Faults = append(s.Faults, f)
 	}
 	maf.SortFaults(s.Faults)
 	for i, f := range s.Faults {
-		s.index[f] = i
+		index[f] = i
 	}
 	s.ByFault = make([][]int, len(s.Faults))
 	// Second pass: both orientations, defects in index order so ByFault rows
@@ -105,7 +102,7 @@ func Collect(outcomes []sim.Outcome) *Sets {
 		if len(out.DetectedBy) > 0 {
 			row := make([]int, len(out.DetectedBy))
 			for i, f := range out.DetectedBy {
-				fi := s.index[f]
+				fi := index[f]
 				row[i] = fi
 				s.ByFault[fi] = append(s.ByFault[fi], d)
 			}
@@ -115,15 +112,6 @@ func Collect(outcomes []sim.Outcome) *Sets {
 		}
 	}
 	return s
-}
-
-// FaultIndex returns the dictionary index of fault f, or -1 when no defect
-// is detected by its test.
-func (s *Sets) FaultIndex(f maf.Fault) int {
-	if i, ok := s.index[f]; ok {
-		return i
-	}
-	return -1
 }
 
 // DetectedCount returns the number of detected defects.
@@ -195,43 +183,4 @@ func (s *Sets) ComputeStats() Stats {
 		st.MeanSet = float64(sum) / float64(st.Attributed)
 	}
 	return st
-}
-
-// Collector accumulates per-defect outcomes from the campaign engine's
-// sim.CampaignOpts.OnOutcome hook. Outcomes arrive in completion order, but
-// the collector stores them by library index, so the dictionary built from a
-// parallel campaign is identical to a serial one.
-type Collector struct {
-	mu       sync.Mutex
-	outcomes []sim.Outcome
-	seen     []bool
-}
-
-// NewCollector sizes a collector for a library of total defects.
-func NewCollector(total int) *Collector {
-	return &Collector{outcomes: make([]sim.Outcome, total), seen: make([]bool, total)}
-}
-
-// OnOutcome records one defect's outcome; pass it as (or call it from)
-// sim.CampaignOpts.OnOutcome.
-func (c *Collector) OnOutcome(i int, out sim.Outcome) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if i >= 0 && i < len(c.outcomes) {
-		c.outcomes[i] = out
-		c.seen[i] = true
-	}
-}
-
-// Sets builds the detection-set dictionary from the collected outcomes. It
-// fails if any library index was never reported (an interrupted campaign).
-func (c *Collector) Sets() (*Sets, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for i, ok := range c.seen {
-		if !ok {
-			return nil, fmt.Errorf("diagnose: outcome for defect index %d never collected", i)
-		}
-	}
-	return Collect(c.outcomes), nil
 }
