@@ -4,9 +4,11 @@
 # serve a non-empty Prometheus exposition, /debug/events a non-empty event
 # array, and /debug/trace/{job} the job's spans. It then boots a live
 # 2-worker fleet (coordinator + two heartbeating workers) and asserts the
-# federation surface: /fleet/status sees both workers scraped, /alerts
-# serves the SLO alert document, and the coordinator's /metrics carries
-# worker-labeled xtalkd_fleet_* families. Last, it submits one spec to both
+# federation surface: /fleet/status sees both workers scraped, neither
+# worker recorded a refused heartbeat, GET /v1/fleet/workers answers 405
+# (the registry is read from /fleet/status), /alerts serves the SLO alert
+# document, and the coordinator's /metrics carries worker-labeled
+# xtalkd_fleet_* families. Last, it submits one spec to both
 # the standalone node and the coordinator, watches both jobs to the end, and
 # asserts the two /result bodies are byte-identical and the coordinator's
 # /debug/trace/{job} holds the job's, the dispatch's and the workers' spans.
@@ -93,6 +95,19 @@ done
 status=$(curl -fsS "$cbase/fleet/status")
 echo "$status" | grep -q '"workers_alive": *2' ||
     { echo "fleet status does not report 2 alive workers:"; echo "$status"; exit 1; } >&2
+
+# A registration is answered 200 with no body; a worker records any other
+# answer as a heartbeat.refused event.
+for wport in "$w1port" "$w2port"; do
+    events=$(curl -fsS "http://127.0.0.1:$wport/debug/events")
+    if echo "$events" | grep -q '"type": *"heartbeat.refused"'; then
+        echo "worker on port $wport recorded a refused heartbeat:"; echo "$events"; exit 1
+    fi >&2
+done
+
+code=$(curl -s -o /dev/null -w '%{http_code}' "$cbase/v1/fleet/workers")
+[ "$code" = 405 ] ||
+    { echo "GET /v1/fleet/workers answered $code, want 405" >&2; exit 1; }
 
 curl -fsS "$cbase/alerts" | grep -q '"shard_roundtrip"' ||
     { echo "coordinator /alerts lacks the shard_roundtrip objective" >&2; exit 1; }
