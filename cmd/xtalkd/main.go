@@ -33,10 +33,11 @@
 //   - worker: the campaign API plus the fleet shard endpoint
 //     (POST /v1/fleet/shards); with -coordinator it registers itself and
 //     heartbeats so the coordinator dispatches shards to it.
-//   - coordinator: the fleet head node — worker registry
-//     (POST/GET /v1/fleet/workers), fleet metrics, and the same campaign
-//     API, whose jobs run every campaign on the registered workers (results
-//     byte-identical to a single-node run).
+//   - coordinator: the fleet head node — worker registration
+//     (POST /v1/fleet/workers; the registry is read from /fleet/status),
+//     fleet metrics, and the same campaign API, whose jobs run every
+//     campaign on the registered workers (results byte-identical to a
+//     single-node run).
 //
 // Every role serves the unified telemetry endpoints (see internal/obs):
 // GET /metrics (Prometheus text exposition from a single typed registry),

@@ -993,9 +993,9 @@ func (m *Manager) run(ctx context.Context, job *Job, enqueued time.Time) {
 }
 
 // jobEnv is a prepared job: its resolved spec and the cached golden runner
-// and defect library. The analysis phase of
-// diagnose/minimize/rank jobs and every in-field slice reuse it instead of
-// re-deriving. On a fleet either may be nil (see prepare).
+// and defect library. The analysis phase of diagnose/minimize/rank jobs and
+// every in-field slice reuse it instead of re-deriving. On a fleet either
+// may be nil (see prepare).
 type jobEnv struct {
 	*Resolved
 	runner *sim.Runner

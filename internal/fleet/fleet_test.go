@@ -263,9 +263,9 @@ func TestOversizedRequestBodies(t *testing.T) {
 }
 
 // TestSpecBoundsOnFleetRoles submits specs past the library-size, plan and
-// cth_factor bounds to a fleet-backed manager, the coordinator's job endpoint and a
-// worker's shard endpoint: Submit refuses them and both endpoints answer
-// 400 without running anything.
+// cth_factor bounds to a fleet-backed manager, the coordinator's job
+// endpoint and a worker's shard endpoint: Submit refuses them and both
+// endpoints answer 400 without running anything.
 func TestSpecBoundsOnFleetRoles(t *testing.T) {
 	coord, servers := startWorkers(t, 1)
 	cs := serveCoordinator(t, coord)
