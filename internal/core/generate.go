@@ -8,7 +8,8 @@ import (
 	"repro/internal/parwan"
 )
 
-// Generation defaults.
+// The program layout every generated plan uses, and the default session
+// bound (GenConfig.MaxSessions).
 const (
 	DefaultEntry       = 0x050 // program entry point, clear of low-address fragments
 	DefaultConstBase   = 0xD00 // constant pool page
