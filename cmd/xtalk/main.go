@@ -409,11 +409,12 @@ func writeTraceFile(path string, tr *obs.Tracer, traceID string) error {
 }
 
 // printEngineStats summarizes how the engine resolved the campaign's defect
-// runs: sweep-cleared defects versus executions.
+// runs: sweep-cleared defects versus executions, and the instructions
+// resumed execution executed.
 func printEngineStats(eng sim.Engine, r *sim.Runner) {
 	st := r.Stats()
-	fmt.Printf("engine %s: %d swept clean in %d sweeps, %d divergence fallbacks, %d full executions\n",
-		eng, st.BatchScreened, st.BatchSweeps, st.Fallbacks, st.Executes)
+	fmt.Printf("engine %s: %d swept clean in %d sweeps, %d divergence fallbacks (%d steps executed), %d full executions\n",
+		eng, st.BatchScreened, st.BatchSweeps, st.Fallbacks, st.ExecutedSteps, st.Executes)
 	if st.DegradedExecutes > 0 {
 		fmt.Printf("engine %s: %d runs degraded to full execution (golden traffic errs; screening unsound)\n",
 			eng, st.DegradedExecutes)

@@ -633,6 +633,8 @@ func New(cfg Config) *Manager {
 		m.engineStat(func(s sim.EngineStats) int64 { return s.BatchScreened }))
 	reg.CounterFunc("xtalkd_engine_batch_sweeps_total", "session-trace sweeps performed by the batched screening pass",
 		m.engineStat(func(s sim.EngineStats) int64 { return s.BatchSweeps }))
+	reg.CounterFunc("xtalkd_engine_executed_steps_total", "instructions (script steps) resumed execution executed, after rejoining the golden run and skipping repeating hangs",
+		m.engineStat(func(s sim.EngineStats) int64 { return s.ExecutedSteps }))
 	m.simLatency = map[string]*obs.Histogram{
 		"replay": reg.Histogram("xtalkd_sim_defect_seconds", "per-defect simulation latency by engine tier",
 			nil, obs.Label{Key: "tier", Value: "replay"}),
@@ -702,6 +704,7 @@ func (m *Manager) engineStats() sim.EngineStats {
 		t.DegradedExecutes += s.DegradedExecutes
 		t.BatchScreened += s.BatchScreened
 		t.BatchSweeps += s.BatchSweeps
+		t.ExecutedSteps += s.ExecutedSteps
 	}
 	return t
 }

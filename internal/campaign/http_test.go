@@ -452,6 +452,11 @@ func TestHTTPHealthAndMetrics(t *testing.T) {
 		metricValue(t, text, "xtalkd_engine_fallbacks_total"); got != 60 {
 		t.Errorf("batch screened + fallbacks = %d, want 60:\n%s", got, text)
 	}
+	// Resumed defects execute instructions, and the count is exported.
+	if metricValue(t, text, "xtalkd_engine_fallbacks_total") > 0 &&
+		metricValue(t, text, "xtalkd_engine_executed_steps_total") <= 0 {
+		t.Errorf("defects resumed but no executed steps counted:\n%s", text)
+	}
 }
 
 // metricValue extracts one counter from the text exposition.

@@ -138,6 +138,32 @@ type TestProgram struct {
 	StepLimit int
 }
 
+// ResponseIndex maps each applied test's response cells to their positions
+// in ResponseCells, the order a run unloads responses in: out[a][k] is the
+// index of Applied[a].ResponseCells[k]. It fails when a test names a cell
+// the session never unloads, since no run result would carry that cell.
+func (p *TestProgram) ResponseIndex() ([][]int, error) {
+	pos := make(map[uint16]int, len(p.ResponseCells))
+	for i, c := range p.ResponseCells {
+		if _, dup := pos[c]; !dup {
+			pos[c] = i
+		}
+	}
+	out := make([][]int, len(p.Applied))
+	for a, t := range p.Applied {
+		out[a] = make([]int, len(t.ResponseCells))
+		for k, c := range t.ResponseCells {
+			i, ok := pos[c]
+			if !ok {
+				return nil, fmt.Errorf("core: session %d test %v names response cell %03x, which the session never unloads",
+					p.Session, t.MA.Fault, c)
+			}
+			out[a][k] = i
+		}
+	}
+	return out, nil
+}
+
 // Rejected records an MA test that could not be placed, and why.
 type Rejected struct {
 	MA     maf.Test

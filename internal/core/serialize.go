@@ -138,7 +138,8 @@ const (
 )
 
 // ReadPlan parses a plan previously produced by WritePlan. It refuses a
-// plan over MaxPlanPrograms programs or MaxPlanSteps steps.
+// plan over MaxPlanPrograms programs or MaxPlanSteps steps, and one whose
+// applied test names a response cell its program never unloads.
 func ReadPlan(r io.Reader) (*Plan, error) {
 	var in planJSON
 	if err := json.NewDecoder(r).Decode(&in); err != nil {
@@ -231,6 +232,9 @@ func ReadPlan(r io.Reader) (*Plan, error) {
 				MA: maf.TestFor(f), Bus: bus, Scheme: scheme,
 				Order: a.Order, ResponseCells: a.ResponseCells,
 			})
+		}
+		if _, err := prog.ResponseIndex(); err != nil {
+			return nil, err
 		}
 		p.Programs = append(p.Programs, prog)
 	}

@@ -98,6 +98,8 @@ func TestReadPlanRejectsGarbage(t *testing.T) {
 		`{"programs":[{"applied":[{"victim":0,"kind":"gp","dir":"fwd","width":8,"bus":"??","scheme":"data-fwd"}]}]}`,
 		`{"programs":[{"applied":[{"victim":0,"kind":"gp","dir":"fwd","width":8,"bus":"data","scheme":"??"}]}]}`,
 		`{"inapplicable":[{"victim":0,"kind":"??","dir":"fwd","width":8,"bus":"data"}]}`,
+		// A test's response cell that its program never unloads.
+		`{"programs":[{"response_cells":[1],"applied":[{"victim":0,"kind":"gp","dir":"fwd","width":8,"bus":"data","scheme":"data-fwd","response_cells":[2]}]}]}`,
 	}
 	for i, c := range cases {
 		if _, err := core.ReadPlan(strings.NewReader(c)); err == nil {

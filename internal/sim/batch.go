@@ -18,12 +18,14 @@ import (
 //
 // batchScreen instead makes ONE walk over each session's golden trace and
 // evaluates ALL defects per transition through crosstalk.Batch's
-// structure-of-arrays kernel, maintaining a bitset survivor mask: a defect's
-// bit is cleared at its first diverging transition, and the transaction
-// index is recorded so the execution tier can resume exactly there. Defects
-// whose bit survives every session's sweep are proved undetected (see
-// Engine) and their Outcome is emitted in O(1) without ever constructing a
-// Channel. Only the divergent (defect, session) pairs reach core.Resume.
+// structure-of-arrays kernel. It keeps every transaction's event mask, so
+// for any (defect, session) the transactions on which the defect fires are
+// one bit test each, and records each defect's first diverging transaction
+// per session. Defects that fire on no transaction of any session are
+// proved undetected (see Engine) and their Outcome is emitted in O(1)
+// without ever constructing a Channel. Only the divergent (defect, session)
+// pairs reach the core, which executes around the fire points and follows
+// the golden run in between (target.Core.ResumeFiring).
 
 // batchPlan is the screening pass's verdict over one (bus, library) pair.
 type batchPlan struct {
@@ -32,6 +34,29 @@ type batchPlan struct {
 	// session s's first diverging transaction, or -1 when session s's trace
 	// replayed cleanly for this defect (divergence is per (defect, session)).
 	first [][]int32
+	// masks[s][t] is the event mask of session s's golden transaction t:
+	// bit d is set iff defect d fires there. The entries share the
+	// per-transition memo's slices.
+	masks [][][]uint64
+}
+
+// firing returns defect d's fire-point lookup in session s, as
+// ResumeFiring takes it: the first transaction at or after t on which d
+// fires, or the trace length. Nothing fires before the first divergence.
+func (p *batchPlan) firing(d, s int) func(t int) int {
+	masks, first := p.masks[s], int(p.first[d][s])
+	w, bit := d>>6, uint64(1)<<uint(d&63)
+	return func(t int) int {
+		if t <= first {
+			return first
+		}
+		for ; t < len(masks); t++ {
+			if masks[t][w]&bit != 0 {
+				return t
+			}
+		}
+		return len(masks)
+	}
 }
 
 // transKey identifies one bus transition for the cross-session event-mask
@@ -43,25 +68,23 @@ type transKey struct {
 	dir        maf.Direction
 }
 
-// batchScreen sweeps every session's golden trace once, classifying each
-// defect as clean (first[d] == nil) or divergent with per-session
-// first-divergence indexes. One sweep per session is counted in BatchSweeps
-// regardless of how many defects are screened — the point of inverting the
-// loop.
+// batchScreen sweeps every session's golden trace once, keeping each
+// transaction's event mask and classifying each defect as clean (first[d]
+// == nil) or divergent with per-session first-divergence indexes. One sweep
+// per session is counted in BatchSweeps regardless of how many defects are
+// screened — the point of inverting the loop.
 func (r *Runner) batchScreen(ctx context.Context, bus core.BusID, params []*crosstalk.Params) (*batchPlan, error) {
 	b, err := crosstalk.NewBatch(params, r.models[bus].Thresholds)
 	if err != nil {
 		return nil, err
 	}
-	n := b.Len()
 	words := b.MaskWords()
-	plan := &batchPlan{first: make([][]int32, n)}
 	sessions := len(r.plan.Programs)
+	plan := &batchPlan{first: make([][]int32, b.Len()), masks: make([][][]uint64, sessions)}
 
 	// Event masks are memoized per distinct transition and shared across
-	// sessions: a clean defect never leaves any survivor mask, so without
-	// the memo its transitions would be re-evaluated session after session,
-	// forfeiting the batching win to redundant kernel runs.
+	// sessions, so the kernel runs once per distinct transition however
+	// often the traces revisit it.
 	memo := make(map[transKey][]uint64)
 	live := make([]uint64, words)
 	for s := 0; s < sessions; s++ {
@@ -69,14 +92,13 @@ func (r *Runner) batchScreen(ctx context.Context, bus core.BusID, params []*cros
 			return nil, err
 		}
 		// Divergence is per (defect, session): every session's sweep starts
-		// with the full library live again.
-		for w := 0; w < words; w++ {
+		// with the full library live again. (Masks have no bit past n.)
+		for w := range live {
 			live[w] = ^uint64(0)
 		}
-		if tail := n & 63; tail != 0 {
-			live[words-1] = (1 << uint(tail)) - 1
-		}
-		for t, step := range r.traces[s][bus] {
+		trace := r.traces[s][bus]
+		plan.masks[s] = make([][]uint64, len(trace))
+		for t, step := range trace {
 			key := transKey{prev: step.Prev, next: step.Next, dir: step.Dir}
 			mask, ok := memo[key]
 			if !ok {
@@ -84,32 +106,21 @@ func (r *Runner) batchScreen(ctx context.Context, bus core.BusID, params []*cros
 				b.EventMask(step.Prev, step.Next, step.Dir, mask)
 				memo[key] = mask
 			}
-			empty := true
+			plan.masks[s][t] = mask
 			for w := 0; w < words; w++ {
 				diverged := live[w] & mask[w]
-				if diverged != 0 {
-					live[w] &^= diverged
-					for diverged != 0 {
-						d := w<<6 | bits.TrailingZeros64(diverged)
-						if plan.first[d] == nil {
-							f := make([]int32, sessions)
-							for i := range f {
-								f[i] = -1
-							}
-							plan.first[d] = f
+				live[w] &^= diverged
+				for ; diverged != 0; diverged &= diverged - 1 {
+					d := w<<6 | bits.TrailingZeros64(diverged)
+					if plan.first[d] == nil {
+						f := make([]int32, sessions)
+						for i := range f {
+							f[i] = -1
 						}
-						plan.first[d][s] = int32(t)
-						diverged &= diverged - 1
+						plan.first[d] = f
 					}
+					plan.first[d][s] = int32(t)
 				}
-				if live[w] != 0 {
-					empty = false
-				}
-			}
-			if empty {
-				// Every defect has already diverged in this session; the
-				// rest of the trace cannot change any verdict.
-				break
 			}
 		}
 		r.batchSweeps.Add(1)
@@ -117,12 +128,13 @@ func (r *Runner) batchScreen(ctx context.Context, bus core.BusID, params []*cros
 	return plan, nil
 }
 
-// runDefectBatched resolves one defect from a batch screening plan. Clean
+// runDefectBatched resolves defect i of a batch screening plan. Clean
 // defects (first == nil) are settled without building a channel: the sweep
 // already proved every session's trace transfers unchanged, so the run is
-// bit-identical to golden. Divergent defects resume execution from the
-// recorded first-divergence transaction of each diverging session.
-func (r *Runner) runDefectBatched(bus core.BusID, defective *crosstalk.Params, first []int32) (Outcome, error) {
+// bit-identical to golden. Divergent defects run each diverging session
+// differentially, with the sweep's masks as the fire-point lookup.
+func (r *Runner) runDefectBatched(bus core.BusID, defective *crosstalk.Params, bplan *batchPlan, i int) (Outcome, error) {
+	first := bplan.first[i]
 	if first == nil {
 		r.batchScreened.Add(1)
 		out := Outcome{Bus: bus, Replayed: true}
@@ -136,17 +148,16 @@ func (r *Runner) runDefectBatched(bus core.BusID, defective *crosstalk.Params, f
 		return Outcome{}, err
 	}
 	out := Outcome{Bus: bus}
-	seen := make(map[maf.Fault]bool)
-	for i, prog := range r.plan.Programs {
-		k := first[i]
-		if k < 0 {
+	for s, prog := range r.plan.Programs {
+		if first[s] < 0 {
 			continue // this session's trace replayed cleanly for this defect
 		}
-		res, err := r.core.Resume(i, bus, defCh, int(k))
+		res, err := r.core.ResumeFiring(s, bus, defCh, bplan.firing(i, s))
 		if err != nil {
 			return Outcome{}, err
 		}
-		r.judge(&out, i, prog, res, seen)
+		r.executedSteps.Add(int64(res.Executed))
+		r.judge(&out, s, prog, res)
 	}
 	r.fallbacks.Add(1)
 	out.normalize()

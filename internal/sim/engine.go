@@ -28,8 +28,8 @@ const (
 	// session's golden trace evaluates every defect per transition
 	// (structure-of-arrays over the perturbed coupling matrices, bitset
 	// survivor mask), clearing the clean defects in a single pass and handing
-	// only the divergent (defect, session) pairs — with their recorded
-	// first-divergence indexes — to the snapshot-resume execution tier. A
+	// only the divergent (defect, session) pairs — with the sweep's
+	// per-transaction event masks — to the differential execution tier. A
 	// single-defect run is a batch of one. Campaigns are byte-identical to
 	// Execute.
 	Batch Engine = iota
@@ -101,6 +101,11 @@ type EngineStats struct {
 	// (one per (session, screened library) pair, regardless of library size —
 	// the point of inverting the loop).
 	BatchSweeps int64 `json:"batch_sweeps,omitempty"`
+	// ExecutedSteps counts the instructions (script steps, on a scripted
+	// target) that resumed execution actually executed: the work left after
+	// starting at the first divergence, following the golden run between
+	// fire points and skipping the periods of repeating hangs.
+	ExecutedSteps int64 `json:"executed_steps,omitempty"`
 	// MemoHits and MemoMisses count channel-transmit memo lookups
 	// (crosstalk.Channel.EnableMemo). Production runs memoize no channel,
 	// so a Runner leaves both zero.
@@ -116,6 +121,7 @@ func (r *Runner) Stats() EngineStats {
 		DegradedExecutes: r.degradedExecutes.Load(),
 		BatchScreened:    r.batchScreened.Load(),
 		BatchSweeps:      r.batchSweeps.Load(),
+		ExecutedSteps:    r.executedSteps.Load(),
 	}
 }
 
@@ -172,5 +178,5 @@ func (r *Runner) runDefect(bus core.BusID, defective *crosstalk.Params, eng Engi
 		r.degradedExecutes.Add(1)
 		return r.runDefectExecute(bus, defective)
 	}
-	return r.runDefectBatched(bus, defective, bplan.first[i])
+	return r.runDefectBatched(bus, defective, bplan, i)
 }

@@ -14,8 +14,9 @@
 // by default, or any other backend) and owns only the engine logic (see
 // Engine): golden transaction traces captured at construction let a batched
 // sweep settle every clean (defect, session) pair by channel arithmetic
-// alone, with full execution — resumed from the golden snapshot at the first
-// diverging transaction — only where the defect actually fires.
+// alone, with execution — resumed from the golden snapshot at the first
+// diverging transaction, following the golden run between the transactions
+// on which the defect fires — only where the defect actually fires.
 package sim
 
 import (
@@ -62,6 +63,9 @@ type Runner struct {
 
 	golden       []RunResult // per session program
 	goldenCycles uint64
+	// respIdx[s][a] indexes applied test a's response cells of session s
+	// in RunResult.Responses.
+	respIdx [][][]int
 
 	// traces[s][ch] is session s's golden transition sequence on channel ch.
 	traces   [][][]target.BusStep
@@ -72,6 +76,7 @@ type Runner struct {
 	degradedExecutes atomic.Int64
 	batchScreened    atomic.Int64
 	batchSweeps      atomic.Int64
+	executedSteps    atomic.Int64
 }
 
 // NewRunner builds a Parwan-backend runner from this package's historical
@@ -85,7 +90,8 @@ func NewRunner(plan *core.Plan, addr, data BusSetup) (*Runner, error) {
 // transaction traces for the screening sweep. models is indexed by channel ID,
 // as returned by the target's BusModels. It fails if any golden run does not
 // halt cleanly — a plan whose programs misbehave on a good chip is a
-// generation bug, not a test result.
+// generation bug, not a test result — or if a test names a response cell its
+// session never unloads.
 func NewTargetRunner(tgt target.Target, plan *core.Plan, models []target.BusModel) (*Runner, error) {
 	c, err := tgt.NewCore(plan, models)
 	if err != nil {
@@ -93,6 +99,11 @@ func NewTargetRunner(tgt target.Target, plan *core.Plan, models []target.BusMode
 	}
 	r := &Runner{tgt: tgt, models: models, core: c, plan: plan, replayOK: true}
 	for s, prog := range plan.Programs {
+		idx, err := prog.ResponseIndex()
+		if err != nil {
+			return nil, err
+		}
+		r.respIdx = append(r.respIdx, idx)
 		res, steps, err := c.Golden(s)
 		if err != nil {
 			return nil, err
@@ -158,9 +169,10 @@ type Outcome struct {
 }
 
 // normalize puts DetectedBy into the canonical byte-stable form: sorted by
-// maf.Compare and deduplicated. judge already never attributes a fault twice
-// (the seen map), so the dedup pass is a cheap invariant guard for outcomes
-// assembled elsewhere (e.g. decoded from a fleet shard response).
+// maf.Compare and deduplicated. judge appends a fault once per mismatching
+// session, so a fault applied in several sessions is deduplicated here, as
+// are outcomes assembled elsewhere (e.g. decoded from a fleet shard
+// response).
 func (o *Outcome) normalize() {
 	maf.SortFaults(o.DetectedBy)
 	w := 0
@@ -185,43 +197,35 @@ func (r *Runner) RunDefect(bus core.BusID, defective *crosstalk.Params) (Outcome
 // complete execution of every session program on freshly built systems.
 func (r *Runner) runDefectExecute(bus core.BusID, defective *crosstalk.Params) (Outcome, error) {
 	out := Outcome{Bus: bus}
-	seen := make(map[maf.Fault]bool)
 	for i, prog := range r.plan.Programs {
 		res, err := r.core.Run(i, bus, defective)
 		if err != nil {
 			return Outcome{}, err
 		}
-		r.judge(&out, i, prog, res, seen)
+		r.judge(&out, i, prog, res)
 	}
 	out.normalize()
 	return out, nil
 }
 
 // judge folds one session run into a defect outcome: activation counting,
-// crash/hang detection, and response-cell comparison against golden with
-// per-test attribution. It is the single verdict path shared by the Execute
-// tier and the Batch engine's resumed execution, which is what keeps the two
-// engines byte-identical.
-func (r *Runner) judge(out *Outcome, session int, prog *core.TestProgram, res RunResult, seen map[maf.Fault]bool) {
+// crash/hang detection, and response comparison against golden, by index,
+// with per-test attribution. It is the single verdict path shared by the
+// Execute tier and the Batch engine's resumed execution, which is what keeps
+// the two engines byte-identical.
+func (r *Runner) judge(out *Outcome, session int, prog *core.TestProgram, res RunResult) {
 	out.Activations += res.Events
 	if !res.Halted || res.ExecErr != nil {
 		out.Detected = true
 		out.Crashed = true
 	}
-	golden := r.golden[session]
-	for _, a := range prog.Applied {
-		mismatch := false
-		for _, cell := range a.ResponseCells {
-			if res.Responses[cell] != golden.Responses[cell] {
-				mismatch = true
+	golden := r.golden[session].Responses
+	for a, idx := range r.respIdx[session] {
+		for _, i := range idx {
+			if res.Responses[i] != golden[i] {
+				out.Detected = true
+				out.DetectedBy = append(out.DetectedBy, prog.Applied[a].MA.Fault)
 				break
-			}
-		}
-		if mismatch {
-			out.Detected = true
-			if !seen[a.MA.Fault] {
-				seen[a.MA.Fault] = true
-				out.DetectedBy = append(out.DetectedBy, a.MA.Fault)
 			}
 		}
 	}

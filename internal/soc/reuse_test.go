@@ -1,6 +1,7 @@
 package soc
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/crosstalk"
@@ -200,5 +201,52 @@ func TestSetHeld(t *testing.T) {
 	if tr[0].AddrPrev != 0x123 || tr[0].DataPrev != 0xAB || tr[0].CtrlPrev != CtrlWrite {
 		t.Errorf("first transaction prev = (%03x, %02x, %02b), want (123, ab, %02b)",
 			tr[0].AddrPrev, tr[0].DataPrev, tr[0].CtrlPrev, CtrlWrite)
+	}
+	last := tr[len(tr)-1]
+	if a, d, c := s.Held(); a != last.Addr || d != last.Data || c != last.Ctrl {
+		t.Errorf("Held() = (%03x, %02x, %02b), want the last transaction's (%03x, %02x, %02b)",
+			a, d, c, last.Addr, last.Data, last.Ctrl)
+	}
+}
+
+// TestStoreLog: while the store log is on, every bus store to RAM is logged
+// with the value it overwrote, and Poke is not; TakeStores empties the log,
+// and switching the log off stops it.
+func TestStoreLog(t *testing.T) {
+	s := NewIdeal()
+	s.LoadImage(assemble(t, `
+		lda 1:00
+		sta 2:00
+		sta 2:01
+		lda 1:01
+		sta 2:00
+	halt:	jmp halt
+		.org 1:00
+		.byte 0x11, 0x22
+		.org 2:00
+		.byte 0x33, 0x44
+	`))
+	s.LogStores(true)
+	s.Poke(0x210, 0x55)
+	if _, err := s.Run(2); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.TakeStores(); len(got) != 1 || got[0] != (Store{Addr: 0x200, Old: 0x33}) {
+		t.Fatalf("after lda, sta: stores %v, want [{200 33}]", got)
+	}
+	if _, err := s.Run(3); err != nil {
+		t.Fatal(err)
+	}
+	want := []Store{{Addr: 0x201, Old: 0x44}, {Addr: 0x200, Old: 0x11}}
+	if got := s.TakeStores(); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("stores %v, want %v", got, want)
+	}
+	s.LogStores(false)
+	s.Reset()
+	if _, err := s.Run(10); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.TakeStores(); len(got) != 0 {
+		t.Errorf("log off, still logged %v", got)
 	}
 }

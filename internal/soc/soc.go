@@ -117,6 +117,16 @@ type System struct {
 	trace      []Transaction
 	tracing    bool
 	errorCount int
+
+	logStores bool
+	stores    []Store
+}
+
+// Store is one RAM store the store log recorded: the cell written and the
+// value the store overwrote.
+type Store struct {
+	Addr uint16
+	Old  uint8
 }
 
 // checkChannels validates the bus widths of a channel set (nil = ideal bus).
@@ -236,6 +246,29 @@ func (s *System) SetHeld(addr uint16, data uint8, ctrl uint8) {
 	s.prevCtrl = logic.NewWord(uint64(ctrl), CtrlBits)
 }
 
+// Held returns the values the busses currently hold between transactions,
+// the inverse of SetHeld.
+func (s *System) Held() (addr uint16, data uint8, ctrl uint8) {
+	return uint16(s.prevAddr.Uint64()), uint8(s.prevData.Uint64()), uint8(s.prevCtrl.Uint64())
+}
+
+// LogStores switches the RAM store log on or off and empties it. While it
+// is on, every store the busses deliver to RAM (not Poke) is logged with the
+// value it overwrote, which lets a resumed run track the cells it changed
+// without comparing all of memory.
+func (s *System) LogStores(on bool) {
+	s.logStores = on
+	s.stores = s.stores[:0]
+}
+
+// TakeStores returns the stores logged since the last call and empties the
+// log. The slice is reused: it is valid until the next store.
+func (s *System) TakeStores() []Store {
+	out := s.stores
+	s.stores = s.stores[:0]
+	return out
+}
+
 // Seq returns the number of bus transactions performed since construction
 // or the last Reset.
 func (s *System) Seq() int { return s.seq }
@@ -309,7 +342,7 @@ func (s *System) Read(addr logic.Word) logic.Word {
 	case ctrlRecv&CtrlWrite != 0:
 		// Spurious write: the memory stores what the (undriven) data bus
 		// holds; the CPU latches the same held value.
-		dev.Write(off, held)
+		s.store(dev, off, held)
 		data, dataRecv = held, held
 	case ctrlRecv&CtrlRead != 0:
 		data = dev.Read(off)
@@ -342,7 +375,7 @@ func (s *System) Write(addr, data logic.Word) {
 	dataRecv, dataEvents := s.transmitData(data, maf.Reverse)
 	dev, off := s.device(addrRecv)
 	if ctrlRecv&CtrlWrite != 0 {
-		dev.Write(off, dataRecv)
+		s.store(dev, off, dataRecv)
 	}
 	if s.tracing {
 		s.record(Transaction{
@@ -354,6 +387,15 @@ func (s *System) Write(addr, data logic.Word) {
 		})
 	}
 	s.seq++
+}
+
+// store delivers a bus store to a device, logging it when it lands in RAM
+// and the store log is on.
+func (s *System) store(dev memory.Device, off uint16, v uint8) {
+	if s.logStores && dev == s.RAM {
+		s.stores = append(s.stores, Store{Addr: off, Old: s.RAM.Read(off)})
+	}
+	dev.Write(off, v)
 }
 
 func (s *System) record(tr Transaction) {

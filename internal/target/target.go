@@ -108,37 +108,73 @@ type BusStep struct {
 
 // RunResult is one session program execution's observable outcome.
 type RunResult struct {
-	Responses map[uint16]uint8 // response-cell contents after the run
-	Halted    bool             // reached the clean end of the program
-	ExecErr   error            // illegal opcode (possible under corruption)
+	// Responses holds the response cells' contents after the run, in the
+	// session's ResponseCells order.
+	Responses []uint8
+	Halted    bool  // reached the clean end of the program
+	ExecErr   error // illegal opcode (possible under corruption)
 	Steps     int
 	Cycles    uint64
 	// Events counts crosstalk error events on any channel during the run —
 	// how many times a defect was activated.
 	Events int
+	// Executed counts the instructions (script steps, on a scripted target)
+	// this call actually executed. A resumed run executes fewer than Steps:
+	// it starts from a snapshot, jumps over stretches that replay the golden
+	// run, and skips whole periods of a repeating hang.
+	Executed int
 }
 
 // Core abstracts the execution machinery of one plan on one target: the
 // golden (defect-free) reference runs with trace capture, full defective
-// re-execution, and snapshot-resumed execution from a divergence point. A
-// Core is built per plan, is read-only after its golden runs, and must be
-// safe for concurrent Run/Resume calls.
+// re-execution, and differential execution that follows the golden run
+// between the transactions on which a defect fires. A Core is built per
+// plan, is read-only after its golden runs, and must be safe for concurrent
+// Run/ResumeFiring/Resume calls.
 type Core interface {
 	// Golden executes session s on the nominal channels with tracing,
 	// returning the result and the per-channel transition sequences (indexed
-	// by channel ID). It records whatever internal state Resume later needs.
-	// Called once per session, in order, before any defective run.
+	// by channel ID). It records whatever internal state resumed runs later
+	// need. Called once per session, in order, before any defective run.
 	Golden(s int) (RunResult, [][]BusStep, error)
 	// Run executes session s in full with channel ch's parameters replaced
 	// by the defective set and every other channel nominal — the paper's
 	// Fig. 9 reference flow.
 	Run(s int, ch core.BusID, defective *crosstalk.Params) (RunResult, error)
-	// Resume re-executes session s with channel ch routed through defCh,
-	// starting from recorded golden state at (or before) transaction
-	// divergeTx. The caller guarantees every transaction before divergeTx
-	// transfers cleanly through defCh, so Resume must produce exactly the
-	// RunResult a full Run would.
+	// ResumeFiring re-executes session s with channel ch routed through
+	// defCh. next(t) must return the first golden transaction at or after t
+	// of session s on which defCh fires (reports an error event), or the
+	// trace length when there is none; next(0) is the first divergence. A
+	// lookup may answer early — with a transaction on which defCh does not
+	// fire — but never late. Given the golden traffic is event-free,
+	// ResumeFiring returns exactly the RunResult Run returns, apart from
+	// Executed.
+	ResumeFiring(s int, ch core.BusID, defCh *crosstalk.Channel, next func(t int) int) (RunResult, error)
+	// Resume is ResumeFiring with the lookup derived by transmitting the
+	// session's golden steps through defCh from divergeTx on. The caller
+	// guarantees every transaction before divergeTx transfers cleanly
+	// through defCh. It serves callers that know only the first divergence.
 	Resume(s int, ch core.BusID, defCh *crosstalk.Channel, divergeTx int) (RunResult, error)
+}
+
+// scanFiring is the fire-point lookup Resume passes to ResumeFiring: it
+// transmits golden steps through defCh, starting at divergeTx, and keeps its
+// last answer so that queries inside an already scanned stretch cost
+// nothing.
+func scanFiring(steps []BusStep, defCh *crosstalk.Channel, divergeTx int) func(t int) int {
+	// steps[from:fire] transfer cleanly; fire fires or is len(steps).
+	from, fire := 0, min(divergeTx, len(steps))
+	return func(t int) int {
+		if t >= from && t <= fire {
+			return fire
+		}
+		for from, fire = t, t; fire < len(steps); fire++ {
+			if st := steps[fire]; !defCh.Clean(st.Prev, st.Next, st.Dir) {
+				break
+			}
+		}
+		return fire
+	}
 }
 
 // Target is one pluggable system under test.

@@ -320,3 +320,34 @@ func TestWideBusGenerateMaxSessions(t *testing.T) {
 		t.Fatalf("oversubscribed MaxSessions: %d sessions for 4 tests", len(small.Programs))
 	}
 }
+
+// TestGeneratedPlansPassReadPlan: every plan the shipped targets generate
+// names, in each applied test, only response cells its program unloads, so
+// it survives core.ReadPlan, which refuses any other plan.
+func TestGeneratedPlansPassReadPlan(t *testing.T) {
+	even := func(f maf.Fault) bool { return f.Victim%2 == 0 }
+	for _, name := range []string{"parwan", "widebus2", "widebus8", "widebus33", "widebus64"} {
+		tgt, err := Parse(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs := []GenSpec{{}, {Compaction: true}, {MaxSessions: 1}, {MaxSessions: 3}, {Filter: even},
+			{Compaction: true, MaxSessions: 2, Filter: even}}
+		for _, ch := range tgt.Topology().Names() {
+			specs = append(specs, GenSpec{OnlyChannel: ch})
+		}
+		for i, spec := range specs {
+			plan, err := tgt.Generate(spec)
+			if err != nil {
+				t.Fatalf("%s spec %d: %v", name, i, err)
+			}
+			var buf bytes.Buffer
+			if err := core.WritePlan(&buf, plan); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := core.ReadPlan(&buf); err != nil {
+				t.Errorf("%s spec %d: generated plan refused: %v", name, i, err)
+			}
+		}
+	}
+}

@@ -144,12 +144,15 @@ func (t wideBusTarget) NewCore(plan *core.Plan, models []BusModel) (Core, error)
 				t.Name(), prog.Session, prog.ScriptWidth, t.width)
 		}
 	}
+	n := len(plan.Programs)
 	return &wideBusCore{
 		width:  t.width,
 		stride: t.stride(),
 		model:  models[0],
 		plan:   plan,
-		golden: make([][]logic.Word, len(plan.Programs)),
+		golden: make([]RunResult, n),
+		steps:  make([][]BusStep, n),
+		cells:  make([][][]int32, n),
 	}, nil
 }
 
@@ -164,49 +167,53 @@ type wideBusCore struct {
 	model  BusModel
 	plan   *core.Plan
 
-	// golden[s] is session s's received word per step, recorded by Golden.
-	golden [][]logic.Word
+	// Per session, recorded by Golden: the golden result and transitions,
+	// and cells[s][t], the indexes into ResponseCells of the cells step t's
+	// word fills.
+	golden []RunResult
+	steps  [][]BusStep
+	cells  [][][]int32
 }
 
-// drive transmits script steps [from, len) through ch, with prev the word
-// held on the bus entering step from, storing each received word via emit.
-// Returns the total crosstalk error events.
-func (c *wideBusCore) drive(prog *core.TestProgram, ch *crosstalk.Channel, from int, emit func(step int, recv logic.Word)) int {
-	prev := logic.NewWord(0, c.width)
-	if from > 0 {
-		prev = logic.NewWord(prog.Script[from-1], c.width)
+// unload renders the received words into the response cells, in
+// ResponseCells order: cell step*stride+b holds byte b (least significant
+// first) of step's word, and a cell past the script reads zero.
+func (c *wideBusCore) unload(prog *core.TestProgram, recvs []uint64) []uint8 {
+	out := make([]uint8, len(prog.ResponseCells))
+	for i, cell := range prog.ResponseCells {
+		if step := int(cell) / c.stride; step < len(recvs) {
+			out[i] = uint8(recvs[step] >> (8 * (int(cell) % c.stride)))
+		}
 	}
-	events := 0
-	for s := from; s < len(prog.Script); s++ {
-		next := logic.NewWord(prog.Script[s], c.width)
-		recv, evs := ch.Transmit(prev, next, maf.Forward)
-		events += len(evs)
-		emit(s, recv)
-		prev = next
-	}
-	return events
+	return out
 }
 
-// fill writes one step's received word into its response cells, least
-// significant byte first.
-func (c *wideBusCore) fill(res map[uint16]uint8, step int, recv logic.Word) {
-	v := recv.Uint64()
-	for b := 0; b < c.stride; b++ {
-		res[uint16(step*c.stride+b)] = uint8(v >> (8 * b))
-	}
-}
-
-// result wraps the response map in the fixed scripted-run frame: a scripted
+// result wraps the responses in the fixed scripted-run frame: a scripted
 // initiator cannot crash or hang, so every run halts after exactly the
 // script's steps.
-func (c *wideBusCore) result(prog *core.TestProgram, res map[uint16]uint8, events int) RunResult {
+func (c *wideBusCore) result(prog *core.TestProgram, res []uint8, events, executed int) RunResult {
 	return RunResult{
 		Responses: res,
 		Halted:    true,
 		Steps:     len(prog.Script),
 		Cycles:    uint64(len(prog.Script)),
 		Events:    events,
+		Executed:  executed,
 	}
+}
+
+// run drives the whole script through ch.
+func (c *wideBusCore) run(prog *core.TestProgram, ch *crosstalk.Channel) RunResult {
+	recvs := make([]uint64, len(prog.Script))
+	prev, events := logic.NewWord(0, c.width), 0
+	for step, word := range prog.Script {
+		next := logic.NewWord(word, c.width)
+		recv, evs := ch.Transmit(prev, next, maf.Forward)
+		events += len(evs)
+		recvs[step] = recv.Uint64()
+		prev = next
+	}
+	return c.result(prog, c.unload(prog, recvs), events, len(prog.Script))
 }
 
 func (c *wideBusCore) Golden(s int) (RunResult, [][]BusStep, error) {
@@ -215,50 +222,62 @@ func (c *wideBusCore) Golden(s int) (RunResult, [][]BusStep, error) {
 	if err != nil {
 		return RunResult{}, nil, err
 	}
-	res := make(map[uint16]uint8, len(prog.ResponseCells))
-	recvs := make([]logic.Word, 0, len(prog.Script))
-	steps := make([]BusStep, 0, len(prog.Script))
-	prev := logic.NewWord(0, c.width)
-	events := c.drive(prog, ch, 0, func(step int, recv logic.Word) {
-		next := logic.NewWord(prog.Script[step], c.width)
-		steps = append(steps, BusStep{Prev: prev, Next: next, Dir: maf.Forward})
-		prev = next
-		recvs = append(recvs, recv)
-		c.fill(res, step, recv)
-	})
-	c.golden[s] = recvs
-	return c.result(prog, res, events), [][]BusStep{steps}, nil
+	steps := make([]BusStep, len(prog.Script))
+	for step, word := range prog.Script {
+		steps[step] = BusStep{Prev: logic.NewWord(0, c.width), Next: logic.NewWord(word, c.width), Dir: maf.Forward}
+		if step > 0 {
+			steps[step].Prev = steps[step-1].Next
+		}
+	}
+	cells := make([][]int32, len(prog.Script))
+	for i, cell := range prog.ResponseCells {
+		if step := int(cell) / c.stride; step < len(prog.Script) {
+			cells[step] = append(cells[step], int32(i))
+		}
+	}
+	res := c.run(prog, ch)
+	c.golden[s], c.steps[s], c.cells[s] = res, steps, cells
+	return res, [][]BusStep{steps}, nil
 }
 
 func (c *wideBusCore) Run(s int, chID core.BusID, defective *crosstalk.Params) (RunResult, error) {
 	if chID != 0 {
 		return RunResult{}, fmt.Errorf("target: %s has no channel %d", c.plan.TargetName(), chID)
 	}
-	prog := c.plan.Programs[s]
 	ch, err := crosstalk.NewChannel(defective, c.model.Thresholds)
 	if err != nil {
 		return RunResult{}, err
 	}
-	res := make(map[uint16]uint8, len(prog.ResponseCells))
-	events := c.drive(prog, ch, 0, func(step int, recv logic.Word) {
-		c.fill(res, step, recv)
-	})
-	return c.result(prog, res, events), nil
+	return c.run(c.plan.Programs[s], ch), nil
 }
 
+// ResumeFiring copies the golden responses and transmits through defCh only
+// the steps next returns: every other step transfers cleanly, so it latches
+// the golden word.
+func (c *wideBusCore) ResumeFiring(s int, chID core.BusID, defCh *crosstalk.Channel, next func(t int) int) (RunResult, error) {
+	if chID != 0 {
+		return RunResult{}, fmt.Errorf("target: %s has no channel %d", c.plan.TargetName(), chID)
+	}
+	prog, steps, cells := c.plan.Programs[s], c.steps[s], c.cells[s]
+	res := append([]uint8(nil), c.golden[s].Responses...)
+	events, executed := 0, 0
+	for t := next(0); t < len(steps); t = next(t + 1) {
+		recv, evs := defCh.Transmit(steps[t].Prev, steps[t].Next, steps[t].Dir)
+		events += len(evs)
+		executed++
+		v := recv.Uint64()
+		for _, i := range cells[t] {
+			res[i] = uint8(v >> (8 * (int(prog.ResponseCells[i]) % c.stride)))
+		}
+	}
+	return c.result(prog, res, events, executed), nil
+}
+
+// Resume derives the fire-point lookup by transmitting the golden steps
+// through defCh from divergeTx on.
 func (c *wideBusCore) Resume(s int, chID core.BusID, defCh *crosstalk.Channel, divergeTx int) (RunResult, error) {
 	if chID != 0 {
 		return RunResult{}, fmt.Errorf("target: %s has no channel %d", c.plan.TargetName(), chID)
 	}
-	prog := c.plan.Programs[s]
-	res := make(map[uint16]uint8, len(prog.ResponseCells))
-	// Steps before the divergence transferred cleanly (the replay proved it),
-	// so their received words are the golden ones.
-	for step := 0; step < divergeTx && step < len(c.golden[s]); step++ {
-		c.fill(res, step, c.golden[s][step])
-	}
-	events := c.drive(prog, defCh, divergeTx, func(step int, recv logic.Word) {
-		c.fill(res, step, recv)
-	})
-	return c.result(prog, res, events), nil
+	return c.ResumeFiring(s, chID, defCh, scanFiring(c.steps[s], defCh, divergeTx))
 }
