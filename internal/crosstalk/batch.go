@@ -3,6 +3,7 @@ package crosstalk
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 
 	"repro/internal/logic"
 	"repro/internal/maf"
@@ -31,8 +32,9 @@ import (
 // with exactly the verdict a per-defect Channel walk would reach
 // (TestBatchMatchesChannelTransmit pins the equivalence).
 //
-// A Batch carries a scratch accumulator, so it must be confined to one
-// goroutine at a time, like a memoized Channel.
+// A Batch is safe for concurrent use: it is immutable once built, and each
+// EventMask call draws its per-set accumulator from a pool the batch owns, so
+// several goroutines may evaluate transitions of one batch at once.
 type Batch struct {
 	width int
 	n     int
@@ -40,7 +42,9 @@ type Batch struct {
 
 	victims []batchVictim // indexed by victim wire
 
-	acc []float64 // per-set accumulator reused across EventMask calls
+	// scratch pools EventMask's accumulators (*[]float64, as long as the
+	// longest victim list), one per concurrent call.
+	scratch sync.Pool
 }
 
 // batchVictim holds the sets at risk on one victim wire i. sets lists their
@@ -104,7 +108,10 @@ func NewBatch(params []*Params, th Thresholds) (*Batch, error) {
 	for _, v := range b.victims {
 		most = max(most, len(v.sets))
 	}
-	b.acc = make([]float64, most)
+	b.scratch.New = func() any {
+		acc := make([]float64, most)
+		return &acc
+	}
 	return b, nil
 }
 
@@ -123,7 +130,7 @@ func (b *Batch) MaskWords() int { return (b.n + 63) / 64 }
 // outcome: bit d is set iff set d's channel would produce at least one error
 // event — exactly when Channel.Transmit on set d would report a non-empty
 // event list, which is exactly when a replayed trace diverges at this
-// transition.
+// transition. It is safe to call concurrently.
 func (b *Batch) EventMask(prev, next logic.Word, dir maf.Direction, mask []uint64) {
 	if prev.Width() != b.width || next.Width() != b.width {
 		panic(fmt.Sprintf("crosstalk: word width %d/%d does not match %d-wire batch",
@@ -142,12 +149,14 @@ func (b *Batch) EventMask(prev, next logic.Word, dir maf.Direction, mask []uint6
 		// set by construction (as in Channel.transmit).
 		return
 	}
+	scratch := b.scratch.Get().(*[]float64)
+	defer b.scratch.Put(scratch)
 	for i := range b.victims {
 		v := &b.victims[i]
 		if len(v.sets) == 0 {
 			continue
 		}
-		acc := b.acc[:len(v.sets)]
+		acc := (*scratch)[:len(v.sets)]
 		bitI := uint64(1) << uint(i)
 		if edges&bitI != 0 {
 			// Switching victim: Miller-weighted Elmore delay per set, visiting

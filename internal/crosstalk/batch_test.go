@@ -3,6 +3,7 @@ package crosstalk
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/logic"
@@ -140,5 +141,61 @@ func TestBatchValidation(t *testing.T) {
 	}
 	if b.Len() != 3 || b.Width() != 8 || b.MaskWords() != 1 {
 		t.Errorf("batch shape: len=%d width=%d words=%d", b.Len(), b.Width(), b.MaskWords())
+	}
+}
+
+// TestBatchEventMaskConcurrent pins that one batch serves several goroutines
+// at once: four goroutines, each walking the same transitions from a
+// different offset, fill exactly the masks one goroutine fills. Run under
+// -race, it also shows the calls share no unsynchronised state.
+func TestBatchEventMaskConcurrent(t *testing.T) {
+	for _, width := range []int{12, 64} {
+		nominal := Nominal(width)
+		th, err := DeriveThresholds(nominal, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := NewBatch(perturbedSets(t, width, 150, int64(width)), th)
+		if err != nil {
+			t.Fatal(err)
+		}
+		type step struct {
+			prev, next logic.Word
+			dir        maf.Direction
+		}
+		rng := rand.New(rand.NewSource(int64(3 * width)))
+		steps := make([]step, 200)
+		for i := range steps {
+			steps[i] = step{logic.NewWord(rng.Uint64(), width), logic.NewWord(rng.Uint64(), width), maf.Direction(rng.Intn(2))}
+		}
+		want := make([][]uint64, len(steps))
+		for i, st := range steps {
+			want[i] = make([]uint64, b.MaskWords())
+			b.EventMask(st.prev, st.next, st.dir, want[i])
+		}
+		const goroutines = 4
+		got := make([][][]uint64, goroutines)
+		done := make(chan struct{})
+		for g := range got {
+			got[g] = make([][]uint64, len(steps))
+			go func(g int) {
+				defer func() { done <- struct{}{} }()
+				for k := range steps {
+					i := (k + g*len(steps)/goroutines) % len(steps)
+					got[g][i] = make([]uint64, b.MaskWords())
+					b.EventMask(steps[i].prev, steps[i].next, steps[i].dir, got[g][i])
+				}
+			}(g)
+		}
+		for range got {
+			<-done
+		}
+		for g := range got {
+			for i := range steps {
+				if !slices.Equal(got[g][i], want[i]) {
+					t.Fatalf("width %d: goroutine %d step %d mask %x, one goroutine gives %x", width, g, i, got[g][i], want[i])
+				}
+			}
+		}
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"repro/internal/crosstalk"
 )
@@ -59,6 +60,57 @@ type Library struct {
 	// not; Defects/TotalAttempts estimates the defect probability of the
 	// process.
 	TotalAttempts int
+
+	batchMu sync.Mutex
+	batch   *crosstalk.Batch    // see Batch; nil until first use
+	batchOf []*crosstalk.Params // the sets batch was built over, in order
+}
+
+// Batch returns a crosstalk.Batch over the defects' parameter sets, in
+// library order, judged against th. For the library's own Thresholds the
+// batch is built on first use and kept as long as the library, so every
+// campaign over one library screens with one batch (a Batch is safe for
+// concurrent use); it is rebuilt only if Defects has changed since. Other
+// thresholds get a fresh batch that is not kept.
+func (l *Library) Batch(th crosstalk.Thresholds) (*crosstalk.Batch, error) {
+	if th != l.Thresholds {
+		return crosstalk.NewBatch(l.params(), th)
+	}
+	l.batchMu.Lock()
+	defer l.batchMu.Unlock()
+	if l.batch != nil && l.builtOver() {
+		return l.batch, nil
+	}
+	params := l.params()
+	b, err := crosstalk.NewBatch(params, th)
+	if err != nil {
+		return nil, err
+	}
+	l.batch, l.batchOf = b, params
+	return b, nil
+}
+
+// params lists the defects' parameter sets in library order.
+func (l *Library) params() []*crosstalk.Params {
+	params := make([]*crosstalk.Params, len(l.Defects))
+	for i, d := range l.Defects {
+		params[i] = d.Params
+	}
+	return params
+}
+
+// builtOver reports whether the kept batch was built over exactly the
+// current defects' parameter sets.
+func (l *Library) builtOver() bool {
+	if len(l.batchOf) != len(l.Defects) {
+		return false
+	}
+	for i, d := range l.Defects {
+		if d.Params != l.batchOf[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // Config controls library generation.
@@ -104,6 +156,9 @@ func Generate(nominal *crosstalk.Params, th crosstalk.Thresholds, cfg Config) (*
 		Seed:       cfg.Seed,
 		Defects:    make([]Defect, 0, cfg.Size),
 	}
+	// Every draw is perturbed into one scratch set and only an accepted draw
+	// is cloned: most draws are rejected, and a set holds a W×W matrix.
+	draw := nominal.Clone()
 	for len(lib.Defects) < cfg.Size {
 		attempts := 0
 		for {
@@ -112,14 +167,14 @@ func Generate(nominal *crosstalk.Params, th crosstalk.Thresholds, cfg Config) (*
 			if attempts > maxAttemptsPerDefect {
 				return nil, errors.New("defects: perturbations never cross Cth; sigma too small or Cth too large")
 			}
-			p := Perturb(nominal, cfg.Sigma, rng)
-			over := OverThresholdWires(p, th.Cth)
+			perturbInto(draw, nominal, cfg.Sigma, rng)
+			over := OverThresholdWires(draw, th.Cth)
 			if len(over) == 0 {
 				continue
 			}
 			lib.Defects = append(lib.Defects, Defect{
 				ID:            len(lib.Defects),
-				Params:        p,
+				Params:        draw.Clone(),
 				OverThreshold: over,
 				Attempts:      attempts,
 			})
@@ -135,6 +190,13 @@ func Generate(nominal *crosstalk.Params, th crosstalk.Thresholds, cfg Config) (*
 // Symmetry is preserved by drawing one variation per unordered wire pair.
 func Perturb(nominal *crosstalk.Params, sigma float64, rng *rand.Rand) *crosstalk.Params {
 	p := nominal.Clone()
+	perturbInto(p, nominal, sigma, rng)
+	return p
+}
+
+// perturbInto overwrites p's off-diagonal couplings with one draw of
+// Perturb. p must be a clone of nominal: every other field is left as is.
+func perturbInto(p, nominal *crosstalk.Params, sigma float64, rng *rand.Rand) {
 	for i := 0; i < p.Width; i++ {
 		for j := i + 1; j < p.Width; j++ {
 			scale := 1 + rng.NormFloat64()*sigma
@@ -146,7 +208,6 @@ func Perturb(nominal *crosstalk.Params, sigma float64, rng *rand.Rand) *crosstal
 			p.Cc[j][i] = c
 		}
 	}
-	return p
 }
 
 // OverThresholdWires returns the wires of p whose net coupling capacitance

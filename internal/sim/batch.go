@@ -3,11 +3,12 @@ package sim
 import (
 	"context"
 	"math/bits"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/crosstalk"
-	"repro/internal/logic"
-	"repro/internal/maf"
+	"repro/internal/target"
 )
 
 // The batched screening pass is the production engine's first tier. Walking
@@ -16,16 +17,17 @@ import (
 // (step decoding, map lookups, channel dispatch) dominates over the verdict
 // arithmetic.
 //
-// batchScreen instead makes ONE walk over each session's golden trace and
-// evaluates ALL defects per transition through crosstalk.Batch's
-// structure-of-arrays kernel. It keeps every transaction's event mask, so
-// for any (defect, session) the transactions on which the defect fires are
-// one bit test each, and records each defect's first diverging transaction
-// per session. Defects that fire on no transaction of any session are
-// proved undetected (see Engine) and their Outcome is emitted in O(1)
-// without ever constructing a Channel. Only the divergent (defect, session)
-// pairs reach the core, which executes around the fire points and follows
-// the golden run in between (target.Core.ResumeFiring).
+// batchScreen instead evaluates ALL defects per distinct golden transition
+// through crosstalk.Batch's structure-of-arrays kernel, on the campaign's
+// worker pool, and then makes ONE walk over each session's golden trace. It
+// keeps every transaction's event mask, so for any (defect, session) the
+// transactions on which the defect fires are one bit test each, and records
+// each defect's first diverging transaction per session. Defects that fire
+// on no transaction of any session are proved undetected (see Engine) and
+// their Outcome is emitted in O(1) without ever constructing a Channel. Only
+// the divergent (defect, session) pairs reach the core, which executes
+// around the fire points and follows the golden run in between
+// (target.Core.ResumeFiring).
 
 // batchPlan is the screening pass's verdict over one (bus, library) pair.
 type batchPlan struct {
@@ -35,8 +37,8 @@ type batchPlan struct {
 	// replayed cleanly for this defect (divergence is per (defect, session)).
 	first [][]int32
 	// masks[s][t] is the event mask of session s's golden transaction t:
-	// bit d is set iff defect d fires there. The entries share the
-	// per-transition memo's slices.
+	// bit d is set iff defect d fires there. The entries are slices of the
+	// kernel's table, one mask per distinct transition.
 	masks [][][]uint64
 }
 
@@ -59,53 +61,104 @@ func (p *batchPlan) firing(d, s int) func(t int) int {
 	}
 }
 
-// transKey identifies one bus transition for the cross-session event-mask
-// memo. Golden traffic revisits a small pool of (prev, next, dir) triples
-// many times, so each distinct transition runs the batch kernel once per
-// campaign.
-type transKey struct {
-	prev, next logic.Word
-	dir        maf.Direction
+// transTable is one channel's golden traffic over every session, reduced to
+// its distinct transitions. Golden traffic revisits a small pool of (prev,
+// next, dir) triples many times, so the screen runs the batch kernel once
+// per distinct transition and the sweep finds each step's mask by index.
+// The table depends only on the golden traces, so the runner builds it once.
+type transTable struct {
+	distinct []target.BusStep // in order of first occurrence
+	steps    [][]int32        // steps[s][t] indexes session s's step t in distinct
 }
 
-// batchScreen sweeps every session's golden trace once, keeping each
-// transaction's event mask and classifying each defect as clean (first[d]
-// == nil) or divergent with per-session first-divergence indexes. One sweep
-// per session is counted in BatchSweeps regardless of how many defects are
-// screened — the point of inverting the loop.
-func (r *Runner) batchScreen(ctx context.Context, bus core.BusID, params []*crosstalk.Params) (*batchPlan, error) {
-	b, err := crosstalk.NewBatch(params, r.models[bus].Thresholds)
+// add appends one session's steps; seen maps every distinct transition
+// added so far to its index.
+func (tab *transTable) add(steps []target.BusStep, seen map[target.BusStep]int32) {
+	idx := make([]int32, len(steps))
+	for t, step := range steps {
+		k, ok := seen[step]
+		if !ok {
+			k = int32(len(tab.distinct))
+			seen[step] = k
+			tab.distinct = append(tab.distinct, step)
+		}
+		idx[t] = k
+	}
+	tab.steps = append(tab.steps, idx)
+}
+
+// screenBlock is how many distinct transitions a kernel worker takes at a
+// time; workers check the context between blocks.
+const screenBlock = 16
+
+// eventMasks runs the batch kernel on every transition of trans and returns
+// the masks in one flat table: transition k's mask is words k*w to
+// (k+1)*w, w being b.MaskWords(). Up to workers goroutines, capped at the
+// number of transitions, take blocks of transitions in turn; each holds one
+// slots token (when slots is non-nil) while it runs, so concurrent campaigns
+// stay within the pool's width. A cancelled context returns its error.
+func eventMasks(ctx context.Context, b *crosstalk.Batch, trans []target.BusStep, workers int, slots chan struct{}) ([]uint64, error) {
+	words := b.MaskWords()
+	table := make([]uint64, len(trans)*words)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := max(1, min(workers, len(trans))); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if slots != nil {
+				select {
+				case slots <- struct{}{}:
+				case <-ctx.Done():
+					return
+				}
+				defer func() { <-slots }()
+			}
+			for ctx.Err() == nil {
+				lo := int(next.Add(screenBlock)) - screenBlock
+				if lo >= len(trans) {
+					return
+				}
+				for k := lo; k < min(lo+screenBlock, len(trans)); k++ {
+					st := trans[k]
+					b.EventMask(st.Prev, st.Next, st.Dir, table[k*words:(k+1)*words])
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return table, nil
+}
+
+// batchScreen screens the batch's parameter sets on bus. The kernel computes
+// the event mask of every distinct golden transition, spread over up to
+// workers goroutines (see eventMasks); then one serial sweep per session
+// keeps each transaction's mask and classifies each defect as clean
+// (first[d] == nil) or divergent with per-session first-divergence indexes.
+// One sweep per session is counted in BatchSweeps regardless of how many
+// defects are screened — the point of inverting the loop.
+func (r *Runner) batchScreen(ctx context.Context, bus core.BusID, b *crosstalk.Batch, workers int, slots chan struct{}) (*batchPlan, error) {
+	tab := &r.trans[bus]
+	table, err := eventMasks(ctx, b, tab.distinct, workers, slots)
 	if err != nil {
 		return nil, err
 	}
 	words := b.MaskWords()
-	sessions := len(r.plan.Programs)
+	sessions := len(tab.steps)
 	plan := &batchPlan{first: make([][]int32, b.Len()), masks: make([][][]uint64, sessions)}
-
-	// Event masks are memoized per distinct transition and shared across
-	// sessions, so the kernel runs once per distinct transition however
-	// often the traces revisit it.
-	memo := make(map[transKey][]uint64)
 	live := make([]uint64, words)
-	for s := 0; s < sessions; s++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
+	for s, steps := range tab.steps {
 		// Divergence is per (defect, session): every session's sweep starts
 		// with the full library live again. (Masks have no bit past n.)
 		for w := range live {
 			live[w] = ^uint64(0)
 		}
-		trace := r.traces[s][bus]
-		plan.masks[s] = make([][]uint64, len(trace))
-		for t, step := range trace {
-			key := transKey{prev: step.Prev, next: step.Next, dir: step.Dir}
-			mask, ok := memo[key]
-			if !ok {
-				mask = make([]uint64, words)
-				b.EventMask(step.Prev, step.Next, step.Dir, mask)
-				memo[key] = mask
-			}
+		plan.masks[s] = make([][]uint64, len(steps))
+		for t, k := range steps {
+			mask := table[int(k)*words : int(k+1)*words : int(k+1)*words]
 			plan.masks[s][t] = mask
 			for w := 0; w < words; w++ {
 				diverged := live[w] & mask[w]

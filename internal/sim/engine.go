@@ -133,17 +133,23 @@ func (r *Runner) RunDefectEngine(bus core.BusID, defective *crosstalk.Params, en
 	if err := r.checkBus(bus); err != nil {
 		return Outcome{}, err
 	}
-	bplan, err := r.screen(context.Background(), bus, []*crosstalk.Params{defective}, eng)
-	if err != nil {
-		return Outcome{}, err
+	var bplan *batchPlan
+	if r.screens(eng) {
+		b, err := crosstalk.NewBatch([]*crosstalk.Params{defective}, r.models[bus].Thresholds)
+		if err != nil {
+			return Outcome{}, err
+		}
+		if bplan, err = r.batchScreen(context.Background(), bus, b, 1, nil); err != nil {
+			return Outcome{}, err
+		}
 	}
 	return r.runDefect(bus, defective, eng, bplan, 0)
 }
 
 // checkBus validates the channel before any engine work: every tier indexes
-// r.models (and the traces and core state keyed alongside it), so an
-// out-of-range bus must fail identically whether the run screens, executes,
-// or degrades.
+// r.models (and the transition tables and core state keyed alongside it), so
+// an out-of-range bus must fail identically whether the run screens,
+// executes, or degrades.
 func (r *Runner) checkBus(bus core.BusID) error {
 	if int(bus) < 0 || int(bus) >= len(r.models) {
 		return fmt.Errorf("sim: %s has no channel %d", r.tgt.Name(), bus)
@@ -151,17 +157,12 @@ func (r *Runner) checkBus(bus core.BusID) error {
 	return nil
 }
 
-// screen runs the batched screening sweep over params for the Batch engine.
-// It returns nil — every defect runs as a full execution — when the caller
-// asked for Execute, when there is nothing to screen, or when the golden
+// screens reports whether a run under eng screens its defects before
+// executing any: not when the caller asked for Execute, nor when the golden
 // traffic itself errs (replayOK is false), which voids the precondition the
-// sweep's clean verdicts rest on.
-func (r *Runner) screen(ctx context.Context, bus core.BusID, params []*crosstalk.Params, eng Engine) (*batchPlan, error) {
-	if eng == Execute || !r.replayOK || len(params) == 0 {
-		return nil, nil
-	}
-	return r.batchScreen(ctx, bus, params)
-}
+// sweep's clean verdicts rest on. Without a screen every defect runs as a
+// full execution.
+func (r *Runner) screens(eng Engine) bool { return eng != Execute && r.replayOK }
 
 // runDefect resolves defect i of a screened set: a full execution for the
 // Execute engine or a degraded runner (bplan nil), otherwise the batched

@@ -33,16 +33,28 @@ func viewOf(r RunResult) runView {
 	return v
 }
 
+// screenSets screens params on bus with a fresh batch under the runner's
+// thresholds, its kernel on one goroutine.
+func screenSets(t testing.TB, r *Runner, bus core.BusID, params []*crosstalk.Params) *batchPlan {
+	t.Helper()
+	b, err := crosstalk.NewBatch(params, r.models[bus].Thresholds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bplan, err := r.batchScreen(context.Background(), bus, b, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bplan
+}
+
 // checkDivergentPairs screens params on bus and, for every divergent
 // (defect, session) pair, requires ResumeFiring with the sweep's mask
 // lookup to return what Core.Run returns, and the Resume adapter to return
 // exactly what ResumeFiring returns. It returns the number of pairs.
 func checkDivergentPairs(t *testing.T, r *Runner, bus core.BusID, params []*crosstalk.Params) int {
 	t.Helper()
-	bplan, err := r.batchScreen(context.Background(), bus, params)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bplan := screenSets(t, r, bus, params)
 	pairs := 0
 	for d, first := range bplan.first {
 		if first == nil {
@@ -201,10 +213,7 @@ func buildHand(t *testing.T, src string, stepLimit int, cells ...uint16) handBui
 	if err != nil {
 		t.Fatal(err)
 	}
-	bplan, err := r.batchScreen(context.Background(), core.DataBus, []*crosstalk.Params{p})
-	if err != nil {
-		t.Fatal(err)
-	}
+	bplan := screenSets(t, r, core.DataBus, []*crosstalk.Params{p})
 	// The defect must fire on the trigger alone: the offset fetch of the
 	// first instruction, transaction 1.
 	var fires []int
@@ -378,10 +387,7 @@ func FuzzResumeFiringMatchesRun(f *testing.F) {
 		if err != nil {
 			return // not a valid channel; nothing to simulate
 		}
-		bplan, err := r.batchScreen(context.Background(), bus, []*crosstalk.Params{p})
-		if err != nil {
-			t.Fatal(err)
-		}
+		bplan := screenSets(t, r, bus, []*crosstalk.Params{p})
 		s := int(session) % len(plan.Programs)
 		masks := bplan.masks[s]
 		next := func(t int) int {
