@@ -107,6 +107,7 @@ func TestCmdSimWideBusSmoke(t *testing.T) {
 	for _, want := range []string{
 		"campaign: widebus16 bus bus, 20 defects",
 		"coverage: 20/20 = 100.00%",
+		"golden execution time: 128 CPU cycles across 1 sessions",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("sim output missing %q:\n%s", want, out)

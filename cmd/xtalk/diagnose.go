@@ -26,7 +26,6 @@ type analysisFlags struct {
 	size       *int
 	seed       *int64
 	compaction *bool
-	engine     *string
 	out        *string
 	workers    *string
 	shards     *int
@@ -39,7 +38,6 @@ func newAnalysisFlags(fs *flag.FlagSet) *analysisFlags {
 		size:       fs.Int("size", defects.DefaultLibrarySize, "defect library size"),
 		seed:       fs.Int64("seed", 1, "random seed"),
 		compaction: fs.Bool("compaction", false, "compact responses"),
-		engine:     fs.String("engine", "auto", engineUsage),
 		out:        fs.String("o", "", "write the JSON report to this file (default stdout)"),
 		workers:    fs.String("workers", "", "comma-separated fleet worker base URLs; runs the job's campaigns distributed"),
 		shards:     fs.Int("shards", 0, "fleet shard count (0 = 4 per worker)"),
@@ -58,7 +56,6 @@ func (af *analysisFlags) spec(jobType string) (campaign.Spec, error) {
 		Size:       *af.size,
 		Seed:       *af.seed,
 		Compaction: *af.compaction,
-		Engine:     *af.engine,
 	}, nil
 }
 

@@ -28,7 +28,6 @@ func cmdInfield(args []string) error {
 	seed := fs.Int64("seed", 1, "random seed")
 	sessions := fs.Int("sessions", 0, "maximum plan sessions (scripted targets: split the script across up to N sessions)")
 	compaction := fs.Bool("compaction", false, "compact responses")
-	engine := fs.String("engine", "auto", engineUsage)
 	sliceCycles := fs.Uint64("slice-cycles", 0, "per-slice golden-cycle budget (0 with -slices 0: one session per slice)")
 	slices := fs.Int("slices", 0, "target slice count; derives the smallest cycle budget (exclusive with -slice-cycles)")
 	interval := fs.Duration("interval", 0, "pacing between recurring slices, e.g. 500ms")
@@ -50,7 +49,6 @@ func cmdInfield(args []string) error {
 		Seed:        *seed,
 		MaxSessions: *sessions,
 		Compaction:  *compaction,
-		Engine:      *engine,
 		SliceCycles: *sliceCycles,
 		Slices:      *slices,
 		IntervalMS:  int(interval.Milliseconds()),

@@ -7,16 +7,16 @@
 //	xtalk gen     [-compaction] [-sessions N] [-listing]
 //	xtalk params  [-width N] [-cth F] [-o file]
 //	xtalk defects [-target T] [-bus name] [-size N] [-sigma S] [-seed N]
-//	xtalk sim     [-target T] [-bus name] [-size N] [-seed N] [-compaction] [-engine auto|execute]
+//	xtalk sim     [-target T] [-bus name] [-size N] [-seed N] [-compaction]
 //	              [-plan file] [-workers url1,url2,...] [-shards N] [-trace out.ndjson]
-//	xtalk fig11   [-size N] [-seed N] [-csv] [-engine auto|execute]
+//	xtalk fig11   [-size N] [-seed N] [-csv]
 //	xtalk compare [-size N] [-seed N]
-//	xtalk diagnose [-target T] [-bus name] [-size N] [-seed N] [-signature "dr[3]/fwd,..."] [-engine auto|execute]
+//	xtalk diagnose [-target T] [-bus name] [-size N] [-seed N] [-signature "dr[3]/fwd,..."]
 //	               [-o out.json] [-workers ...]
-//	xtalk minimize [-target T] [-bus name] [-size N] [-seed N] [-engine auto|execute] [-o out.json] [-workers ...]
-//	xtalk rank     [-target T] [-bus name] [-size N] [-seed N] [-engine auto|execute] [-o out.json] [-workers ...]
+//	xtalk minimize [-target T] [-bus name] [-size N] [-seed N] [-o out.json] [-workers ...]
+//	xtalk rank     [-target T] [-bus name] [-size N] [-seed N] [-o out.json] [-workers ...]
 //	xtalk infield  [-target T] [-bus name] [-size N] [-seed N] [-sessions N] [-slice-cycles N | -slices N]
-//	               [-interval D] [-engine auto|execute] [-o out.ndjson] [-workers ...] [-shards N]
+//	               [-interval D] [-o out.ndjson] [-workers ...] [-shards N]
 //	xtalk status   [-daemon http://localhost:8080] [-timeout 5s]
 //
 // The -target flag selects the backend under test: "parwan" (the paper's
@@ -265,9 +265,9 @@ func cmdDefects(args []string) error {
 	return tbl.Write(os.Stdout)
 }
 
-// engineUsage is the -engine flag help shared by every simulating subcommand.
-const engineUsage = `simulation engine: auto (the exact batched engine; "batch" is a synonym) or execute (the reference)`
-
+// cmdSim runs the campaign as a job of a local campaign.Manager (see
+// submitJob), on a fleet with -workers, and prints its coverage, the golden
+// cycles the job reports and how the engine resolved its defects.
 func cmdSim(args []string) error {
 	fs := flag.NewFlagSet("sim", flag.ExitOnError)
 	targetName := fs.String("target", "", "target backend: parwan (default) or widebusN")
@@ -276,101 +276,48 @@ func cmdSim(args []string) error {
 	seed := fs.Int64("seed", 1, "random seed")
 	compaction := fs.Bool("compaction", false, "compact responses")
 	planFile := fs.String("plan", "", "load a previously saved plan instead of generating")
-	engine := fs.String("engine", "auto", engineUsage)
 	workers := fs.String("workers", "", "comma-separated fleet worker base URLs; runs the campaign distributed")
 	shards := fs.Int("shards", 0, "fleet shard count (0 = 4 per worker)")
-	traceOut := fs.String("trace", "", "write the run's spans as NDJSON to this file")
+	traceOut := fs.String("trace", "", "write the job's spans as NDJSON to this file")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	eng, err := sim.ParseEngine(*engine)
+	_, _, _, busName, err := resolveTarget(*targetName, *bus)
 	if err != nil {
 		return err
 	}
-	tgt, models, busID, busName, err := resolveTarget(*targetName, *bus)
-	if err != nil {
-		return err
-	}
-	if *workers != "" {
-		// The job's campaign runs on the fleet, a saved plan riding inline.
-		spec := campaign.Spec{Target: *targetName, Bus: busName, Size: *size, Seed: *seed,
-			Compaction: *compaction, Engine: *engine}
-		if *planFile != "" {
-			if spec.Plan, err = os.ReadFile(*planFile); err != nil {
-				return err
-			}
+	spec := campaign.Spec{Target: *targetName, Bus: busName, Size: *size, Seed: *seed, Compaction: *compaction}
+	if *planFile != "" {
+		// A saved plan rides inline in the spec.
+		if spec.Plan, err = os.ReadFile(*planFile); err != nil {
+			return err
 		}
-		m, job, err := submitJob(spec, *workers, *shards)
+	}
+	m, job, err := submitJob(spec, *workers, *shards)
+	if err != nil {
+		return err
+	}
+	if *traceOut != "" {
+		if err := writeTraceFile(*traceOut, m.Obs().Tracer, job.ID()); err != nil {
+			return err
+		}
+		fmt.Printf("trace %s written to %s (%d spans)\n",
+			job.ID(), *traceOut, len(m.Obs().Tracer.Trace(job.ID())))
+	}
+	res, _, _ := job.Result()
+	st := job.Status()
+	fmt.Printf("campaign: %s %s bus, %d defects\n", spec.TargetName(), busName, res.Total)
+	printCoverage(res)
+	if st.GoldenCycles > 0 {
+		// The job's plan, from the manager's plan cache.
+		r, err := m.Resolve(job.Spec())
 		if err != nil {
 			return err
 		}
-		res, _, _ := job.Result()
-		snap := m.Obs().Reg.Snapshot()
-		shardsRun, _ := snap.Value("xtalkd_fleet_shards_dispatched_total", "")
-		retries, _ := snap.Value("xtalkd_fleet_shard_retries_total", "")
-		fmt.Printf("fleet campaign %s: %s bus, %d defects (%g shards, %g retries)\n",
-			job.ID(), busName, res.Total, shardsRun, retries)
-		printCoverage(res)
-		p := job.Status().Progress
-		fmt.Printf("engine: %d swept clean, %d executed (worker-side attribution)\n", p.ReplayHits, p.Executed)
-		if *traceOut != "" {
-			if err := writeTraceFile(*traceOut, m.Obs().Tracer, job.ID()); err != nil {
-				return err
-			}
-			fmt.Printf("trace %s written to %s (%d spans)\n",
-				job.ID(), *traceOut, len(m.Obs().Tracer.Trace(job.ID())))
-		}
-		return nil
+		fmt.Printf("golden execution time: %d CPU cycles across %d sessions (paper: 1720)\n",
+			st.GoldenCycles, len(r.Plan.Programs))
 	}
-	setup := models[busID]
-	ctx := context.Background()
-	var tracer *obs.Tracer
-	if *traceOut != "" {
-		tracer = obs.NewTracer(obs.DefaultTracerCapacity)
-		ctx = obs.WithTracer(ctx, tracer, "sim")
-	}
-	ctx, root := obs.StartSpan(ctx, "sim.run",
-		obs.Label{Key: "bus", Value: busName}, obs.Label{Key: "engine", Value: *engine})
-	_, planSpan := obs.StartSpan(ctx, "sim.plan")
-	var plan *core.Plan
-	if *planFile != "" {
-		plan, err = core.LoadPlan(*planFile)
-	} else {
-		plan, err = tgt.Generate(target.GenSpec{Compaction: *compaction})
-	}
-	planSpan.End()
-	if err != nil {
-		return err
-	}
-	_, goldenSpan := obs.StartSpan(ctx, "sim.golden")
-	r, err := sim.NewTargetRunner(tgt, plan, models)
-	goldenSpan.End()
-	if err != nil {
-		return err
-	}
-	lib, err := defects.Generate(setup.Nominal, setup.Thresholds, defects.Config{Size: *size, Seed: *seed})
-	if err != nil {
-		return err
-	}
-	cctx, campSpan := obs.StartSpan(ctx, "sim.campaign",
-		obs.Label{Key: "defects", Value: fmt.Sprint(len(lib.Defects))})
-	res, err := r.CampaignCtx(cctx, busID, lib, sim.CampaignOpts{Engine: eng})
-	campSpan.End()
-	root.End()
-	if err != nil {
-		return err
-	}
-	if tracer != nil {
-		if err := writeTraceFile(*traceOut, tracer, "sim"); err != nil {
-			return err
-		}
-		fmt.Printf("trace written to %s (%d spans)\n", *traceOut, len(tracer.Trace("sim")))
-	}
-	fmt.Printf("campaign: %s %s bus, %d defects\n", tgt.Name(), busName, res.Total)
-	printCoverage(res)
-	fmt.Printf("golden execution time: %d CPU cycles across %d sessions (paper: 1720)\n",
-		r.GoldenCycles(), len(plan.Programs))
-	printEngineStats(eng, r)
+	printEngine(m, st.Progress)
 	return nil
 }
 
@@ -408,16 +355,24 @@ func writeTraceFile(path string, tr *obs.Tracer, traceID string) error {
 	return f.Close()
 }
 
-// printEngineStats summarizes how the engine resolved the campaign's defect
-// runs: sweep-cleared defects versus executions, and the instructions
-// resumed execution executed.
-func printEngineStats(eng sim.Engine, r *sim.Runner) {
-	st := r.Stats()
-	fmt.Printf("engine %s: %d swept clean in %d sweeps, %d divergence fallbacks (%d steps executed), %d full executions\n",
-		eng, st.BatchScreened, st.BatchSweeps, st.Fallbacks, st.ExecutedSteps, st.Executes)
-	if st.DegradedExecutes > 0 {
-		fmt.Printf("engine %s: %d runs degraded to full execution (golden traffic errs; screening unsound)\n",
-			eng, st.DegradedExecutes)
+// printEngine prints how the batch engine resolved a job's defects: the
+// job's progress attributes each defect to the screen or to execution
+// wherever it ran, and the node's registry counts the sweeps and executed
+// steps, which on a fleet the workers count instead.
+func printEngine(m *campaign.Manager, p campaign.Progress) {
+	snap := m.Obs().Reg.Snapshot()
+	count := func(name string) float64 {
+		v, _ := snap.Value(name, "")
+		return v
+	}
+	if shards := count("xtalkd_fleet_shards_dispatched_total"); shards > 0 {
+		fmt.Printf("fleet: %g shards, %g retries; the workers count sweeps and executed steps\n",
+			shards, count("xtalkd_fleet_shard_retries_total"))
+	}
+	fmt.Printf("engine: %d swept clean in %g sweeps, %d divergence fallbacks (%g steps executed)\n",
+		p.ReplayHits, count("xtalkd_engine_batch_sweeps_total"), p.Executed, count("xtalkd_engine_executed_steps_total"))
+	if n := count("xtalkd_engine_degraded_executes_total"); n > 0 {
+		fmt.Printf("engine: %g runs degraded to full execution (golden traffic errs; screening unsound)\n", n)
 	}
 }
 
@@ -427,12 +382,7 @@ func cmdFig11(args []string) error {
 	size := fs.Int("size", defects.DefaultLibrarySize, "defect library size")
 	seed := fs.Int64("seed", 1, "random seed")
 	csv := fs.Bool("csv", false, "emit CSV instead of a chart")
-	engine := fs.String("engine", "auto", engineUsage)
 	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	eng, err := sim.ParseEngine(*engine)
-	if err != nil {
 		return err
 	}
 	addr, data, err := setups()
@@ -451,8 +401,7 @@ func cmdFig11(args []string) error {
 	if err != nil {
 		return err
 	}
-	pts, err := sim.Fig11CampaignCtx(context.Background(), addr, data, busID, lib, false,
-		sim.CampaignOpts{Engine: eng})
+	pts, err := sim.Fig11CampaignCtx(context.Background(), addr, data, busID, lib, false, sim.CampaignOpts{})
 	if err != nil {
 		return err
 	}

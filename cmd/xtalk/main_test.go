@@ -122,7 +122,8 @@ func TestCmdSimSmoke(t *testing.T) {
 	for _, want := range []string{
 		"campaign: parwan addr bus, 20 defects",
 		"coverage:",
-		"golden execution time:",
+		// E3's self-test execution time, reported by the job.
+		"golden execution time: 2962 CPU cycles across 4 sessions",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("sim output missing %q:\n%s", want, out)

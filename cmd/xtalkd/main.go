@@ -3,11 +3,12 @@
 // worker pool shared across jobs, and serves status, progress streams,
 // results, metrics and cancellation. See internal/campaign for the API.
 //
-// A spec's "engine" field selects the simulation engine per job: "auto" (or
-// its synonym "batch") for the exact batched engine, or "execute" for the
-// full-execution reference; see internal/sim. Progress events report how
-// many defects the screening sweep resolved versus resumed execution for,
-// and /metrics exposes the aggregate engine counters.
+// Every job runs the exact batched engine (see internal/sim); a spec's
+// optional "engine" field accepts only its spellings, "auto" and "batch".
+// Progress events report how many defects the screening sweep resolved
+// versus resumed execution for, a job's status reports the golden cycles of
+// its plan ("golden_cycles") once the node holds its golden runner, and
+// /metrics exposes the aggregate engine counters.
 //
 // Beyond plain campaigns, a spec's "type" field selects an analysis job
 // (see internal/diagnose): "diagnose" builds the fault dictionary and

@@ -82,11 +82,11 @@ func (m *Manager) analyze(ctx context.Context, job *Job, res *sim.CampaignResult
 }
 
 // verifyCampaign re-simulates the job's defect library under a minimized
-// plan, sharing the manager's runner cache, worker pool (or fleet) and
-// engine choice with the base campaign.
+// plan, sharing the manager's runner cache and worker pool (or fleet) with
+// the base campaign.
 func (m *Manager) verifyCampaign(ctx context.Context, minPlan *core.Plan, env *jobEnv) (*sim.CampaignResult, error) {
 	vctx, span := obs.StartSpan(ctx, "job.verify",
 		obs.Label{Key: "defects", Value: fmt.Sprint(env.Spec.Size)})
 	defer span.End()
-	return m.simulate(vctx, env, minPlan, m.campaignOpts(env.Spec, nil))
+	return m.simulate(vctx, env, minPlan, m.campaignOpts(nil))
 }

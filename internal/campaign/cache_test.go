@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"reflect"
-	"slices"
 	"sync"
 	"testing"
 
@@ -225,11 +224,10 @@ func jobBytes(t *testing.T, job *Job) []byte {
 
 // TestConcurrentJobsShareLibraryBatch runs campaign, in-field and minimize
 // jobs over one cached library and golden runner at once on one manager (CI
-// runs it under -race): the jobs of each type render the bytes they render
-// when the same jobs run one at a time on a fresh manager, and the library
-// keeps the one batch the warm-up job built. Outputs are compared per type
-// as sorted lists, because the first in-field schedule to finish becomes
-// the drift baseline the other is compared with.
+// runs it under -race): each job renders the bytes the same job renders
+// when the jobs run one at a time on a fresh manager, and the library keeps
+// the one batch the warm-up job built. The two identical in-field specs
+// render the same bytes whichever finishes first.
 func TestConcurrentJobsShareLibraryBatch(t *testing.T) {
 	spec := smallSpec()
 	types := []string{TypeCampaign, TypeInfield, TypeMinimize, TypeCampaign, TypeInfield}
@@ -244,26 +242,13 @@ func TestConcurrentJobsShareLibraryBatch(t *testing.T) {
 		return job
 	}
 
-	byType := func(jobs []*Job) map[string][][]byte {
-		t.Helper()
-		out := make(map[string][][]byte)
-		for i, job := range jobs {
-			waitDone(t, job)
-			out[types[i]] = append(out[types[i]], jobBytes(t, job))
-		}
-		for _, list := range out {
-			slices.SortFunc(list, bytes.Compare)
-		}
-		return out
-	}
-
 	serial := New(Config{Workers: 1})
-	serialJobs := make([]*Job, len(types))
+	want := make([][]byte, len(types))
 	for i, typ := range types {
-		serialJobs[i] = submit(serial, typ)
-		waitDone(t, serialJobs[i])
+		job := submit(serial, typ)
+		waitDone(t, job)
+		want[i] = jobBytes(t, job)
 	}
-	want := byType(serialJobs)
 
 	m := New(Config{Workers: 2})
 	waitDone(t, submit(m, TypeCampaign))
@@ -283,11 +268,10 @@ func TestConcurrentJobsShareLibraryBatch(t *testing.T) {
 	for i, typ := range types {
 		jobs[i] = submit(m, typ)
 	}
-	for typ, got := range byType(jobs) {
-		for i := range got {
-			if !bytes.Equal(got[i], want[typ][i]) {
-				t.Errorf("concurrent %s jobs differ from the serial run (%d vs %d bytes)", typ, len(got[i]), len(want[typ][i]))
-			}
+	for i, job := range jobs {
+		waitDone(t, job)
+		if got := jobBytes(t, job); !bytes.Equal(got, want[i]) {
+			t.Errorf("concurrent %s job %s differs from the serial run (%d vs %d bytes)", types[i], job.ID(), len(got), len(want[i]))
 		}
 	}
 	again, hit, err := m.libraryFor(r)
@@ -422,6 +406,11 @@ func TestFleetManagerBuildsOnlyWhatJobsRead(t *testing.T) {
 		if mt.GoldenCacheMisses != tc.goldenMiss || mt.LibraryCacheMisses != tc.libMiss {
 			t.Errorf("%s job: golden/library misses = %d/%d, want %d/%d", tc.typ,
 				mt.GoldenCacheMisses, mt.LibraryCacheMisses, tc.goldenMiss, tc.libMiss)
+		}
+		// The job reports golden cycles exactly when the node built the
+		// golden runner.
+		if cycles := job.Status().GoldenCycles; (cycles > 0) != (tc.goldenMiss > 0) {
+			t.Errorf("%s job: golden cycles %d with %d golden builds", tc.typ, cycles, tc.goldenMiss)
 		}
 	}
 }

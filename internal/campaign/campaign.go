@@ -75,12 +75,9 @@ type Spec struct {
 	// CthFactor overrides the detectability-threshold factor; it must exceed
 	// 1, and zero selects the default (1.55).
 	CthFactor float64 `json:"cth_factor,omitempty"`
-	// Engine selects the simulation engine: "auto" or "batch" (the exact
-	// production engine, sim.Batch: a library-wide screening sweep with
-	// resumed execution of the divergent remainder) or "execute" (the
-	// sim.Execute reference: full execution for every defect). Empty
-	// selects "auto". Any other name is rejected with a
-	// *sim.UnknownEngineError.
+	// Engine names the simulation engine. Every job runs sim.Batch, the
+	// exact production engine, so the only accepted values are its
+	// spellings: empty (normalized to "auto"), "auto" and "batch".
 	Engine string `json:"engine,omitempty"`
 	// SliceCycles, Slices and IntervalMS configure infield jobs only.
 	// SliceCycles is the per-slice golden-cycle budget (zero slices at the
@@ -205,8 +202,12 @@ func (s Spec) validateFields() error {
 	if s.MaxSessions < 0 {
 		return fmt.Errorf("campaign: negative max_sessions %d", s.MaxSessions)
 	}
-	if _, err := sim.ParseEngine(s.Engine); err != nil {
-		return fmt.Errorf("campaign: %w", err)
+	switch s.Engine {
+	case "", "auto", "batch":
+	case "execute", "replay":
+		return fmt.Errorf("campaign: engine %q was removed (want auto or batch)", s.Engine)
+	default:
+		return fmt.Errorf("campaign: unknown engine %q (want auto or batch)", s.Engine)
 	}
 	switch s.JobType() {
 	case TypeCampaign, TypeDiagnose, TypeMinimize, TypeRank, TypeInfield:
@@ -250,12 +251,6 @@ func (s Spec) inlinePlan() (*core.Plan, error) {
 	return p, nil
 }
 
-// engine resolves the spec's engine name; validate has already vetted it.
-func (s Spec) engine() sim.Engine {
-	e, _ := sim.ParseEngine(s.Engine)
-	return e
-}
-
 // State is a job's lifecycle phase.
 type State string
 
@@ -274,8 +269,8 @@ func (s State) Terminal() bool { return s == Done || s == Failed || s == Cancele
 
 // Progress is one progress event: counts over the defect library so far.
 // ReplayHits counts defects the screening sweep resolved without CPU
-// execution; Executed counts defects that needed execution (a resumed
-// fallback under the batch engine, every defect under the execute engine).
+// execution; Executed counts defects that needed execution (resumed from
+// their first divergence, or run whole when the screen does not apply).
 type Progress struct {
 	State State `json:"state"`
 	// Type is the job's product type (Spec.JobType); Phase is the stage
@@ -340,6 +335,11 @@ type Status struct {
 	Submitted    time.Time `json:"submitted"`
 	Started      time.Time `json:"started,omitempty"`
 	Finished     time.Time `json:"finished,omitempty"`
+	// GoldenCycles is the total cycles of the plan's golden session runs
+	// (the paper's self-test execution time), set once the node has built
+	// or fetched the job's golden runner; zero and omitted when it has none,
+	// as for a campaign whose fleet workers simulate it.
+	GoldenCycles uint64 `json:"golden_cycles,omitempty"`
 }
 
 // Job is one submitted campaign.
@@ -359,6 +359,7 @@ type Job struct {
 	width        int // bus width, for Fig. 11 rendering
 	goldenCached bool
 	libCached    bool
+	goldenCycles uint64
 	submitted    time.Time
 	started      time.Time
 	finished     time.Time
@@ -385,6 +386,7 @@ func (j *Job) Status() Status {
 		Progress:     j.progress,
 		GoldenCached: j.goldenCached,
 		LibCached:    j.libCached,
+		GoldenCycles: j.goldenCycles,
 		Submitted:    j.submitted,
 		Started:      j.started,
 		Finished:     j.finished,
@@ -504,8 +506,8 @@ type Metrics struct {
 	LibraryCacheHits   int64 `json:"library_cache_hits"`
 	LibraryCacheMisses int64 `json:"library_cache_misses"`
 	// Engine is the aggregate of every cached runner's engine counters:
-	// sweep clearances, resumed-execution fallbacks and reference
-	// executions (see sim.EngineStats).
+	// sweep clearances and resumed-execution fallbacks (see
+	// sim.EngineStats).
 	Engine sim.EngineStats `json:"engine"`
 }
 
@@ -625,8 +627,6 @@ func New(cfg Config) *Manager {
 		func() float64 { return float64(m.jobsInState(Pending)) })
 	reg.CounterFunc("xtalkd_engine_fallbacks_total", "defect runs whose screening sweep diverged and resumed execution",
 		m.engineStat(func(s sim.EngineStats) int64 { return s.Fallbacks }))
-	reg.CounterFunc("xtalkd_engine_executes_total", "defect runs performed by the execute tier",
-		m.engineStat(func(s sim.EngineStats) int64 { return s.Executes }))
 	reg.CounterFunc("xtalkd_engine_degraded_executes_total", "batch-engine runs degraded to execution (screening precondition void)",
 		m.engineStat(func(s sim.EngineStats) int64 { return s.DegradedExecutes }))
 	reg.CounterFunc("xtalkd_engine_batch_screened_total", "defects cleared by the batched library-wide screening sweep",
@@ -640,8 +640,6 @@ func New(cfg Config) *Manager {
 			nil, obs.Label{Key: "tier", Value: "replay"}),
 		"fallback": reg.Histogram("xtalkd_sim_defect_seconds", "per-defect simulation latency by engine tier",
 			nil, obs.Label{Key: "tier", Value: "fallback"}),
-		"execute": reg.Histogram("xtalkd_sim_defect_seconds", "per-defect simulation latency by engine tier",
-			nil, obs.Label{Key: "tier", Value: "execute"}),
 	}
 	m.queueWait = reg.Histogram("xtalkd_job_queue_wait_seconds",
 		"delay between job acceptance and its run starting", nil)
@@ -700,7 +698,6 @@ func (m *Manager) engineStats() sim.EngineStats {
 	for _, r := range m.runners {
 		s := r.Stats()
 		t.Fallbacks += s.Fallbacks
-		t.Executes += s.Executes
 		t.DegradedExecutes += s.DegradedExecutes
 		t.BatchScreened += s.BatchScreened
 		t.BatchSweeps += s.BatchSweeps
@@ -784,8 +781,7 @@ func (m *Manager) Submit(spec Spec) (*Job, error) {
 	m.jobsSubmitted.Inc()
 	m.obs.Record("job.submit",
 		obs.Label{Key: "job", Value: job.id},
-		obs.Label{Key: "bus", Value: spec.Bus},
-		obs.Label{Key: "engine", Value: spec.Engine})
+		obs.Label{Key: "bus", Value: spec.Bus})
 	go m.run(ctx, job, time.Now())
 	return job, nil
 }
@@ -945,8 +941,7 @@ func (m *Manager) run(ctx context.Context, job *Job, enqueued time.Time) {
 	}
 	ctx, span := obs.StartSpan(ctx, "job.run",
 		obs.Label{Key: "job", Value: job.id},
-		obs.Label{Key: "bus", Value: job.spec.Bus},
-		obs.Label{Key: "engine", Value: job.spec.Engine})
+		obs.Label{Key: "bus", Value: job.spec.Bus})
 	job.mu.Lock()
 	job.state = Running
 	job.started = time.Now()
@@ -969,30 +964,36 @@ func (m *Manager) run(ctx context.Context, job *Job, enqueued time.Time) {
 		}
 	}
 
-	job.mu.Lock()
+	terminal := Done
 	switch {
 	case err == nil:
-		job.state = Done
+	case errors.Is(err, context.Canceled) || ctx.Err() != nil:
+		terminal, err = Canceled, context.Canceled
+	default:
+		terminal = Failed
+	}
+	// The event and the trace's root span are recorded before the job is
+	// seen to end, so a client that waits for the end reads them whole.
+	m.obs.Record("job.state", obs.Label{Key: "job", Value: job.id}, obs.Label{Key: "state", Value: string(terminal)})
+	span.SetAttr("state", string(terminal))
+	span.End()
+
+	job.mu.Lock()
+	job.state, job.err = terminal, err
+	switch terminal {
+	case Done:
 		job.result = res
 		job.analysis = analysis
 		m.jobsCompleted.Inc()
-	case errors.Is(err, context.Canceled) || ctx.Err() != nil:
-		job.state = Canceled
-		job.err = context.Canceled
+	case Canceled:
 		m.jobsCanceled.Inc()
 	default:
-		job.state = Failed
-		job.err = err
 		m.jobsFailed.Inc()
 	}
-	terminal := job.state
 	job.finished = time.Now()
 	job.publishLocked()
 	close(job.done)
 	job.mu.Unlock()
-	m.obs.Record("job.state", obs.Label{Key: "job", Value: job.id}, obs.Label{Key: "state", Value: string(terminal)})
-	span.SetAttr("state", string(terminal))
-	span.End()
 }
 
 // jobEnv is a prepared job: its resolved spec and the cached golden runner
@@ -1007,7 +1008,7 @@ type jobEnv struct {
 
 // prepare performs a job's cached setup steps: it resolves the spec, fetches
 // the golden runner and defect library from the caches, and records the
-// cache and width facts on the job. On a fleet the workers simulate, so it
+// cache, width and golden-cycle facts on the job. On a fleet the workers simulate, so it
 // builds only what the job itself reads: the golden runner for an infield
 // manifest's per-session cycles, the library for diagnose accuracy and the
 // rank of each wire.
@@ -1042,17 +1043,20 @@ func (m *Manager) prepare(ctx context.Context, job *Job) (*jobEnv, error) {
 	}
 	job.mu.Lock()
 	job.goldenCached, job.libCached, job.width = goldenHit, libHit, r.Width()
+	if env.runner != nil {
+		job.goldenCycles = env.runner.GoldenCycles()
+	}
 	job.mu.Unlock()
 	return env, nil
 }
 
 // campaignOpts builds the options every manager campaign runs with: the
-// shared slot pool at its full width, the spec's engine, per-tier latency
+// shared slot pool at its full width, the batch engine, per-tier latency
 // observation when telemetry is on, and onOutcome (nil for none).
-func (m *Manager) campaignOpts(spec Spec, onOutcome func(int, sim.Outcome)) sim.CampaignOpts {
-	opts := sim.CampaignOpts{Workers: cap(m.slots), Slots: m.slots, Engine: spec.engine(), OnOutcome: onOutcome}
+func (m *Manager) campaignOpts(onOutcome func(int, sim.Outcome)) sim.CampaignOpts {
+	opts := sim.CampaignOpts{Workers: cap(m.slots), Slots: m.slots, OnOutcome: onOutcome}
 	if m.obs.Enabled() {
-		opts.Observe = m.observeTier(opts.Engine)
+		opts.Observe = m.observeTier
 	}
 	return opts
 }
@@ -1131,7 +1135,7 @@ func (m *Manager) execute(ctx context.Context, job *Job) (*sim.CampaignResult, *
 	job.publishLocked()
 	job.mu.Unlock()
 
-	opts := m.campaignOpts(spec, func(i int, out sim.Outcome) {
+	opts := m.campaignOpts(func(i int, out sim.Outcome) {
 		job.mu.Lock()
 		defer job.mu.Unlock()
 		if job.completed[i] {
@@ -1152,13 +1156,12 @@ func (m *Manager) execute(ctx context.Context, job *Job) (*sim.CampaignResult, *
 		return sim.Outcome{}, false
 	}
 	if observe := opts.Observe; observe != nil {
-		screening := opts.Engine != sim.Execute
 		var fellBack atomic.Bool
 		opts.Observe = func(out sim.Outcome, d time.Duration) {
 			observe(out, d)
 			// One event per job, not per defect: the fact that the screening
 			// tier gave up is interesting; its thousandth repetition is not.
-			if !out.Replayed && screening && fellBack.CompareAndSwap(false, true) {
+			if !out.Replayed && fellBack.CompareAndSwap(false, true) {
 				m.obs.Record("engine.fallback", obs.Label{Key: "job", Value: job.id})
 			}
 		}
@@ -1173,19 +1176,14 @@ func (m *Manager) execute(ctx context.Context, job *Job) (*sim.CampaignResult, *
 	return res, env, nil
 }
 
-// observeTier maps a completed defect run to its engine tier's latency
-// histogram: replay (settled by the screening sweep, no CPU execution),
-// execute (the Execute engine's full execution), or fallback (a screening
-// divergence resolved by resumed execution).
-func (m *Manager) observeTier(engine sim.Engine) func(out sim.Outcome, d time.Duration) {
-	return func(out sim.Outcome, d time.Duration) {
-		tier := "fallback"
-		switch {
-		case out.Replayed:
-			tier = "replay"
-		case engine == sim.Execute:
-			tier = "execute"
-		}
-		m.simLatency[tier].Observe(d.Seconds())
+// observeTier records a completed defect run in its engine tier's latency
+// histogram: replay (settled by the screening sweep, no CPU execution) or
+// fallback (executed: a screening divergence resolved by resumed
+// execution, or a whole run where the screen does not apply).
+func (m *Manager) observeTier(out sim.Outcome, d time.Duration) {
+	tier := "fallback"
+	if out.Replayed {
+		tier = "replay"
 	}
+	m.simLatency[tier].Observe(d.Seconds())
 }

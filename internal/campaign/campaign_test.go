@@ -3,8 +3,10 @@ package campaign
 import (
 	"bytes"
 	"context"
-	"errors"
 	"reflect"
+	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -19,6 +21,34 @@ import (
 // enough defects that cancellation can land mid-run.
 func smallSpec() Spec {
 	return Spec{Bus: "addr", Size: 60, Seed: 1, TargetOnly: true}
+}
+
+// holdSlot takes the only slot of m's pool (a manager built with Workers:
+// 1), so a job on m stops at its next screen or defect run and stays
+// mid-run for as long as the test holds the slot. release gives it back.
+func holdSlot(m *Manager) (release func()) {
+	m.slots <- struct{}{}
+	return func() { <-m.slots }
+}
+
+// runUntil lets job, stopped on the slot the test holds (holdSlot), take
+// the slot for one run at a time, each time taking it back as the run
+// returns it, until the job has completed at least done defects. The test
+// holds the slot again on return, so the job stays mid-run.
+func runUntil(t *testing.T, m *Manager, job *Job, done int) {
+	t.Helper()
+	deadline := time.Now().Add(time.Minute)
+	for job.Status().Progress.Done < done {
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s never completed %d defects", job.ID(), done)
+		}
+		// A run waiting on the slot takes it at this receive; the send
+		// blocks until that run gives it back. With no run waiting, the
+		// pair returns at once.
+		<-m.slots
+		m.slots <- struct{}{}
+		runtime.Gosched()
+	}
 }
 
 func waitDone(t *testing.T, job *Job) {
@@ -127,6 +157,11 @@ func TestCacheReuseAcrossJobs(t *testing.T) {
 	if !st.GoldenCached || !st.LibCached {
 		t.Fatalf("second identical job missed caches: golden=%v lib=%v", st.GoldenCached, st.LibCached)
 	}
+	// The golden cycles are a job fact whether the runner was built or
+	// fetched.
+	if want := first.Status().GoldenCycles; want == 0 || st.GoldenCycles != want {
+		t.Fatalf("golden cycles %d from the cached runner, %d from the built one", st.GoldenCycles, want)
+	}
 
 	// A different seed shares the plan (golden cache) but not the library.
 	reseeded := smallSpec()
@@ -156,32 +191,23 @@ func TestCacheReuseAcrossJobs(t *testing.T) {
 }
 
 func TestCancelStopsPromptly(t *testing.T) {
-	// One worker and the execute engine (no replay shortcut) make the run
-	// long enough to cancel mid-campaign.
+	// The test holds the one pool slot, so the job stays mid-campaign.
 	m := New(Config{Workers: 1})
+	release := holdSlot(m)
 	spec := smallSpec()
 	spec.Size = 400
-	spec.Engine = "execute"
 	job, err := m.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	events, unsub := job.Subscribe()
-	defer unsub()
-	// Wait until at least one defect has completed so the cancel lands
-	// mid-campaign rather than during setup.
-	deadline := time.After(time.Minute)
-	for started := false; !started; {
-		select {
-		case p := <-events:
-			started = p.Done > 0
-		case <-deadline:
-			t.Fatal("campaign never made progress")
-		}
-	}
+	// Let at least one defect complete so the cancel lands mid-campaign
+	// rather than during setup.
+	runUntil(t, m, job, 1)
 	if err := m.Cancel(job.ID()); err != nil {
 		t.Fatal(err)
 	}
+	// A defect run waiting on the slot finishes before the job stops.
+	release()
 	waitDone(t, job)
 	st := job.Status()
 	if st.State != Canceled {
@@ -197,24 +223,18 @@ func TestCancelStopsPromptly(t *testing.T) {
 
 func TestResumeSkipsCheckpointedDefects(t *testing.T) {
 	m := New(Config{Workers: 1})
+	release := holdSlot(m)
 	spec := smallSpec()
 	spec.Size = 400
-	spec.Engine = "execute"
 	job, err := m.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	events, unsub := job.Subscribe()
-	for {
-		p := <-events
-		if p.Done >= 10 {
-			break
-		}
-	}
-	unsub()
+	runUntil(t, m, job, 10)
 	if err := m.Cancel(job.ID()); err != nil {
 		t.Fatal(err)
 	}
+	release()
 	waitDone(t, job)
 	checkpointed := job.Status().Progress.Done
 	if checkpointed == 0 {
@@ -277,10 +297,11 @@ func TestProgressIsMonotone(t *testing.T) {
 	}
 }
 
-// TestEngineSpecAndCounters submits the same campaign under the default and
-// execute engines: the rendered results must be byte-identical, the job
-// progress must attribute every defect to the screen or to execution, and
-// the manager metrics must aggregate the runner's engine counters.
+// TestEngineSpecAndCounters runs a campaign job: its rendered result must
+// be byte-identical to the Execute oracle over the same plan and library,
+// the job progress must attribute every defect to the screen or to
+// execution, and the manager metrics must aggregate the runner's engine
+// counters.
 func TestEngineSpecAndCounters(t *testing.T) {
 	m := New(Config{Workers: 2})
 	auto, err := m.Submit(smallSpec())
@@ -304,32 +325,38 @@ func TestEngineSpecAndCounters(t *testing.T) {
 	if mt.Engine.BatchScreened != int64(st.Progress.ReplayHits) {
 		t.Fatalf("engine screened %d, progress replay hits %d", mt.Engine.BatchScreened, st.Progress.ReplayHits)
 	}
-	if mt.Engine.Executes != 0 || mt.Engine.DegradedExecutes != 0 {
-		t.Fatalf("auto campaign counted executes=%d degraded=%d", mt.Engine.Executes, mt.Engine.DegradedExecutes)
+	if mt.Engine.DegradedExecutes != 0 {
+		t.Fatalf("auto campaign counted degraded=%d", mt.Engine.DegradedExecutes)
 	}
 	if mt.Engine.MemoHits != 0 || mt.Engine.MemoMisses != 0 {
 		t.Fatalf("engine memo traffic %d hits / %d misses, want none (production runs memoize no channel)",
 			mt.Engine.MemoHits, mt.Engine.MemoMisses)
 	}
 
-	spec := smallSpec()
-	spec.Engine = "execute"
-	exec, err := m.Submit(spec)
+	// The oracle: sim.Execute on a fresh runner over the job's cached plan
+	// and library, one full execution per defect.
+	r, err := m.Resolve(smallSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitDone(t, exec)
-	est := exec.Status()
-	if est.Progress.ReplayHits != 0 || est.Progress.Executed != est.Progress.Done {
-		t.Fatalf("execute progress %+v, want all defects executed", est.Progress)
+	lib, _, err := m.libraryFor(r)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := m.Metrics().Engine.Executes; got != int64(est.Progress.Done) {
-		t.Fatalf("engine executes = %d, want %d", got, est.Progress.Done)
+	oracle, err := sim.NewTargetRunner(r.Target, r.Plan, r.Models)
+	if err != nil {
+		t.Fatal(err)
+	}
+	er, err := oracle.CampaignCtx(context.Background(), r.Bus, lib, sim.CampaignOpts{Engine: sim.Execute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := oracle.Stats().Executes; got != int64(st.Progress.Done) {
+		t.Fatalf("oracle executes = %d, want %d", got, st.Progress.Done)
 	}
 	ar, aw, _ := auto.Result()
-	er, ew, _ := exec.Result()
-	if !bytes.Equal(renderJSON(t, ar, aw), renderJSON(t, er, ew)) {
-		t.Fatal("auto and execute engine results differ")
+	if !bytes.Equal(renderJSON(t, ar, aw), renderJSON(t, er, r.Width())) {
+		t.Fatal("job result differs from the Execute oracle")
 	}
 }
 
@@ -345,6 +372,7 @@ func TestSubmitValidation(t *testing.T) {
 		{Bus: "addr", Plan: []byte(`{"programs": 42}`)},
 		{Bus: "addr", Engine: "warp"},
 		{Bus: "addr", Engine: "replay"},
+		{Bus: "addr", Engine: "execute"},
 	}
 	for _, spec := range bad {
 		if _, err := m.Submit(spec); err == nil {
@@ -353,20 +381,27 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
-// TestUnknownEngine pins the typed engine rejection through Spec.Validate:
-// removed and misspelled engines alike surface as *sim.UnknownEngineError,
-// while every kept spelling validates.
+// TestUnknownEngine pins the engine names Spec.Validate accepts: the batch
+// engine's spellings. The removed engines and misspellings are refused with
+// an error naming them.
 func TestUnknownEngine(t *testing.T) {
-	for _, name := range []string{"replay", "warp"} {
-		err := Spec{Bus: "addr", Engine: name}.Validate()
-		var uee *sim.UnknownEngineError
-		if !errors.As(err, &uee) || uee.Name != name {
-			t.Errorf("engine %q: Validate error %v (%T) is not an UnknownEngineError naming it", name, err, err)
-		}
-	}
-	for _, name := range []string{"", "auto", "batch", "execute"} {
-		if err := (Spec{Bus: "addr", Engine: name}).Validate(); err != nil {
-			t.Errorf("engine %q rejected: %v", name, err)
+	for _, tc := range []struct {
+		name string
+		ok   bool
+	}{
+		{"", true},
+		{"auto", true},
+		{"batch", true},
+		{"execute", false},
+		{"replay", false},
+		{"warp", false},
+	} {
+		err := Spec{Bus: "addr", Engine: tc.name}.Validate()
+		switch {
+		case tc.ok && err != nil:
+			t.Errorf("engine %q rejected: %v", tc.name, err)
+		case !tc.ok && (err == nil || !strings.Contains(err.Error(), strconv.Quote(tc.name))):
+			t.Errorf("engine %q: Validate error %v does not refuse it by name", tc.name, err)
 		}
 	}
 }

@@ -23,10 +23,11 @@ func driftAlertName(key string) string {
 
 // checkDrift compares a completed in-field run's coverage curve against the
 // persisted baseline for its manifest key. The first completed run becomes
-// the baseline (no drift line is added, so single-run report bytes are
-// unchanged); later runs get a verdict on progress and, as an NDJSON
-// trailer, on the report — and a drift verdict raises an external alert,
-// bumps the drift counter, and lands in the flight recorder.
+// the baseline; later runs get a verdict on progress, and a drift verdict
+// raises an external alert, bumps the drift counter, and lands in the
+// flight recorder. The report carries no verdict: which run of a key
+// completes first is a matter of timing, and the report is a function of
+// the spec alone.
 func (m *Manager) checkDrift(job *Job, doc *report.InfieldJSON) {
 	key := doc.Header.ManifestKey
 	if key == "" || m.baselines == nil {
@@ -50,7 +51,6 @@ func (m *Manager) checkDrift(job *Job, doc *report.InfieldJSON) {
 		return
 	}
 	rep := infield.Compare(base, doc.Points)
-	doc.Drift = &report.InfieldDriftJSON{Kind: "drift", DriftReport: rep}
 	job.mu.Lock()
 	job.progress.Drift = rep.Verdict
 	job.progress.DriftReasons = rep.Reasons

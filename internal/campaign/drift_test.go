@@ -1,7 +1,6 @@
 package campaign
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"strings"
@@ -9,43 +8,32 @@ import (
 	"time"
 
 	"repro/internal/infield"
-	"repro/internal/report"
 )
 
-// driftNDJSON renders a job's infield analysis and returns the NDJSON lines.
-func driftNDJSON(t *testing.T, job *Job) []map[string]any {
+// verdictFreeReport renders a job's infield report (infieldNDJSON) and
+// checks that it ends at its summary line: a drift verdict is published on
+// progress, alerts and events, never in the report.
+func verdictFreeReport(t *testing.T, job *Job) []byte {
 	t.Helper()
-	an, ok := job.Analysis()
-	if !ok || an.Infield == nil {
-		t.Fatal("infield job carries no analysis")
+	out := infieldNDJSON(t, job)
+	lines := bytes.Split(bytes.TrimSpace(out), []byte("\n"))
+	var last struct{ Kind string }
+	if err := json.Unmarshal(lines[len(lines)-1], &last); err != nil || last.Kind != "summary" {
+		t.Fatalf("job %s report ends with %s (%v), want the summary line", job.ID(), lines[len(lines)-1], err)
 	}
-	var buf bytes.Buffer
-	if err := report.WriteInfieldNDJSON(&buf, an.Infield); err != nil {
-		t.Fatal(err)
-	}
-	var lines []map[string]any
-	sc := bufio.NewScanner(&buf)
-	for sc.Scan() {
-		var doc map[string]any
-		if err := json.Unmarshal(sc.Bytes(), &doc); err != nil {
-			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
-		}
-		lines = append(lines, doc)
-	}
-	return lines
+	return out
 }
 
 // TestInfieldDriftLifecycle is the drift acceptance proof: the first
-// completed run becomes the baseline with unchanged report bytes, a
-// byte-identical rerun stays silent (verdict ok, no alert, no counter), and
-// a run compared against a doctored (inflated) baseline fires the drift
-// alert with reasons.
+// completed run becomes the baseline, a byte-identical rerun stays silent
+// (verdict ok, no alert, no counter), and a run compared against a doctored
+// (inflated) baseline fires the drift alert with reasons. Every run renders
+// the same report bytes: the verdicts live on progress, not in the report.
 func TestInfieldDriftLifecycle(t *testing.T) {
 	spec := Spec{Type: TypeInfield, Bus: "addr", Size: 60, Seed: 1, TargetOnly: true, Slices: 3}
 	m := New(Config{Workers: 4})
 
-	// First run: becomes the baseline; the report has no drift trailer so
-	// single-run NDJSON bytes are identical to the pre-drift format.
+	// First run: becomes the baseline.
 	first, err := m.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -54,10 +42,7 @@ func TestInfieldDriftLifecycle(t *testing.T) {
 	if st := first.Status(); st.Progress.Drift != infield.VerdictBaseline {
 		t.Fatalf("first run drift = %q, want %q", st.Progress.Drift, infield.VerdictBaseline)
 	}
-	firstLines := driftNDJSON(t, first)
-	if kind := firstLines[len(firstLines)-1]["kind"]; kind != "summary" {
-		t.Fatalf("first run trailing line kind = %v, want summary (no drift line)", kind)
-	}
+	firstReport := verdictFreeReport(t, first)
 	if m.Baselines().Len() != 1 {
 		t.Fatalf("baseline store holds %d curves, want 1", m.Baselines().Len())
 	}
@@ -75,10 +60,8 @@ func TestInfieldDriftLifecycle(t *testing.T) {
 		t.Fatalf("identical rerun drift = %q (reasons %v), want silent ok",
 			st.Progress.Drift, st.Progress.DriftReasons)
 	}
-	rerunLines := driftNDJSON(t, rerun)
-	lastLine := rerunLines[len(rerunLines)-1]
-	if lastLine["kind"] != "drift" || lastLine["verdict"] != infield.VerdictOK {
-		t.Fatalf("rerun trailing line = %v, want a drift line with verdict ok", lastLine)
+	if !bytes.Equal(verdictFreeReport(t, rerun), firstReport) {
+		t.Fatal("rerun report differs from the baseline run's")
 	}
 	if got := series(t, m, "xtalkd_infield_drift_alerts_total"); got != 0 {
 		t.Fatalf("drift alert counter = %d after identical rerun, want 0", got)
@@ -130,10 +113,8 @@ func TestInfieldDriftLifecycle(t *testing.T) {
 	if !found {
 		t.Fatalf("no drift alert for key %s in %+v", key, m.Obs().SLO.Alerts())
 	}
-	degradedLines := driftNDJSON(t, degraded)
-	lastLine = degradedLines[len(degradedLines)-1]
-	if lastLine["kind"] != "drift" || lastLine["verdict"] != infield.VerdictDrift {
-		t.Fatalf("degraded trailing line = %v, want drift verdict", lastLine)
+	if !bytes.Equal(verdictFreeReport(t, degraded), firstReport) {
+		t.Fatal("drifted run report differs from the baseline run's")
 	}
 
 	// The flight recorder captured the drift event.

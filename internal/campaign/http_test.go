@@ -114,11 +114,11 @@ func TestHTTPSubmitStatusResult(t *testing.T) {
 
 func TestHTTPResultBeforeDoneAndUnknownJob(t *testing.T) {
 	m, ts := newTestServer(t, 1)
-	// A job that takes a while: result must 409 while it runs. Force the
-	// execute engine — under the default auto engine replay can finish the
-	// whole campaign before the result request lands.
+	// A job that is still running: result must 409. The test holds the one
+	// pool slot until the request has landed.
+	release := holdSlot(m)
 	resp, body := doJSON(t, http.MethodPost, ts.URL+"/v1/campaigns",
-		`{"bus":"addr","size":400,"seed":3,"target_only":true,"engine":"execute"}`)
+		`{"bus":"addr","size":400,"seed":3,"target_only":true}`)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: %d: %s", resp.StatusCode, body)
 	}
@@ -138,16 +138,17 @@ func TestHTTPResultBeforeDoneAndUnknownJob(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown job cancel: %d, want 404", resp.StatusCode)
 	}
+	release()
 	waitDoneHTTP(t, m, st.ID)
 }
 
 func TestHTTPCancelAndResume(t *testing.T) {
 	m, ts := newTestServer(t, 1)
-	// Force the execute engine with a larger library so the job is slow
-	// enough for the cancel to land mid-campaign; under the default auto
-	// engine replay resolves defects too quickly for the HTTP round trip.
+	// The test holds the one pool slot, so the job stays mid-campaign
+	// until the cancel has landed.
+	release := holdSlot(m)
 	resp, body := doJSON(t, http.MethodPost, ts.URL+"/v1/campaigns",
-		`{"bus":"addr","size":600,"seed":2,"target_only":true,"engine":"execute"}`)
+		`{"bus":"addr","size":600,"seed":2,"target_only":true}`)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: %d: %s", resp.StatusCode, body)
 	}
@@ -155,24 +156,15 @@ func TestHTTPCancelAndResume(t *testing.T) {
 	if err := json.Unmarshal(body, &st); err != nil {
 		t.Fatal(err)
 	}
-	// Wait for some progress so the cancel lands mid-campaign.
+	// Let some defects complete so the cancel lands mid-campaign.
 	job, _ := m.Get(st.ID)
-	events, unsub := job.Subscribe()
-	deadline := time.After(time.Minute)
-	for started := false; !started; {
-		select {
-		case p := <-events:
-			started = p.Done > 0
-		case <-deadline:
-			t.Fatal("no progress before cancel")
-		}
-	}
-	unsub()
+	runUntil(t, m, job, 1)
 
 	resp, body = doJSON(t, http.MethodDelete, ts.URL+"/v1/campaigns/"+st.ID, "")
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("cancel: %d: %s", resp.StatusCode, body)
 	}
+	release()
 	waitDoneHTTP(t, m, st.ID)
 	resp, body = doJSON(t, http.MethodGet, ts.URL+"/v1/campaigns/"+st.ID, "")
 	var got Status
@@ -197,8 +189,6 @@ func TestHTTPCancelAndResume(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("result after resume: %d: %s", resp.StatusCode, body)
 	}
-	// The direct run uses the default auto engine: engines agree byte for
-	// byte, so the comparison doubles as a service-level equivalence check.
 	direct, width := directResult(t, Spec{Bus: "addr", Size: 600, Seed: 2, TargetOnly: true})
 	if want := renderJSON(t, direct, width); !bytes.Equal(body, want) {
 		t.Fatal("resumed HTTP result differs from direct render")
@@ -239,8 +229,8 @@ func TestHTTPWatchStreamsMonotoneProgress(t *testing.T) {
 	waitDoneHTTP(t, m, st.ID)
 }
 
-// TestHTTPWatchKeepAlive starves a small job behind a large one on a
-// single-slot pool, so its /watch stream goes idle mid-run; the server must
+// TestHTTPWatchKeepAlive starves a small job of the single-slot pool, which
+// the test holds, so its /watch stream goes idle mid-run; the server must
 // keep emitting (identical) keep-alive snapshots so proxies do not reap the
 // connection. Real progress events always change Done, so two consecutive
 // identical events prove a keep-alive was sent.
@@ -251,16 +241,7 @@ func TestHTTPWatchKeepAlive(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 
-	// The hog: a slow job holding the pool's only slot for most of the run.
-	resp, body := doJSON(t, http.MethodPost, ts.URL+"/v1/campaigns",
-		`{"bus":"addr","size":400,"seed":3,"target_only":true,"engine":"execute"}`)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit hog: %d %s", resp.StatusCode, body)
-	}
-	var hog Status
-	if err := json.Unmarshal(body, &hog); err != nil {
-		t.Fatal(err)
-	}
+	release := holdSlot(m)
 	st := submitSmall(t, ts)
 
 	watch, err := http.Get(ts.URL + "/v1/campaigns/" + st.ID + "/watch")
@@ -297,7 +278,7 @@ func TestHTTPWatchKeepAlive(t *testing.T) {
 	if keepAlives == 0 {
 		t.Fatalf("idle watch stream produced no keep-alive events (%d events, final %+v)", events, last)
 	}
-	waitDoneHTTP(t, m, hog.ID)
+	release()
 	waitDoneHTTP(t, m, st.ID)
 }
 
@@ -309,6 +290,7 @@ func TestHTTPBadSubmissions(t *testing.T) {
 		`{"bus":"ctrl"}`,
 		`{"bus":"addr","bogus_field":1}`,
 		`{"bus":"addr","engine":"warp"}`,
+		`{"bus":"addr","engine":"execute"}`,
 	} {
 		resp, _ := doJSON(t, http.MethodPost, ts.URL+"/v1/campaigns", body)
 		if resp.StatusCode != http.StatusBadRequest {
@@ -435,13 +417,13 @@ func TestHTTPHealthAndMetrics(t *testing.T) {
 		"xtalkd_workers 2",
 		"xtalkd_engine_batch_screened_total ",
 		"xtalkd_engine_fallbacks_total ",
-		"xtalkd_engine_executes_total 0",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q:\n%s", want, text)
 		}
 	}
-	for _, gone := range []string{"xtalkd_engine_replay_hits_total", "xtalkd_engine_screened_total", "xtalkd_channel_memo_"} {
+	for _, gone := range []string{"xtalkd_engine_replay_hits_total", "xtalkd_engine_screened_total", "xtalkd_channel_memo_",
+		"xtalkd_engine_executes_total", `tier="execute"`} {
 		if strings.Contains(text, gone) {
 			t.Errorf("metrics still expose the removed %s family", gone)
 		}

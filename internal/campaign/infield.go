@@ -14,7 +14,7 @@ import (
 // The infield job type: the spec's plan is deterministically partitioned
 // into bounded-cycle slices (internal/infield), each slice runs as its own
 // sub-plan campaign over the full defect library — sharing the manager's
-// runner cache, worker pool (or fleet) and engine — between nominal
+// runner cache and worker pool (or fleet) — between nominal
 // functional workload phases, and a coverage ledger accumulates the
 // per-slice detection vectors. The completed ledger's result is
 // byte-identical to the one-shot campaign over the same spec (see infield's
@@ -114,7 +114,7 @@ func (m *Manager) runSchedule(ctx context.Context, job *Job, env *jobEnv, manife
 		obs.Label{Key: "defects", Value: fmt.Sprint(env.Spec.Size)})
 	defer span.End()
 	interval := time.Duration(env.Spec.IntervalMS) * time.Millisecond
-	opts := m.campaignOpts(env.Spec, func(i int, out sim.Outcome) {
+	opts := m.campaignOpts(func(i int, out sim.Outcome) {
 		job.mu.Lock()
 		defer job.mu.Unlock()
 		job.progress.Done++

@@ -263,11 +263,16 @@ func TestOversizedRequestBodies(t *testing.T) {
 }
 
 // TestSpecBoundsOnFleetRoles submits specs past the library-size, plan and
-// cth_factor bounds to a fleet-backed manager, the coordinator's job
-// endpoint and a worker's shard endpoint: Submit refuses them and both
-// endpoints answer 400 without running anything.
+// cth_factor bounds, and one naming the removed execute engine, to a
+// fleet-backed manager, the coordinator's job endpoint and a worker's shard
+// endpoint: Submit refuses them and both endpoints answer 400 without
+// running anything.
 func TestSpecBoundsOnFleetRoles(t *testing.T) {
-	coord, servers := startWorkers(t, 1)
+	worker := campaign.New(campaign.Config{})
+	ws := httptest.NewServer(NewWorker(worker))
+	t.Cleanup(ws.Close)
+	coord := NewCoordinator(CoordinatorConfig{Backoff: 5 * time.Millisecond})
+	coord.Register(ws.URL)
 	cs := serveCoordinator(t, coord)
 	m := coord.NewManager(campaign.Config{}, 0)
 	loop := `{"programs":[{"session":0,"entry":16,"step_limit":%d,"image":[{"addr":16,"hex":"e08010"}]}]}`
@@ -279,6 +284,7 @@ func TestSpecBoundsOnFleetRoles(t *testing.T) {
 		"cth -1":    `{"bus":"addr","seed":1,"cth_factor":-1}`,
 		"cth 0.5":   `{"bus":"addr","seed":1,"cth_factor":0.5}`,
 		"cth 1":     `{"bus":"addr","seed":1,"cth_factor":1}`,
+		"execute":   `{"bus":"addr","seed":1,"engine":"execute"}`,
 	} {
 		var s campaign.Spec
 		if err := json.Unmarshal([]byte(spec), &s); err != nil {
@@ -288,8 +294,8 @@ func TestSpecBoundsOnFleetRoles(t *testing.T) {
 			t.Errorf("%s: a fleet-backed manager accepted the spec", name)
 		}
 		for url, body := range map[string]string{
-			cs.URL + "/v1/campaigns":            spec,
-			servers[0].URL + "/v1/fleet/shards": `{"spec":` + spec + `,"start":0,"end":1}`,
+			cs.URL + "/v1/campaigns":    spec,
+			ws.URL + "/v1/fleet/shards": `{"spec":` + spec + `,"start":0,"end":1}`,
 		} {
 			resp, err := http.Post(url, "application/json", strings.NewReader(body))
 			if err != nil {
@@ -306,6 +312,12 @@ func TestSpecBoundsOnFleetRoles(t *testing.T) {
 	campaigns, _ := snap.Value("xtalkd_fleet_campaigns_total", "")
 	if jobs != 0 || campaigns != 0 {
 		t.Errorf("specs past the bounds submitted %g jobs and ran %g campaigns", jobs, campaigns)
+	}
+	snap = worker.Obs().Reg.Snapshot()
+	shards, _ := snap.Value("xtalkd_fleet_shards_served_total", "")
+	defects, _ := snap.Value("xtalkd_defects_simulated_total", "")
+	if shards != 0 || defects != 0 {
+		t.Errorf("specs past the bounds ran %g shards and %g defects on the worker", shards, defects)
 	}
 }
 
@@ -505,6 +517,7 @@ func TestCoordinatorServerEndToEnd(t *testing.T) {
 	for _, body := range []string{
 		`{"bus":"ctrl","size":10,"seed":1}`,
 		`{"bus":"addr","size":10,"seed":1,"engine":"replay"}`,
+		`{"bus":"addr","size":10,"seed":1,"engine":"execute"}`,
 	} {
 		resp, err := http.Post(cs.URL+"/v1/campaigns", "application/json", strings.NewReader(body))
 		if err != nil {

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/defects"
+	"repro/internal/maf"
 	"repro/internal/sim"
 	"repro/internal/target"
 )
@@ -258,7 +259,8 @@ func TestPermutedMergeOrderIdentical(t *testing.T) {
 	}
 }
 
-// TestMergeIdempotentAndValidated pins re-merge no-ops and the shape checks.
+// TestMergeIdempotentAndValidated pins re-merge no-ops and the shape checks,
+// and that a refused merge leaves the ledger as it was.
 func TestMergeIdempotentAndValidated(t *testing.T) {
 	f := newFixture(t, 4)
 	m := f.manifest(t, Config{})
@@ -281,6 +283,51 @@ func TestMergeIdempotentAndValidated(t *testing.T) {
 	if err := l.MergeSlice(1, outs[:len(outs)-1], PointMeta{}); err == nil {
 		t.Error("short outcome vector accepted")
 	}
+
+	// A slice whose last outcome names another defect is refused before
+	// any outcome is folded in, so the ledger keeps its state and a correct
+	// merge afterwards renders what a clean ledger renders.
+	good := f.sliceOutcomes(t, m.Slices[1])
+	bad := append([]sim.Outcome(nil), good...)
+	bad[len(bad)-1].DefectID++
+	before := ledgerState(l)
+	if err := l.MergeSlice(1, bad, PointMeta{}); err == nil {
+		t.Fatal("outcome of another defect accepted")
+	}
+	if after := ledgerState(l); !reflect.DeepEqual(after, before) {
+		t.Fatalf("refused merge changed the ledger:\nbefore %+v\nafter  %+v", before, after)
+	}
+	clean := NewLedger(len(f.lib.Defects), len(m.Slices), f.bus)
+	for _, ledger := range []*Ledger{l, clean} {
+		for i, slice := range [][]sim.Outcome{outs, good} {
+			if err := ledger.MergeSlice(i, slice, PointMeta{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if got, want := renderLedger(t, l), renderLedger(t, clean); !bytes.Equal(got, want) {
+		t.Fatalf("merge after a refused one renders\n%s\nclean ledger renders\n%s", got, want)
+	}
+}
+
+// ledgerState is a deep copy of what a ledger reports.
+func ledgerState(l *Ledger) []any {
+	outs := make([]sim.Outcome, len(l.Outcomes()))
+	for i, o := range l.Outcomes() {
+		o.DetectedBy = append([]maf.Fault(nil), o.DetectedBy...)
+		outs[i] = o
+	}
+	return []any{outs, append([]CoveragePoint(nil), l.Points()...), l.Detected(), l.MergedCount()}
+}
+
+// renderLedger renders a ledger's outcomes and coverage curve as JSON.
+func renderLedger(t *testing.T, l *Ledger) []byte {
+	t.Helper()
+	b, err := json.Marshal([]any{l.Outcomes(), l.Points()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 // TestBuildManifestValidation covers the config rejections.

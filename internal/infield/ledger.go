@@ -97,7 +97,8 @@ func (l *Ledger) ConvergenceGap() int { return len(l.outs) - l.detected }
 
 // MergeSlice folds one slice's library-order outcomes into the ledger and
 // records a coverage point. Re-merging an already-merged slice is a no-op
-// (checkpoint replay); merging out-of-range or misshapen data is an error.
+// (checkpoint replay); merging out-of-range or misshapen data is an error
+// that leaves the ledger unchanged, so a retried merge counts nothing twice.
 func (l *Ledger) MergeSlice(slice int, outs []sim.Outcome, meta PointMeta) error {
 	if slice < 0 || slice >= len(l.merged) {
 		return fmt.Errorf("infield: slice %d out of range for a %d-slice ledger", slice, len(l.merged))
@@ -108,6 +109,12 @@ func (l *Ledger) MergeSlice(slice int, outs []sim.Outcome, meta PointMeta) error
 	if len(outs) != len(l.outs) {
 		return fmt.Errorf("infield: slice %d carries %d outcomes, ledger tracks %d defects",
 			slice, len(outs), len(l.outs))
+	}
+	for i, src := range outs {
+		if dst := &l.outs[i]; l.seen[i] && (dst.DefectID != src.DefectID || dst.Bus != src.Bus) {
+			return fmt.Errorf("infield: slice %d outcome %d is defect %d on bus %v, ledger holds defect %d on bus %v",
+				slice, i, src.DefectID, src.Bus, dst.DefectID, dst.Bus)
+		}
 	}
 	newDet := 0
 	for i, src := range outs {
@@ -121,10 +128,6 @@ func (l *Ledger) MergeSlice(slice int, outs []sim.Outcome, meta PointMeta) error
 			}
 			l.activations += int64(src.Activations)
 			continue
-		}
-		if dst.DefectID != src.DefectID || dst.Bus != src.Bus {
-			return fmt.Errorf("infield: slice %d outcome %d is defect %d on bus %v, ledger holds defect %d on bus %v",
-				slice, i, src.DefectID, src.Bus, dst.DefectID, dst.Bus)
 		}
 		if src.Detected && !dst.Detected {
 			newDet++

@@ -49,22 +49,11 @@ type InfieldSummaryJSON struct {
 	WorkloadCycles uint64  `json:"workload_cycles"`
 }
 
-// InfieldDriftJSON is the optional drift verdict line: the run's curve
-// compared against the persisted baseline for the same manifest key.
-type InfieldDriftJSON struct {
-	Kind string `json:"kind"` // always "drift"
-	infield.DriftReport
-}
-
-// InfieldJSON is the complete in-field schedule report. Drift is nil unless
-// the manager compared this run against a baseline (so reports from before
-// drift detection — and first runs, which become the baseline — keep their
-// exact bytes).
+// InfieldJSON is the complete in-field schedule report.
 type InfieldJSON struct {
 	Header  InfieldHeaderJSON       `json:"header"`
 	Points  []infield.CoveragePoint `json:"points"`
 	Summary InfieldSummaryJSON      `json:"summary"`
-	Drift   *InfieldDriftJSON       `json:"drift,omitempty"`
 }
 
 // NewInfieldJSON assembles the report from a manifest and its (typically
@@ -121,8 +110,7 @@ func lastWorkloadCycles(l *infield.Ledger) uint64 {
 }
 
 // WriteInfieldNDJSON streams the report as NDJSON: the header line, one line
-// per coverage point in merge order, the summary line, and — only when a
-// baseline comparison ran — a trailing drift verdict line.
+// per coverage point in merge order, and the summary line.
 func WriteInfieldNDJSON(w io.Writer, doc *InfieldJSON) error {
 	enc := json.NewEncoder(w)
 	if err := enc.Encode(doc.Header); err != nil {
@@ -133,11 +121,5 @@ func WriteInfieldNDJSON(w io.Writer, doc *InfieldJSON) error {
 			return err
 		}
 	}
-	if err := enc.Encode(doc.Summary); err != nil {
-		return err
-	}
-	if doc.Drift != nil {
-		return enc.Encode(doc.Drift)
-	}
-	return nil
+	return enc.Encode(doc.Summary)
 }

@@ -9,7 +9,8 @@ import (
 )
 
 // Engine selects a Runner's defect-simulation strategy: the exact production
-// engine or the Execute reference it is tested against.
+// engine, the only one the service and the CLI run, or the Execute
+// reference that tests and the benchmark compare it against.
 //
 // The production engine rests on a determinism argument: the bus traffic a
 // program drives is a function of the values the initiator and responder
@@ -38,44 +39,6 @@ const (
 	// the production engine is tested against.
 	Execute
 )
-
-// String returns the engine's flag spelling.
-func (e Engine) String() string {
-	switch e {
-	case Batch:
-		return "batch"
-	case Execute:
-		return "execute"
-	default:
-		return fmt.Sprintf("Engine(%d)", int(e))
-	}
-}
-
-// UnknownEngineError is the typed rejection of an engine name ParseEngine
-// does not know, so callers can tell a bad engine from other failures
-// without matching error text.
-type UnknownEngineError struct{ Name string }
-
-func (e *UnknownEngineError) Error() string {
-	if e.Name == "replay" {
-		return `sim: engine "replay" was removed (screening-only mode is gone; want auto, batch, or execute)`
-	}
-	return fmt.Sprintf("sim: unknown engine %q (want auto, batch, or execute)", e.Name)
-}
-
-// ParseEngine parses an engine name. The empty string, "auto" and "batch"
-// all select Batch, so specs and keys written under older spellings stay
-// valid.
-func ParseEngine(s string) (Engine, error) {
-	switch s {
-	case "", "auto", "batch":
-		return Batch, nil
-	case "execute":
-		return Execute, nil
-	default:
-		return Batch, &UnknownEngineError{Name: s}
-	}
-}
 
 // EngineStats are a Runner's cumulative engine counters across all defect
 // runs (atomic snapshot; the runner may be serving concurrent campaigns).

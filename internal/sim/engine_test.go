@@ -2,51 +2,15 @@ package sim
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
-	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/crosstalk"
 	"repro/internal/defects"
 )
-
-func TestParseEngine(t *testing.T) {
-	cases := []struct {
-		in   string
-		want Engine
-		ok   bool
-	}{
-		{"", Batch, true},
-		{"auto", Batch, true},
-		{"batch", Batch, true},
-		{"execute", Execute, true},
-		{"replay", Batch, false},
-		{"warp", Batch, false},
-	}
-	for _, c := range cases {
-		got, err := ParseEngine(c.in)
-		if (err == nil) != c.ok || got != c.want {
-			t.Errorf("ParseEngine(%q) = %v, %v; want %v, ok=%v", c.in, got, err, c.want, c.ok)
-		}
-		var unknown *UnknownEngineError
-		if !c.ok && (!errors.As(err, &unknown) || unknown.Name != c.in) {
-			t.Errorf("ParseEngine(%q) error %v is not an *UnknownEngineError naming it", c.in, err)
-		}
-	}
-	if _, err := ParseEngine("replay"); err == nil || !strings.Contains(err.Error(), "removed") {
-		t.Errorf(`ParseEngine("replay") error %v does not say the mode was removed`, err)
-	}
-	for _, e := range []Engine{Batch, Execute} {
-		back, err := ParseEngine(e.String())
-		if err != nil || back != e {
-			t.Errorf("round trip %v -> %q -> %v, %v", e, e.String(), back, err)
-		}
-	}
-}
 
 // comparable is the engine-independent part of an Outcome: the fields a
 // campaign report is built from.

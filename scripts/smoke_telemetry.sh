@@ -1,8 +1,10 @@
 #!/bin/sh
 # smoke_telemetry.sh boots a real xtalkd, submits one small campaign, and
 # asserts the telemetry endpoints answer on the live daemon: /metrics must
-# serve a non-empty Prometheus exposition, /debug/events a non-empty event
-# array, and /debug/trace/{job} the job's spans. It then boots a live
+# serve a non-empty Prometheus exposition with no series of the removed
+# execute engine, /debug/events a non-empty event array, and
+# /debug/trace/{job} the job's spans; a spec naming the execute engine gets
+# a 400 there and on the coordinator. It then boots a live
 # 2-worker fleet (coordinator + two heartbeating workers) and asserts the
 # federation surface: /fleet/status sees both workers scraped, neither
 # worker recorded a refused heartbeat, GET /v1/fleet/workers answers 405
@@ -50,6 +52,18 @@ echo "$metrics" | grep -q '^# TYPE xtalkd_jobs_submitted_total counter$' ||
     { echo "metrics exposition missing typed job counter:"; echo "$metrics"; exit 1; } >&2
 echo "$metrics" | grep -q '^xtalkd_sim_defect_seconds_bucket{tier="replay",le="+Inf"} ' ||
     { echo "metrics exposition missing per-tier latency histogram:"; echo "$metrics"; exit 1; } >&2
+if echo "$metrics" | grep -q 'tier="execute"\|xtalkd_engine_executes_total'; then
+    echo "metrics exposition still serves the removed execute engine's series:"; echo "$metrics"; exit 1
+fi >&2
+
+# The batch engine is the only one a job runs: naming another is a 400.
+refuse_execute() {
+    code=$(curl -s -o /dev/null -w '%{http_code}' -X POST -H 'Content-Type: application/json' \
+        -d '{"bus":"addr","engine":"execute"}' "$1/v1/campaigns")
+    [ "$code" = 400 ] ||
+        { echo "$2 answered $code to the execute engine, want 400" >&2; exit 1; }
+}
+refuse_execute "$base" "standalone node"
 
 curl -fsS "$base/debug/events" | grep -q '"type": *"job.submit"' ||
     { echo "flight recorder has no job.submit event" >&2; exit 1; }
@@ -108,6 +122,8 @@ done
 code=$(curl -s -o /dev/null -w '%{http_code}' "$cbase/v1/fleet/workers")
 [ "$code" = 405 ] ||
     { echo "GET /v1/fleet/workers answered $code, want 405" >&2; exit 1; }
+
+refuse_execute "$cbase" "coordinator"
 
 curl -fsS "$cbase/alerts" | grep -q '"shard_roundtrip"' ||
     { echo "coordinator /alerts lacks the shard_roundtrip objective" >&2; exit 1; }
