@@ -260,7 +260,7 @@ func TestConcurrentJobsShareLibraryBatch(t *testing.T) {
 	if err != nil || !hit {
 		t.Fatalf("library cache hit %v (err %v) after the warm-up job", hit, err)
 	}
-	kept, err := lib.Batch(lib.Thresholds)
+	kept, err := lib.Batch(context.Background(), lib.Thresholds, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestConcurrentJobsShareLibraryBatch(t *testing.T) {
 	if err != nil || !hit || again != lib {
 		t.Fatalf("library cache returned another library (hit %v, err %v)", hit, err)
 	}
-	if b, err := lib.Batch(lib.Thresholds); err != nil || b != kept {
+	if b, err := lib.Batch(context.Background(), lib.Thresholds, 1, nil); err != nil || b != kept {
 		t.Fatalf("the library's batch changed while jobs shared it (err %v)", err)
 	}
 }

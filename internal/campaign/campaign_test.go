@@ -190,6 +190,10 @@ func TestCacheReuseAcrossJobs(t *testing.T) {
 	}
 }
 
+// TestCancelStopsPromptly cancels a job mid-campaign while the test holds
+// the pool's only slot: the job ends canceled within a second, without the
+// defect run that waits for the slot, and completes no defect once the slot
+// is free again.
 func TestCancelStopsPromptly(t *testing.T) {
 	// The test holds the one pool slot, so the job stays mid-campaign.
 	m := New(Config{Workers: 1})
@@ -206,12 +210,25 @@ func TestCancelStopsPromptly(t *testing.T) {
 	if err := m.Cancel(job.ID()); err != nil {
 		t.Fatal(err)
 	}
-	// A defect run waiting on the slot finishes before the job stops.
+	// The job's next defect run waits for the slot the test still holds;
+	// the cancel drops it.
+	select {
+	case <-job.Done():
+	case <-time.After(time.Second):
+		t.Fatalf("job is %s 1s after Cancel while a run waits for the slot", job.Status().State)
+	}
+	done := job.Status().Progress.Done
+	// Free the slot, then take it again: a run still waiting would take it
+	// first and complete its defect.
 	release()
-	waitDone(t, job)
+	release = holdSlot(m)
+	defer release()
 	st := job.Status()
 	if st.State != Canceled {
 		t.Fatalf("state = %s, want canceled", st.State)
+	}
+	if st.Progress.Done != done {
+		t.Fatalf("%d defects done once the slot was free, %d at the cancel", st.Progress.Done, done)
 	}
 	if st.Progress.Done >= st.Progress.Total {
 		t.Fatalf("cancelled job completed all %d defects", st.Progress.Total)

@@ -1,9 +1,11 @@
 package crosstalk
 
 import (
+	"context"
 	"fmt"
 	"math/bits"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/logic"
 	"repro/internal/maf"
@@ -18,11 +20,11 @@ import (
 //
 // Only the sets at risk on a wire are stored and evaluated for it: per
 // victim wire, the batch keeps the ascending indexes of the sets whose risk
-// masks (see riskMasks, shared with NewChannel) admit that wire, plus those
-// sets' compacted columns. A set outside a wire's list provably never errs
-// on that wire, so skipping it changes no verdict. A defect library puts
-// 1.15–1.35 wires per set at risk, so the batch holds about n·1.2·W coupling
-// values rather than n·W².
+// masks (see riskMasks, computed by each set's Channel) admit that wire,
+// plus those sets' compacted columns. A set outside a wire's list provably
+// never errs on that wire, so skipping it changes no verdict. A defect
+// library puts 1.15–1.35 wires per set at risk, so the batch holds about
+// n·1.2·W coupling values rather than n·W².
 //
 // The per-set error decision is arithmetic-identical to Channel.transmit:
 // the same accumulation order (ascending aggressor index), the same Miller
@@ -32,6 +34,11 @@ import (
 // with exactly the verdict a per-defect Channel walk would reach
 // (TestBatchMatchesChannelTransmit pins the equivalence).
 //
+// A batch keeps every set's Channel, the one NewChannel builds: building the
+// batch validates each set and computes its risk masks through it, and the
+// sim layer resumes a divergent defect on the batch's channel instead of
+// building a second one (see Channel).
+//
 // A Batch is safe for concurrent use: it is immutable once built, and each
 // EventMask call draws its per-set accumulator from a pool the batch owns, so
 // several goroutines may evaluate transitions of one batch at once.
@@ -40,6 +47,7 @@ type Batch struct {
 	n     int
 	th    Thresholds
 
+	chans   []*Channel    // set d's channel, see Channel
 	victims []batchVictim // indexed by victim wire
 
 	// scratch pools EventMask's accumulators (*[]float64, as long as the
@@ -60,10 +68,23 @@ type batchVictim struct {
 	cc     [][]float64
 }
 
+// setBlock is how many parameter sets a worker of BuildBatch's per-set pass
+// takes at a time.
+const setBlock = 16
+
 // NewBatch builds a batch evaluator over the given parameter sets, judged
 // against one threshold set (derived, as always, from the nominal geometry
-// all the sets perturb). Every set must validate and share one width.
+// all the sets perturb). Every set must validate and share one width; the
+// error names the lowest-indexed set that does not.
 func NewBatch(params []*Params, th Thresholds) (*Batch, error) {
+	return BuildBatch(context.Background(), params, th, 1, nil)
+}
+
+// BuildBatch is NewBatch with its per-set pass, which builds each set's
+// Channel (validating the set and computing its risk masks), spread over up
+// to workers goroutines that each hold one slots token (see RunBlocks). The
+// batch is the one NewBatch builds. A cancelled context returns its error.
+func BuildBatch(ctx context.Context, params []*Params, th Thresholds, workers int, slots chan struct{}) (*Batch, error) {
 	if len(params) == 0 {
 		return nil, fmt.Errorf("crosstalk: batch over zero parameter sets")
 	}
@@ -71,36 +92,52 @@ func NewBatch(params []*Params, th Thresholds) (*Batch, error) {
 		return nil, err
 	}
 	width := params[0].Width
-	for d, p := range params {
-		if err := p.Validate(); err != nil {
-			return nil, fmt.Errorf("crosstalk: batch set %d: %w", d, err)
+	chans := make([]*Channel, len(params))
+	errs := make([]error, len(params))
+	err := RunBlocks(ctx, len(params), setBlock, workers, slots, func(lo, hi int) {
+		for d := lo; d < hi; d++ {
+			c, err := NewChannel(params[d], th)
+			switch {
+			case err != nil:
+				errs[d] = fmt.Errorf("crosstalk: batch set %d: %w", d, err)
+			case c.p.Width != width:
+				errs[d] = fmt.Errorf("crosstalk: batch set %d is %d wires, set 0 is %d", d, c.p.Width, width)
+			default:
+				chans[d] = c
+			}
 		}
-		if p.Width != width {
-			return nil, fmt.Errorf("crosstalk: batch set %d is %d wires, set 0 is %d", d, p.Width, width)
+	})
+	if err != nil {
+		return nil, err
+	}
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
 	}
 	b := &Batch{
 		width:   width,
 		n:       len(params),
 		th:      th,
+		chans:   chans,
 		victims: make([]batchVictim, width),
 	}
 	for i := range b.victims {
 		b.victims[i].cc = make([][]float64, width)
 	}
-	for d, p := range params {
-		ctot, delayRisk, glitchRisk := riskMasks(p, th)
-		for risk := delayRisk[0] | delayRisk[1] | glitchRisk; risk != 0; risk &= risk - 1 {
+	for d, c := range chans {
+		p := c.p
+		for risk := c.delayRisk[0] | c.delayRisk[1] | c.glitchRisk; risk != 0; risk &= risk - 1 {
 			i := bits.TrailingZeros64(risk)
 			v := &b.victims[i]
 			v.sets = append(v.sets, int32(d))
 			v.cg = append(v.cg, p.Cg[i])
-			v.ctot = append(v.ctot, ctot[i])
+			v.ctot = append(v.ctot, c.ctot[i])
 			for dir, r := range p.RDrive {
 				v.rdrive[dir] = append(v.rdrive[dir], r)
 			}
-			for j, c := range p.Cc[i] {
-				v.cc[j] = append(v.cc[j], c)
+			for j, cc := range p.Cc[i] {
+				v.cc[j] = append(v.cc[j], cc)
 			}
 		}
 	}
@@ -114,6 +151,47 @@ func NewBatch(params []*Params, th Thresholds) (*Batch, error) {
 	}
 	return b, nil
 }
+
+// RunBlocks calls fn on consecutive blocks [lo, hi) of at most block indexes
+// that together cover [0, n) once, from up to workers goroutines (at least
+// one, at most one per block). Each goroutine holds one slots token, when
+// slots is non-nil, for as long as it runs, so callers sharing one pool stay
+// within its width, and checks ctx between blocks. It returns once every
+// goroutine has stopped: nil when every block ran, the context's error when
+// ctx was cancelled, in which case some blocks may not have run.
+func RunBlocks(ctx context.Context, n, block, workers int, slots chan struct{}, fn func(lo, hi int)) error {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(max(1, workers), (n+block-1)/block); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if slots != nil {
+				select {
+				case slots <- struct{}{}:
+				case <-ctx.Done():
+					return
+				}
+				defer func() { <-slots }()
+			}
+			for ctx.Err() == nil {
+				lo := int(next.Add(int64(block))) - block
+				if lo >= n {
+					return
+				}
+				fn(lo, min(lo+block, n))
+			}
+		}()
+	}
+	wg.Wait()
+	return ctx.Err()
+}
+
+// Channel returns set d's channel: the Channel NewChannel builds over the
+// batch's set d and thresholds, shared by every caller. It carries no
+// transmit memo and must never be given one (EnableMemo), since a memo
+// confines a channel to one goroutine.
+func (b *Batch) Channel(d int) *Channel { return b.chans[d] }
 
 // Len returns the number of parameter sets in the batch.
 func (b *Batch) Len() int { return b.n }

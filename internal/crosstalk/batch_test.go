@@ -1,9 +1,11 @@
 package crosstalk
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/logic"
@@ -44,7 +46,9 @@ func perturbedSets(t *testing.T, width, n int, seed int64) []*Params {
 // and both drive directions. The reference does not use the risk masks,
 // which Batch and Channel share. Besides the mixed library, a quiet batch
 // (no wire has an at-risk set) and a loud one (every wire has every set at
-// risk) cover the ends of the compaction.
+// risk) cover the ends of the compaction. The batch's own channel for each
+// set (Batch.Channel) must equal NewChannel's in its total couplings and
+// risk masks and transmit exactly as it does.
 func TestBatchMatchesChannelTransmit(t *testing.T) {
 	for _, width := range []int{2, 8, 12, 32, 40, 64} {
 		width := width
@@ -92,6 +96,11 @@ func TestBatchMatchesChannelTransmit(t *testing.T) {
 					if chans[d], err = NewChannel(p, th); err != nil {
 						t.Fatal(err)
 					}
+					bc := b.Channel(d)
+					if bc.p != p || !slices.Equal(bc.ctot, chans[d].ctot) ||
+						bc.delayRisk != chans[d].delayRisk || bc.glitchRisk != chans[d].glitchRisk {
+						t.Fatalf("%s: set %d's batch channel differs from NewChannel's", tc.name, d)
+					}
 				}
 				rng := rand.New(rand.NewSource(int64(7 * width)))
 				mask := make([]uint64, b.MaskWords())
@@ -109,6 +118,12 @@ func TestBatchMatchesChannelTransmit(t *testing.T) {
 						if got != (len(events) > 0) {
 							t.Fatalf("%s step %d set %d: batch says events=%v, reference produced %d events for %v->%v %v",
 								tc.name, step, d, got, len(events), v1, v2, dir)
+						}
+						wantWord, wantEvents := ch.Transmit(v1, v2, dir)
+						gotWord, gotEvents := b.Channel(d).Transmit(v1, v2, dir)
+						if gotWord != wantWord || !slices.Equal(gotEvents, wantEvents) {
+							t.Fatalf("%s step %d set %d: batch channel transmits %v %v, NewChannel %v %v",
+								tc.name, step, d, gotWord, gotEvents, wantWord, wantEvents)
 						}
 					}
 				}
@@ -134,6 +149,20 @@ func TestBatchValidation(t *testing.T) {
 	bad.Cc[0][1] = -1
 	if _, err := NewBatch([]*Params{nominal, bad}, th); err == nil {
 		t.Error("invalid parameter set accepted")
+	}
+	// With two invalid sets the error names the lower index, also when the
+	// per-set pass runs on several goroutines and the later set's block
+	// may finish first.
+	sets := make([]*Params, 40)
+	for d := range sets {
+		sets[d] = nominal
+	}
+	sets[5], sets[33] = bad, Nominal(12)
+	for _, workers := range []int{1, 3} {
+		_, err := BuildBatch(context.Background(), sets, th, workers, make(chan struct{}, 2))
+		if err == nil || !strings.Contains(err.Error(), "batch set 5:") {
+			t.Errorf("%d workers: two invalid sets gave %v, want set 5 named", workers, err)
+		}
 	}
 	b, err := NewBatch([]*Params{nominal, nominal.Clone(), nominal.Clone()}, th)
 	if err != nil {

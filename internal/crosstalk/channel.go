@@ -110,17 +110,18 @@ func NewChannel(p *Params, th Thresholds) (*Channel, error) {
 }
 
 // riskMasks computes a validated parameter set's per-wire total coupling
-// (Channel.ctot) and its exact worst-case risk masks, shared by NewChannel
-// and NewBatch so the two kernels cannot disagree:
+// (Channel.ctot) and its exact worst-case risk masks for NewChannel. A Batch
+// gathers its columns from its sets' channels, so the two kernels cannot
+// disagree:
 //
 //   - delayRisk[dir] bit i is set iff ln2*RDrive[dir]*ceffMax > Slack[dir],
 //     where ceffMax = Cg[i] + Σ_{j≠i, ascending} 2*Cc[i][j];
 //   - glitchRisk bit i is set iff ctot[i]/(Cg[i]+ctot[i]) > GlitchFrac.
 //
-// Both are transmit's own expressions in its own summation order: this is
-// the paper's Cth criterion (only a wire whose net coupling is too large
-// can err, and only under its maximum-aggressor pattern) made exact for
-// floating-point arithmetic.
+// Both are transmit's own expressions in its own summation order (the sums
+// run in registers, in ascending j): this is the paper's Cth criterion (only
+// a wire whose net coupling is too large can err, and only under its
+// maximum-aggressor pattern) made exact for floating-point arithmetic.
 //
 // The masks are sound: a wire outside them cannot err on any transition.
 // Validate guarantees Cc >= 0, Cg > 0 and RDrive > 0, and IEEE
@@ -136,21 +137,23 @@ func NewChannel(p *Params, th Thresholds) (*Channel, error) {
 // Margins, which evaluates those patterns through Analyze.
 func riskMasks(p *Params, th Thresholds) (ctot []float64, delayRisk [2]uint64, glitchRisk uint64) {
 	ctot = make([]float64, p.Width)
-	for i := 0; i < p.Width; i++ {
+	for i, row := range p.Cc {
+		var tot float64
 		ceffMax := p.Cg[i]
-		for j := 0; j < p.Width; j++ {
+		for j, c := range row {
 			if j != i {
-				ctot[i] += p.Cc[i][j]
-				ceffMax += 2 * p.Cc[i][j]
+				tot += c
+				ceffMax += 2 * c
 			}
 		}
+		ctot[i] = tot
 		bit := uint64(1) << uint(i)
 		for dir, r := range p.RDrive {
 			if ln2*r*ceffMax > th.Slack[dir] {
 				delayRisk[dir] |= bit
 			}
 		}
-		if ctot[i]/(p.Cg[i]+ctot[i]) > th.GlitchFrac {
+		if tot/(p.Cg[i]+tot) > th.GlitchFrac {
 			glitchRisk |= bit
 		}
 	}

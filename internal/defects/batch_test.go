@@ -3,9 +3,12 @@ package defects_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/campaign"
 	"repro/internal/core"
@@ -18,9 +21,11 @@ import (
 )
 
 // TestLibraryBatchLazyAndKept pins Library.Batch itself: nothing is built
-// before the first call, concurrent first calls share one build, other
-// thresholds get a fresh batch that is never kept, and a changed defect list
-// gets a batch over the new list.
+// before the first call, a cancelled build (also one waiting for the pool's
+// slots, and a cancelled caller that finds that build in flight) returns
+// context.Canceled and keeps nothing, concurrent first calls share one build on a two-token
+// pool, other thresholds get a fresh batch that is never kept, and a
+// changed defect list gets a batch over the new list.
 func TestLibraryBatchLazyAndKept(t *testing.T) {
 	nom := crosstalk.Nominal(12)
 	th, err := crosstalk.DeriveThresholds(nom, 0)
@@ -34,13 +39,52 @@ func TestLibraryBatchLazyAndKept(t *testing.T) {
 	if defects.KeptBatch(lib) != nil {
 		t.Fatal("a fresh library already keeps a batch")
 	}
+
+	pool := make(chan struct{}, 2)
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := lib.Batch(cancelled, th, 2, pool); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled build returned %v, want context.Canceled", err)
+	}
+	// With the pool busy elsewhere, a build waits for a slot until its
+	// context is cancelled, and a caller that finds it in flight waits for
+	// it until the caller's own context is.
+	pool <- struct{}{}
+	pool <- struct{}{}
+	waiting, stop := context.WithCancel(context.Background())
+	built := make(chan error, 1)
+	go func() {
+		_, err := lib.Batch(waiting, th, 2, pool)
+		built <- err
+	}()
+	for deadline := time.Now().Add(time.Minute); !defects.BuildInFlight(lib); runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatal("the build never started")
+		}
+	}
+	if _, err := lib.Batch(cancelled, th, 2, pool); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled caller of a build in flight returned %v, want context.Canceled", err)
+	}
+	stop()
+	if err := <-built; !errors.Is(err, context.Canceled) {
+		t.Fatalf("build cancelled while waiting for a slot returned %v, want context.Canceled", err)
+	}
+	if len(pool) != 2 {
+		t.Fatalf("pool holds %d tokens after the cancelled builds, want the 2 held elsewhere", len(pool))
+	}
+	<-pool
+	<-pool
+	if defects.KeptBatch(lib) != nil {
+		t.Fatal("a cancelled build left a batch in the library")
+	}
+
 	batches := make([]*crosstalk.Batch, 6)
 	var wg sync.WaitGroup
 	for i := range batches {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			b, err := lib.Batch(th)
+			b, err := lib.Batch(context.Background(), th, 2, pool)
 			if err != nil {
 				t.Error(err)
 			}
@@ -62,11 +106,11 @@ func TestLibraryBatchLazyAndKept(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o1, err := lib.Batch(other)
+	o1, err := lib.Batch(context.Background(), other, 2, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
-	o2, err := lib.Batch(other)
+	o2, err := lib.Batch(context.Background(), other, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +122,7 @@ func TestLibraryBatchLazyAndKept(t *testing.T) {
 	}
 
 	lib.Defects = lib.Defects[:40]
-	b, err := lib.Batch(th)
+	b, err := lib.Batch(context.Background(), th, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +190,7 @@ func TestLibraryBatchSharedAcrossCampaigns(t *testing.T) {
 		}
 		check(fmt.Sprintf("slice %d", sl.Index))
 	}
-	if b, err := lib.Batch(lib.Thresholds); err != nil || b != kept {
+	if b, err := lib.Batch(ctx, lib.Thresholds, 1, nil); err != nil || b != kept {
 		t.Fatalf("Batch returned %p (err %v), the campaigns screened with %p", b, err, kept)
 	}
 }

@@ -13,6 +13,7 @@
 package defects
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -32,6 +33,13 @@ const (
 	// unsatisfiable configuration (e.g. an enormous Cth) fails loudly
 	// instead of spinning forever.
 	maxAttemptsPerDefect = 2_000_000
+	// drawBlock is about how many normals the drawing goroutine hands over
+	// at a time (see normals): whole attempts, so a narrow bus's attempt of
+	// a few dozen values does not pay one handoff each.
+	drawBlock = 4096
+	// drawBufs is how many blocks circulate between the drawing goroutine
+	// and the judge: one being drawn, one being judged, and two of slack.
+	drawBufs = 4
 )
 
 // Defect is one recorded perturbation of the bus capacitances.
@@ -61,33 +69,58 @@ type Library struct {
 	// process.
 	TotalAttempts int
 
-	batchMu sync.Mutex
-	batch   *crosstalk.Batch    // see Batch; nil until first use
-	batchOf []*crosstalk.Params // the sets batch was built over, in order
+	batchMu  sync.Mutex
+	batch    *crosstalk.Batch    // see Batch; nil until first use
+	batchOf  []*crosstalk.Params // the sets batch was built over, in order
+	building chan struct{}       // closed when the build in flight ends; nil when none is
 }
 
 // Batch returns a crosstalk.Batch over the defects' parameter sets, in
-// library order, judged against th. For the library's own Thresholds the
-// batch is built on first use and kept as long as the library, so every
-// campaign over one library screens with one batch (a Batch is safe for
-// concurrent use); it is rebuilt only if Defects has changed since. Other
-// thresholds get a fresh batch that is not kept.
-func (l *Library) Batch(th crosstalk.Thresholds) (*crosstalk.Batch, error) {
+// library order, judged against th, built by crosstalk.BuildBatch on up to
+// workers goroutines that each hold one slots token. For the library's own
+// Thresholds the batch is built on first use and kept as long as the
+// library, so every campaign over one library screens with one batch (a
+// Batch is safe for concurrent use); it is rebuilt only if Defects has
+// changed since. A caller that finds a build in flight waits for it, or
+// for ctx. A cancelled build returns the context's error and keeps nothing.
+// Other thresholds get a fresh batch that is not kept.
+func (l *Library) Batch(ctx context.Context, th crosstalk.Thresholds, workers int, slots chan struct{}) (*crosstalk.Batch, error) {
 	if th != l.Thresholds {
-		return crosstalk.NewBatch(l.params(), th)
+		return crosstalk.BuildBatch(ctx, l.params(), th, workers, slots)
 	}
-	l.batchMu.Lock()
-	defer l.batchMu.Unlock()
-	if l.batch != nil && l.builtOver() {
-		return l.batch, nil
+	for {
+		l.batchMu.Lock()
+		if l.batch != nil && l.builtOver() {
+			b := l.batch
+			l.batchMu.Unlock()
+			return b, nil
+		}
+		building := l.building
+		if building == nil {
+			break
+		}
+		l.batchMu.Unlock()
+		select {
+		case <-building:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
 	}
+	// No batch and no build in flight, and batchMu is held: mark a build in
+	// flight and run it outside the lock, since it waits for pool slots.
+	done := make(chan struct{})
+	l.building = done
 	params := l.params()
-	b, err := crosstalk.NewBatch(params, th)
-	if err != nil {
-		return nil, err
+	l.batchMu.Unlock()
+	b, err := crosstalk.BuildBatch(ctx, params, th, workers, slots)
+	l.batchMu.Lock()
+	if err == nil {
+		l.batch, l.batchOf = b, params
 	}
-	l.batch, l.batchOf = b, params
-	return b, nil
+	l.building = nil
+	l.batchMu.Unlock()
+	close(done)
+	return b, err
 }
 
 // params lists the defects' parameter sets in library order.
@@ -128,6 +161,14 @@ type Config struct {
 
 // Generate builds a defect library for the nominal bus, judged against the
 // given thresholds (normally derived from the same nominal parameters).
+//
+// The normals are drawn on a goroutine of its own (see normals), in the
+// order Perturb draws them, while this one judges each attempt: it scales
+// the attempt's couplings into one upper-triangle row and sums each wire's
+// net coupling as the values arrive, in ascending partner order, which is
+// the order Params.NetCoupling sums in, so every verdict and attempt count
+// is the one a Perturb and OverThresholdWires loop reaches. Only an
+// accepted draw becomes a parameter set.
 func Generate(nominal *crosstalk.Params, th crosstalk.Thresholds, cfg Config) (*Library, error) {
 	if err := nominal.Validate(); err != nil {
 		return nil, err
@@ -148,7 +189,6 @@ func Generate(nominal *crosstalk.Params, th crosstalk.Thresholds, cfg Config) (*
 		return nil, fmt.Errorf("defects: negative library size %d", cfg.Size)
 	}
 
-	rng := rand.New(rand.NewSource(cfg.Seed))
 	lib := &Library{
 		Nominal:    nominal,
 		Thresholds: th,
@@ -156,9 +196,11 @@ func Generate(nominal *crosstalk.Params, th crosstalk.Thresholds, cfg Config) (*
 		Seed:       cfg.Seed,
 		Defects:    make([]Defect, 0, cfg.Size),
 	}
-	// Every draw is perturbed into one scratch set and only an accepted draw
-	// is cloned: most draws are rejected, and a set holds a W×W matrix.
-	draw := nominal.Clone()
+	w := nominal.Width
+	pairs := w * (w - 1) / 2
+	draws := startNormals(rand.New(rand.NewSource(cfg.Seed)), pairs, max(1, drawBlock/pairs))
+	defer draws.stop()
+	net := make([]float64, w)
 	for len(lib.Defects) < cfg.Size {
 		attempts := 0
 		for {
@@ -167,14 +209,42 @@ func Generate(nominal *crosstalk.Params, th crosstalk.Thresholds, cfg Config) (*
 			if attempts > maxAttemptsPerDefect {
 				return nil, errors.New("defects: perturbations never cross Cth; sigma too small or Cth too large")
 			}
-			perturbInto(draw, nominal, cfg.Sigma, rng)
-			over := OverThresholdWires(draw, th.Cth)
+			// Scale the attempt's normals into couplings in place: the pair
+			// (i, j), i < j, ascending, as perturbInto visits them. Wire j
+			// meets its partners below it in rows 0..j-1 and those above it
+			// in row j, so every net sum runs in ascending partner order. The
+			// conversion rounds each coupling before it is summed, as a
+			// stored one is, so no platform may fuse the two.
+			tri := draws.attempt()
+			clear(net)
+			k := 0
+			for i := 0; i < w; i++ {
+				row, sum := nominal.Cc[i], net[i]
+				for j := i + 1; j < w; j++ {
+					scale := 1 + tri[k]*cfg.Sigma
+					if scale < 0 {
+						scale = 0
+					}
+					c := float64(row[j] * scale)
+					tri[k] = c
+					sum += c
+					net[j] += c
+					k++
+				}
+				net[i] = sum
+			}
+			var over []int
+			for i, sum := range net {
+				if sum > th.Cth {
+					over = append(over, i)
+				}
+			}
 			if len(over) == 0 {
 				continue
 			}
 			lib.Defects = append(lib.Defects, Defect{
 				ID:            len(lib.Defects),
-				Params:        draw.Clone(),
+				Params:        fromTriangle(nominal, tri),
 				OverThreshold: over,
 				Attempts:      attempts,
 			})
@@ -182,6 +252,101 @@ func Generate(nominal *crosstalk.Params, th crosstalk.Thresholds, cfg Config) (*
 		}
 	}
 	return lib, nil
+}
+
+// fromTriangle builds the parameter set whose couplings are tri, nominal's
+// upper triangle row by row, mirrored below the diagonal; its coupling rows
+// are cut from one W×W allocation. Every other field is nominal's.
+func fromTriangle(nominal *crosstalk.Params, tri []float64) *crosstalk.Params {
+	w := nominal.Width
+	flat := make([]float64, w*w)
+	p := &crosstalk.Params{
+		Width:  w,
+		Cg:     append([]float64(nil), nominal.Cg...),
+		Cc:     make([][]float64, w),
+		RDrive: nominal.RDrive,
+		Vdd:    nominal.Vdd,
+	}
+	for i := range p.Cc {
+		p.Cc[i] = flat[i*w : (i+1)*w : (i+1)*w]
+	}
+	k := 0
+	for i := 0; i < w; i++ {
+		for j := i + 1; j < w; j++ {
+			p.Cc[i][j], p.Cc[j][i] = tri[k], tri[k]
+			k++
+		}
+	}
+	return p
+}
+
+// normals hands a judge rng's standard normals in the order NormFloat64
+// returns them, attempt by attempt, drawn ahead on a goroutine of its own
+// in blocks of whole attempts. The judge may overwrite an attempt's values;
+// they are its until its next call. stop must be called once: it returns
+// after the drawing goroutine has exited.
+type normals struct {
+	full, free chan []float64 // each holds every block at once, so sends never wait
+	done       chan struct{}
+	wg         sync.WaitGroup
+
+	per   int       // values per attempt
+	block []float64 // the block being judged
+	off   int       // its next attempt's offset
+}
+
+// startNormals starts drawing blocks of perBlock attempts of per values.
+func startNormals(rng *rand.Rand, per, perBlock int) *normals {
+	n := &normals{
+		full: make(chan []float64, drawBufs),
+		free: make(chan []float64, drawBufs),
+		done: make(chan struct{}),
+		per:  per,
+	}
+	for i := 0; i < drawBufs; i++ {
+		n.free <- make([]float64, per*perBlock)
+	}
+	n.wg.Add(1)
+	go func() {
+		defer n.wg.Done()
+		for {
+			// A stop wins over a free block: select picks at random.
+			select {
+			case <-n.done:
+				return
+			default:
+			}
+			select {
+			case buf := <-n.free:
+				for i := range buf {
+					buf[i] = rng.NormFloat64()
+				}
+				n.full <- buf
+			case <-n.done:
+				return
+			}
+		}
+	}()
+	return n
+}
+
+// attempt returns the next attempt's values.
+func (n *normals) attempt() []float64 {
+	if n.off == len(n.block) {
+		if n.block != nil {
+			n.free <- n.block
+		}
+		n.block, n.off = <-n.full, 0
+	}
+	a := n.block[n.off : n.off+n.per]
+	n.off += n.per
+	return a
+}
+
+// stop ends the drawing goroutine and waits for it to exit.
+func (n *normals) stop() {
+	close(n.done)
+	n.wg.Wait()
 }
 
 // Perturb draws one random perturbation of the nominal capacitance network:

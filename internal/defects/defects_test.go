@@ -1,9 +1,14 @@
 package defects
 
 import (
+	"encoding/json"
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/crosstalk"
 )
@@ -41,6 +46,139 @@ func TestGenerateDeterministic(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// serialGenerate is Generate's reference: the serial rejection loop, one
+// Perturb-style draw into a scratch set per attempt (perturbInto) judged by
+// OverThresholdWires, and a clone of each accepted draw.
+func serialGenerate(nominal *crosstalk.Params, th crosstalk.Thresholds, cfg Config) (*Library, error) {
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	lib := &Library{Nominal: nominal, Thresholds: th, Sigma: cfg.Sigma, Seed: cfg.Seed}
+	draw := nominal.Clone()
+	for len(lib.Defects) < cfg.Size {
+		attempts := 0
+		for {
+			attempts++
+			lib.TotalAttempts++
+			if attempts > maxAttemptsPerDefect {
+				return nil, errors.New("never crosses Cth")
+			}
+			perturbInto(draw, nominal, cfg.Sigma, rng)
+			over := OverThresholdWires(draw, th.Cth)
+			if len(over) == 0 {
+				continue
+			}
+			lib.Defects = append(lib.Defects, Defect{ID: len(lib.Defects), Params: draw.Clone(), OverThreshold: over, Attempts: attempts})
+			break
+		}
+	}
+	return lib, nil
+}
+
+// goroutinesBackTo reports whether the goroutine count falls back to n
+// within a second. Generate returns once its drawing goroutine has
+// signalled that it is done, so that goroutine may still be returning; one
+// that never exits keeps the count up.
+func goroutinesBackTo(n int) bool {
+	for deadline := time.Now().Add(time.Second); time.Now().Before(deadline); runtime.Gosched() {
+		if runtime.NumGoroutine() <= n {
+			return true
+		}
+	}
+	return false
+}
+
+// TestGenerateMatchesSerialReference pins Generate, its normals drawn on a
+// goroutine of their own and judged as they arrive, to the serial loop:
+// the same defect bytes (parameters included), the same attempts per
+// defect and in total, over bus widths from 2 to 64 wires (one value per
+// attempt up to 2,016, so blocks hold from one to thousands of attempts),
+// σ 0.25, 0.5 and 2.0 (which clamps couplings at zero), one defect (seeds
+// 1, 2 and 19) and 257 (seeds 1 and 19). No goroutine outlives a call. At
+// σ 0.25 the threshold factor is 1.2, so that a 257-defect library of a
+// wide bus takes milliseconds rather than minutes of rejected draws.
+//
+// Random thresholds rarely fall within a rounding of a net coupling, so the
+// test also sets Cth to the largest net coupling of the serial loop's first
+// draw, and to the next float below it: a net sum that differs from
+// NetCoupling's by any rounding then flips that draw's verdict one way or
+// the other.
+func TestGenerateMatchesSerialReference(t *testing.T) {
+	seeds := map[int][]int64{1: {1, 2, 19}, 257: {1, 19}}
+	for _, width := range []int{2, 8, 12, 33, 64} {
+		for _, sigma := range []float64{0.25, 0.5, 2.0} {
+			nom := crosstalk.Nominal(width)
+			factor := 0.0
+			if sigma == 0.25 {
+				factor = 1.2
+			}
+			th, err := crosstalk.DeriveThresholds(nom, factor)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, size := range []int{1, 257} {
+				for _, seed := range seeds[size] {
+					t.Run(fmt.Sprintf("w%d/s%g/n%d/seed%d", width, sigma, size, seed), func(t *testing.T) {
+						checkGenerate(t, nom, th, Config{Sigma: sigma, Size: size, Seed: seed})
+					})
+				}
+			}
+		}
+	}
+	for _, width := range []int{12, 33, 64} {
+		nom := crosstalk.Nominal(width)
+		th, err := crosstalk.DeriveThresholds(nom, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for seed := int64(1); seed <= 8; seed++ {
+			first := nom.Clone()
+			perturbInto(first, nom, DefaultSigma, rand.New(rand.NewSource(seed)))
+			most := first.MaxNetCoupling()
+			for _, cth := range []float64{most, math.Nextafter(most, 0)} {
+				th.Cth = cth
+				t.Run(fmt.Sprintf("w%d/tie/seed%d/cth%x", width, seed, math.Float64bits(cth)), func(t *testing.T) {
+					checkGenerate(t, nom, th, Config{Sigma: DefaultSigma, Size: 1, Seed: seed})
+				})
+			}
+		}
+	}
+}
+
+// checkGenerate compares Generate with serialGenerate on one input.
+func checkGenerate(t *testing.T, nom *crosstalk.Params, th crosstalk.Thresholds, cfg Config) {
+	t.Helper()
+	want, err := serialGenerate(nom, th, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	got, err := Generate(nom, th, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !goroutinesBackTo(before) {
+		t.Fatalf("%d goroutines after Generate, %d before", runtime.NumGoroutine(), before)
+	}
+	if got.TotalAttempts != want.TotalAttempts {
+		t.Fatalf("TotalAttempts %d, serial %d", got.TotalAttempts, want.TotalAttempts)
+	}
+	for i := range want.Defects {
+		if got.Defects[i].Attempts != want.Defects[i].Attempts {
+			t.Fatalf("defect %d: %d attempts, serial %d", i, got.Defects[i].Attempts, want.Defects[i].Attempts)
+		}
+	}
+	gb, err := json.Marshal(got.Defects)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wb, err := json.Marshal(want.Defects)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(gb) != string(wb) {
+		t.Fatal("defect bytes differ from the serial reference")
 	}
 }
 
@@ -288,10 +426,17 @@ func TestSigmaSweepMonotone(t *testing.T) {
 	}
 }
 
+// TestGenerateFailsWhenUnsatisfiable also pins that the drawing goroutine
+// stops before a failed call returns.
 func TestGenerateFailsWhenUnsatisfiable(t *testing.T) {
 	nom, th := setup(t, 4)
+	before := runtime.NumGoroutine()
 	// With sigma ~ 0 the perturbations never cross Cth.
-	if _, err := Generate(nom, th, Config{Sigma: 1e-9, Size: 1, Seed: 1}); err == nil {
+	_, err := Generate(nom, th, Config{Sigma: 1e-9, Size: 1, Seed: 1})
+	if !goroutinesBackTo(before) {
+		t.Fatalf("%d goroutines after the failed Generate, %d before", runtime.NumGoroutine(), before)
+	}
+	if err == nil {
 		t.Skip("tiny-sigma generation unexpectedly succeeded; acceptable but unusual")
 	}
 }

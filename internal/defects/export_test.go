@@ -9,3 +9,11 @@ func KeptBatch(l *Library) *crosstalk.Batch {
 	defer l.batchMu.Unlock()
 	return l.batch
 }
+
+// BuildInFlight reports whether a build of the library's kept batch is in
+// flight.
+func BuildInFlight(l *Library) bool {
+	l.batchMu.Lock()
+	defer l.batchMu.Unlock()
+	return l.building != nil
+}

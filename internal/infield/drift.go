@@ -53,16 +53,6 @@ type Baseline struct {
 type DriftReport struct {
 	Verdict string   `json:"verdict"`
 	Reasons []string `json:"reasons,omitempty"`
-	// MaxCoverageDrop is the worst per-point coverage shortfall observed
-	// (0 when the curve never dips below the baseline).
-	MaxCoverageDrop float64 `json:"max_coverage_drop"`
-	// Final coverage of baseline and current run.
-	BaselineFinalCoverage float64 `json:"baseline_final_coverage"`
-	FinalCoverage         float64 `json:"final_coverage"`
-	// Slices needed to reach the baseline's final coverage (current run 0
-	// when it never reaches it).
-	BaselineSlicesToFinal int `json:"baseline_slices_to_final"`
-	SlicesToFinal         int `json:"slices_to_final"`
 }
 
 // Drifted reports whether the verdict is VerdictDrift.
@@ -96,55 +86,56 @@ func Compare(base *Baseline, pts []CoveragePoint) DriftReport {
 		return rep
 	}
 	basePts := base.Points
-	rep.BaselineFinalCoverage = basePts[len(basePts)-1].Coverage
-	rep.FinalCoverage = pts[len(pts)-1].Coverage
+	baseFinal := basePts[len(basePts)-1].Coverage
+	final := pts[len(pts)-1].Coverage
 
-	// Per-point band: compare coverage at equal merge positions.
+	// Per-point band: compare coverage at equal merge positions. maxDrop is
+	// the worst shortfall (0 when the curve never dips below the baseline).
 	n := len(basePts)
 	if len(pts) < n {
 		n = len(pts)
 	}
+	var maxDrop float64
 	worstAt := -1
 	for i := 0; i < n; i++ {
 		drop := basePts[i].Coverage - pts[i].Coverage
-		if drop > rep.MaxCoverageDrop {
-			rep.MaxCoverageDrop = drop
+		if drop > maxDrop {
+			maxDrop = drop
 			worstAt = i
 		}
 	}
-	if rep.MaxCoverageDrop > coverageDrop {
+	if maxDrop > coverageDrop {
 		rep.Verdict = VerdictDrift
 		rep.Reasons = append(rep.Reasons, fmt.Sprintf(
 			"coverage at merge %d dropped %.4f below baseline (tolerance %.4f)",
-			worstAt+1, rep.MaxCoverageDrop, coverageDrop))
+			worstAt+1, maxDrop, coverageDrop))
 	}
 
 	// Final coverage: the deterministic schedule must land where it did.
-	if drop := rep.BaselineFinalCoverage - rep.FinalCoverage; drop > finalDrop {
+	if drop := baseFinal - final; drop > finalDrop {
 		rep.Verdict = VerdictDrift
 		rep.Reasons = append(rep.Reasons, fmt.Sprintf(
 			"final coverage %.4f fell %.4f below baseline %.4f (tolerance %.4f)",
-			rep.FinalCoverage, drop, rep.BaselineFinalCoverage, finalDrop))
+			final, drop, baseFinal, finalDrop))
 	}
 
 	// Convergence speed: merges needed to reach the baseline's final
 	// coverage (minus the final tolerance, so a within-band final still
-	// defines a reachable target).
-	target := rep.BaselineFinalCoverage - finalDrop
-	rep.BaselineSlicesToFinal = slicesTo(basePts, target)
-	rep.SlicesToFinal = slicesTo(pts, target)
+	// defines a reachable target); 0 when the run never reaches it.
+	target := baseFinal - finalDrop
+	baseMerges, merges := slicesTo(basePts, target), slicesTo(pts, target)
 	switch {
-	case rep.SlicesToFinal == 0:
+	case merges == 0:
 		if rep.Verdict != VerdictDrift {
 			rep.Verdict = VerdictDrift
 			rep.Reasons = append(rep.Reasons, fmt.Sprintf(
 				"run never reached the baseline's final coverage %.4f", target))
 		}
-	case rep.SlicesToFinal > rep.BaselineSlicesToFinal+slackSlices:
+	case merges > baseMerges+slackSlices:
 		rep.Verdict = VerdictDrift
 		rep.Reasons = append(rep.Reasons, fmt.Sprintf(
 			"convergence slowed: %d merges to reach %.4f coverage vs baseline %d (+%d slack)",
-			rep.SlicesToFinal, target, rep.BaselineSlicesToFinal, slackSlices))
+			merges, target, baseMerges, slackSlices))
 	}
 	return rep
 }

@@ -3,8 +3,6 @@ package sim
 import (
 	"context"
 	"math/bits"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/crosstalk"
@@ -24,13 +22,15 @@ import (
 // transactions on which the defect fires are one bit test each, and records
 // each defect's first diverging transaction per session. Defects that fire
 // on no transaction of any session are proved undetected (see Engine) and
-// their Outcome is emitted in O(1) without ever constructing a Channel. Only
-// the divergent (defect, session) pairs reach the core, which executes
-// around the fire points and follows the golden run in between
+// their Outcome is emitted in O(1). Only the divergent (defect, session)
+// pairs reach the core, on the channel the batch built for the defect, which
+// executes around the fire points and follows the golden run in between
 // (target.Core.ResumeFiring).
 
 // batchPlan is the screening pass's verdict over one (bus, library) pair.
 type batchPlan struct {
+	// batch is the screened batch; its channels run the divergent defects.
+	batch *crosstalk.Batch
 	// first[d] is nil when defect d replayed cleanly through every session
 	// (the O(1) undetected verdict). Otherwise first[d][s] is the index of
 	// session s's first diverging transaction, or -1 when session s's trace
@@ -93,41 +93,20 @@ const screenBlock = 16
 
 // eventMasks runs the batch kernel on every transition of trans and returns
 // the masks in one flat table: transition k's mask is words k*w to
-// (k+1)*w, w being b.MaskWords(). Up to workers goroutines, capped at the
-// number of transitions, take blocks of transitions in turn; each holds one
-// slots token (when slots is non-nil) while it runs, so concurrent campaigns
-// stay within the pool's width. A cancelled context returns its error.
+// (k+1)*w, w being b.MaskWords(). Up to workers goroutines take blocks of
+// transitions in turn, each holding one slots token (when slots is non-nil)
+// while it runs, so concurrent campaigns stay within the pool's width (see
+// crosstalk.RunBlocks). A cancelled context returns its error.
 func eventMasks(ctx context.Context, b *crosstalk.Batch, trans []target.BusStep, workers int, slots chan struct{}) ([]uint64, error) {
 	words := b.MaskWords()
 	table := make([]uint64, len(trans)*words)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := max(1, min(workers, len(trans))); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if slots != nil {
-				select {
-				case slots <- struct{}{}:
-				case <-ctx.Done():
-					return
-				}
-				defer func() { <-slots }()
-			}
-			for ctx.Err() == nil {
-				lo := int(next.Add(screenBlock)) - screenBlock
-				if lo >= len(trans) {
-					return
-				}
-				for k := lo; k < min(lo+screenBlock, len(trans)); k++ {
-					st := trans[k]
-					b.EventMask(st.Prev, st.Next, st.Dir, table[k*words:(k+1)*words])
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+	err := crosstalk.RunBlocks(ctx, len(trans), screenBlock, workers, slots, func(lo, hi int) {
+		for k := lo; k < hi; k++ {
+			st := trans[k]
+			b.EventMask(st.Prev, st.Next, st.Dir, table[k*words:(k+1)*words])
+		}
+	})
+	if err != nil {
 		return nil, err
 	}
 	return table, nil
@@ -148,7 +127,7 @@ func (r *Runner) batchScreen(ctx context.Context, bus core.BusID, b *crosstalk.B
 	}
 	words := b.MaskWords()
 	sessions := len(tab.steps)
-	plan := &batchPlan{first: make([][]int32, b.Len()), masks: make([][][]uint64, sessions)}
+	plan := &batchPlan{batch: b, first: make([][]int32, b.Len()), masks: make([][][]uint64, sessions)}
 	live := make([]uint64, words)
 	for s, steps := range tab.steps {
 		// Divergence is per (defect, session): every session's sweep starts
@@ -182,11 +161,12 @@ func (r *Runner) batchScreen(ctx context.Context, bus core.BusID, b *crosstalk.B
 }
 
 // runDefectBatched resolves defect i of a batch screening plan. Clean
-// defects (first == nil) are settled without building a channel: the sweep
-// already proved every session's trace transfers unchanged, so the run is
+// defects (first == nil) are settled without execution: the sweep already
+// proved every session's trace transfers unchanged, so the run is
 // bit-identical to golden. Divergent defects run each diverging session
-// differentially, with the sweep's masks as the fire-point lookup.
-func (r *Runner) runDefectBatched(bus core.BusID, defective *crosstalk.Params, bplan *batchPlan, i int) (Outcome, error) {
+// differentially on the batch's channel for the defect, with the sweep's
+// masks as the fire-point lookup.
+func (r *Runner) runDefectBatched(bus core.BusID, bplan *batchPlan, i int) (Outcome, error) {
 	first := bplan.first[i]
 	if first == nil {
 		r.batchScreened.Add(1)
@@ -194,12 +174,7 @@ func (r *Runner) runDefectBatched(bus core.BusID, defective *crosstalk.Params, b
 		out.normalize()
 		return out, nil
 	}
-	// The defective channel is not memoized: its risk masks make a clean
-	// transmit cheaper than a memo lookup.
-	defCh, err := crosstalk.NewChannel(defective, r.models[bus].Thresholds)
-	if err != nil {
-		return Outcome{}, err
-	}
+	defCh := bplan.batch.Channel(i)
 	out := Outcome{Bus: bus}
 	for s, prog := range r.plan.Programs {
 		if first[s] < 0 {

@@ -142,5 +142,5 @@ func (r *Runner) runDefect(bus core.BusID, defective *crosstalk.Params, eng Engi
 		r.degradedExecutes.Add(1)
 		return r.runDefectExecute(bus, defective)
 	}
-	return r.runDefectBatched(bus, defective, bplan, i)
+	return r.runDefectBatched(bus, bplan, i)
 }

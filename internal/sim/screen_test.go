@@ -13,15 +13,10 @@ import (
 )
 
 // serialScreen is the screen's reference: one EventMask per golden trace
-// step through a fresh batch, and a scan per (defect, session) for the
-// first step on which the defect fires.
-func serialScreen(t *testing.T, traces [][]target.BusStep, params []*crosstalk.Params, th crosstalk.Thresholds) *batchPlan {
-	t.Helper()
-	b, err := crosstalk.NewBatch(params, th)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := &batchPlan{first: make([][]int32, len(params)), masks: make([][][]uint64, len(traces))}
+// step through b, a serial NewBatch, and a scan per (defect, session) for
+// the first step on which the defect fires.
+func serialScreen(traces [][]target.BusStep, b *crosstalk.Batch) *batchPlan {
+	ref := &batchPlan{batch: b, first: make([][]int32, b.Len()), masks: make([][][]uint64, len(traces))}
 	for s, steps := range traces {
 		ref.masks[s] = make([][]uint64, len(steps))
 		for i, st := range steps {
@@ -30,7 +25,7 @@ func serialScreen(t *testing.T, traces [][]target.BusStep, params []*crosstalk.P
 			ref.masks[s][i] = mask
 		}
 	}
-	for d := range params {
+	for d := range ref.first {
 		for s, masks := range ref.masks {
 			for i, mask := range masks {
 				if mask[d>>6]&(1<<uint(d&63)) == 0 {
@@ -74,8 +69,9 @@ func goldenTraces(t *testing.T, tgt target.Target, plan *core.Plan, models []tar
 // both Parwan buses and on widebus64, for libraries of 1 defect, around the
 // 64-defect mask word boundary, and at 200 and 1,000 defects, with the
 // kernel on 1, 2, 3 and 5 workers sharing a two-token slot pool. The
-// screened batch is the library's own, so the test also covers one batch
-// serving every width.
+// screened batch is the library's own, built by Library.Batch on the same
+// workers and pool, so the test also pins the pooled build: every set's
+// channel equals the serial NewBatch's, which is NewChannel's.
 func TestParallelScreenMatchesSerial(t *testing.T) {
 	wide, err := target.WideBus(64)
 	if err != nil {
@@ -110,18 +106,28 @@ func TestParallelScreenMatchesSerial(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, n := range []int{1, 63, 64, 65, 200, 1000} {
-				lib := &defects.Library{Nominal: m.Nominal, Thresholds: m.Thresholds, Defects: full.Defects[:n]}
 				params := make([]*crosstalk.Params, n)
-				for i, d := range lib.Defects {
+				for i, d := range full.Defects[:n] {
 					params[i] = d.Params
 				}
-				ref := serialScreen(t, traces, params, m.Thresholds)
-				b, err := lib.Batch(m.Thresholds)
+				serial, err := crosstalk.NewBatch(params, m.Thresholds)
 				if err != nil {
 					t.Fatal(err)
 				}
+				ref := serialScreen(traces, serial)
 				for _, workers := range []int{1, 2, 3, 5} {
-					got, err := r.batchScreen(context.Background(), tc.bus, b, workers, make(chan struct{}, 2))
+					pool := make(chan struct{}, 2)
+					lib := &defects.Library{Nominal: m.Nominal, Thresholds: m.Thresholds, Defects: full.Defects[:n]}
+					b, err := lib.Batch(context.Background(), m.Thresholds, workers, pool)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for d := range params {
+						if !reflect.DeepEqual(b.Channel(d), serial.Channel(d)) {
+							t.Fatalf("%d defects, %d workers: set %d's channel differs from the serial build's", n, workers, d)
+						}
+					}
+					got, err := r.batchScreen(context.Background(), tc.bus, b, workers, pool)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -157,7 +163,7 @@ func TestParallelScreenCancelled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := lib.Batch(data.Thresholds)
+	b, err := lib.Batch(context.Background(), data.Thresholds, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -325,12 +325,13 @@ func (r *Runner) CampaignCtx(ctx context.Context, bus core.BusID, lib *defects.L
 	}
 
 	// The Batch engine pre-classifies the whole library with the batch the
-	// library keeps (see defects.Library.Batch), its kernel on the worker
-	// pool (see batchScreen); the pool then emits clean defects in O(1) and
-	// runs only divergent ones through the resume tier.
+	// library keeps (see defects.Library.Batch, built on the worker pool on
+	// first use), its kernel on the pool too (see batchScreen); the pool
+	// then emits clean defects in O(1) and runs only divergent ones through
+	// the resume tier, each on the batch's channel for the defect.
 	var bplan *batchPlan
 	if r.screens(opts.Engine) && len(lib.Defects) > 0 {
-		b, err := lib.Batch(r.models[bus].Thresholds)
+		b, err := lib.Batch(ctx, r.models[bus].Thresholds, workers, opts.Slots)
 		if err != nil {
 			return nil, err
 		}
@@ -367,7 +368,11 @@ func (r *Runner) CampaignCtx(ctx context.Context, bus core.BusID, lib *defects.L
 					}
 				}
 				if opts.Slots != nil {
-					opts.Slots <- struct{}{}
+					select {
+					case opts.Slots <- struct{}{}:
+					case <-ctx.Done():
+						continue // drop the index without running it
+					}
 				}
 				var t0 time.Time
 				if opts.Observe != nil {
