@@ -371,9 +371,6 @@ func printEngine(m *campaign.Manager, p campaign.Progress) {
 	}
 	fmt.Printf("engine: %d swept clean in %g sweeps, %d divergence fallbacks (%g steps executed)\n",
 		p.ReplayHits, count("xtalkd_engine_batch_sweeps_total"), p.Executed, count("xtalkd_engine_executed_steps_total"))
-	if n := count("xtalkd_engine_degraded_executes_total"); n > 0 {
-		fmt.Printf("engine: %g runs degraded to full execution (golden traffic errs; screening unsound)\n", n)
-	}
 }
 
 func cmdFig11(args []string) error {

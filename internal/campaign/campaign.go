@@ -269,8 +269,8 @@ func (s State) Terminal() bool { return s == Done || s == Failed || s == Cancele
 
 // Progress is one progress event: counts over the defect library so far.
 // ReplayHits counts defects the screening sweep resolved without CPU
-// execution; Executed counts defects that needed execution (resumed from
-// their first divergence, or run whole when the screen does not apply).
+// execution; Executed counts defects that needed execution, resumed from
+// their first divergence.
 type Progress struct {
 	State State `json:"state"`
 	// Type is the job's product type (Spec.JobType); Phase is the stage
@@ -627,8 +627,6 @@ func New(cfg Config) *Manager {
 		func() float64 { return float64(m.jobsInState(Pending)) })
 	reg.CounterFunc("xtalkd_engine_fallbacks_total", "defect runs whose screening sweep diverged and resumed execution",
 		m.engineStat(func(s sim.EngineStats) int64 { return s.Fallbacks }))
-	reg.CounterFunc("xtalkd_engine_degraded_executes_total", "batch-engine runs degraded to execution (screening precondition void)",
-		m.engineStat(func(s sim.EngineStats) int64 { return s.DegradedExecutes }))
 	reg.CounterFunc("xtalkd_engine_batch_screened_total", "defects cleared by the batched library-wide screening sweep",
 		m.engineStat(func(s sim.EngineStats) int64 { return s.BatchScreened }))
 	reg.CounterFunc("xtalkd_engine_batch_sweeps_total", "session-trace sweeps performed by the batched screening pass",
@@ -660,14 +658,6 @@ func New(cfg Config) *Manager {
 		Source:      obs.HistogramLatencySource(m.queueWait, 1.0),
 		Budget:      0.05,
 	})
-	t.SLO.Add(obs.Objective{
-		Name:        "degraded_execute_ratio",
-		Description: "screening-precondition degradations stay rare relative to total defect runs",
-		Source: obs.RatioSource(
-			func() float64 { return float64(m.defectsSimulated.Value()) },
-			m.engineStat(func(s sim.EngineStats) int64 { return s.DegradedExecutes })),
-		Budget: 0.05,
-	})
 	return m
 }
 
@@ -698,7 +688,6 @@ func (m *Manager) engineStats() sim.EngineStats {
 	for _, r := range m.runners {
 		s := r.Stats()
 		t.Fallbacks += s.Fallbacks
-		t.DegradedExecutes += s.DegradedExecutes
 		t.BatchScreened += s.BatchScreened
 		t.BatchSweeps += s.BatchSweeps
 		t.ExecutedSteps += s.ExecutedSteps
@@ -1179,7 +1168,7 @@ func (m *Manager) execute(ctx context.Context, job *Job) (*sim.CampaignResult, *
 // observeTier records a completed defect run in its engine tier's latency
 // histogram: replay (settled by the screening sweep, no CPU execution) or
 // fallback (executed: a screening divergence resolved by resumed
-// execution, or a whole run where the screen does not apply).
+// execution).
 func (m *Manager) observeTier(out sim.Outcome, d time.Duration) {
 	tier := "fallback"
 	if out.Replayed {

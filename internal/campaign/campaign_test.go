@@ -342,9 +342,6 @@ func TestEngineSpecAndCounters(t *testing.T) {
 	if mt.Engine.BatchScreened != int64(st.Progress.ReplayHits) {
 		t.Fatalf("engine screened %d, progress replay hits %d", mt.Engine.BatchScreened, st.Progress.ReplayHits)
 	}
-	if mt.Engine.DegradedExecutes != 0 {
-		t.Fatalf("auto campaign counted degraded=%d", mt.Engine.DegradedExecutes)
-	}
 	if mt.Engine.MemoHits != 0 || mt.Engine.MemoMisses != 0 {
 		t.Fatalf("engine memo traffic %d hits / %d misses, want none (production runs memoize no channel)",
 			mt.Engine.MemoHits, mt.Engine.MemoMisses)

@@ -127,7 +127,12 @@ func (m *Manager) runSchedule(ctx context.Context, job *Job, env *jobEnv, manife
 		job.publishLocked()
 	})
 	ran := false
-	var lastWorkload uint64 // workload cycles this run has counted
+	// The workload counter already holds the cycles through the ledger's
+	// last point, counted by the run that merged it.
+	var lastWorkload uint64
+	if pts := ledger.Points(); len(pts) > 0 {
+		lastWorkload = pts[len(pts)-1].WorkloadCycles
+	}
 	for _, sl := range manifest.Slices {
 		if ledger.Merged(sl.Index) {
 			continue

@@ -195,7 +195,8 @@ func infieldNDJSON(t *testing.T, job *Job) []byte {
 // and its checkpoint: slice i records phase [boot, compute, io, idle][i mod
 // 4] and the cumulative nominal workload cycles through phase i, and a paced
 // schedule canceled after two or more merges and then resumed renders the
-// NDJSON an uninterrupted run renders on a fresh manager, byte for byte.
+// NDJSON an uninterrupted run renders on a fresh manager, byte for byte, and
+// leaves its manager's workload cycle counter at the uninterrupted total.
 func TestInfieldSchedulePinned(t *testing.T) {
 	spec := Spec{Type: TypeInfield, Target: "widebus16", Bus: "bus", Size: 40, Seed: 7, MaxSessions: 8}
 	job, err := New(Config{Workers: 2}).Submit(spec)
@@ -259,6 +260,9 @@ func TestInfieldSchedulePinned(t *testing.T) {
 	waitDone(t, resumed)
 	if got := infieldNDJSON(t, resumed); !bytes.Equal(got, want) {
 		t.Fatalf("resumed schedule's NDJSON differs from an uninterrupted run:\n%s\nwant:\n%s", got, want)
+	}
+	if got, want := m.infieldWorkloadCycles.Value(), int64(cycles[len(cycles)-1]); got != want {
+		t.Errorf("workload cycle counter reads %d after the cancelled and resumed schedule, want %d", got, want)
 	}
 }
 

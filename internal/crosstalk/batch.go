@@ -82,8 +82,9 @@ func NewBatch(params []*Params, th Thresholds) (*Batch, error) {
 
 // BuildBatch is NewBatch with its per-set pass, which builds each set's
 // Channel (validating the set and computing its risk masks), spread over up
-// to workers goroutines that each hold one slots token (see RunBlocks). The
-// batch is the one NewBatch builds. A cancelled context returns its error.
+// to workers goroutines, each block of sets holding one slots token (see
+// RunBlocks). The batch is the one NewBatch builds. A cancelled context
+// returns its error.
 func BuildBatch(ctx context.Context, params []*Params, th Thresholds, workers int, slots chan struct{}) (*Batch, error) {
 	if len(params) == 0 {
 		return nil, fmt.Errorf("crosstalk: batch over zero parameter sets")
@@ -154,11 +155,13 @@ func BuildBatch(ctx context.Context, params []*Params, th Thresholds, workers in
 
 // RunBlocks calls fn on consecutive blocks [lo, hi) of at most block indexes
 // that together cover [0, n) once, from up to workers goroutines (at least
-// one, at most one per block). Each goroutine holds one slots token, when
-// slots is non-nil, for as long as it runs, so callers sharing one pool stay
-// within its width, and checks ctx between blocks. It returns once every
-// goroutine has stopped: nil when every block ran, the context's error when
-// ctx was cancelled, in which case some blocks may not have run.
+// one, at most one per block). When slots is non-nil, every block holds one
+// slots token while it runs, taken in a select on ctx.Done() and returned
+// after the block, so callers sharing one pool stay within its width and
+// take turns on it block by block. No block starts once ctx is cancelled.
+// RunBlocks returns once every goroutine has stopped: nil when every block
+// ran, the context's error when ctx was cancelled, in which case some blocks
+// may not have run.
 func RunBlocks(ctx context.Context, n, block, workers int, slots chan struct{}, fn func(lo, hi int)) error {
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -166,20 +169,30 @@ func RunBlocks(ctx context.Context, n, block, workers int, slots chan struct{}, 
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if slots != nil {
-				select {
-				case slots <- struct{}{}:
-				case <-ctx.Done():
-					return
-				}
-				defer func() { <-slots }()
-			}
-			for ctx.Err() == nil {
+			for {
 				lo := int(next.Add(int64(block))) - block
 				if lo >= n {
 					return
 				}
-				fn(lo, min(lo+block, n))
+				if slots != nil {
+					select {
+					case slots <- struct{}{}:
+					case <-ctx.Done():
+						return
+					}
+				}
+				// A select whose cases are both ready picks one at random,
+				// so the context is checked again with the token in hand.
+				live := ctx.Err() == nil
+				if live {
+					fn(lo, min(lo+block, n))
+				}
+				if slots != nil {
+					<-slots
+				}
+				if !live {
+					return
+				}
 			}
 		}()
 	}

@@ -2,11 +2,14 @@ package crosstalk
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/logic"
 	"repro/internal/maf"
@@ -226,5 +229,115 @@ func TestBatchEventMaskConcurrent(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestRunBlocks pins the pool discipline the batch build, the sim layer's
+// screen and its campaigns share: every index runs exactly once, no more
+// blocks run at once than the pool has tokens (or workers, without a pool),
+// every token is back when RunBlocks returns, and a caller waiting for the
+// pool between two blocks gets its turn before the second block runs.
+func TestRunBlocks(t *testing.T) {
+	for _, tc := range []struct{ n, block, workers, tokens int }{
+		{0, 4, 3, 2}, {1, 16, 4, 1}, {100, 1, 5, 2}, {1000, 7, 4, 3}, {257, 16, 3, 0},
+	} {
+		var slots chan struct{}
+		limit := tc.workers
+		if tc.tokens > 0 {
+			slots, limit = make(chan struct{}, tc.tokens), tc.tokens
+		}
+		runs := make([]atomic.Int32, tc.n)
+		var running, most atomic.Int32
+		err := RunBlocks(context.Background(), tc.n, tc.block, tc.workers, slots, func(lo, hi int) {
+			now := running.Add(1)
+			for m := most.Load(); now > m && !most.CompareAndSwap(m, now); m = most.Load() {
+			}
+			for i := lo; i < hi; i++ {
+				runs[i].Add(1)
+			}
+			time.Sleep(50 * time.Microsecond)
+			running.Add(-1)
+		})
+		if err != nil {
+			t.Fatalf("%+v: %v", tc, err)
+		}
+		for i := range runs {
+			if n := runs[i].Load(); n != 1 {
+				t.Fatalf("%+v: index %d ran %d times", tc, i, n)
+			}
+		}
+		if m := most.Load(); m > int32(limit) {
+			t.Errorf("%+v: %d blocks ran at once, limit %d", tc, m, limit)
+		}
+		if len(slots) != 0 {
+			t.Errorf("%+v: %d tokens left in the pool", tc, len(slots))
+		}
+	}
+
+	// One worker on a one-token pool takes turns with another caller: one
+	// that waits for the token when block 0 ends has it before block 1 runs.
+	// The other caller starts during block 0, so a try in which it is not
+	// yet waiting when block 0 ends proves nothing and is repeated.
+	turn := func() bool {
+		slots := make(chan struct{}, 1)
+		took := make(chan struct{})
+		var first bool
+		err := RunBlocks(context.Background(), 2, 1, 1, slots, func(lo, _ int) {
+			if lo == 0 {
+				go func() {
+					slots <- struct{}{}
+					close(took)
+					<-slots
+				}()
+				time.Sleep(time.Millisecond)
+				return
+			}
+			select {
+			case <-took:
+				first = true
+			default:
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-took
+		return first
+	}
+	for try := 1; !turn(); try++ {
+		if try == 20 {
+			t.Fatal("in 20 tries, block 1 always ran before a caller waiting for the pool had its turn")
+		}
+	}
+}
+
+// TestRunBlocksCancelledWhileWaiting pins cancellation on a full pool: a
+// goroutine waiting for a token when the context is cancelled returns the
+// context's error without running its block, and takes no token.
+func TestRunBlocksCancelledWhileWaiting(t *testing.T) {
+	slots := make(chan struct{}, 1)
+	slots <- struct{}{} // held elsewhere
+	ctx, cancel := context.WithCancel(context.Background())
+	var ran atomic.Bool
+	done := make(chan error, 1)
+	go func() {
+		done <- RunBlocks(ctx, 10, 1, 3, slots, func(int, int) { ran.Store(true) })
+	}()
+	time.Sleep(20 * time.Millisecond) // let the goroutines wait for the pool
+	cancel()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("RunBlocks returned %v, want context.Canceled", err)
+		}
+	case <-time.After(2 * time.Second):
+		<-slots
+		t.Fatal("RunBlocks still waits for a token 2 s after its context was cancelled")
+	}
+	if ran.Load() {
+		t.Error("a block ran after the context was cancelled")
+	}
+	if len(slots) != 1 {
+		t.Errorf("pool holds %d tokens, want the 1 held elsewhere", len(slots))
 	}
 }

@@ -93,6 +93,8 @@ func TestValidateRejectsBadParams(t *testing.T) {
 		{"self coupling", func(p *Params) { p.Cc[3][3] = 1e-15 }},
 		{"negative coupling", func(p *Params) { p.Cc[0][1] = -1e-15; p.Cc[1][0] = -1e-15 }},
 		{"asymmetric", func(p *Params) { p.Cc[0][1] *= 2 }},
+		{"negative lower coupling", func(p *Params) { p.Cc[1][0] = -1e-15 }},
+		{"nan lower coupling", func(p *Params) { p.Cc[5][2] = math.NaN() }},
 		{"resistance", func(p *Params) { p.RDrive[1] = 0 }},
 		{"vdd", func(p *Params) { p.Vdd = 0 }},
 	}

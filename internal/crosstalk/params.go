@@ -120,15 +120,18 @@ func (p *Params) Validate() error {
 			return fmt.Errorf("crosstalk: coupling row %d has %d entries, want %d", i, len(p.Cc[i]), p.Width)
 		}
 	}
-	for i := range p.Cc {
-		if p.Cc[i][i] != 0 {
+	// Each off-diagonal pair is checked once, from its upper-triangle entry:
+	// once Cc[j][i] equals a non-negative Cc[i][j], it is non-negative too.
+	// A NaN on either side fails the equality.
+	for i, row := range p.Cc {
+		if row[i] != 0 {
 			return fmt.Errorf("crosstalk: nonzero self-coupling on wire %d", i)
 		}
-		for j := range p.Cc[i] {
-			if p.Cc[i][j] < 0 {
-				return fmt.Errorf("crosstalk: negative coupling Cc[%d][%d] = %g", i, j, p.Cc[i][j])
+		for j := i + 1; j < len(row); j++ {
+			if row[j] < 0 {
+				return fmt.Errorf("crosstalk: negative coupling Cc[%d][%d] = %g", i, j, row[j])
 			}
-			if p.Cc[i][j] != p.Cc[j][i] {
+			if row[j] != p.Cc[j][i] {
 				return fmt.Errorf("crosstalk: asymmetric coupling Cc[%d][%d] != Cc[%d][%d]", i, j, j, i)
 			}
 		}

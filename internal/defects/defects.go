@@ -77,7 +77,7 @@ type Library struct {
 
 // Batch returns a crosstalk.Batch over the defects' parameter sets, in
 // library order, judged against th, built by crosstalk.BuildBatch on up to
-// workers goroutines that each hold one slots token. For the library's own
+// workers goroutines, each block of sets holding one slots token. For the library's own
 // Thresholds the batch is built on first use and kept as long as the
 // library, so every campaign over one library screens with one batch (a
 // Batch is safe for concurrent use); it is rebuilt only if Defects has

@@ -4,21 +4,21 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/maf"
 	"repro/internal/sim"
 )
 
 // Ledger accumulates per-slice detection vectors into the cumulative
 // library-wide coverage state. Merging is idempotent per slice and
-// order-independent: because per-defect verdicts compose by OR (Detected,
-// Crashed), sum (Activations) and canonicalized union (DetectedBy), any
-// permutation of the manifest's slices — including slices computed on
-// different fleet nodes — merges to the same outcomes, byte for byte, and
-// the completed ledger equals the one-shot campaign over the full plan.
+// order-independent: every defect starts from its identity verdict and
+// folds each slice's verdict in through sim.Outcome.Merge, whose
+// composition (OR, sum, AND and canonical union) is the one a campaign
+// applies across sessions, so any permutation of the manifest's slices —
+// including slices computed on different fleet nodes — merges to the same
+// outcomes, byte for byte, and the completed ledger equals the one-shot
+// campaign over the full plan.
 type Ledger struct {
 	bus    core.BusID
 	merged []bool // per slice index
-	seen   []bool // per defect: outcome initialized
 	outs   []sim.Outcome
 	points []CoveragePoint
 
@@ -67,7 +67,6 @@ func NewLedger(libSize, slices int, bus core.BusID) *Ledger {
 	return &Ledger{
 		bus:    bus,
 		merged: make([]bool, slices),
-		seen:   make([]bool, libSize),
 		outs:   make([]sim.Outcome, libSize),
 	}
 }
@@ -110,8 +109,11 @@ func (l *Ledger) MergeSlice(slice int, outs []sim.Outcome, meta PointMeta) error
 		return fmt.Errorf("infield: slice %d carries %d outcomes, ledger tracks %d defects",
 			slice, len(outs), len(l.outs))
 	}
+	// Every merge carries every defect, so the first one starts each defect
+	// from its identity verdict and later ones must name the same defects.
+	first := l.mergedCount == 0
 	for i, src := range outs {
-		if dst := &l.outs[i]; l.seen[i] && (dst.DefectID != src.DefectID || dst.Bus != src.Bus) {
+		if dst := &l.outs[i]; !first && (dst.DefectID != src.DefectID || dst.Bus != src.Bus) {
 			return fmt.Errorf("infield: slice %d outcome %d is defect %d on bus %v, ledger holds defect %d on bus %v",
 				slice, i, src.DefectID, src.Bus, dst.DefectID, dst.Bus)
 		}
@@ -119,31 +121,14 @@ func (l *Ledger) MergeSlice(slice int, outs []sim.Outcome, meta PointMeta) error
 	newDet := 0
 	for i, src := range outs {
 		dst := &l.outs[i]
-		if !l.seen[i] {
-			l.seen[i] = true
-			*dst = src
-			dst.DetectedBy = append([]maf.Fault(nil), src.DetectedBy...)
-			if dst.Detected {
-				newDet++
-			}
-			l.activations += int64(src.Activations)
-			continue
+		if first {
+			*dst = sim.Outcome{DefectID: src.DefectID, Bus: src.Bus, Replayed: true}
 		}
 		if src.Detected && !dst.Detected {
 			newDet++
 		}
-		dst.Detected = dst.Detected || src.Detected
-		dst.Crashed = dst.Crashed || src.Crashed
-		dst.Activations += src.Activations
-		dst.Replayed = dst.Replayed && src.Replayed
-		dst.DetectedBy = append(dst.DetectedBy, src.DetectedBy...)
+		dst.Merge(src)
 		l.activations += int64(src.Activations)
-	}
-	// Canonicalize the unions so the merged vectors are byte-stable
-	// regardless of merge order — the same sort+dedup normalization
-	// sim applies to its own outcomes.
-	for i := range l.outs {
-		l.outs[i].DetectedBy = canonicalize(l.outs[i].DetectedBy)
 	}
 	l.merged[slice] = true
 	l.mergedCount++
@@ -161,20 +146,6 @@ func (l *Ledger) MergeSlice(slice int, outs []sim.Outcome, meta PointMeta) error
 		Activations:    l.activations,
 	})
 	return nil
-}
-
-// canonicalize sorts faults into maf.Compare order and deduplicates.
-func canonicalize(faults []maf.Fault) []maf.Fault {
-	maf.SortFaults(faults)
-	w := 0
-	for i, f := range faults {
-		if i > 0 && f == faults[w-1] {
-			continue
-		}
-		faults[w] = f
-		w++
-	}
-	return faults[:w]
 }
 
 // Outcomes returns the merged per-defect outcomes in library order. The

@@ -87,16 +87,16 @@ func (tab *transTable) add(steps []target.BusStep, seen map[target.BusStep]int32
 	tab.steps = append(tab.steps, idx)
 }
 
-// screenBlock is how many distinct transitions a kernel worker takes at a
-// time; workers check the context between blocks.
+// screenBlock is how many distinct transitions a kernel block covers; each
+// block holds one pool slot while it runs.
 const screenBlock = 16
 
 // eventMasks runs the batch kernel on every transition of trans and returns
 // the masks in one flat table: transition k's mask is words k*w to
 // (k+1)*w, w being b.MaskWords(). Up to workers goroutines take blocks of
-// transitions in turn, each holding one slots token (when slots is non-nil)
-// while it runs, so concurrent campaigns stay within the pool's width (see
-// crosstalk.RunBlocks). A cancelled context returns its error.
+// transitions in turn, each block holding one slots token (when slots is
+// non-nil) while it runs, so concurrent campaigns stay within the pool's
+// width (see crosstalk.RunBlocks). A cancelled context returns its error.
 func eventMasks(ctx context.Context, b *crosstalk.Batch, trans []target.BusStep, workers int, slots chan struct{}) ([]uint64, error) {
 	words := b.MaskWords()
 	table := make([]uint64, len(trans)*words)

@@ -5,11 +5,14 @@ import (
 	"encoding/json"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/crosstalk"
 	"repro/internal/defects"
 	"repro/internal/maf"
+	"repro/internal/target"
 )
 
 // mixedLibrary builds a defect library that exercises both batch verdicts:
@@ -73,8 +76,8 @@ func TestBatchEngineMixedLibrary(t *testing.T) {
 	}
 
 	st := r.Stats()
-	if st.Executes != 0 || st.DegradedExecutes != 0 {
-		t.Errorf("batch campaign leaked into other tiers: %+v", st)
+	if st.Executes != 0 {
+		t.Errorf("batch campaign leaked into the Execute tier: %+v", st)
 	}
 	if st.BatchScreened == 0 {
 		t.Error("no defect settled by the sweep; the mixed library should hold clean perturbations")
@@ -137,75 +140,39 @@ func TestSingleDefectIsBatchOfOne(t *testing.T) {
 	}
 }
 
-// TestDegradedExecuteAccounting is the accounting bugfix's pin: when the
-// screening precondition is void (golden traffic itself errs), Batch runs as
-// full Execute, but those runs must be counted under the distinct
-// DegradedExecutes — not blended into Executes — and a batched campaign must
-// not sweep at all.
-func TestDegradedExecuteAccounting(t *testing.T) {
-	addr, data, err := DefaultSetups()
+// TestGoldenEventsRefused pins the screen's precondition: a runner whose
+// nominal channel already errs on its golden traffic (here a widebus8 glitch
+// margin of 0.5, so receivers latch glitches below Cth) cannot read "identical
+// to golden" off the trace, and NewTargetRunner refuses it, naming the
+// session and its event count.
+func TestGoldenEventsRefused(t *testing.T) {
+	tgt, err := target.WideBus(8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := core.Generate(core.GenConfig{SkipAddrBus: true})
+	models, err := tgt.BusModels(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lib := mixedLibrary(t, data, 47)
-
-	ref, err := NewRunner(plan, addr, data)
+	if models[0].Thresholds, err = crosstalk.DeriveThresholdsMargin(models[0].Nominal, 0, 0.5); err != nil {
+		t.Fatal(err)
+	}
+	plan, err := tgt.Generate(target.GenSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	r, err := NewRunner(plan, addr, data)
-	if err != nil {
-		t.Fatal(err)
+	r, err := NewTargetRunner(tgt, plan, models)
+	if err == nil {
+		t.Fatalf("runner accepted event-bearing golden traffic (stats %+v)", r.Stats())
 	}
-	r.replayOK = false // as if the golden runs had suffered events
-
-	for i, d := range lib.Defects {
-		want, err := ref.RunDefectEngine(core.DataBus, d.Params, Execute)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := r.RunDefectEngine(core.DataBus, d.Params, Batch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(comparableOf(got), comparableOf(want)) {
-			t.Errorf("defect %d: degraded run %+v != execute %+v", i, got, want)
-		}
-	}
-	st := r.Stats()
-	if want := int64(len(lib.Defects)); st.DegradedExecutes != want {
-		t.Errorf("degradedExecutes = %d, want %d", st.DegradedExecutes, want)
-	}
-	if st.Executes != 0 {
-		t.Errorf("degraded runs leaked into Executes (%d); they were not requested as Execute", st.Executes)
-	}
-	if st.BatchScreened != 0 || st.Fallbacks != 0 || st.BatchSweeps != 0 {
-		t.Errorf("degraded runner recorded screening-tier counters: %+v", st)
-	}
-
-	// A whole batched campaign on a degraded runner: every defect degrades,
-	// nothing is swept.
-	r2, err := NewRunner(plan, addr, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2.replayOK = false
-	if _, err := r2.CampaignCtx(context.Background(), core.DataBus, lib, CampaignOpts{Engine: Batch}); err != nil {
-		t.Fatal(err)
-	}
-	if st := r2.Stats(); st.DegradedExecutes != int64(len(lib.Defects)) || st.BatchSweeps != 0 {
-		t.Errorf("degraded batch campaign stats: %+v", st)
+	if want := "golden run of session 0 suffers 12 crosstalk events"; !strings.Contains(err.Error(), want) {
+		t.Fatalf("refusal %q does not name %q", err, want)
 	}
 }
 
 // TestBusBoundsCheckedOnEveryEngine is the bounds-check bugfix's pin: an
-// out-of-range channel must fail identically on both engines — including
-// degraded runs — and on the batched campaign path.
+// out-of-range channel must fail identically on both engines and on the
+// batched campaign path, and record no engine counter.
 func TestBusBoundsCheckedOnEveryEngine(t *testing.T) {
 	addr, data, err := DefaultSetups()
 	if err != nil {
@@ -216,25 +183,22 @@ func TestBusBoundsCheckedOnEveryEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	lib := mixedLibrary(t, data, 53)
-	for _, degraded := range []bool{false, true} {
-		r, err := NewRunner(plan, addr, data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.replayOK = !degraded
-		for _, bus := range []core.BusID{core.BusID(2), core.BusID(-1)} {
-			for _, eng := range []Engine{Execute, Batch} {
-				if _, err := r.RunDefectEngine(bus, lib.Defects[0].Params, eng); err == nil {
-					t.Errorf("degraded=%v engine %v: out-of-range bus %d accepted", degraded, eng, bus)
-				}
-			}
-			if _, err := r.CampaignCtx(context.Background(), bus, lib, CampaignOpts{Engine: Batch}); err == nil {
-				t.Errorf("degraded=%v: batched campaign accepted out-of-range bus %d", degraded, bus)
+	r, err := NewRunner(plan, addr, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bus := range []core.BusID{core.BusID(2), core.BusID(-1)} {
+		for _, eng := range []Engine{Execute, Batch} {
+			if _, err := r.RunDefectEngine(bus, lib.Defects[0].Params, eng); err == nil {
+				t.Errorf("engine %v: out-of-range bus %d accepted", eng, bus)
 			}
 		}
-		if st := r.Stats(); st != (EngineStats{}) {
-			t.Errorf("degraded=%v: rejected runs recorded counters: %+v", degraded, st)
+		if _, err := r.CampaignCtx(context.Background(), bus, lib, CampaignOpts{Engine: Batch}); err == nil {
+			t.Errorf("batched campaign accepted out-of-range bus %d", bus)
 		}
+	}
+	if st := r.Stats(); st != (EngineStats{}) {
+		t.Errorf("rejected runs recorded counters: %+v", st)
 	}
 }
 

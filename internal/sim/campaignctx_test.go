@@ -3,8 +3,10 @@ package sim
 import (
 	"context"
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/defects"
@@ -165,5 +167,51 @@ func TestAggregateMatchesCampaign(t *testing.T) {
 		if got.UniqueByFault[f] != n {
 			t.Fatalf("UniqueByFault[%v] = %d, want %d", f, got.UniqueByFault[f], n)
 		}
+	}
+}
+
+// TestCampaignCtxAllSkippedTakesNoSlot: outcomes Skip supplies take no slot,
+// so a campaign with nothing left to run neither screens nor waits for the
+// pool. With the only token held elsewhere it returns the library's result
+// at once, and the token stays where it was.
+func TestCampaignCtxAllSkippedTakesNoSlot(t *testing.T) {
+	r := newRunner(t, core.GenConfig{SkipDataBus: true})
+	lib := addrLib(t, 30, 17)
+	want, err := r.Campaign(core.AddrBus, lib)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := r.Stats()
+	slots := make(chan struct{}, 1)
+	slots <- struct{}{} // held elsewhere
+	type result struct {
+		res *CampaignResult
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		res, err := r.CampaignCtx(context.Background(), core.AddrBus, lib, CampaignOpts{
+			Slots: slots,
+			Skip:  func(i int) (Outcome, bool) { return want.Outcomes[i], true },
+		})
+		done <- result{res, err}
+	}()
+	select {
+	case got := <-done:
+		if got.err != nil {
+			t.Fatal(got.err)
+		}
+		if !reflect.DeepEqual(got.res, want) {
+			t.Errorf("skipped campaign %+v, want %+v", got.res, want)
+		}
+	case <-time.After(2 * time.Second):
+		<-slots // let the campaign finish
+		t.Fatal("a campaign with every outcome skipped still waits for a pool slot after 2 s")
+	}
+	if len(slots) != 1 {
+		t.Errorf("pool holds %d tokens, want the 1 held elsewhere", len(slots))
+	}
+	if st := r.Stats(); st != before {
+		t.Errorf("a campaign with every outcome skipped moved the engine counters: %+v, was %+v", st, before)
 	}
 }

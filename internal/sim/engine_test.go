@@ -136,8 +136,8 @@ func TestEngineStatsAccounting(t *testing.T) {
 		t.Errorf("batch: screened %d + fallbacks %d != %d defects",
 			st.BatchScreened, st.Fallbacks, len(lib.Defects))
 	}
-	if st.Executes != 0 || st.DegradedExecutes != 0 {
-		t.Errorf("batch: unexpected executes=%d degraded=%d", st.Executes, st.DegradedExecutes)
+	if st.Executes != 0 {
+		t.Errorf("batch: unexpected executes=%d", st.Executes)
 	}
 	if st.MemoHits != 0 || st.MemoMisses != 0 {
 		t.Errorf("batch: memo traffic %d hits / %d misses, want none (production runs memoize no channel)",

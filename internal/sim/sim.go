@@ -69,15 +69,13 @@ type Runner struct {
 
 	// trans[ch] is channel ch's golden traffic as a transition table, the
 	// screen's input.
-	trans    []transTable
-	replayOK bool // golden traffic is event-free (screening precondition)
+	trans []transTable
 
-	fallbacks        atomic.Int64
-	executes         atomic.Int64
-	degradedExecutes atomic.Int64
-	batchScreened    atomic.Int64
-	batchSweeps      atomic.Int64
-	executedSteps    atomic.Int64
+	fallbacks     atomic.Int64
+	executes      atomic.Int64
+	batchScreened atomic.Int64
+	batchSweeps   atomic.Int64
+	executedSteps atomic.Int64
 }
 
 // NewRunner builds a Parwan-backend runner from this package's historical
@@ -91,15 +89,17 @@ func NewRunner(plan *core.Plan, addr, data BusSetup) (*Runner, error) {
 // traces to the screen's transition table. models is indexed by channel ID,
 // as returned by the target's BusModels. It fails if any golden run does not
 // halt cleanly — a plan whose programs misbehave on a good chip is a
-// generation bug, not a test result — or if a test names a response cell its
-// session never unloads.
+// generation bug, not a test result — or suffers crosstalk events on the
+// nominal channels, which voids the screen's precondition (see Engine), or if
+// a test names a response cell its session never unloads. The thresholds a
+// shipped target's BusModels derive leave its nominal channels error-free,
+// so only hand-built thresholds meet the second refusal.
 func NewTargetRunner(tgt target.Target, plan *core.Plan, models []target.BusModel) (*Runner, error) {
 	c, err := tgt.NewCore(plan, models)
 	if err != nil {
 		return nil, err
 	}
-	r := &Runner{tgt: tgt, models: models, core: c, plan: plan, replayOK: true,
-		trans: make([]transTable, len(models))}
+	r := &Runner{tgt: tgt, models: models, core: c, plan: plan, trans: make([]transTable, len(models))}
 	seen := make([]map[target.BusStep]int32, len(models))
 	for ch := range seen {
 		seen[ch] = make(map[target.BusStep]int32)
@@ -119,11 +119,8 @@ func NewTargetRunner(tgt target.Target, plan *core.Plan, models []target.BusMode
 				prog.Session, res.Halted, res.ExecErr)
 		}
 		if res.Events > 0 {
-			// The nominal channels already err on the golden traffic (possible
-			// under aggressive threshold factors): "identical to golden"
-			// can no longer be read off the trace, so screening is disabled
-			// and every defect run degrades to Execute.
-			r.replayOK = false
+			return nil, fmt.Errorf("sim: golden run of session %d suffers %d crosstalk events on the nominal channels; screening needs event-free golden traffic",
+				prog.Session, res.Events)
 		}
 		r.golden = append(r.golden, res)
 		for ch := range r.trans {
@@ -192,6 +189,23 @@ func (o *Outcome) normalize() {
 		w++
 	}
 	o.DetectedBy = o.DetectedBy[:w]
+}
+
+// Merge folds into o the verdict src of the same defect over other sessions
+// of the plan, composing them as judge composes session runs: Detected and
+// Crashed by OR, Activations by sum, Replayed by AND (no part needed
+// execution), and DetectedBy by union, left in canonical form. The union is
+// built in a new array, so a DetectedBy o shares is never written. Starting
+// from the identity verdict (the defect's DefectID and Bus, Replayed true,
+// nothing else set), merging the outcomes of a partition of the plan's
+// sessions, in any order, gives the whole plan's outcome.
+func (o *Outcome) Merge(src Outcome) {
+	o.Detected = o.Detected || src.Detected
+	o.Crashed = o.Crashed || src.Crashed
+	o.Activations += src.Activations
+	o.Replayed = o.Replayed && src.Replayed
+	o.DetectedBy = append(append([]maf.Fault(nil), o.DetectedBy...), src.DetectedBy...)
+	o.normalize()
 }
 
 // RunDefect simulates one defective parameter set on the given channel (the
@@ -275,10 +289,11 @@ type CampaignOpts struct {
 	// Engine selects the simulation strategy; the zero value is Batch
 	// (screening sweep with resumed execution, byte-identical to Execute).
 	Engine Engine
-	// Slots, when non-nil, is a shared concurrency limiter: each defect run
-	// sends a token before executing and receives it back after. A service
+	// Slots, when non-nil, is a shared concurrency limiter: each defect run,
+	// and each block of the screen and of the library's batch build, holds
+	// one token while it runs (see crosstalk.RunBlocks). A service
 	// scheduling several campaigns passes the same buffered channel to all
-	// of them so total in-flight defect runs stay bounded machine-wide.
+	// of them so total in-flight work stays bounded machine-wide.
 	Slots chan struct{}
 	// OnOutcome, when non-nil, is called once per completed defect with its
 	// library index and outcome, including outcomes supplied by Skip. Calls
@@ -307,41 +322,26 @@ func (r *Runner) Campaign(bus core.BusID, lib *defects.Library) (*CampaignResult
 	return r.CampaignCtx(context.Background(), bus, lib, CampaignOpts{})
 }
 
-// CampaignCtx is Campaign with cancellation and scheduling hooks. When ctx
-// is cancelled, dispatch stops, in-flight defect runs finish, and the
-// context error is returned; outcomes already reported through OnOutcome
-// remain valid as a checkpoint for a later resumed run. When a defect run
-// fails, no further defects are dispatched and the first error (in index
-// order) is reported with the defect's library ID.
+// CampaignCtx is Campaign with cancellation and scheduling hooks. Outcomes
+// Skip supplies are recorded first and take no slot; the remaining defects
+// are screened together (the Batch engine) and run one per
+// crosstalk.RunBlocks block, so each holds one Slots token while it runs.
+// When ctx is cancelled, no further defect starts, in-flight defect runs
+// finish, and the context error is returned; outcomes already reported
+// through OnOutcome remain valid as a checkpoint for a later resumed run.
+// When a defect run fails, no further defects start and the first error (in
+// index order) is reported with the defect's library ID.
 func (r *Runner) CampaignCtx(ctx context.Context, bus core.BusID, lib *defects.Library, opts CampaignOpts) (*CampaignResult, error) {
-	outcomes := make([]Outcome, len(lib.Defects))
-	errs := make([]error, len(lib.Defects))
-	if err := r.checkBus(bus); err != nil {
-		return nil, err
+	// Every tier indexes r.models and the tables and core state keyed
+	// alongside it, so the channel is checked before any engine work.
+	if int(bus) < 0 || int(bus) >= len(r.models) {
+		return nil, fmt.Errorf("sim: %s has no channel %d", r.tgt.Name(), bus)
 	}
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-
-	// The Batch engine pre-classifies the whole library with the batch the
-	// library keeps (see defects.Library.Batch, built on the worker pool on
-	// first use), its kernel on the pool too (see batchScreen); the pool
-	// then emits clean defects in O(1) and runs only divergent ones through
-	// the resume tier, each on the batch's channel for the defect.
-	var bplan *batchPlan
-	if r.screens(opts.Engine) && len(lib.Defects) > 0 {
-		b, err := lib.Batch(ctx, r.models[bus].Thresholds, workers, opts.Slots)
-		if err != nil {
-			return nil, err
-		}
-		if bplan, err = r.batchScreen(ctx, bus, b, workers, opts.Slots); err != nil {
-			return nil, err
-		}
-	}
-
-	workers = max(1, min(workers, len(lib.Defects)))
-	var failed atomic.Bool
+	outcomes := make([]Outcome, len(lib.Defects))
 	var outcomeMu sync.Mutex
 	record := func(i int, out Outcome) {
 		outcomes[i] = out
@@ -351,63 +351,57 @@ func (r *Runner) CampaignCtx(ctx context.Context, bus core.BusID, lib *defects.L
 			outcomeMu.Unlock()
 		}
 	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				if failed.Load() || ctx.Err() != nil {
-					continue // drain without running
-				}
-				if opts.Skip != nil {
-					if out, ok := opts.Skip(i); ok {
-						record(i, out)
-						continue
-					}
-				}
-				if opts.Slots != nil {
-					select {
-					case opts.Slots <- struct{}{}:
-					case <-ctx.Done():
-						continue // drop the index without running it
-					}
-				}
-				var t0 time.Time
-				if opts.Observe != nil {
-					t0 = time.Now()
-				}
-				out, err := r.runDefect(bus, lib.Defects[i].Params, opts.Engine, bplan, i)
-				if opts.Observe != nil && err == nil {
-					opts.Observe(out, time.Since(t0))
-				}
-				if opts.Slots != nil {
-					<-opts.Slots
-				}
-				if err != nil {
-					errs[i] = err
-					failed.Store(true)
-					continue
-				}
-				out.DefectID = lib.Defects[i].ID
-				record(i, out)
-			}
-		}()
-	}
-dispatch:
+	todo := make([]int, 0, len(lib.Defects))
 	for i := range lib.Defects {
-		if failed.Load() {
-			break
+		if opts.Skip != nil {
+			if out, ok := opts.Skip(i); ok {
+				record(i, out)
+				continue
+			}
 		}
-		select {
-		case <-ctx.Done():
-			break dispatch
-		case next <- i:
-		}
+		todo = append(todo, i)
 	}
-	close(next)
-	wg.Wait()
+
+	errs := make([]error, len(lib.Defects))
+	if len(todo) > 0 {
+		// The Batch engine pre-classifies the whole library with the batch
+		// the library keeps (see defects.Library.Batch, built on the pool on
+		// first use), its kernel on the pool too (see batchScreen); a clean
+		// defect's run is then O(1), and only divergent ones reach the resume
+		// tier, each on the batch's channel for the defect.
+		var bplan *batchPlan
+		if opts.Engine != Execute {
+			b, err := lib.Batch(ctx, r.models[bus].Thresholds, workers, opts.Slots)
+			if err != nil {
+				return nil, err
+			}
+			if bplan, err = r.batchScreen(ctx, bus, b, workers, opts.Slots); err != nil {
+				return nil, err
+			}
+		}
+		// runCtx also stops the run after the first failed defect; its
+		// error is ctx's (checked below) or that stop (reported from errs).
+		runCtx, stop := context.WithCancel(ctx)
+		defer stop()
+		_ = crosstalk.RunBlocks(runCtx, len(todo), 1, workers, opts.Slots, func(k, _ int) {
+			i := todo[k]
+			var t0 time.Time
+			if opts.Observe != nil {
+				t0 = time.Now()
+			}
+			out, err := r.runDefect(bus, lib.Defects[i].Params, bplan, i)
+			if err != nil {
+				errs[i] = err
+				stop()
+				return
+			}
+			if opts.Observe != nil {
+				opts.Observe(out, time.Since(t0))
+			}
+			out.DefectID = lib.Defects[i].ID
+			record(i, out)
+		})
+	}
 
 	if err := ctx.Err(); err != nil {
 		return nil, err

@@ -2,8 +2,9 @@
 # smoke_telemetry.sh boots a real xtalkd, submits one small campaign, and
 # asserts the telemetry endpoints answer on the live daemon: /metrics must
 # serve a non-empty Prometheus exposition with no series of the removed
-# execute engine, /debug/events a non-empty event array, and
-# /debug/trace/{job} the job's spans; a spec naming the execute engine gets
+# execute engine and no degraded-execute counter, /debug/events a non-empty
+# event array, /debug/trace/{job} the job's spans, and /alerts no
+# degraded_execute_ratio objective; a spec naming the execute engine gets
 # a 400 there and on the coordinator. It then boots a live
 # 2-worker fleet (coordinator + two heartbeating workers) and asserts the
 # federation surface: /fleet/status sees both workers scraped, neither
@@ -55,6 +56,11 @@ echo "$metrics" | grep -q '^xtalkd_sim_defect_seconds_bucket{tier="replay",le="+
 if echo "$metrics" | grep -q 'tier="execute"\|xtalkd_engine_executes_total'; then
     echo "metrics exposition still serves the removed execute engine's series:"; echo "$metrics"; exit 1
 fi >&2
+# A golden run that errs is refused when the runner is built, so no run
+# degrades to full execution and nothing counts one.
+if echo "$metrics" | grep -q 'xtalkd_engine_degraded_executes_total'; then
+    echo "metrics exposition still serves the removed degraded-execute counter:"; echo "$metrics"; exit 1
+fi >&2
 
 # The batch engine is the only one a job runs: naming another is a 400.
 refuse_execute() {
@@ -74,9 +80,14 @@ curl -fsS "$base/debug/trace/$job" | grep -q '"name": *"job.run"' ||
 echo "telemetry smoke ok: $(echo "$metrics" | grep -c '^# TYPE') families," \
     "job $job traced and recorded" >&2
 
-# The standalone node also serves the SLO alert document.
-curl -fsS "$base/alerts" | grep -q '"summary"' ||
+# The standalone node also serves the SLO alert document, without the
+# removed degraded_execute_ratio objective.
+alerts=$(curl -fsS "$base/alerts")
+echo "$alerts" | grep -q '"summary"' ||
     { echo "standalone /alerts serves no summary" >&2; exit 1; }
+if echo "$alerts" | grep -q 'degraded_execute_ratio'; then
+    echo "standalone /alerts still lists the removed degraded_execute_ratio objective:"; echo "$alerts"; exit 1
+fi >&2
 
 # --- live 2-worker fleet: federation, fleet status, alerts ---
 cport=$((port + 1))
