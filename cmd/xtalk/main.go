@@ -361,15 +361,21 @@ func writeTraceFile(path string, tr *obs.Tracer, traceID string) error {
 // steps, which on a fleet the workers count instead.
 func printEngine(m *campaign.Manager, p campaign.Progress) {
 	snap := m.Obs().Reg.Snapshot()
-	count := func(name string) float64 {
+	printEngineCounts(p, func(name string) uint64 {
 		v, _ := snap.Value(name, "")
-		return v
-	}
+		return uint64(v)
+	})
+}
+
+// printEngineCounts prints printEngine's lines, reading each registry
+// counter through count. The counters are whole numbers, so they print as
+// digits at any size.
+func printEngineCounts(p campaign.Progress, count func(name string) uint64) {
 	if shards := count("xtalkd_fleet_shards_dispatched_total"); shards > 0 {
-		fmt.Printf("fleet: %g shards, %g retries; the workers count sweeps and executed steps\n",
+		fmt.Printf("fleet: %d shards, %d retries; the workers count sweeps and executed steps\n",
 			shards, count("xtalkd_fleet_shard_retries_total"))
 	}
-	fmt.Printf("engine: %d swept clean in %g sweeps, %d divergence fallbacks (%g steps executed)\n",
+	fmt.Printf("engine: %d swept clean in %d sweeps, %d divergence fallbacks (%d steps executed)\n",
 		p.ReplayHits, count("xtalkd_engine_batch_sweeps_total"), p.Executed, count("xtalkd_engine_executed_steps_total"))
 }
 

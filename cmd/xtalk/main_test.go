@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/campaign"
 )
 
 // capture runs fn with os.Stdout redirected into a buffer and returns what
@@ -132,5 +134,34 @@ func TestCmdSimSmoke(t *testing.T) {
 	// The paper's headline result at this scale: full coverage.
 	if !strings.Contains(out, "coverage: 20/20 = 100.00%") {
 		t.Errorf("sim did not report full coverage:\n%s", out)
+	}
+}
+
+// TestPrintEngineCountsAsDigits: engine counts of a million or more print
+// as integers, not in exponent form ("1.248752e+06 steps executed").
+func TestPrintEngineCountsAsDigits(t *testing.T) {
+	counts := map[string]uint64{
+		"xtalkd_fleet_shards_dispatched_total": 2_000_000,
+		"xtalkd_fleet_shard_retries_total":     1_000_001,
+		"xtalkd_engine_batch_sweeps_total":     3_000_000,
+		"xtalkd_engine_executed_steps_total":   1_248_752,
+	}
+	out, err := capture(t, func() error {
+		printEngineCounts(campaign.Progress{ReplayHits: 7, Executed: 9}, func(name string) uint64 { return counts[name] })
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"fleet: 2000000 shards, 1000001 retries;",
+		"engine: 7 swept clean in 3000000 sweeps, 9 divergence fallbacks (1248752 steps executed)",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output missing %q:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, "e+") {
+		t.Errorf("output prints a count in exponent form:\n%s", out)
 	}
 }

@@ -457,8 +457,3 @@ func HistogramLatencySource(h *Histogram, threshold float64) func() (float64, fl
 		return float64(total), float64(total - good)
 	}
 }
-
-// RatioSource adapts two cumulative counter readers into an SLO source.
-func RatioSource(total, bad func() float64) func() (float64, float64) {
-	return func() (float64, float64) { return total(), bad() }
-}

@@ -3,6 +3,9 @@ package sim
 import (
 	"context"
 	"math/bits"
+	"sort"
+	"sync/atomic"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/crosstalk"
@@ -23,9 +26,11 @@ import (
 // each defect's first diverging transaction per session. Defects that fire
 // on no transaction of any session are proved undetected (see Engine) and
 // their Outcome is emitted in O(1). Only the divergent (defect, session)
-// pairs reach the core, on the channel the batch built for the defect, which
-// executes around the fire points and follows the golden run in between
-// (target.Core.ResumeFiring).
+// pairs reach the core, on the channels the batch built for the defects.
+// Pairs that share their session and first diverging transaction run as one
+// group, which executes around the members' fire points, follows the golden
+// run in between, and splits only where the members' verdicts differ
+// (target.Core.ResumeGroup).
 
 // batchPlan is the screening pass's verdict over one (bus, library) pair.
 type batchPlan struct {
@@ -42,19 +47,30 @@ type batchPlan struct {
 	masks [][][]uint64
 }
 
-// firing returns defect d's fire-point lookup in session s, as
-// ResumeFiring takes it: the first transaction at or after t on which d
-// fires, or the trace length. Nothing fires before the first divergence.
-func (p *batchPlan) firing(d, s int) func(t int) int {
-	masks, first := p.masks[s], int(p.first[d][s])
-	w, bit := d>>6, uint64(1)<<uint(d&63)
+// firing returns the fire-point lookup of defects defs (library indexes,
+// ascending) in session s, as target.Core.ResumeGroup's lookup returns it:
+// the first transaction at or after t on which any of them fires, or the
+// trace length. It tests only the mask words that hold one of defs. The
+// defects share their first divergence, and nothing fires before it.
+func (p *batchPlan) firing(s int, defs []int) func(t int) int {
+	masks, first := p.masks[s], int(p.first[defs[0]][s])
+	var words []int
+	var bits []uint64
+	for _, d := range defs {
+		if w := d >> 6; len(words) == 0 || words[len(words)-1] != w {
+			words, bits = append(words, w), append(bits, 0)
+		}
+		bits[len(bits)-1] |= uint64(1) << uint(d&63)
+	}
 	return func(t int) int {
 		if t <= first {
 			return first
 		}
 		for ; t < len(masks); t++ {
-			if masks[t][w]&bit != 0 {
-				return t
+			for j, w := range words {
+				if masks[t][w]&bits[j] != 0 {
+					return t
+				}
 			}
 		}
 		return len(masks)
@@ -160,34 +176,129 @@ func (r *Runner) batchScreen(ctx context.Context, bus core.BusID, b *crosstalk.B
 	return plan, nil
 }
 
-// runDefectBatched resolves defect i of a batch screening plan. Clean
-// defects (first == nil) are settled without execution: the sweep already
-// proved every session's trace transfers unchanged, so the run is
-// bit-identical to golden. Divergent defects run each diverging session
-// differentially on the batch's channel for the defect, with the sweep's
-// masks as the fire-point lookup.
-func (r *Runner) runDefectBatched(bus core.BusID, bplan *batchPlan, i int) (Outcome, error) {
-	first := bplan.first[i]
-	if first == nil {
-		r.batchScreened.Add(1)
-		out := Outcome{Bus: bus, Replayed: true}
-		out.normalize()
-		return out, nil
+// resumeGroup is one unit of resumed execution: the divergent defects
+// (library indexes, ascending) whose session first diverges on the same
+// golden transaction.
+type resumeGroup struct {
+	session int
+	members []int
+}
+
+// runBatched is the Batch engine's dispatch over the todo defects (library
+// indexes, ascending). It screens the library with the batch the library
+// keeps (see defects.Library.Batch, built on the pool on first use), its
+// kernel on the pool too (see batchScreen), and settles every clean defect
+// at once: the sweep proved each session's trace transfers unchanged, so its
+// run is bit-identical to golden, and it is observed with zero duration.
+// The divergent (defect, session) pairs are grouped by (session, first
+// diverging transaction), and each group is one target.Core.ResumeGroup
+// call on the batch's channels, one group per crosstalk.RunBlocks block,
+// largest first. A defect is judged, its sessions in ascending order, when
+// the last group that holds one of its sessions ends, and Observe receives
+// its share of its groups' time: each group's wall time split evenly among
+// its members. A failed group fails its lowest library index.
+func (r *Runner) runBatched(ctx context.Context, c *campaignRun, todo []int) error {
+	b, err := c.lib.Batch(ctx, r.models[c.bus].Thresholds, c.workers, c.opts.Slots)
+	if err != nil {
+		return err
 	}
-	defCh := bplan.batch.Channel(i)
-	out := Outcome{Bus: bus}
-	for s, prog := range r.plan.Programs {
-		if first[s] < 0 {
-			continue // this session's trace replayed cleanly for this defect
+	bplan, err := r.batchScreen(ctx, c.bus, b, c.workers, c.opts.Slots)
+	if err != nil {
+		return err
+	}
+	n := len(c.lib.Defects)
+	runs := make([][]RunResult, n)   // runs[i][s]: defect i's run of session s
+	left := make([]atomic.Int32, n)  // groups yet to end that hold defect i
+	share := make([]atomic.Int64, n) // defect i's share of its groups' time, ns
+	for _, i := range todo {
+		first := bplan.first[i]
+		if first == nil {
+			r.batchScreened.Add(1)
+			c.done(i, Outcome{Bus: c.bus, Replayed: true}, 0)
+			continue
 		}
-		res, err := r.core.ResumeFiring(s, bus, defCh, bplan.firing(i, s))
+		runs[i] = make([]RunResult, len(first))
+		for _, tx := range first {
+			if tx >= 0 {
+				left[i].Add(1)
+			}
+		}
+	}
+	groups := bplan.groups(todo)
+	_ = crosstalk.RunBlocks(ctx, len(groups), 1, c.workers, c.opts.Slots, func(k, _ int) {
+		g := groups[k]
+		t0 := time.Now()
+		res, executed, err := r.resumeGroup(c.bus, bplan, g)
 		if err != nil {
-			return Outcome{}, err
+			c.fail(g.members[0], err)
+			return
 		}
-		r.executedSteps.Add(int64(res.Executed))
-		r.judge(&out, s, prog, res)
+		r.executedSteps.Add(int64(executed))
+		each := int64(time.Since(t0)) / int64(len(g.members))
+		for j, i := range g.members {
+			runs[i][g.session] = res[j]
+			share[i].Add(each)
+			if left[i].Add(-1) == 0 {
+				c.done(i, r.judgeResumed(c.bus, bplan.first[i], runs[i]), time.Duration(share[i].Load()))
+				runs[i] = nil
+			}
+		}
+	})
+	return nil
+}
+
+// groups groups the divergent (defect, session) pairs of the defects todo
+// (library indexes, ascending) by (session, first diverging transaction),
+// largest group first.
+func (p *batchPlan) groups(todo []int) []resumeGroup {
+	var groups []resumeGroup
+	at := make(map[[2]int32]int) // (session, first divergence) -> group
+	for _, i := range todo {
+		for s, tx := range p.first[i] {
+			if tx < 0 {
+				continue // this session's trace replayed cleanly for this defect
+			}
+			key := [2]int32{int32(s), tx}
+			g, ok := at[key]
+			if !ok {
+				g = len(groups)
+				at[key] = g
+				groups = append(groups, resumeGroup{session: s})
+			}
+			groups[g].members = append(groups[g].members, i)
+		}
+	}
+	sort.SliceStable(groups, func(a, b int) bool { return len(groups[a].members) > len(groups[b].members) })
+	return groups
+}
+
+// resumeGroup runs group g on the core, on the batch's channels of its
+// members, with lookups from the screen's masks. It returns the members'
+// results in g.members order and the instructions executed.
+func (r *Runner) resumeGroup(bus core.BusID, bplan *batchPlan, g resumeGroup) ([]RunResult, int, error) {
+	chs := make([]*crosstalk.Channel, len(g.members))
+	for j, i := range g.members {
+		chs[j] = bplan.batch.Channel(i)
+	}
+	return r.core.ResumeGroup(g.session, bus, chs, func(members []int) func(int) int {
+		defs := make([]int, len(members))
+		for j, m := range members {
+			defs[j] = g.members[m]
+		}
+		return bplan.firing(g.session, defs)
+	})
+}
+
+// judgeResumed composes a divergent defect's outcome from its runs of the
+// sessions that diverge (first[s] >= 0), in ascending session order.
+func (r *Runner) judgeResumed(bus core.BusID, first []int32, runs []RunResult) Outcome {
+	out := Outcome{Bus: bus}
+	for s, res := range runs {
+		if first[s] >= 0 {
+			r.judge(&out, s, r.plan.Programs[s], res)
+		}
 	}
 	r.fallbacks.Add(1)
 	out.normalize()
-	return out, nil
+	return out
 }

@@ -30,7 +30,8 @@ const (
 	// (structure-of-arrays over the perturbed coupling matrices, bitset
 	// survivor mask), clearing the clean defects in a single pass and handing
 	// only the divergent (defect, session) pairs — with the sweep's
-	// per-transaction event masks — to the differential execution tier. A
+	// per-transaction event masks — to the differential execution tier,
+	// which runs the pairs that share a first divergence as one group. A
 	// single-defect run is a campaign over a one-defect library. Campaigns
 	// are byte-identical to Execute.
 	Batch Engine = iota
@@ -43,8 +44,9 @@ const (
 // EngineStats are a Runner's cumulative engine counters across all defect
 // runs (atomic snapshot; the runner may be serving concurrent campaigns).
 type EngineStats struct {
-	// Fallbacks counts defect runs whose screening sweep diverged, so they
-	// resumed execution from the first diverging transaction.
+	// Fallbacks counts defects whose screening sweep diverged, so they
+	// resumed execution from the first diverging transaction (one per
+	// defect, however many groups its sessions ran in).
 	Fallbacks int64 `json:"fallbacks"`
 	// Executes counts defect runs performed entirely by the Execute tier
 	// because the caller asked for it.
@@ -59,7 +61,10 @@ type EngineStats struct {
 	// ExecutedSteps counts the instructions (script steps, on a scripted
 	// target) that resumed execution actually executed: the work left after
 	// starting at the first divergence, following the golden run between
-	// fire points and skipping the periods of repeating hangs.
+	// fire points and skipping the periods of repeating hangs. A group of
+	// defects that share a first divergence counts its instructions once;
+	// a member that leaves the group executes the instruction it left on
+	// again, and that counts too.
 	ExecutedSteps int64 `json:"executed_steps,omitempty"`
 	// MemoHits and MemoMisses count channel-transmit memo lookups
 	// (crosstalk.Channel.EnableMemo). Production runs memoize no channel,
@@ -91,15 +96,4 @@ func (r *Runner) RunDefectEngine(bus core.BusID, defective *crosstalk.Params, en
 		return Outcome{}, err
 	}
 	return res.Outcomes[0], nil
-}
-
-// runDefect resolves defect i of a campaign: a full execution when the
-// campaign does not screen (the Execute engine, bplan nil), otherwise the
-// batched verdict with resumed execution of the divergent sessions.
-func (r *Runner) runDefect(bus core.BusID, defective *crosstalk.Params, bplan *batchPlan, i int) (Outcome, error) {
-	if bplan == nil {
-		r.executes.Add(1)
-		return r.runDefectExecute(bus, defective)
-	}
-	return r.runDefectBatched(bus, bplan, i)
 }

@@ -16,7 +16,9 @@
 // sweep settle every clean (defect, session) pair by channel arithmetic
 // alone, with execution — resumed from the golden snapshot at the first
 // diverging transaction, following the golden run between the transactions
-// on which the defect fires — only where the defect actually fires.
+// on which the defect fires, and shared by the defects whose session first
+// diverges on the same transaction until their verdicts differ — only
+// where the defect actually fires.
 package sim
 
 import (
@@ -234,7 +236,11 @@ func (r *Runner) runDefectExecute(bus core.BusID, defective *crosstalk.Params) (
 // crash/hang detection, and response comparison against golden, by index,
 // with per-test attribution. It is the single verdict path shared by the
 // Execute tier and the Batch engine's resumed execution, which is what keeps
-// the two engines byte-identical.
+// the two engines byte-identical. It is kept out of line: inlined into a
+// caller's loop over sessions, its compare loop over every response cell
+// (4,096 in a widebus64 session) reloads its indexes from the stack.
+//
+//go:noinline
 func (r *Runner) judge(out *Outcome, session int, prog *core.TestProgram, res RunResult) {
 	out.Activations += res.Events
 	if !res.Halted || res.ExecErr != nil {
@@ -289,9 +295,10 @@ type CampaignOpts struct {
 	// Engine selects the simulation strategy; the zero value is Batch
 	// (screening sweep with resumed execution, byte-identical to Execute).
 	Engine Engine
-	// Slots, when non-nil, is a shared concurrency limiter: each defect run,
-	// and each block of the screen and of the library's batch build, holds
-	// one token while it runs (see crosstalk.RunBlocks). A service
+	// Slots, when non-nil, is a shared concurrency limiter: each resume
+	// group (each defect run, under Execute), and each block of the screen
+	// and of the library's batch build, holds one token while it runs (see
+	// crosstalk.RunBlocks). A service
 	// scheduling several campaigns passes the same buffered channel to all
 	// of them so total in-flight work stays bounded machine-wide.
 	Slots chan struct{}
@@ -306,11 +313,13 @@ type CampaignOpts struct {
 	// a checkpointed outcome cannot change the aggregate result.
 	Skip func(i int) (Outcome, bool)
 	// Observe, when non-nil, receives each completed defect run's outcome
-	// and wall-clock duration (skipped defects are not observed). It may be
-	// called concurrently from several workers and must only read timing —
-	// it sees the outcome after the verdict is final, so it cannot perturb
-	// results. The campaign service uses it for per-engine-tier latency
-	// histograms.
+	// and wall-clock duration (skipped defects are not observed). A defect
+	// the screen settles is observed with zero duration; a resumed defect
+	// with its share of its groups' time, each group's wall time split
+	// evenly among its members. It may be called concurrently from several
+	// workers and must only read timing — it sees the outcome after the
+	// verdict is final, so it cannot perturb results. The campaign service
+	// uses it for per-engine-tier latency histograms.
 	Observe func(out Outcome, d time.Duration)
 }
 
@@ -323,14 +332,16 @@ func (r *Runner) Campaign(bus core.BusID, lib *defects.Library) (*CampaignResult
 }
 
 // CampaignCtx is Campaign with cancellation and scheduling hooks. Outcomes
-// Skip supplies are recorded first and take no slot; the remaining defects
-// are screened together (the Batch engine) and run one per
-// crosstalk.RunBlocks block, so each holds one Slots token while it runs.
-// When ctx is cancelled, no further defect starts, in-flight defect runs
-// finish, and the context error is returned; outcomes already reported
-// through OnOutcome remain valid as a checkpoint for a later resumed run.
-// When a defect run fails, no further defects start and the first error (in
-// index order) is reported with the defect's library ID.
+// Skip supplies are recorded first and take no slot. The Batch engine then
+// screens the remaining defects together, settles the clean ones at once,
+// and resumes the divergent ones in groups, one group per
+// crosstalk.RunBlocks block (see runBatched); the Execute engine runs one
+// defect per block. Each block holds one Slots token while it runs. When
+// ctx is cancelled, no further block starts, in-flight blocks finish, and
+// the context error is returned; outcomes already reported through
+// OnOutcome remain valid as a checkpoint for a later resumed run. When a
+// run fails, no further block starts and the first error (in index order)
+// is reported with the defect's library ID.
 func (r *Runner) CampaignCtx(ctx context.Context, bus core.BusID, lib *defects.Library, opts CampaignOpts) (*CampaignResult, error) {
 	// Every tier indexes r.models and the tables and core state keyed
 	// alongside it, so the channel is checked before any engine work.
@@ -362,58 +373,84 @@ func (r *Runner) CampaignCtx(ctx context.Context, bus core.BusID, lib *defects.L
 		todo = append(todo, i)
 	}
 
-	errs := make([]error, len(lib.Defects))
+	c := &campaignRun{bus: bus, lib: lib, workers: workers, opts: opts, record: record}
+	var err error
 	if len(todo) > 0 {
-		// The Batch engine pre-classifies the whole library with the batch
-		// the library keeps (see defects.Library.Batch, built on the pool on
-		// first use), its kernel on the pool too (see batchScreen); a clean
-		// defect's run is then O(1), and only divergent ones reach the resume
-		// tier, each on the batch's channel for the defect.
-		var bplan *batchPlan
-		if opts.Engine != Execute {
-			b, err := lib.Batch(ctx, r.models[bus].Thresholds, workers, opts.Slots)
-			if err != nil {
-				return nil, err
-			}
-			if bplan, err = r.batchScreen(ctx, bus, b, workers, opts.Slots); err != nil {
-				return nil, err
-			}
-		}
 		// runCtx also stops the run after the first failed defect; its
-		// error is ctx's (checked below) or that stop (reported from errs).
+		// error is ctx's (checked below) or that stop (reported from c).
 		runCtx, stop := context.WithCancel(ctx)
 		defer stop()
-		_ = crosstalk.RunBlocks(runCtx, len(todo), 1, workers, opts.Slots, func(k, _ int) {
-			i := todo[k]
-			var t0 time.Time
-			if opts.Observe != nil {
-				t0 = time.Now()
-			}
-			out, err := r.runDefect(bus, lib.Defects[i].Params, bplan, i)
-			if err != nil {
-				errs[i] = err
-				stop()
-				return
-			}
-			if opts.Observe != nil {
-				opts.Observe(out, time.Since(t0))
-			}
-			out.DefectID = lib.Defects[i].ID
-			record(i, out)
-		})
+		c.stop = stop
+		if opts.Engine == Execute {
+			r.runExecute(runCtx, c, todo)
+		} else {
+			err = r.runBatched(runCtx, c, todo)
+		}
 	}
-
-	if err := ctx.Err(); err != nil {
+	if ctxErr := ctx.Err(); ctxErr != nil {
+		return nil, ctxErr
+	}
+	if err != nil {
 		return nil, err
 	}
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("sim: defect %d: %w", lib.Defects[i].ID, err)
-		}
+	if c.err != nil {
+		return nil, fmt.Errorf("sim: defect %d: %w", lib.Defects[c.failed].ID, c.err)
 	}
 	res := Aggregate(bus, outcomes)
 	res.BusName = r.plan.BusName(bus)
 	return res, nil
+}
+
+// campaignRun is the state CampaignCtx's engines share: where a defect's
+// outcome goes once it is complete, and the first failure.
+type campaignRun struct {
+	bus     core.BusID
+	lib     *defects.Library
+	workers int
+	opts    CampaignOpts
+	record  func(i int, out Outcome)
+	stop    context.CancelFunc
+
+	mu     sync.Mutex
+	failed int // the lowest library index that failed
+	err    error
+}
+
+// done completes defect i with out, which took d of wall time: it is
+// observed, given the defect's ID and recorded.
+func (c *campaignRun) done(i int, out Outcome, d time.Duration) {
+	if c.opts.Observe != nil {
+		c.opts.Observe(out, d)
+	}
+	out.DefectID = c.lib.Defects[i].ID
+	c.record(i, out)
+}
+
+// fail notes that the run of defect i failed with err, keeping the failure
+// of the lowest index, and stops the campaign.
+func (c *campaignRun) fail(i int, err error) {
+	c.mu.Lock()
+	if c.err == nil || i < c.failed {
+		c.failed, c.err = i, err
+	}
+	c.mu.Unlock()
+	c.stop()
+}
+
+// runExecute is the Execute engine's dispatch: one defect per block, each a
+// full execution of every session program.
+func (r *Runner) runExecute(ctx context.Context, c *campaignRun, todo []int) {
+	_ = crosstalk.RunBlocks(ctx, len(todo), 1, c.workers, c.opts.Slots, func(k, _ int) {
+		i := todo[k]
+		t0 := time.Now()
+		r.executes.Add(1)
+		out, err := r.runDefectExecute(c.bus, c.lib.Defects[i].Params)
+		if err != nil {
+			c.fail(i, err)
+			return
+		}
+		c.done(i, out, time.Since(t0))
+	})
 }
 
 // Aggregate builds a CampaignResult from per-defect outcomes ordered by

@@ -120,6 +120,9 @@ type System struct {
 
 	logStores bool
 	stores    []Store
+
+	logAddr, logData bool
+	transfers        []Transfer
 }
 
 // Store is one RAM store the store log recorded: the cell written and the
@@ -127,6 +130,15 @@ type System struct {
 type Store struct {
 	Addr uint16
 	Old  uint8
+}
+
+// Transfer is one transfer the transfer log recorded: the word the bus held
+// before it, the word driven, the drive direction, the word the receiver
+// latched, and the number of crosstalk error events the transfer suffered.
+type Transfer struct {
+	Held, Driven, Received logic.Word
+	Dir                    maf.Direction
+	Events                 int
 }
 
 // checkChannels validates the bus widths of a channel set (nil = ideal bus).
@@ -269,6 +281,27 @@ func (s *System) TakeStores() []Store {
 	return out
 }
 
+// LogTransfers switches the transfer log on for the address bus (addr), the
+// data bus (data), or neither, and empties it. While it is on, every
+// transfer over a logged bus is logged, which lets a caller test what
+// another channel would have latched on the same traffic.
+func (s *System) LogTransfers(addr, data bool) {
+	s.logAddr, s.logData = addr, data
+	s.transfers = s.transfers[:0]
+}
+
+// TakeTransfers returns the transfers logged since the last call and
+// empties the log. The slice is reused: it is valid until the next transfer.
+func (s *System) TakeTransfers() []Transfer {
+	out := s.transfers
+	s.transfers = s.transfers[:0]
+	return out
+}
+
+// SetErrorCount sets the error-event count ErrorCount reports, so a run
+// resumed at a recorded boundary carries the events counted before it.
+func (s *System) SetErrorCount(n int) { s.errorCount = n }
+
 // Seq returns the number of bus transactions performed since construction
 // or the last Reset.
 func (s *System) Seq() int { return s.seq }
@@ -286,28 +319,32 @@ func (s *System) device(addr uint16) (memory.Device, uint16) {
 
 // transmitAddr sends an address over the address bus, applying crosstalk.
 func (s *System) transmitAddr(addr logic.Word) (uint16, []crosstalk.Event) {
-	if s.addrCh == nil {
-		s.prevAddr = addr
-		return uint16(addr.Uint64()), nil
-	}
-	recv, events := s.addrCh.Transmit(s.prevAddr, addr, maf.Forward)
+	recv, events := s.transmit(s.addrCh, s.prevAddr, addr, maf.Forward, s.logAddr)
 	// The wire settles at the driven value after the (possibly corrupted)
 	// sampling instant, so the next transition starts from the driven value.
 	s.prevAddr = addr
-	s.errorCount += len(events)
 	return uint16(recv.Uint64()), events
 }
 
 // transmitData sends a data byte over the data bus in the given direction.
 func (s *System) transmitData(data logic.Word, dir maf.Direction) (uint8, []crosstalk.Event) {
-	if s.dataCh == nil {
-		s.prevData = data
-		return uint8(data.Uint64()), nil
-	}
-	recv, events := s.dataCh.Transmit(s.prevData, data, dir)
+	recv, events := s.transmit(s.dataCh, s.prevData, data, dir, s.logData)
 	s.prevData = data
-	s.errorCount += len(events)
 	return uint8(recv.Uint64()), events
+}
+
+// transmit drives next over a bus holding held through ch (nil: an ideal
+// bus), counts the error events, and logs the transfer when log is set.
+func (s *System) transmit(ch *crosstalk.Channel, held, next logic.Word, dir maf.Direction, log bool) (logic.Word, []crosstalk.Event) {
+	recv, events := next, []crosstalk.Event(nil)
+	if ch != nil {
+		recv, events = ch.Transmit(held, next, dir)
+		s.errorCount += len(events)
+	}
+	if log {
+		s.transfers = append(s.transfers, Transfer{Held: held, Driven: next, Received: recv, Dir: dir, Events: len(events)})
+	}
+	return recv, events
 }
 
 // transmitCtrl sends the command strobes over the control bus.

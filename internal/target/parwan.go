@@ -2,6 +2,7 @@ package target
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -390,6 +391,7 @@ func (c *parwanCore) getUnit() (*execUnit, error) {
 func (c *parwanCore) putUnit(u *execUnit) {
 	_ = u.sys.SetChannels(u.addrCh, u.dataCh, nil)
 	u.sys.LogStores(false)
+	u.sys.LogTransfers(false, false)
 	c.pool.Put(u)
 }
 
@@ -402,73 +404,91 @@ func (c *parwanCore) Resume(s int, ch core.BusID, defCh *crosstalk.Channel, dive
 	return c.ResumeFiring(s, ch, defCh, scanFiring(c.traces[s].steps[ch], defCh, divergeTx))
 }
 
-// ResumeFiring runs one session differentially on a pooled rig. The run
-// follows the golden run wherever it provably replays it, and executes
-// instructions only around the transactions on which the defect fires:
+func (c *parwanCore) ResumeFiring(s int, ch core.BusID, defCh *crosstalk.Channel, next func(t int) int) (RunResult, error) {
+	return resumeAlone(c, s, ch, defCh, next)
+}
+
+// ResumeGroup runs one session differentially for a group of defects on a
+// pooled rig: one execution, with the first member's channel on the
+// defective bus, follows the golden run wherever it provably replays it and
+// executes instructions only around the transactions on which some member
+// fires:
 //
-//   - It starts at the golden snapshot of the instruction holding the first
-//     divergence. Every transaction before it latched golden values, so
-//     the golden state there is the defective run's state.
+//   - It starts at the golden snapshot of the instruction holding the shared
+//     first divergence. Every transaction before it latched golden values,
+//     so the golden state there is every member's state.
 //   - After each instruction k it tests for a rejoin: the machine state
 //     (registers and held bus words) equals golden snapshot k. Memory may
 //     still differ, but only in the delta: cells of the previous delta,
 //     cells this run stored, or cells the golden run stored since. The
 //     cycle count may differ too; the difference is carried.
-//   - From a rejoin at golden transaction T the run replays golden until
-//     the defect next fires or the golden run reads a delta cell it has
-//     not overwritten first. It jumps to the snapshot of the instruction
+//   - From a rejoin at golden transaction T the run replays golden until a
+//     member next fires or the golden run reads a delta cell it has not
+//     overwritten first. It jumps to the snapshot of the instruction
 //     holding that transaction, applying the golden stores in between.
 //     With no such transaction it ends as the golden run does.
 //   - A run that hangs is checked for a repeat of its full state (machine
 //     and memory) with Brent's algorithm; on a repeat it skips the whole
 //     periods left before the step limit.
-func (c *parwanCore) ResumeFiring(s int, ch core.BusID, defCh *crosstalk.Channel, next func(t int) int) (RunResult, error) {
+//   - After each instruction it stepped, every other member's channel
+//     judges the instruction's transfers over the defective bus. Members
+//     that latch a different word or count different events on one of them
+//     leave the group at the instruction's start, with everything the run
+//     carries there, and run on as a group of their own (see fork).
+//
+// Members that stay latch exactly what the first member latches, so they
+// share its state and event count, and the whole run is each member's run.
+func (c *parwanCore) ResumeGroup(s int, ch core.BusID, chs []*crosstalk.Channel, lookup func(members []int) func(t int) int) ([]RunResult, int, error) {
+	if ch != core.AddrBus && ch != core.DataBus {
+		return nil, 0, fmt.Errorf("target: parwan has no channel %d", ch)
+	}
 	u, err := c.getUnit()
 	if err != nil {
-		return RunResult{}, err
+		return nil, 0, err
 	}
 	defer c.putUnit(u)
-	switch ch {
-	case core.AddrBus:
-		err = u.sys.SetChannels(defCh, u.dataCh, nil)
-	case core.DataBus:
-		err = u.sys.SetChannels(u.addrCh, defCh, nil)
-	default:
-		err = fmt.Errorf("target: parwan has no channel %d", ch)
+	d := differential{u: u, sys: u.sys, tr: &c.traces[s], prog: c.plan.Programs[s], ch: ch,
+		chs: chs, lookup: lookup, delta: u.delta[:0]}
+	all := make([]int, len(chs))
+	for m := range all {
+		all[m] = m
 	}
-	if err != nil {
-		return RunResult{}, err
+	d.pending = []*fork{{members: all}}
+	results := make([]RunResult, len(chs))
+	for len(d.pending) > 0 {
+		f := d.pending[len(d.pending)-1]
+		d.pending = d.pending[:len(d.pending)-1]
+		if err := d.start(f); err != nil {
+			return nil, 0, err
+		}
+		res := d.run(f.ram != nil)
+		for j, m := range d.members {
+			if j > 0 {
+				res.Responses = slices.Clone(res.Responses)
+			}
+			results[m] = res
+		}
 	}
-	d := differential{u: u, sys: u.sys, tr: &c.traces[s], prog: c.plan.Programs[s], next: next}
-	res := d.run()
 	u.delta = d.delta[:0]
-	return res, nil
+	return results, d.total, nil
 }
 
-// differential is the state of one ResumeFiring call. The anchor is the
-// last instruction boundary at which the run was at a golden machine state
-// with a known memory delta: the start, a rejoin, or a jump.
-type differential struct {
-	u    *execUnit
-	sys  *soc.System
-	tr   *parwanTrace
-	prog *core.TestProgram
-	next func(t int) int
-
+// runState is what a run carries from one instruction boundary to the next
+// besides the rig's memory, registers and cell sets. The anchor is the last
+// instruction boundary at which the run was at a golden machine state with
+// a known memory delta: the start, a rejoin, or a jump.
+type runState struct {
 	k  int // instructions retired: the boundary the run is at
 	tx int // golden transaction at the anchor
 	// dcycles is the run's cycle count minus golden's at the anchor, modulo
 	// 2^64.
-	dcycles uint64
-	// delta lists the cells whose contents differed from golden memory at
-	// the anchor.
-	delta    []uint16
-	executed int // instructions stepped
+	dcycles  uint64
+	executed int // instructions stepped on this member's way
 	skipped  int // events of the hang periods skipped
 
 	// Brent's loop check: the state saved lam steps ago, at a power-of-two
-	// distance; the cells stored since are in u.loop, their contents at the
-	// save in u.old.
+	// distance; the cells stored since are in execUnit.loop, their contents
+	// at the save in execUnit.old.
 	saved       machine
 	savedCycles uint64
 	savedEvents int
@@ -476,36 +496,137 @@ type differential struct {
 	looped      bool // the periods are skipped; only the remainder is left
 }
 
-func (d *differential) run() RunResult {
+// boundary is the system's state at an instruction start apart from memory.
+type boundary struct {
+	m      machine
+	cycles uint64
+	events int
+}
+
+// fork is a group waiting to run: members that left their group at the
+// start of an instruction, with everything the run carried there. It is
+// compact — a copy of memory and the cell lists, not a rig. A fork with no
+// memory is a new group, which starts at the session's entry.
+type fork struct {
+	members []int // indexes into the call's channels
+	ram     []byte
+	at      boundary
+	runState
+	delta  []uint16
+	stored []uint16 // execUnit.stored's members
+	loop   []uint16 // execUnit.loop's members
+	old    []uint8  // old[i]: loop[i]'s contents at the loop check's save
+}
+
+// differential is the state of one ResumeGroup call: the rig, the group
+// running on it, and the forks still to run.
+type differential struct {
+	u    *execUnit
+	sys  *soc.System
+	tr   *parwanTrace
+	prog *core.TestProgram
+	ch   core.BusID
+
+	chs     []*crosstalk.Channel
+	lookup  func(members []int) func(t int) int
+	members []int           // the running group; members[0]'s channel is on the bus
+	next    func(t int) int // the running group's fire-point lookup
+	pending []*fork
+	total   int // instructions stepped by every group of the call
+
+	runState
+	// delta lists the cells whose contents differed from golden memory at
+	// the anchor.
+	delta []uint16
+}
+
+// start sets the rig up for group f: its first member's channel on the
+// defective bus, the transfer log on while another member needs verdicts,
+// and the session's entry for a new group, or f's state for a fork.
+func (d *differential) start(f *fork) error {
+	d.members, d.next = f.members, d.lookup(f.members)
+	defCh, u := d.chs[f.members[0]], d.u
+	addrCh, dataCh := u.addrCh, u.dataCh
+	if d.ch == core.AddrBus {
+		addrCh = defCh
+	} else {
+		dataCh = defCh
+	}
+	if err := d.sys.SetChannels(addrCh, dataCh, nil); err != nil {
+		return err
+	}
 	d.sys.Reset()
-	d.sys.LoadBytes(d.tr.image)
 	d.sys.LogStores(true)
-	d.delta = d.u.delta[:0]
-	d.restore(0)
+	d.logTransfers()
+	if f.ram == nil {
+		d.sys.LoadBytes(d.tr.image)
+		d.runState = runState{}
+		d.delta = d.delta[:0]
+		d.restore(0)
+		return nil
+	}
+	d.sys.LoadBytes(f.ram)
+	d.runState = f.runState
+	d.setMachine(f.at.m, f.at.cycles)
+	d.sys.SetErrorCount(f.at.events)
+	d.delta = append(d.delta[:0], f.delta...)
+	u.stored.reset()
+	for _, cell := range f.stored {
+		u.stored.add(cell)
+	}
+	u.loop.reset()
+	for i, cell := range f.loop {
+		u.loop.add(cell)
+		u.old[cell] = f.old[i]
+	}
+	return nil
+}
+
+// logTransfers logs the defective bus's transfers while the group has
+// members beside the first.
+func (d *differential) logTransfers() {
+	many := len(d.members) > 1
+	d.sys.LogTransfers(many && d.ch == core.AddrBus, many && d.ch == core.DataBus)
+}
+
+// run executes the running group to its end. A new group starts at an
+// anchor; a fork (stepping) starts inside a stretch of stepped
+// instructions, at the instruction it left its group on.
+func (d *differential) run(stepping bool) RunResult {
 	for {
-		target := d.next(d.tx)
-		for _, cell := range d.delta {
-			target = min(target, d.tr.firstRead(cell, d.tx))
+		if !stepping {
+			target := d.next(d.tx)
+			for _, cell := range d.delta {
+				target = min(target, d.tr.firstRead(cell, d.tx))
+			}
+			if target >= d.tr.txs() {
+				return d.goldenTail()
+			}
+			if j := searchSnaps(d.tr.snaps, target); j > d.k {
+				d.jump(j)
+			}
+			d.begin()
 		}
-		if target >= d.tr.txs() {
-			return d.goldenTail()
-		}
-		if j := searchSnaps(d.tr.snaps, target); j > d.k {
-			d.jump(j)
-		}
+		stepping = false
 		if res, done := d.step(); done {
 			return res
 		}
 	}
 }
 
+// setMachine sets the registers and held bus words to m and the cycle count
+// to cycles.
+func (d *differential) setMachine(m machine, cycles uint64) {
+	cpu := d.sys.CPU
+	cpu.PC, cpu.AC, cpu.Flags, cpu.Cycles = m.pc, m.ac, m.flags, cycles
+	d.sys.SetHeld(m.prevAddr, m.prevData, m.prevCtrl)
+}
+
 // restore sets the machine to golden snapshot j, shifted by the carried
 // cycle difference, and makes it the anchor.
 func (d *differential) restore(j int) {
 	snap := &d.tr.snaps[j]
-	cpu := d.sys.CPU
-	cpu.PC, cpu.AC, cpu.Flags, cpu.Cycles = snap.pc, snap.ac, snap.flags, snap.cycles+d.dcycles
-	d.sys.SetHeld(snap.prevAddr, snap.prevData, snap.prevCtrl)
+	d.setMachine(snap.machine, snap.cycles+d.dcycles)
 	d.k, d.tx = j, snap.tx
 }
 
@@ -528,22 +649,36 @@ func (d *differential) jump(j int) {
 	d.restore(j)
 }
 
-// step executes instructions from the anchor until the run rejoins the
-// golden run (done false) or ends (done true, with its result).
+// begin starts a stretch of stepped instructions at the anchor.
+func (d *differential) begin() {
+	d.u.stored.reset()
+	d.save(machineOf(d.sys))
+	d.power, d.looped = 1, false
+}
+
+// step executes instructions until the run rejoins the golden run (done
+// false) or ends (done true, with its result).
 func (d *differential) step() (res RunResult, done bool) {
 	sys, cpu, snaps := d.sys, d.sys.CPU, d.tr.snaps
 	limit := d.prog.StepLimit
 	u := d.u
-	u.stored.reset()
-	d.save(machineOf(sys))
-	d.power, d.looped = 1, false
+	var at boundary
 	for d.k < limit {
-		if err := cpu.Step(); err != nil {
+		verify := len(d.members) > 1
+		if verify {
+			at = boundary{m: machineOf(sys), cycles: cpu.Cycles, events: sys.ErrorCount()}
+		}
+		err := cpu.Step()
+		stores := sys.TakeStores()
+		if verify {
+			d.verify(&at, stores)
+		}
+		if err != nil {
 			return d.result(err), true
 		}
 		d.k++
 		d.executed++
-		stores := sys.TakeStores()
+		d.total++
 		for _, st := range stores {
 			u.stored.add(st.Addr)
 			if u.loop.add(st.Addr) {
@@ -570,6 +705,59 @@ func (d *differential) step() (res RunResult, done bool) {
 		}
 	}
 	return d.result(nil), true
+}
+
+// verify takes every other member's verdict on the instruction just
+// stepped, which started at boundary at and made stores: Transmit on the
+// member's own channel of each of the instruction's transfers over the
+// defective bus. Members whose channel latches a different word or counts
+// different events on some transfer leave the group as one fork.
+func (d *differential) verify(at *boundary, stores []soc.Store) {
+	xfers := d.sys.TakeTransfers()
+	kept, left := d.members[:1], []int(nil)
+	for _, m := range d.members[1:] {
+		if agrees(d.chs[m], xfers) {
+			kept = append(kept, m)
+		} else {
+			left = append(left, m)
+		}
+	}
+	if left == nil {
+		return
+	}
+	d.pending = append(d.pending, d.fork(left, at, stores))
+	d.members, d.next = kept, d.lookup(kept)
+	d.logTransfers()
+}
+
+// agrees reports whether ch latches every logged transfer's received word
+// with its event count.
+func agrees(ch *crosstalk.Channel, xfers []soc.Transfer) bool {
+	for _, x := range xfers {
+		recv, events := ch.Transmit(x.Held, x.Driven, x.Dir)
+		if recv != x.Received || len(events) != x.Events {
+			return false
+		}
+	}
+	return true
+}
+
+// fork freezes members at the start of the instruction just stepped, which
+// started at boundary at: memory with the instruction's stores undone,
+// newest first, and the run state, delta and cell sets as they were there
+// (the instruction's stores are not in the sets yet).
+func (d *differential) fork(members []int, at *boundary, stores []soc.Store) *fork {
+	u := d.u
+	f := &fork{members: members, ram: d.sys.RAM.Snapshot(), at: *at, runState: d.runState,
+		delta: slices.Clone(d.delta), stored: slices.Clone(u.stored.cells), loop: slices.Clone(u.loop.cells)}
+	for i := len(stores) - 1; i >= 0; i-- {
+		f.ram[stores[i].Addr] = stores[i].Old
+	}
+	f.old = make([]uint8, len(f.loop))
+	for i, cell := range f.loop {
+		f.old[i] = u.old[cell]
+	}
+	return f
 }
 
 // rejoin makes boundary k, where the machine state equals golden snapshot

@@ -130,7 +130,7 @@ type RunResult struct {
 // re-execution, and differential execution that follows the golden run
 // between the transactions on which a defect fires. A Core is built per
 // plan, is read-only after its golden runs, and must be safe for concurrent
-// Run/ResumeFiring/Resume calls.
+// Run/ResumeGroup/ResumeFiring/Resume calls.
 type Core interface {
 	// Golden executes session s on the nominal channels with tracing,
 	// returning the result and the per-channel transition sequences (indexed
@@ -141,20 +141,37 @@ type Core interface {
 	// by the defective set and every other channel nominal — the paper's
 	// Fig. 9 reference flow.
 	Run(s int, ch core.BusID, defective *crosstalk.Params) (RunResult, error)
-	// ResumeFiring re-executes session s with channel ch routed through
-	// defCh. next(t) must return the first golden transaction at or after t
-	// of session s on which defCh fires (reports an error event), or the
-	// trace length when there is none; next(0) is the first divergence. A
-	// lookup may answer early — with a transaction on which defCh does not
-	// fire — but never late. Given the golden traffic is event-free,
-	// ResumeFiring returns exactly the RunResult Run returns, apart from
-	// Executed.
+	// ResumeGroup re-executes session s once for a group of defective
+	// channels chs (at least one) of channel ch that share their first
+	// diverging golden transaction. lookup(members) returns the fire-point
+	// lookup of the members it names (indexes into chs): next(t) is the
+	// first golden transaction at or after t of session s on which any
+	// member fires (reports an error event), or the trace length when there
+	// is none; next(0) is the shared first divergence. A lookup may answer
+	// early — with a transaction on which no member fires — but never late.
+	// ResumeGroup returns the members' results in chs order, each exactly
+	// the RunResult Run returns for that member given the golden traffic is
+	// event-free, apart from Executed, and the instructions (script steps,
+	// on a scripted target) it executed in total.
+	ResumeGroup(s int, ch core.BusID, chs []*crosstalk.Channel, lookup func(members []int) func(t int) int) ([]RunResult, int, error)
+	// ResumeFiring is ResumeGroup for a group of one: session s with
+	// channel ch routed through defCh, whose fire-point lookup is next.
 	ResumeFiring(s int, ch core.BusID, defCh *crosstalk.Channel, next func(t int) int) (RunResult, error)
 	// Resume is ResumeFiring with the lookup derived by transmitting the
 	// session's golden steps through defCh from divergeTx on. The caller
 	// guarantees every transaction before divergeTx transfers cleanly
 	// through defCh. It serves callers that know only the first divergence.
 	Resume(s int, ch core.BusID, defCh *crosstalk.Channel, divergeTx int) (RunResult, error)
+}
+
+// resumeAlone is every core's ResumeFiring: ResumeGroup with a group of
+// one, so a single run and a group run take one path.
+func resumeAlone(c Core, s int, ch core.BusID, defCh *crosstalk.Channel, next func(t int) int) (RunResult, error) {
+	res, _, err := c.ResumeGroup(s, ch, []*crosstalk.Channel{defCh}, func([]int) func(int) int { return next })
+	if err != nil {
+		return RunResult{}, err
+	}
+	return res[0], nil
 }
 
 // scanFiring is the fire-point lookup Resume passes to ResumeFiring: it

@@ -251,13 +251,29 @@ func (c *wideBusCore) Run(s int, chID core.BusID, defective *crosstalk.Params) (
 	return c.run(c.plan.Programs[s], ch), nil
 }
 
-// ResumeFiring copies the golden responses and transmits through defCh only
-// the steps next returns: every other step transfers cleanly, so it latches
-// the golden word.
-func (c *wideBusCore) ResumeFiring(s int, chID core.BusID, defCh *crosstalk.Channel, next func(t int) int) (RunResult, error) {
+// ResumeGroup runs each member on its own (see resume): a scripted run is
+// a fold over the script, so members share no execution.
+func (c *wideBusCore) ResumeGroup(s int, chID core.BusID, chs []*crosstalk.Channel, lookup func(members []int) func(t int) int) ([]RunResult, int, error) {
 	if chID != 0 {
-		return RunResult{}, fmt.Errorf("target: %s has no channel %d", c.plan.TargetName(), chID)
+		return nil, 0, fmt.Errorf("target: %s has no channel %d", c.plan.TargetName(), chID)
 	}
+	results := make([]RunResult, len(chs))
+	total := 0
+	for m, defCh := range chs {
+		results[m] = c.resume(s, defCh, lookup([]int{m}))
+		total += results[m].Executed
+	}
+	return results, total, nil
+}
+
+func (c *wideBusCore) ResumeFiring(s int, chID core.BusID, defCh *crosstalk.Channel, next func(t int) int) (RunResult, error) {
+	return resumeAlone(c, s, chID, defCh, next)
+}
+
+// resume copies the golden responses and transmits through defCh only the
+// steps next returns: every other step transfers cleanly, so it latches the
+// golden word.
+func (c *wideBusCore) resume(s int, defCh *crosstalk.Channel, next func(t int) int) RunResult {
 	prog, steps, cells := c.plan.Programs[s], c.steps[s], c.cells[s]
 	res := append([]uint8(nil), c.golden[s].Responses...)
 	events, executed := 0, 0
@@ -270,7 +286,7 @@ func (c *wideBusCore) ResumeFiring(s int, chID core.BusID, defCh *crosstalk.Chan
 			res[i] = uint8(v >> (8 * (int(prog.ResponseCells[i]) % c.stride)))
 		}
 	}
-	return c.result(prog, res, events, executed), nil
+	return c.result(prog, res, events, executed)
 }
 
 // Resume derives the fire-point lookup by transmitting the golden steps

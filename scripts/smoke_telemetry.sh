@@ -25,12 +25,16 @@ port=${1:-18095}
 base="http://127.0.0.1:$port"
 cd "$(dirname "$0")/.."
 
-go build -o /tmp/xtalkd-smoke ./cmd/xtalkd
-/tmp/xtalkd-smoke -addr "127.0.0.1:$port" &
-pid=$!
-pids="$pid"
+# The daemon binary lives in the run's own temporary directory, which the
+# EXIT trap removes, so runs leave nothing behind and never share a binary.
+pids=""
 tmp=$(mktemp -d)
 trap 'kill $pids 2>/dev/null || true; rm -rf "$tmp"' EXIT INT TERM
+xtalkd="$tmp/xtalkd"
+go build -o "$xtalkd" ./cmd/xtalkd
+"$xtalkd" -addr "127.0.0.1:$port" &
+pid=$!
+pids="$pid"
 
 # Wait for the daemon to accept connections.
 i=0
@@ -95,10 +99,10 @@ w1port=$((port + 2))
 w2port=$((port + 3))
 cbase="http://127.0.0.1:$cport"
 
-/tmp/xtalkd-smoke -addr "127.0.0.1:$cport" -role coordinator &
+"$xtalkd" -addr "127.0.0.1:$cport" -role coordinator &
 pids="$pids $!"
 for wport in "$w1port" "$w2port"; do
-    /tmp/xtalkd-smoke -addr "127.0.0.1:$wport" -role worker \
+    "$xtalkd" -addr "127.0.0.1:$wport" -role worker \
         -coordinator "$cbase" -advertise "http://127.0.0.1:$wport" \
         -heartbeat 200ms &
     pids="$pids $!"
