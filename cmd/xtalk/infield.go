@@ -18,8 +18,8 @@ import (
 // merged end state is byte-identical to the one-shot campaign over the same
 // spec. The schedule runs as a job of a local campaign.Manager (see runJob).
 // With -workers that manager ships each slice to the fleet as an inline
-// sub-plan campaign, while the schedule, the ledger and drift detection stay
-// in the manager, so the NDJSON is the same either way.
+// sub-plan campaign, while the schedule and the ledger stay in the manager,
+// so the NDJSON is the same either way.
 func cmdInfield(args []string) error {
 	fs := flag.NewFlagSet("infield", flag.ExitOnError)
 	targetName := fs.String("target", "", "target backend: parwan (default) or widebusN")

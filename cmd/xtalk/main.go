@@ -106,7 +106,7 @@ commands:
   minimize set-cover test-program minimization with coverage verification
   rank     per-wire crosstalk vulnerability ranking (Fig. 11 analytics)
   infield  sliced in-field test schedule with convergent coverage accounting
-  status   health, SLO alerts, fleet and drift summary of a live xtalkd`)
+  status   health, SLO alerts, fleet and job summary of a live xtalkd`)
 }
 
 func setups() (sim.BusSetup, sim.BusSetup, error) {

@@ -18,8 +18,8 @@ import (
 
 // The status subcommand renders a live daemon's health at a glance: the
 // /healthz document, the SLO alert list (/alerts), the fleet federation
-// summary (/fleet/status, coordinators only), and per-job drift verdicts
-// from the campaign list (every role runs jobs). Endpoints a role does not
+// summary (/fleet/status, coordinators only), and per-job progress from
+// the campaign list (every role runs jobs). Endpoints a role does not
 // serve (a standalone node or a worker has no /fleet/status) are skipped,
 // so one invocation works against any role.
 func cmdStatus(args []string) error {
@@ -92,9 +92,7 @@ func cmdStatus(args []string) error {
 				continue
 			}
 			fmt.Printf("  [%s] %s", a.State, a.Name)
-			if a.Reason != "" {
-				fmt.Printf(" — %s", a.Reason)
-			} else if a.FastBurn > 0 || a.SlowBurn > 0 {
+			if a.FastBurn > 0 || a.SlowBurn > 0 {
 				fmt.Printf(" — burn %.1fx fast / %.1fx slow", a.FastBurn, a.SlowBurn)
 			}
 			fmt.Println()
@@ -131,12 +129,6 @@ func cmdStatus(args []string) error {
 			line := fmt.Sprintf("  %s %s %s/%s", j.ID, j.State, j.Spec.Target, j.Spec.Bus)
 			if j.Progress.Total > 0 {
 				line += fmt.Sprintf(" %d/%d", j.Progress.Done, j.Progress.Total)
-			}
-			if j.Progress.Drift != "" {
-				line += " drift=" + j.Progress.Drift
-				if len(j.Progress.DriftReasons) > 0 {
-					line += " (" + strings.Join(j.Progress.DriftReasons, "; ") + ")"
-				}
 			}
 			fmt.Println(line)
 		}

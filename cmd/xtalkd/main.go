@@ -54,16 +54,14 @@
 //	       [-role standalone|worker|coordinator] [-debug-addr :6060]
 //	       [-coordinator URL] [-advertise URL] [-heartbeat 5s]
 //	       [-shard-timeout 5m] [-heartbeat-ttl 15s]
-//	       [-slo-interval 10s] [-baseline-dir DIR]
+//	       [-slo-interval 10s]
 //
 // Each heartbeat additionally carries the worker's rendered metrics
 // exposition, so the coordinator federates the fleet's registries into the
 // xtalkd_fleet_* families on its own /metrics and serves the aggregate
 // /fleet/status document without scraping workers itself. The SLO engine
 // (see internal/obs) evaluates its burn-rate objectives every -slo-interval
-// and serves the alert list at /alerts; -baseline-dir persists in-field
-// coverage baselines across restarts so recurring schedules get drift
-// detection (type "infield") from the first run after a redeploy.
+// and serves the alert list at /alerts.
 //
 // On SIGINT/SIGTERM the daemon stops accepting work and drains in-flight
 // jobs; jobs still running when the drain timeout expires are cancelled
@@ -105,7 +103,6 @@ func main() {
 	heartbeatTTL := flag.Duration("heartbeat-ttl", 15*time.Second, "coordinator: expire workers silent for this long")
 	debugAddr := flag.String("debug-addr", "", "private listener for net/http/pprof and telemetry endpoints (empty = off)")
 	sloInterval := flag.Duration("slo-interval", 10*time.Second, "SLO burn-rate evaluation period (0 = off)")
-	baselineDir := flag.String("baseline-dir", "", "directory persisting in-field coverage baselines for drift detection (empty = in-memory only)")
 	flag.Parse()
 
 	cfg := daemonConfig{
@@ -120,7 +117,6 @@ func main() {
 		heartbeatTTL: *heartbeatTTL,
 		debugAddr:    *debugAddr,
 		sloInterval:  *sloInterval,
-		baselineDir:  *baselineDir,
 	}
 	if err := run(cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "xtalkd:", err)
@@ -140,7 +136,6 @@ type daemonConfig struct {
 	heartbeatTTL time.Duration
 	debugAddr    string
 	sloInterval  time.Duration
-	baselineDir  string
 }
 
 func run(cfg daemonConfig) error {
@@ -154,10 +149,10 @@ func run(cfg daemonConfig) error {
 
 	switch cfg.role {
 	case "standalone":
-		mgr = campaign.New(campaign.Config{Workers: cfg.workers, Obs: tel, BaselineDir: cfg.baselineDir})
+		mgr = campaign.New(campaign.Config{Workers: cfg.workers, Obs: tel})
 		handler = campaign.NewServerWithInfo(mgr, campaign.ServerInfo{Role: cfg.role, Started: started})
 	case "worker":
-		mgr = campaign.New(campaign.Config{Workers: cfg.workers, Obs: tel, BaselineDir: cfg.baselineDir})
+		mgr = campaign.New(campaign.Config{Workers: cfg.workers, Obs: tel})
 		mux := http.NewServeMux()
 		mux.Handle("/v1/fleet/", fleet.NewWorker(mgr))
 		mux.Handle("/", campaign.NewServerWithInfo(mgr, campaign.ServerInfo{Role: cfg.role, Started: started}))
@@ -168,7 +163,7 @@ func run(cfg daemonConfig) error {
 			HeartbeatTTL: cfg.heartbeatTTL,
 			Obs:          tel,
 		})
-		mgr = coord.NewManager(campaign.Config{Workers: cfg.workers, BaselineDir: cfg.baselineDir}, 0)
+		mgr = coord.NewManager(campaign.Config{Workers: cfg.workers}, 0)
 		handler = fleet.NewCoordinatorServer(coord, mgr)
 	default:
 		return fmt.Errorf("unknown role %q (want standalone, worker, or coordinator)", cfg.role)

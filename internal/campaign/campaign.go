@@ -294,12 +294,6 @@ type Progress struct {
 	Slice    int     `json:"slice,omitempty"`
 	Slices   int     `json:"slices,omitempty"`
 	Coverage float64 `json:"coverage,omitempty"`
-	// Drift is the in-field drift verdict once a completed run has been
-	// compared against (or saved as) its manifest key's baseline curve:
-	// "baseline", "ok", or "drift", with the violated tolerances in
-	// DriftReasons.
-	Drift        string   `json:"drift,omitempty"`
-	DriftReasons []string `json:"drift_reasons,omitempty"`
 }
 
 // add counts one completed defect outcome into the simulate-phase totals.
@@ -521,16 +515,12 @@ type Config struct {
 	// discarded log stream. Pass obs.Disabled() for a metrics-only manager
 	// (the telemetry-off benchmark baseline).
 	Obs *obs.Telemetry
-	// BaselineDir persists in-field coverage baselines (one JSON file per
-	// manifest key) so drift detection survives daemon restarts; empty
-	// keeps baselines in memory only.
-	BaselineDir string
 	// Fleet, when set, runs every campaign a job simulates (the base
 	// campaign, each minimize verification round, each in-field slice) on a
 	// fleet instead of the local worker pool: it receives a plain campaign
 	// spec and returns the merged result (fleet.Coordinator.NewManager
 	// closes it over RunCampaign). Nil runs locally. Analysis, in-field
-	// scheduling, progress and drift stay in the manager either way; on a
+	// scheduling and progress stay in the manager either way; on a
 	// fleet the manager builds locally only what they read.
 	Fleet func(ctx context.Context, spec Spec) (*sim.CampaignResult, error)
 }
@@ -569,13 +559,11 @@ type Manager struct {
 	goldenHits, goldenMisses, libHits, libMisses                        *obs.Counter
 	infieldSlices, infieldWorkloadCycles                                *obs.Counter
 	infieldDetections, infieldGap                                       *obs.Gauge
-	infieldDriftAlerts                                                  *obs.Counter
 	simLatency                                                          map[string]*obs.Histogram // per engine tier
 	queueWait                                                           *obs.Histogram
 	infieldSliceLatency                                                 *obs.Histogram
 
-	baselines *infield.BaselineStore
-	fleet     func(ctx context.Context, spec Spec) (*sim.CampaignResult, error)
+	fleet func(ctx context.Context, spec Spec) (*sim.CampaignResult, error)
 }
 
 // New builds a manager with an idle shared pool.
@@ -589,13 +577,12 @@ func New(cfg Config) *Manager {
 		t = obs.NewTelemetry()
 	}
 	m := &Manager{
-		slots:     make(chan struct{}, w),
-		obs:       t,
-		jobs:      make(map[string]*Job),
-		runners:   make(map[string]*sim.Runner),
-		plans:     NewPlanCache(t.Reg, "xtalkd_"),
-		baselines: infield.NewBaselineStore(cfg.BaselineDir),
-		fleet:     cfg.Fleet,
+		slots:   make(chan struct{}, w),
+		obs:     t,
+		jobs:    make(map[string]*Job),
+		runners: make(map[string]*sim.Runner),
+		plans:   NewPlanCache(t.Reg, "xtalkd_"),
+		fleet:   cfg.Fleet,
 	}
 	reg := t.Reg
 	m.jobsSubmitted = reg.Counter("xtalkd_jobs_submitted_total", "campaign jobs accepted")
@@ -615,10 +602,6 @@ func New(cfg Config) *Manager {
 	m.infieldWorkloadCycles = reg.Counter("xtalkd_infield_workload_cycles_total", "functional-workload cycles interleaved between in-field slices")
 	m.infieldDetections = reg.Gauge("xtalkd_infield_cumulative_detections", "cumulative defects detected by the most recently merged in-field slice")
 	m.infieldGap = reg.Gauge("xtalkd_infield_convergence_gap", "defects not yet detected by the in-field ledger (converges to the one-shot campaign's undetected count)")
-	m.infieldDriftAlerts = reg.Counter("xtalkd_infield_drift_alerts_total",
-		"completed in-field runs whose coverage curve drifted beyond tolerance of their baseline")
-	reg.GaugeFunc("xtalkd_infield_baselines", "in-field coverage baselines held (one per manifest key)",
-		func() float64 { return float64(m.baselines.Len()) })
 	reg.GaugeFunc("xtalkd_workers", "shared defect-run worker pool size",
 		func() float64 { return float64(cap(m.slots)) })
 	reg.GaugeFunc("xtalkd_workers_busy", "defect runs currently holding a pool slot",
@@ -675,10 +658,6 @@ func (m *Manager) jobsInState(s State) int {
 	}
 	return n
 }
-
-// Baselines exposes the in-field drift baseline store (tests and the drift
-// check use it).
-func (m *Manager) Baselines() *infield.BaselineStore { return m.baselines }
 
 // engineStats sums every cached runner's engine counters.
 func (m *Manager) engineStats() sim.EngineStats {

@@ -95,11 +95,6 @@ func (m *Manager) executeInfield(ctx context.Context, job *Job) (*sim.CampaignRe
 	job.setPhase(PhaseAnalyze)
 	res := ledger.Result(spec.Bus)
 	doc := report.NewInfieldJSON(spec.TargetName(), spec.Bus, manifest, ledger)
-	// A completed curve is compared against (or becomes) the manifest key's
-	// baseline: recurring schedules get drift detection for free.
-	if ledger.Complete() {
-		m.checkDrift(job, doc)
-	}
 	return res, &Analysis{Infield: doc}, nil
 }
 

@@ -266,6 +266,45 @@ func TestInfieldSchedulePinned(t *testing.T) {
 	}
 }
 
+// TestInfieldRunsRaiseNoAlert runs the pinned schedule's spec at two library
+// sizes on one manager. The two runs share a manifest key, since the key
+// names neither library size nor bus, yet neither may raise an alert: the
+// alert list holds only the manager's registered objectives, each ok, and
+// /metrics carries no in-field drift-alert or baseline series.
+func TestInfieldRunsRaiseNoAlert(t *testing.T) {
+	m, ts := newTestServer(t, 2)
+	objectives := m.Obs().SLO.Alerts()
+	for _, size := range []int{200, 20} {
+		job, err := m.Submit(Spec{Type: TypeInfield, Target: "widebus16", Bus: "bus", Size: size, Seed: 7, MaxSessions: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitDone(t, job)
+		if st := job.Status(); st.State != Done {
+			t.Fatalf("size %d job ended %s (err=%v), want done", size, st.State, job.Err())
+		}
+	}
+	alerts := m.Obs().SLO.Alerts()
+	if len(alerts) != len(objectives) {
+		t.Fatalf("alert list %+v, want only the registered objectives %+v", alerts, objectives)
+	}
+	for i, a := range alerts {
+		if a.Name != objectives[i].Name || a.State != obs.AlertOK.String() {
+			t.Errorf("alert %+v, want objective %s in state ok", a, objectives[i].Name)
+		}
+	}
+	resp, body := doJSON(t, http.MethodGet, ts.URL+"/metrics", "")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("metrics: %d", resp.StatusCode)
+	}
+	// The prefixes cover the drift-alert counter and the baseline gauge.
+	for _, prefix := range []string{"xtalkd_infield_drift", "xtalkd_infield_baseline"} {
+		if strings.Contains(string(body), prefix) {
+			t.Errorf("metrics exposition carries a %s* series", prefix)
+		}
+	}
+}
+
 // TestHTTPInfieldResultNDJSON runs an infield job through the HTTP tier and
 // checks the /result stream: NDJSON content type, an infield header line,
 // one line per slice, and a summary line.

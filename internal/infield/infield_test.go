@@ -225,7 +225,7 @@ func TestPermutedMergeOrderIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if !l.Complete() {
+		if l.MergedCount() != l.Slices() {
 			t.Fatal("ledger not complete after merging every slice")
 		}
 		return l.Result("bus")

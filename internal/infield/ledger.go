@@ -85,9 +85,6 @@ func (l *Ledger) Merged(slice int) bool {
 	return slice >= 0 && slice < len(l.merged) && l.merged[slice]
 }
 
-// Complete reports whether every slice has been merged.
-func (l *Ledger) Complete() bool { return l.mergedCount == len(l.merged) }
-
 // Detected returns the cumulative detected-defect count.
 func (l *Ledger) Detected() int { return l.detected }
 

@@ -15,7 +15,7 @@ package maf
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -129,7 +129,7 @@ func Compare(a, b Fault) int {
 // SortFaults sorts faults in place into Compare order — the canonical
 // byte-stable order used by campaign reports and detection-set analytics.
 func SortFaults(faults []Fault) {
-	sort.Slice(faults, func(i, j int) bool { return Compare(faults[i], faults[j]) < 0 })
+	slices.SortFunc(faults, Compare)
 }
 
 // ParseFault parses the String form "gp[4]/fwd", optionally width-qualified

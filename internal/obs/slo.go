@@ -3,7 +3,6 @@ package obs
 import (
 	"encoding/json"
 	"net/http"
-	"sort"
 	"sync"
 	"time"
 )
@@ -83,27 +82,16 @@ type objectiveState struct {
 	slowBurn float64
 }
 
-// externalAlert is an alert raised by a subsystem with its own detector
-// (e.g. in-field drift) rather than by burn-rate evaluation. It carries a
-// reason and is resolved explicitly.
-type externalAlert struct {
-	reason string
-	state  AlertState
-	since  time.Time
-}
-
 // Evaluator evaluates registered objectives as multi-window burn rates and
 // drives each objective's alert state machine
 // (ok → pending → firing → resolved → ok). All methods are safe on a nil
 // receiver so disabled telemetry costs nothing.
 type Evaluator struct {
-	mu       sync.Mutex
-	reg      *Registry
-	rec      *Recorder
-	objs     []*objectiveState
-	byName   map[string]*objectiveState
-	external map[string]*externalAlert
-	extOrder []string
+	mu     sync.Mutex
+	reg    *Registry
+	rec    *Recorder
+	objs   []*objectiveState
+	byName map[string]*objectiveState
 
 	evals       *Counter
 	transitions *Counter
@@ -113,10 +101,9 @@ type Evaluator struct {
 // reg and recording alert transitions into rec (either may be nil).
 func NewEvaluator(reg *Registry, rec *Recorder) *Evaluator {
 	e := &Evaluator{
-		reg:      reg,
-		rec:      rec,
-		byName:   make(map[string]*objectiveState),
-		external: make(map[string]*externalAlert),
+		reg:    reg,
+		rec:    rec,
+		byName: make(map[string]*objectiveState),
 	}
 	if reg != nil {
 		e.evals = reg.Counter("xtalkd_slo_evaluations_total",
@@ -278,18 +265,6 @@ func (e *Evaluator) Tick(now time.Time) {
 			fired = append(fired, transition{name: st.obj.Name, from: from, to: st.state})
 		}
 	}
-	// Age externally raised alerts out of resolved the same way.
-	for _, name := range e.extOrder {
-		ext := e.external[name]
-		if ext.state == AlertResolved && now.Sub(ext.since) >= DefaultFastWindow {
-			delete(e.external, name)
-		}
-	}
-	e.extOrder = e.extOrder[:0]
-	for name := range e.external {
-		e.extOrder = append(e.extOrder, name)
-	}
-	sort.Strings(e.extOrder)
 	e.mu.Unlock()
 
 	if e.evals != nil {
@@ -308,62 +283,6 @@ func (e *Evaluator) Tick(now time.Time) {
 	}
 }
 
-// RaiseExternal raises (or re-raises) a firing alert owned by an external
-// detector, e.g. in-field drift. Nil-safe.
-func (e *Evaluator) RaiseExternal(name, reason string) {
-	if e == nil || name == "" {
-		return
-	}
-	e.mu.Lock()
-	ext, ok := e.external[name]
-	if !ok {
-		ext = &externalAlert{}
-		e.external[name] = ext
-		e.extOrder = append(e.extOrder, name)
-		sort.Strings(e.extOrder)
-	}
-	wasFiring := ok && ext.state == AlertFiring
-	ext.reason = reason
-	ext.state = AlertFiring
-	ext.since = time.Now()
-	e.mu.Unlock()
-	if !wasFiring {
-		if e.transitions != nil {
-			e.transitions.Inc()
-		}
-		if e.rec != nil {
-			e.rec.Record("slo.transition",
-				Label{"objective", name}, Label{"from", "ok"},
-				Label{"to", "firing"}, Label{"reason", reason})
-		}
-	}
-}
-
-// ResolveExternal moves an externally raised alert to resolved. Nil-safe.
-func (e *Evaluator) ResolveExternal(name string) {
-	if e == nil {
-		return
-	}
-	e.mu.Lock()
-	ext, ok := e.external[name]
-	resolved := ok && ext.state == AlertFiring
-	if resolved {
-		ext.state = AlertResolved
-		ext.since = time.Now()
-	}
-	e.mu.Unlock()
-	if resolved {
-		if e.transitions != nil {
-			e.transitions.Inc()
-		}
-		if e.rec != nil {
-			e.rec.Record("slo.transition",
-				Label{"objective", name},
-				Label{"from", "firing"}, Label{"to", "resolved"})
-		}
-	}
-}
-
 // Alert is the JSON view of one objective's alert state.
 type Alert struct {
 	Name        string    `json:"name"`
@@ -373,19 +292,17 @@ type Alert struct {
 	FastBurn    float64   `json:"fast_burn,omitempty"`
 	SlowBurn    float64   `json:"slow_burn,omitempty"`
 	Budget      float64   `json:"budget,omitempty"`
-	Reason      string    `json:"reason,omitempty"`
-	External    bool      `json:"external,omitempty"`
 }
 
-// Alerts snapshots every objective and external alert, objectives first,
-// each group in registration/name order. Nil-safe (returns nil).
+// Alerts snapshots every objective's alert in registration order. Nil-safe
+// (returns nil).
 func (e *Evaluator) Alerts() []Alert {
 	if e == nil {
 		return nil
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	out := make([]Alert, 0, len(e.objs)+len(e.external))
+	out := make([]Alert, 0, len(e.objs))
 	for _, st := range e.objs {
 		out = append(out, Alert{
 			Name:        st.obj.Name,
@@ -395,16 +312,6 @@ func (e *Evaluator) Alerts() []Alert {
 			FastBurn:    st.fastBurn,
 			SlowBurn:    st.slowBurn,
 			Budget:      st.obj.Budget,
-		})
-	}
-	for _, name := range e.extOrder {
-		ext := e.external[name]
-		out = append(out, Alert{
-			Name:     name,
-			State:    ext.state.String(),
-			Since:    ext.since,
-			Reason:   ext.reason,
-			External: true,
 		})
 	}
 	return out

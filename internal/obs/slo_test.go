@@ -121,41 +121,6 @@ func TestSLOSingleWindowBreachStaysOK(t *testing.T) {
 	}
 }
 
-// TestSLOExternalAlerts covers the drift-detector path: raised alerts fire
-// immediately with their reason, resolve explicitly, and age out of the
-// alert list after a fast window of ticks.
-func TestSLOExternalAlerts(t *testing.T) {
-	e := NewEvaluator(NewRegistry(), nil)
-	e.RaiseExternal("infield_drift_abc123", "coverage drop 0.05 at slice 3")
-	alerts := e.Alerts()
-	if len(alerts) != 1 || alerts[0].State != "firing" || !alerts[0].External {
-		t.Fatalf("raised alert = %+v", alerts)
-	}
-	if alerts[0].Reason == "" {
-		t.Fatal("external alert lost its reason")
-	}
-	// Re-raising while firing is idempotent.
-	e.RaiseExternal("infield_drift_abc123", "coverage drop 0.06 at slice 4")
-	if got := e.transitions.Value(); got != 1 {
-		t.Fatalf("re-raise counted %d transitions, want 1", got)
-	}
-	e.ResolveExternal("infield_drift_abc123")
-	if st := e.Alerts()[0].State; st != "resolved" {
-		t.Fatalf("resolved alert state = %s", st)
-	}
-	// Resolving twice is a no-op.
-	e.ResolveExternal("infield_drift_abc123")
-	if got := e.transitions.Value(); got != 2 {
-		t.Fatalf("transitions = %d, want 2", got)
-	}
-	// Ticks age the resolved alert out of the list entirely. External
-	// alerts stamp since with the wall clock, so age relative to it.
-	e.Tick(time.Now().Add(DefaultFastWindow + time.Second))
-	if got := e.Alerts(); len(got) != 0 {
-		t.Fatalf("aged external alert still listed: %+v", got)
-	}
-}
-
 // TestSLOExpositionLint proves the evaluator's registered families render a
 // lintable exposition with the expected series.
 func TestSLOExpositionLint(t *testing.T) {

@@ -48,10 +48,20 @@ func screenSets(t testing.TB, r *Runner, bus core.BusID, params []*crosstalk.Par
 	return bplan
 }
 
+// resumeFiring resumes session s for defCh alone: ResumeGroup with a group
+// of one whose fire-point lookup is next.
+func resumeFiring(c target.Core, s int, bus core.BusID, defCh *crosstalk.Channel, next func(t int) int) (RunResult, error) {
+	res, _, err := c.ResumeGroup(s, bus, []*crosstalk.Channel{defCh}, func([]int) func(int) int { return next })
+	if err != nil {
+		return RunResult{}, err
+	}
+	return res[0], nil
+}
+
 // checkDivergentPairs screens params on bus and, for every divergent
-// (defect, session) pair, requires ResumeFiring with the sweep's mask
+// (defect, session) pair, requires resumeFiring with the sweep's mask
 // lookup to return what Core.Run returns, and the Resume adapter to return
-// exactly what ResumeFiring returns. It returns the number of pairs.
+// exactly what resumeFiring returns. It returns the number of pairs.
 func checkDivergentPairs(t *testing.T, r *Runner, bus core.BusID, params []*crosstalk.Params) int {
 	t.Helper()
 	bplan := screenSets(t, r, bus, params)
@@ -73,19 +83,19 @@ func checkDivergentPairs(t *testing.T, r *Runner, bus core.BusID, params []*cros
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := r.core.ResumeFiring(s, bus, defCh, bplan.firing(s, []int{d}))
+			got, err := resumeFiring(r.core, s, bus, defCh, bplan.firing(s, []int{d}))
 			if err != nil {
 				t.Fatal(err)
 			}
 			if viewOf(got) != viewOf(want) {
-				t.Errorf("defect %d session %d: ResumeFiring %+v, Run %+v", d, s, viewOf(got), viewOf(want))
+				t.Errorf("defect %d session %d: resumeFiring %+v, Run %+v", d, s, viewOf(got), viewOf(want))
 			}
 			adapted, err := r.core.Resume(s, bus, defCh, int(k))
 			if err != nil {
 				t.Fatal(err)
 			}
 			if viewOf(adapted) != viewOf(got) || adapted.Executed != got.Executed {
-				t.Errorf("defect %d session %d: Resume %+v executed %d, ResumeFiring %+v executed %d",
+				t.Errorf("defect %d session %d: Resume %+v executed %d, resumeFiring %+v executed %d",
 					d, s, viewOf(adapted), adapted.Executed, viewOf(got), got.Executed)
 			}
 		}
@@ -97,7 +107,7 @@ func checkDivergentPairs(t *testing.T, r *Runner, bus core.BusID, params []*cros
 // property over every divergent (defect, session) pair of 1000-defect
 // libraries, seeds 1-3, on both Parwan buses, and of a widebus64 library:
 // each resumed result equals the Fig. 9 reference run, and the Resume
-// adapter's equals ResumeFiring's.
+// adapter's equals resumeFiring's.
 func TestResumeFiringMatchesRunProperty(t *testing.T) {
 	size, seeds := 1000, []int64{1, 2, 3}
 	if testing.Short() {
@@ -249,12 +259,12 @@ func (h handBuilt) resume(t *testing.T) (got, golden RunResult) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err = h.r.core.ResumeFiring(0, core.DataBus, h.defCh, h.bplan.firing(0, []int{0}))
+	got, err = resumeFiring(h.r.core, 0, core.DataBus, h.defCh, h.bplan.firing(0, []int{0}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if viewOf(got) != viewOf(want) {
-		t.Fatalf("ResumeFiring %+v, Run %+v", viewOf(got), viewOf(want))
+		t.Fatalf("resumeFiring %+v, Run %+v", viewOf(got), viewOf(want))
 	}
 	return got, h.r.golden[0]
 }
@@ -366,7 +376,7 @@ func TestResumeRejoinStopsAtDeltaRead(t *testing.T) {
 }
 
 // FuzzResumeFiringMatchesRun drives the differential resume with random
-// perturbations of either Parwan bus: for the session chosen, ResumeFiring
+// perturbations of either Parwan bus: for the session chosen, resumeFiring
 // with the screening sweep's lookup must return what Core.Run returns,
 // whether the session diverges or not.
 func FuzzResumeFiringMatchesRun(f *testing.F) {
@@ -413,12 +423,12 @@ func FuzzResumeFiringMatchesRun(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := r.core.ResumeFiring(s, bus, defCh, next)
+		got, err := resumeFiring(r.core, s, bus, defCh, next)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if viewOf(got) != viewOf(want) {
-			t.Fatalf("seed %d sigma %v %v session %d: ResumeFiring %+v, Run %+v",
+			t.Fatalf("seed %d sigma %v %v session %d: resumeFiring %+v, Run %+v",
 				seed, sigma, bus, s, viewOf(got), viewOf(want))
 		}
 	})

@@ -401,11 +401,7 @@ func (c *parwanCore) Resume(s int, ch core.BusID, defCh *crosstalk.Channel, dive
 	if ch != core.AddrBus && ch != core.DataBus {
 		return RunResult{}, fmt.Errorf("target: parwan has no channel %d", ch)
 	}
-	return c.ResumeFiring(s, ch, defCh, scanFiring(c.traces[s].steps[ch], defCh, divergeTx))
-}
-
-func (c *parwanCore) ResumeFiring(s int, ch core.BusID, defCh *crosstalk.Channel, next func(t int) int) (RunResult, error) {
-	return resumeAlone(c, s, ch, defCh, next)
+	return resumeAlone(c, s, ch, defCh, scanFiring(c.traces[s].steps[ch], defCh, divergeTx))
 }
 
 // ResumeGroup runs one session differentially for a group of defects on a

@@ -130,7 +130,7 @@ type RunResult struct {
 // re-execution, and differential execution that follows the golden run
 // between the transactions on which a defect fires. A Core is built per
 // plan, is read-only after its golden runs, and must be safe for concurrent
-// Run/ResumeGroup/ResumeFiring/Resume calls.
+// Run/ResumeGroup/Resume calls.
 type Core interface {
 	// Golden executes session s on the nominal channels with tracing,
 	// returning the result and the per-channel transition sequences (indexed
@@ -154,18 +154,16 @@ type Core interface {
 	// event-free, apart from Executed, and the instructions (script steps,
 	// on a scripted target) it executed in total.
 	ResumeGroup(s int, ch core.BusID, chs []*crosstalk.Channel, lookup func(members []int) func(t int) int) ([]RunResult, int, error)
-	// ResumeFiring is ResumeGroup for a group of one: session s with
-	// channel ch routed through defCh, whose fire-point lookup is next.
-	ResumeFiring(s int, ch core.BusID, defCh *crosstalk.Channel, next func(t int) int) (RunResult, error)
-	// Resume is ResumeFiring with the lookup derived by transmitting the
-	// session's golden steps through defCh from divergeTx on. The caller
-	// guarantees every transaction before divergeTx transfers cleanly
-	// through defCh. It serves callers that know only the first divergence.
+	// Resume is ResumeGroup for a group of one, defCh, with the lookup
+	// derived by transmitting the session's golden steps through defCh from
+	// divergeTx on. The caller guarantees every transaction before divergeTx
+	// transfers cleanly through defCh. It serves callers that know only the
+	// first divergence.
 	Resume(s int, ch core.BusID, defCh *crosstalk.Channel, divergeTx int) (RunResult, error)
 }
 
-// resumeAlone is every core's ResumeFiring: ResumeGroup with a group of
-// one, so a single run and a group run take one path.
+// resumeAlone is every core's Resume: ResumeGroup with a group of one, so
+// a single run and a group run take one path.
 func resumeAlone(c Core, s int, ch core.BusID, defCh *crosstalk.Channel, next func(t int) int) (RunResult, error) {
 	res, _, err := c.ResumeGroup(s, ch, []*crosstalk.Channel{defCh}, func([]int) func(int) int { return next })
 	if err != nil {
@@ -174,7 +172,7 @@ func resumeAlone(c Core, s int, ch core.BusID, defCh *crosstalk.Channel, next fu
 	return res[0], nil
 }
 
-// scanFiring is the fire-point lookup Resume passes to ResumeFiring: it
+// scanFiring is the fire-point lookup Resume passes to resumeAlone: it
 // transmits golden steps through defCh, starting at divergeTx, and keeps its
 // last answer so that queries inside an already scanned stretch cost
 // nothing.

@@ -266,10 +266,6 @@ func (c *wideBusCore) ResumeGroup(s int, chID core.BusID, chs []*crosstalk.Chann
 	return results, total, nil
 }
 
-func (c *wideBusCore) ResumeFiring(s int, chID core.BusID, defCh *crosstalk.Channel, next func(t int) int) (RunResult, error) {
-	return resumeAlone(c, s, chID, defCh, next)
-}
-
 // resume copies the golden responses and transmits through defCh only the
 // steps next returns: every other step transfers cleanly, so it latches the
 // golden word.
@@ -295,5 +291,5 @@ func (c *wideBusCore) Resume(s int, chID core.BusID, defCh *crosstalk.Channel, d
 	if chID != 0 {
 		return RunResult{}, fmt.Errorf("target: %s has no channel %d", c.plan.TargetName(), chID)
 	}
-	return c.ResumeFiring(s, chID, defCh, scanFiring(c.steps[s], defCh, divergeTx))
+	return resumeAlone(c, s, chID, defCh, scanFiring(c.steps[s], defCh, divergeTx))
 }

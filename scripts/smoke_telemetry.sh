@@ -2,15 +2,15 @@
 # smoke_telemetry.sh boots a real xtalkd, submits one small campaign, and
 # asserts the telemetry endpoints answer on the live daemon: /metrics must
 # serve a non-empty Prometheus exposition with no series of the removed
-# execute engine and no degraded-execute counter, /debug/events a non-empty
-# event array, /debug/trace/{job} the job's spans, and /alerts no
-# degraded_execute_ratio objective; a spec naming the execute engine gets
-# a 400 there and on the coordinator. It then boots a live
-# 2-worker fleet (coordinator + two heartbeating workers) and asserts the
-# federation surface: /fleet/status sees both workers scraped, neither
-# worker recorded a refused heartbeat, GET /v1/fleet/workers answers 405
-# (the registry is read from /fleet/status), /alerts serves the SLO alert
-# document, and the coordinator's /metrics carries worker-labeled
+# execute engine, no degraded-execute counter and no in-field drift-alert or
+# baseline series, /debug/events a non-empty event array, /debug/trace/{job}
+# the job's spans, and /alerts no degraded_execute_ratio objective; a spec
+# naming the execute engine gets a 400 there and on the coordinator. It then
+# boots a live 2-worker fleet (coordinator + two heartbeating workers) and
+# asserts the federation surface: /fleet/status sees both workers scraped,
+# neither worker recorded a refused heartbeat, GET /v1/fleet/workers answers
+# 405 (the registry is read from /fleet/status), /alerts serves the SLO
+# alert document, and the coordinator's /metrics carries worker-labeled
 # xtalkd_fleet_* families. Last, it submits one spec to both
 # the standalone node and the coordinator, watches both jobs to the end, and
 # asserts the two /result bodies are byte-identical and the coordinator's
@@ -64,6 +64,11 @@ fi >&2
 # degrades to full execution and nothing counts one.
 if echo "$metrics" | grep -q 'xtalkd_engine_degraded_executes_total'; then
     echo "metrics exposition still serves the removed degraded-execute counter:"; echo "$metrics"; exit 1
+fi >&2
+# In-field runs raise no alert of their own: the burn-rate objectives are
+# the only alert source, so nothing counts drift alerts or holds baselines.
+if echo "$metrics" | grep -q 'xtalkd_infield_drift_alerts_total\|xtalkd_infield_baselines'; then
+    echo "metrics exposition still serves the removed in-field drift series:"; echo "$metrics"; exit 1
 fi >&2
 
 # The batch engine is the only one a job runs: naming another is a 400.
