@@ -18,21 +18,32 @@ import (
 // accumulates many sets' effective capacitance in a tight inner loop
 // instead of constructing and dispatching through N Channel values.
 //
-// Only the sets at risk on a wire are stored and evaluated for it: per
-// victim wire, the batch keeps the ascending indexes of the sets whose risk
-// masks (see riskMasks, computed by each set's Channel) admit that wire,
-// plus those sets' compacted columns. A set outside a wire's list provably
-// never errs on that wire, so skipping it changes no verdict. A defect
-// library puts 1.15–1.35 wires per set at risk, so the batch holds about
-// n·1.2·W coupling values rather than n·W².
+// Only the sets at risk on a wire are stored and evaluated for it, in two
+// lists per victim wire i: the sets whose risk masks (see riskMasks,
+// computed by each set's Channel) put i at delay risk in either direction,
+// and the sets that put i at glitch risk, each list with its own compacted
+// columns. A switching victim walks only its delay list and a stable one
+// only its glitch list, the filter Channel.transmit applies; a set outside
+// a list provably never errs that way on that wire, so skipping it changes
+// no verdict. A set's row of W couplings is stored once per list it is on.
+// A defect library puts 1.15–1.35 wires per set on delay lists and
+// 0.06–0.09 on glitch lists (the glitch criterion sits above the delay
+// one), so the batch holds about n·1.3·W coupling values rather than n·W².
+//
+// The batch also keeps the Envelope of all its sets, whose two rows per
+// wire cover exactly that wire's two lists. EventMask first evaluates the
+// row of the list a transition would walk, and skips the list when the row
+// proves that none of its sets can cross the threshold: such a transition
+// costs O(W) on that wire instead of O(sets·W).
 //
 // The per-set error decision is arithmetic-identical to Channel.transmit:
 // the same accumulation order (ascending aggressor index), the same Miller
-// weighting, the same precomputed ascending-order total coupling in the
-// glitch charge divider, and the same strict threshold comparisons. The sim
-// layer's batched screening relies on this to clear a defect from a campaign
-// with exactly the verdict a per-defect Channel walk would reach
-// (TestBatchMatchesChannelTransmit pins the equivalence).
+// weighting, the same charge-divider denominator Cg[i]+ctot[i] (ctot
+// summed in ascending order, as Channel.ctot), and the same strict
+// threshold comparisons. The sim layer's batched screening relies on this
+// to clear a defect from a campaign with exactly the verdict a per-defect
+// Channel walk would reach (TestBatchMatchesChannelTransmit pins the
+// equivalence).
 //
 // A batch keeps every set's Channel, the one NewChannel builds: building the
 // batch validates each set and computes its risk masks through it, and the
@@ -49,23 +60,53 @@ type Batch struct {
 
 	chans   []*Channel    // set d's channel, see Channel
 	victims []batchVictim // indexed by victim wire
+	env     Envelope      // of every set; wire i's rows cover victims[i]
 
 	// scratch pools EventMask's accumulators (*[]float64, as long as the
-	// longest victim list), one per concurrent call.
+	// longest list), one per concurrent call.
 	scratch sync.Pool
 }
 
-// batchVictim holds the sets at risk on one victim wire i. sets lists their
-// batch indexes ascending; column k of every other slice belongs to set
-// sets[k]: its ground capacitance cg, its ascending-order total coupling
-// ctot (as Channel.ctot), its drive resistance rdrive[dir], and in cc[j] its
-// coupling Cc[i][j].
+// batchVictim holds the sets at risk on one victim wire i, in two lists:
+// delay for the sets at delay risk on i in either direction, with their
+// ground capacitance cg and drive resistances rdrive[dir], and glitch for
+// the sets at glitch risk on i, with their charge-divider denominators den,
+// Cg[i]+ctot[i]. Column k of a list's slices belongs to set sets[k].
 type batchVictim struct {
-	sets   []int32
+	delay  batchList
 	cg     []float64
-	ctot   []float64
 	rdrive [2][]float64
-	cc     [][]float64
+
+	glitch batchList
+	den    []float64
+}
+
+// batchList is one list of a victim wire i's sets: their batch indexes,
+// ascending, and in cc[j*len(sets)+k] set sets[k]'s coupling Cc[i][j].
+type batchList struct {
+	sets []int32
+	cc   []float64
+}
+
+// newBatchList returns an empty list with room for n sets on a width-wire
+// bus.
+func newBatchList(n, width int) batchList {
+	return batchList{sets: make([]int32, 0, n), cc: make([]float64, n*width)}
+}
+
+// add appends set d with coupling row cc.
+func (l *batchList) add(d int, cc []float64) {
+	k, n := len(l.sets), cap(l.sets)
+	l.sets = append(l.sets, int32(d))
+	for j, c := range cc {
+		l.cc[j*n+k] = c
+	}
+}
+
+// column returns column j of the list's couplings: every set's Cc[i][j].
+func (l *batchList) column(j int) []float64 {
+	n := len(l.sets)
+	return l.cc[j*n : (j+1)*n]
 }
 
 // setBlock is how many parameter sets a worker of BuildBatch's per-set pass
@@ -123,28 +164,42 @@ func BuildBatch(ctx context.Context, params []*Params, th Thresholds, workers in
 		chans:   chans,
 		victims: make([]batchVictim, width),
 	}
-	for i := range b.victims {
-		b.victims[i].cc = make([][]float64, width)
-	}
-	for d, c := range chans {
-		p := c.p
-		for risk := c.delayRisk[0] | c.delayRisk[1] | c.glitchRisk; risk != 0; risk &= risk - 1 {
-			i := bits.TrailingZeros64(risk)
-			v := &b.victims[i]
-			v.sets = append(v.sets, int32(d))
-			v.cg = append(v.cg, p.Cg[i])
-			v.ctot = append(v.ctot, c.ctot[i])
-			for dir, r := range p.RDrive {
-				v.rdrive[dir] = append(v.rdrive[dir], r)
-			}
-			for j, cc := range p.Cc[i] {
-				v.cc[j] = append(v.cc[j], cc)
-			}
+	// Size every list exactly, then fill the lists in set order.
+	delays, glitches := make([]int, width), make([]int, width)
+	for _, c := range chans {
+		b.env.Add(c)
+		for risk := c.delayRisk[0] | c.delayRisk[1]; risk != 0; risk &= risk - 1 {
+			delays[bits.TrailingZeros64(risk)]++
+		}
+		for risk := c.glitchRisk; risk != 0; risk &= risk - 1 {
+			glitches[bits.TrailingZeros64(risk)]++
 		}
 	}
 	most := 0
-	for _, v := range b.victims {
-		most = max(most, len(v.sets))
+	for i := range b.victims {
+		v, nd, ng := &b.victims[i], delays[i], glitches[i]
+		v.delay, v.glitch = newBatchList(nd, width), newBatchList(ng, width)
+		v.cg, v.den = make([]float64, 0, nd), make([]float64, 0, ng)
+		v.rdrive = [2][]float64{make([]float64, 0, nd), make([]float64, 0, nd)}
+		most = max(most, nd, ng)
+	}
+	for d, c := range chans {
+		p := c.p
+		for risk := c.delayRisk[0] | c.delayRisk[1]; risk != 0; risk &= risk - 1 {
+			i := bits.TrailingZeros64(risk)
+			v := &b.victims[i]
+			v.delay.add(d, p.Cc[i])
+			v.cg = append(v.cg, p.Cg[i])
+			for dir, r := range p.RDrive {
+				v.rdrive[dir] = append(v.rdrive[dir], r)
+			}
+		}
+		for risk := c.glitchRisk; risk != 0; risk &= risk - 1 {
+			i := bits.TrailingZeros64(risk)
+			v := &b.victims[i]
+			v.glitch.add(d, p.Cc[i])
+			v.den = append(v.den, p.Cg[i]+c.ctot[i])
+		}
 	}
 	b.scratch.New = func() any {
 		acc := make([]float64, most)
@@ -242,23 +297,28 @@ func (b *Batch) EventMask(prev, next logic.Word, dir maf.Direction, mask []uint6
 	}
 	scratch := b.scratch.Get().(*[]float64)
 	defer b.scratch.Put(scratch)
-	for i := range b.victims {
-		v := &b.victims[i]
-		if len(v.sets) == 0 {
+	// Visit the wires some set is at risk on for this transition, the
+	// union masks' form of Channel.transmit's filter, and walk a wire's
+	// list only when its envelope row may cross the threshold.
+	for risk := edges&b.env.delayRisk[dir] | ^edges&b.env.glitchRisk; risk != 0; risk &= risk - 1 {
+		i := bits.TrailingZeros64(risk)
+		if !b.env.mayErrOn(i, a, v2, dir) {
 			continue
 		}
-		acc := (*scratch)[:len(v.sets)]
+		v := &b.victims[i]
 		bitI := uint64(1) << uint(i)
 		if edges&bitI != 0 {
 			// Switching victim: Miller-weighted Elmore delay per set, visiting
 			// aggressors in ascending order exactly as Channel.transmit does.
+			l := &v.delay
+			acc := (*scratch)[:len(l.sets)]
 			copy(acc, v.cg)
-			for j, row := range v.cc {
+			for j := 0; j < b.width; j++ {
 				if j == i {
 					continue
 				}
 				bitJ := uint64(1) << uint(j)
-				row = row[:len(acc)]
+				row := l.column(j)[:len(acc)]
 				if edges&bitJ != 0 {
 					if (v2&bitI != 0) != (v2&bitJ != 0) {
 						for k := range acc {
@@ -275,7 +335,7 @@ func (b *Batch) EventMask(prev, next logic.Word, dir maf.Direction, mask []uint6
 			r := v.rdrive[dir][:len(acc)]
 			for k := range acc {
 				if ln2*r[k]*acc[k] > slack {
-					d := v.sets[k]
+					d := l.sets[k]
 					mask[d>>6] |= 1 << uint(d&63)
 				}
 			}
@@ -283,12 +343,14 @@ func (b *Batch) EventMask(prev, next logic.Word, dir maf.Direction, mask []uint6
 		}
 		// Stable victim: net coupled charge from the switching aggressors,
 		// walking the edge mask's set bits ascending as Channel.transmit does.
+		l := &v.glitch
+		acc := (*scratch)[:len(l.sets)]
 		for k := range acc {
 			acc[k] = 0
 		}
 		for e := edges; e != 0; e &= e - 1 {
 			bitJ := e & -e
-			row := v.cc[bits.TrailingZeros64(e)][:len(acc)]
+			row := l.column(bits.TrailingZeros64(e))[:len(acc)]
 			if v2&bitJ != 0 {
 				for k := range acc {
 					acc[k] += row[k]
@@ -300,14 +362,14 @@ func (b *Batch) EventMask(prev, next logic.Word, dir maf.Direction, mask []uint6
 			}
 		}
 		neg := a&bitI != 0
-		cgi, ctoti := v.cg[:len(acc)], v.ctot[:len(acc)]
+		den := v.den[:len(acc)]
 		for k := range acc {
 			push := acc[k]
 			if neg {
 				push = -push // a downward pull flips a high wire
 			}
-			if push/(cgi[k]+ctoti[k]) > b.th.GlitchFrac {
-				d := v.sets[k]
+			if push/den[k] > b.th.GlitchFrac {
+				d := l.sets[k]
 				mask[d>>6] |= 1 << uint(d&63)
 			}
 		}

@@ -48,8 +48,8 @@ func perturbedSets(t *testing.T, width, n int, seed int64) []*Params {
 // replay tier reaches, across widths on both sides of the 32-wire boundary
 // and both drive directions. The reference does not use the risk masks,
 // which Batch and Channel share. Besides the mixed library, a quiet batch
-// (no wire has an at-risk set) and a loud one (every wire has every set at
-// risk) cover the ends of the compaction. The batch's own channel for each
+// (no set on either list of any wire) and a loud one (every set on both
+// lists of every wire) cover the ends of the compaction. The batch's own channel for each
 // set (Batch.Channel) must equal NewChannel's in its total couplings and
 // risk masks and transmit exactly as it does.
 func TestBatchMatchesChannelTransmit(t *testing.T) {
@@ -90,8 +90,9 @@ func TestBatchMatchesChannelTransmit(t *testing.T) {
 					t.Fatal(err)
 				}
 				for i, v := range b.victims {
-					if tc.want >= 0 && len(v.sets) != tc.want {
-						t.Fatalf("%s: wire %d keeps %d sets, want %d", tc.name, i, len(v.sets), tc.want)
+					if tc.want >= 0 && (len(v.delay.sets) != tc.want || len(v.glitch.sets) != tc.want) {
+						t.Fatalf("%s: wire %d keeps %d sets on its delay list and %d on its glitch list, want %d on each",
+							tc.name, i, len(v.delay.sets), len(v.glitch.sets), tc.want)
 					}
 				}
 				chans := make([]*Channel, len(tc.sets))

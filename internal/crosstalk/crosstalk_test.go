@@ -97,6 +97,9 @@ func TestValidateRejectsBadParams(t *testing.T) {
 		{"nan lower coupling", func(p *Params) { p.Cc[5][2] = math.NaN() }},
 		{"resistance", func(p *Params) { p.RDrive[1] = 0 }},
 		{"vdd", func(p *Params) { p.Vdd = 0 }},
+		{"nan cg", func(p *Params) { p.Cg[3] = math.NaN() }},
+		{"nan resistance", func(p *Params) { p.RDrive[0] = math.NaN() }},
+		{"nan vdd", func(p *Params) { p.Vdd = math.NaN() }},
 	}
 	for _, d := range damage {
 		p := Nominal(8)
@@ -165,6 +168,10 @@ func TestThresholdsValidate(t *testing.T) {
 		{Cth: 1, GlitchFrac: 1.5, Slack: [2]float64{1, 1}, Cg0: 1},
 		{Cth: 1, GlitchFrac: 0.5, Slack: [2]float64{0, 1}, Cg0: 1},
 		{Cth: 1, GlitchFrac: 0.5, Slack: [2]float64{1, 1}, Cg0: 0},
+		{Cth: math.NaN(), GlitchFrac: 0.5, Slack: [2]float64{1, 1}, Cg0: 1},
+		{Cth: 1, GlitchFrac: math.NaN(), Slack: [2]float64{1, 1}, Cg0: 1},
+		{Cth: 1, GlitchFrac: 0.5, Slack: [2]float64{1, math.NaN()}, Cg0: 1},
+		{Cth: 1, GlitchFrac: 0.5, Slack: [2]float64{1, 1}, Cg0: math.NaN()},
 	}
 	for i, th := range bad {
 		if err := th.Validate(); err == nil {

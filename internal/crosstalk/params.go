@@ -108,9 +108,12 @@ func (p *Params) Validate() error {
 	if len(p.Cg) != p.Width || len(p.Cc) != p.Width {
 		return errors.New("crosstalk: capacitance arrays do not match width")
 	}
+	// Every positivity check is written !(x > 0), so that it refuses NaN:
+	// the risk masks and the envelope rely on Cg, RDrive and the thresholds
+	// being ordered numbers.
 	for i, cg := range p.Cg {
-		if cg <= 0 {
-			return fmt.Errorf("crosstalk: wire %d ground capacitance %g <= 0", i, cg)
+		if !(cg > 0) {
+			return fmt.Errorf("crosstalk: wire %d ground capacitance %g is not positive", i, cg)
 		}
 	}
 	// Every row's length is checked before any entry is read, because the
@@ -137,12 +140,12 @@ func (p *Params) Validate() error {
 		}
 	}
 	for d, r := range p.RDrive {
-		if r <= 0 {
-			return fmt.Errorf("crosstalk: driver resistance for direction %d is %g <= 0", d, r)
+		if !(r > 0) {
+			return fmt.Errorf("crosstalk: driver resistance for direction %d is %g, not positive", d, r)
 		}
 	}
-	if p.Vdd <= 0 {
-		return fmt.Errorf("crosstalk: Vdd %g <= 0", p.Vdd)
+	if !(p.Vdd > 0) {
+		return fmt.Errorf("crosstalk: Vdd %g is not positive", p.Vdd)
 	}
 	return nil
 }
@@ -263,21 +266,22 @@ func DeriveThresholdsMargin(nominal *Params, cthFactor, glitchMargin float64) (T
 	return th, nil
 }
 
-// Validate checks th for physical consistency.
+// Validate checks th for physical consistency. As in Params.Validate, the
+// checks are written so that they refuse NaN.
 func (th Thresholds) Validate() error {
-	if th.Cth <= 0 {
-		return fmt.Errorf("crosstalk: Cth %g <= 0", th.Cth)
+	if !(th.Cth > 0) {
+		return fmt.Errorf("crosstalk: Cth %g is not positive", th.Cth)
 	}
-	if th.GlitchFrac <= 0 || th.GlitchFrac >= 1 {
+	if !(th.GlitchFrac > 0 && th.GlitchFrac < 1) {
 		return fmt.Errorf("crosstalk: glitch fraction %g outside (0,1)", th.GlitchFrac)
 	}
 	for d, s := range th.Slack {
-		if s <= 0 {
-			return fmt.Errorf("crosstalk: slack for direction %d is %g <= 0", d, s)
+		if !(s > 0) {
+			return fmt.Errorf("crosstalk: slack for direction %d is %g, not positive", d, s)
 		}
 	}
-	if th.Cg0 <= 0 {
-		return fmt.Errorf("crosstalk: reference Cg %g <= 0", th.Cg0)
+	if !(th.Cg0 > 0) {
+		return fmt.Errorf("crosstalk: reference Cg %g is not positive", th.Cg0)
 	}
 	return nil
 }

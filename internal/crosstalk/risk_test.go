@@ -96,7 +96,9 @@ func TestRiskMasksMatchMargins(t *testing.T) {
 // FuzzReadTransmit drives untrusted parameter files through the channel:
 // any file Read accepts must build a channel, transmit exactly as the
 // specification form (Analyze plus thresholding) does, and carry risk masks
-// equal to its Margins verdicts.
+// equal to its Margins verdicts. The envelope of the parsed set and the
+// nominal set of its width must never prove clean a transfer on which either
+// one errs.
 func FuzzReadTransmit(f *testing.F) {
 	f.Fuzz(func(t *testing.T, file []byte, v1, v2 uint64, reverse bool) {
 		p, th, err := Read(bytes.NewReader(file))
@@ -120,6 +122,20 @@ func FuzzReadTransmit(f *testing.F) {
 		}
 		if msg := riskMismatch(c); msg != "" {
 			t.Fatal(msg)
+		}
+		nominal, err := NewChannel(Nominal(p.Width), th)
+		if err != nil {
+			t.Fatalf("the nominal %d-wire set does not validate: %v", p.Width, err)
+		}
+		var e Envelope
+		e.Add(c)
+		e.Add(nominal)
+		if !e.MayErr(w1, w2, dir) {
+			_, nominalE := nominal.Transmit(w1, w2, dir)
+			if len(gotE) > 0 || len(nominalE) > 0 {
+				t.Fatalf("envelope proves %v->%v %v clean, but the set errs %v and the nominal set %v",
+					w1, w2, dir, gotE, nominalE)
+			}
 		}
 	})
 }

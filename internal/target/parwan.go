@@ -348,10 +348,10 @@ func (s *cellSet) add(cell uint16) bool {
 func (s *cellSet) has(cell uint16) bool { return s.mark[cell] == s.gen }
 
 // execUnit is a reusable execution rig: one System plus its nominal
-// channels and the scratch sets of a resumed run. Units are pooled per core
-// and confined to one goroutine while in use. The nominal channels need no
-// memo: no wire of a nominal channel is at risk, so every transmit through
-// one is O(1).
+// channels and the scratch state of a resumed run. Units are pooled per
+// core and confined to one goroutine while in use. The nominal channels
+// need no memo: no wire of a nominal channel is at risk, so every transmit
+// through one is O(1).
 type execUnit struct {
 	sys    *soc.System
 	addrCh *crosstalk.Channel // nominal address channel
@@ -362,6 +362,9 @@ type execUnit struct {
 	cand   cellSet  // scratch: cells a rejoin compares, or the delta
 	loop   cellSet  // cells stored since the loop check's saved state
 	old    []uint8  // each loop member's contents at the saved state
+
+	env  crosstalk.Envelope // of the running group's members but the first
+	open []soc.Transfer     // scratch: the transfers env cannot prove clean
 }
 
 // getUnit takes an execution rig from the pool, building one on first use.
@@ -430,7 +433,11 @@ func (c *parwanCore) Resume(s int, ch core.BusID, defCh *crosstalk.Channel, dive
 //     judges the instruction's transfers over the defective bus. Members
 //     that latch a different word or count different events on one of them
 //     leave the group at the instruction's start, with everything the run
-//     carries there, and run on as a group of their own (see fork).
+//     carries there, and run on as a group of their own (see fork). The
+//     envelope of those members (crosstalk.Envelope, built when the group
+//     starts) settles most transfers for all of them at once; only the
+//     transfers it cannot prove clean are transmitted member by member
+//     (see verify).
 //
 // Members that stay latch exactly what the first member latches, so they
 // share its state and event count, and the whole run is each member's run.
@@ -537,11 +544,17 @@ type differential struct {
 }
 
 // start sets the rig up for group f: its first member's channel on the
-// defective bus, the transfer log on while another member needs verdicts,
-// and the session's entry for a new group, or f's state for a fork.
+// defective bus, the transfer log on and the other members' envelope built
+// while another member needs verdicts, and the session's entry for a new
+// group, or f's state for a fork. The envelope is built once per group: a
+// split keeps a subset of the members, which it still bounds.
 func (d *differential) start(f *fork) error {
 	d.members, d.next = f.members, d.lookup(f.members)
 	defCh, u := d.chs[f.members[0]], d.u
+	u.env.Reset()
+	for _, m := range f.members[1:] {
+		u.env.Add(d.chs[m])
+	}
 	addrCh, dataCh := u.addrCh, u.dataCh
 	if d.ch == core.AddrBus {
 		addrCh = defCh
@@ -704,15 +717,40 @@ func (d *differential) step() (res RunResult, done bool) {
 }
 
 // verify takes every other member's verdict on the instruction just
-// stepped, which started at boundary at and made stores: Transmit on the
-// member's own channel of each of the instruction's transfers over the
-// defective bus. Members whose channel latches a different word or counts
-// different events on some transfer leave the group as one fork.
+// stepped, which started at boundary at and made stores: what the member's
+// own channel latches, and how many events it counts, on each of the
+// instruction's transfers over the defective bus. Members whose channel
+// latches a different word or counts different events on some transfer
+// leave the group as one fork.
+//
+// A transfer the members' envelope proves clean is settled for all of them
+// at once: each latches the driven word with no event, so each agrees iff
+// the first member's transfer had no event either. Only the transfers left
+// open are transmitted per member.
 func (d *differential) verify(at *boundary, stores []soc.Store) {
-	xfers := d.sys.TakeTransfers()
+	u := d.u
+	open, evented := u.open[:0], false
+	for _, x := range d.sys.TakeTransfers() {
+		switch {
+		case u.env.MayErr(x.Held, x.Driven, x.Dir):
+			open = append(open, x)
+		case x.Events != 0:
+			evented = true
+		}
+	}
+	u.open = open
+	if len(open) == 0 && !evented {
+		return
+	}
 	kept, left := d.members[:1], []int(nil)
 	for _, m := range d.members[1:] {
-		if agrees(d.chs[m], xfers) {
+		same := !evented
+		for k := 0; same && k < len(open); k++ {
+			x := &open[k]
+			recv, events := d.chs[m].Transmit(x.Held, x.Driven, x.Dir)
+			same = recv == x.Received && len(events) == x.Events
+		}
+		if same {
 			kept = append(kept, m)
 		} else {
 			left = append(left, m)
@@ -724,18 +762,6 @@ func (d *differential) verify(at *boundary, stores []soc.Store) {
 	d.pending = append(d.pending, d.fork(left, at, stores))
 	d.members, d.next = kept, d.lookup(kept)
 	d.logTransfers()
-}
-
-// agrees reports whether ch latches every logged transfer's received word
-// with its event count.
-func agrees(ch *crosstalk.Channel, xfers []soc.Transfer) bool {
-	for _, x := range xfers {
-		recv, events := ch.Transmit(x.Held, x.Driven, x.Dir)
-		if recv != x.Received || len(events) != x.Events {
-			return false
-		}
-	}
-	return true
 }
 
 // fork freezes members at the start of the instruction just stepped, which
