@@ -165,3 +165,24 @@ func TestPrintEngineCountsAsDigits(t *testing.T) {
 		t.Errorf("output prints a count in exponent form:\n%s", out)
 	}
 }
+
+// TestCmdRefusesNonFiniteFactors: a NaN or infinite -cth or -sigma is
+// refused where it enters, by name. -sigma NaN used to spin through two
+// million attempts and -sigma +Inf to build a library.
+func TestCmdRefusesNonFiniteFactors(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+		cmd  func([]string) error
+	}{
+		{[]string{"-cth", "NaN"}, "cthFactor NaN is not finite", cmdParams},
+		{[]string{"-cth", "+Inf"}, "cthFactor +Inf is not finite", cmdParams},
+		{[]string{"-target", "widebus64", "-bus", "bus", "-sigma", "NaN", "-size", "1"}, "sigma NaN", cmdDefects},
+		{[]string{"-target", "widebus64", "-bus", "bus", "-sigma", "+Inf", "-size", "1"}, "sigma +Inf", cmdDefects},
+	} {
+		_, err := capture(t, func() error { return tc.cmd(tc.args) })
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: err = %v, want %q", tc.args, err, tc.want)
+		}
+	}
+}

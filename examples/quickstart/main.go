@@ -55,10 +55,10 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("defect detected: %v\n", out.Detected)
-	if len(out.DetectedBy) > 0 {
+	if names := out.DetectedBy.Names(); len(names) > 0 {
 		fmt.Println("detected by MA tests:")
-		for _, f := range out.DetectedBy {
-			fmt.Printf("  %v\n", f)
+		for _, name := range names {
+			fmt.Printf("  %s\n", name)
 		}
 	}
 

@@ -19,6 +19,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -192,11 +193,11 @@ func (s Spec) validateFields() error {
 	if s.Size < 0 || s.Size > MaxLibrarySize {
 		return fmt.Errorf("campaign: library size %d outside [0, %d]", s.Size, MaxLibrarySize)
 	}
-	if s.Sigma < 0 {
-		return fmt.Errorf("campaign: negative sigma %g", s.Sigma)
+	if !(s.Sigma >= 0 && s.Sigma < math.Inf(1)) {
+		return fmt.Errorf("campaign: sigma %g is negative or not finite", s.Sigma)
 	}
-	if s.CthFactor != 0 && !(s.CthFactor > 1) {
-		return fmt.Errorf("campaign: cth_factor %g must exceed 1 (0 selects the default %g)",
+	if s.CthFactor != 0 && !(s.CthFactor > 1 && s.CthFactor < math.Inf(1)) {
+		return fmt.Errorf("campaign: cth_factor %g must be finite and exceed 1 (0 selects the default %g)",
 			s.CthFactor, crosstalk.DefaultCthFactor)
 	}
 	if s.MaxSessions < 0 {
@@ -239,12 +240,22 @@ func (s Spec) validateFields() error {
 	return nil
 }
 
-// inlinePlan parses the spec's inline plan document; nil when it has none.
+// inlinePlan parses the spec's inline plan document and checks it against
+// the spec's target (target.CheckPlan), so a plan for another target, or
+// one whose test names a fault its bus does not have, is a bad spec; nil
+// when it has none.
 func (s Spec) inlinePlan() (*core.Plan, error) {
 	if len(s.Plan) == 0 {
 		return nil, nil
 	}
+	tgt, _, err := s.backend()
+	if err != nil {
+		return nil, err
+	}
 	p, err := core.ReadPlan(bytes.NewReader(s.Plan))
+	if err == nil {
+		err = target.CheckPlan(tgt, p)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("campaign: inline plan: %w", err)
 	}

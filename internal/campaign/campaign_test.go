@@ -3,6 +3,7 @@ package campaign
 import (
 	"bytes"
 	"context"
+	"math"
 	"reflect"
 	"runtime"
 	"strconv"
@@ -380,6 +381,11 @@ func TestSubmitValidation(t *testing.T) {
 		{Bus: "ctrl"},
 		{Bus: "addr", Size: -1},
 		{Bus: "addr", Sigma: -0.5},
+		{Bus: "addr", Sigma: math.NaN()},
+		{Bus: "addr", Sigma: math.Inf(1)},
+		{Bus: "addr", CthFactor: math.NaN()},
+		{Bus: "addr", CthFactor: math.Inf(1)},
+		{Bus: "addr", CthFactor: math.Inf(-1)},
 		{Bus: "addr", CthFactor: -1},
 		{Bus: "addr", CthFactor: 0.5},
 		{Bus: "addr", CthFactor: 1},

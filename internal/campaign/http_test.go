@@ -329,24 +329,40 @@ func loopSpec(steps int) string {
 		`"image":[{"addr":16,"hex":"e08010"}]}]}}`, steps)
 }
 
+// appliedSpec is an address-bus spec whose inline parwan plan is one
+// looping program applying one gp test on bus, of the given direction and
+// width.
+func appliedSpec(bus, dir string, width int) string {
+	return fmt.Sprintf(`{"bus":"addr","seed":1,"plan":{"programs":[{"session":0,"entry":16,"step_limit":10,`+
+		`"response_cells":[512],"image":[{"addr":16,"hex":"e08010"}],"applied":[{"victim":0,"kind":"gp",`+
+		`"dir":%q,"width":%d,"bus":%q,"scheme":"data-fwd","order":0,"response_cells":[512]}]}]}}`, dir, width, bus)
+}
+
 // TestSpecBounds submits specs just past each request bound: a library one
 // defect over MaxLibrarySize, the reproduction that used to panic in
 // defects.Generate, a one-program plan looping one step past
-// core.MaxPlanSteps, a plan of core.MaxPlanPrograms+1 empty programs, and
-// cth_factor values that are neither 0 nor above 1. Submit refuses each,
-// POST /v1/campaigns answers 400, and no job is registered. A library of
-// exactly MaxLibrarySize defects, a plan of exactly core.MaxPlanSteps steps
-// and cth_factor 0 and 1.55 are still valid specs.
+// core.MaxPlanSteps, a plan of core.MaxPlanPrograms+1 empty programs,
+// cth_factor values that are neither 0 nor above 1, and inline plans whose
+// test names a fault outside parwan's universe (a 16-wire fault) or outside
+// its own bus (an address-bus fault on the data bus, a reverse fault on the
+// unidirectional address bus). Submit refuses each, POST /v1/campaigns
+// answers 400, and no job is registered. A library of exactly
+// MaxLibrarySize defects, a plan of exactly core.MaxPlanSteps steps, a plan
+// whose test is a fault of its own bus, and cth_factor 0 and 1.55 are still
+// valid specs.
 func TestSpecBounds(t *testing.T) {
 	m, ts := newTestServer(t, 1)
 	for name, body := range map[string]string{
-		"size":      fmt.Sprintf(`{"bus":"addr","seed":1,"size":%d}`, MaxLibrarySize+1),
-		"size 2^60": `{"bus":"addr","seed":1,"size":1152921504606846976}`,
-		"steps":     loopSpec(core.MaxPlanSteps + 1),
-		"programs":  `{"bus":"addr","seed":1,"plan":{"programs":[` + strings.Repeat(`{},`, core.MaxPlanPrograms) + `{}]}}`,
-		"cth -1":    `{"bus":"addr","seed":1,"cth_factor":-1}`,
-		"cth 0.5":   `{"bus":"addr","seed":1,"cth_factor":0.5}`,
-		"cth 1":     `{"bus":"addr","seed":1,"cth_factor":1}`,
+		"size":         fmt.Sprintf(`{"bus":"addr","seed":1,"size":%d}`, MaxLibrarySize+1),
+		"size 2^60":    `{"bus":"addr","seed":1,"size":1152921504606846976}`,
+		"steps":        loopSpec(core.MaxPlanSteps + 1),
+		"programs":     `{"bus":"addr","seed":1,"plan":{"programs":[` + strings.Repeat(`{},`, core.MaxPlanPrograms) + `{}]}}`,
+		"cth -1":       `{"bus":"addr","seed":1,"cth_factor":-1}`,
+		"cth 0.5":      `{"bus":"addr","seed":1,"cth_factor":0.5}`,
+		"cth 1":        `{"bus":"addr","seed":1,"cth_factor":1}`,
+		"width 16":     appliedSpec("data", "fwd", 16),
+		"addr on data": appliedSpec("data", "fwd", 12),
+		"rev on addr":  appliedSpec("addr", "rev", 12),
 	} {
 		var spec Spec
 		if err := json.Unmarshal([]byte(body), &spec); err != nil {
@@ -371,6 +387,15 @@ func TestSpecBounds(t *testing.T) {
 	}
 	if err := atCap.Validate(); err != nil {
 		t.Errorf("a plan at the step cap is refused: %v", err)
+	}
+	for _, body := range []string{appliedSpec("data", "rev", 8), appliedSpec("addr", "fwd", 12)} {
+		var own Spec
+		if err := json.Unmarshal([]byte(body), &own); err != nil {
+			t.Fatal(err)
+		}
+		if err := own.Validate(); err != nil {
+			t.Errorf("a plan whose test is a fault of its own bus is refused: %v", err)
+		}
 	}
 	for _, cth := range []float64{0, 1.55} {
 		if err := (Spec{Bus: "addr", Seed: 1, CthFactor: cth}).Validate(); err != nil {

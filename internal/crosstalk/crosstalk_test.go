@@ -3,7 +3,9 @@ package crosstalk
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -144,6 +146,19 @@ func TestDeriveThresholds(t *testing.T) {
 func TestDeriveThresholdsRejects(t *testing.T) {
 	if _, err := DeriveThresholds(Nominal(8), 0.9); err == nil {
 		t.Error("cthFactor <= 1 accepted")
+	}
+	// NaN and the infinities are refused by name, and never replaced by a
+	// default.
+	for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, tc := range []struct {
+			name                    string
+			cthFactor, glitchMargin float64
+		}{{"cthFactor", x, 0}, {"glitchMargin", 0, x}} {
+			_, err := DeriveThresholdsMargin(Nominal(8), tc.cthFactor, tc.glitchMargin)
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%s %g is not finite", tc.name, x)) {
+				t.Errorf("%s %g: err = %v, want a refusal naming it", tc.name, x, err)
+			}
+		}
 	}
 	p := Nominal(8)
 	p.Cg[3] *= 2

@@ -233,16 +233,23 @@ func DeriveThresholds(nominal *Params, cthFactor float64) (Thresholds, error) {
 // DeriveThresholdsMargin is DeriveThresholds with an explicit glitch margin
 // (the ratio of the glitch-latching point to Cth). Passing glitchMargin <= 0
 // selects DefaultGlitchMargin; values below 1 make receivers latch glitches
-// from defects that do not even reach the delay criterion.
+// from defects that do not even reach the delay criterion. A factor that is
+// NaN or infinite is refused by name, before any default is substituted.
 func DeriveThresholdsMargin(nominal *Params, cthFactor, glitchMargin float64) (Thresholds, error) {
 	if err := nominal.Validate(); err != nil {
 		return Thresholds{}, err
+	}
+	if math.IsNaN(cthFactor) || math.IsInf(cthFactor, 0) {
+		return Thresholds{}, fmt.Errorf("crosstalk: cthFactor %g is not finite", cthFactor)
 	}
 	if cthFactor <= 0 {
 		cthFactor = DefaultCthFactor
 	}
 	if cthFactor <= 1 {
 		return Thresholds{}, fmt.Errorf("crosstalk: cthFactor %g must exceed 1", cthFactor)
+	}
+	if math.IsNaN(glitchMargin) || math.IsInf(glitchMargin, 0) {
+		return Thresholds{}, fmt.Errorf("crosstalk: glitchMargin %g is not finite", glitchMargin)
 	}
 	if glitchMargin <= 0 {
 		glitchMargin = DefaultGlitchMargin

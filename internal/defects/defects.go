@@ -16,6 +16,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 
@@ -179,8 +180,8 @@ func Generate(nominal *crosstalk.Params, th crosstalk.Thresholds, cfg Config) (*
 	if cfg.Sigma == 0 {
 		cfg.Sigma = DefaultSigma
 	}
-	if cfg.Sigma < 0 {
-		return nil, fmt.Errorf("defects: negative sigma %g", cfg.Sigma)
+	if !(cfg.Sigma > 0 && cfg.Sigma < math.Inf(1)) {
+		return nil, fmt.Errorf("defects: sigma %g is negative or not finite", cfg.Sigma)
 	}
 	if cfg.Size == 0 {
 		cfg.Size = DefaultLibrarySize

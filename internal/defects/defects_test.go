@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -301,6 +302,13 @@ func TestGenerateRejectsBadConfig(t *testing.T) {
 	nom, th := setup(t, 8)
 	if _, err := Generate(nom, th, Config{Sigma: -1}); err == nil {
 		t.Error("negative sigma accepted")
+	}
+	// NaN used to spin through every attempt and +Inf to build a library.
+	for _, sigma := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		_, err := Generate(nom, th, Config{Size: 1, Sigma: sigma})
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("sigma %g", sigma)) {
+			t.Errorf("sigma %g: err = %v, want a refusal naming it", sigma, err)
+		}
 	}
 	if _, err := Generate(nom, th, Config{Size: -5}); err == nil {
 		t.Error("negative size accepted")

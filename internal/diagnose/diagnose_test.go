@@ -1,6 +1,7 @@
 package diagnose
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -14,6 +15,29 @@ func fault(victim int, kind maf.Kind, width int) maf.Fault {
 	return maf.Fault{Victim: victim, Kind: kind, Dir: maf.Forward, Width: width}
 }
 
+// testFaults is the universe of the faults the fixtures name: those of a
+// 4-, an 8- and a 12-wire unidirectional bus.
+var testFaults = func() *maf.FaultUniverse {
+	u, err := maf.NewFaultUniverse(append(append(maf.Universe(4, false), maf.Universe(8, false)...), maf.Universe(12, false)...))
+	if err != nil {
+		panic(err)
+	}
+	return u
+}()
+
+// setOf is the detection set of faults over testFaults.
+func setOf(faults ...maf.Fault) maf.Set {
+	var s maf.Set
+	for _, f := range faults {
+		i, ok := testFaults.Index(f)
+		if !ok {
+			panic(fmt.Sprintf("%v@%d is not a test fault", f, f.Width))
+		}
+		s.Add(testFaults, i)
+	}
+	return s
+}
+
 // fixture: four defects over a 4-wire bus.
 //
 //	defect 0: detected by gp[1], dr[2]
@@ -24,9 +48,9 @@ func fixtureOutcomes() []sim.Outcome {
 	gp1 := fault(1, maf.PositiveGlitch, 4)
 	dr2 := fault(2, maf.RisingDelay, 4)
 	return []sim.Outcome{
-		{DefectID: 0, Detected: true, DetectedBy: []maf.Fault{gp1, dr2}},
-		{DefectID: 1, Detected: true, DetectedBy: []maf.Fault{dr2}},
-		{DefectID: 2, Detected: true, DetectedBy: []maf.Fault{gp1, dr2}},
+		{DefectID: 0, Detected: true, DetectedBy: setOf(gp1, dr2)},
+		{DefectID: 1, Detected: true, DetectedBy: setOf(dr2)},
+		{DefectID: 2, Detected: true, DetectedBy: setOf(gp1, dr2)},
 		{DefectID: 3, Detected: true, Crashed: true},
 	}
 }
@@ -179,9 +203,8 @@ func randomSets(rng *rand.Rand, nDefects, nFaults int) *Sets {
 			}
 			for fi := range seen {
 				k := maf.Kinds[fi%len(maf.Kinds)]
-				outs[d].DetectedBy = append(outs[d].DetectedBy, fault(fi/len(maf.Kinds), k, 8))
+				outs[d].DetectedBy = outs[d].DetectedBy.Union(setOf(fault(fi/len(maf.Kinds), k, 8)))
 			}
-			maf.SortFaults(outs[d].DetectedBy)
 			outs[d].Detected = true
 		}
 	}
@@ -272,7 +295,7 @@ func TestRankWires(t *testing.T) {
 	// Add a wide-bus fault on the same victim to prove width filtering.
 	outs = append(outs, sim.Outcome{
 		DefectID: 4, Detected: true,
-		DetectedBy: []maf.Fault{fault(1, maf.PositiveGlitch, 12)},
+		DetectedBy: setOf(fault(1, maf.PositiveGlitch, 12)),
 	})
 	s := Collect(outs)
 	lib := &defects.Library{Defects: []defects.Defect{

@@ -5,8 +5,8 @@
 //   - Detection sets (Sets): for every library defect, exactly which MA
 //     tests detect it, and for every MA test, exactly which defects it
 //     catches — the fault dictionary of classic diagnosis literature,
-//     recorded deterministically from sim.Outcome.DetectedBy (which is
-//     sorted and deduplicated by construction).
+//     recorded deterministically from sim.Outcome.DetectedBy (a set that
+//     walks its faults in canonical order).
 //
 //   - Fault localization (Localize): map an observed failure signature —
 //     the set of MA tests that failed on a part — back to ranked
@@ -65,8 +65,8 @@ type Sets struct {
 }
 
 // Collect builds the detection-set dictionary from a campaign's outcomes in
-// library index order (sim.CampaignResult.Outcomes). Outcomes' DetectedBy
-// lists are already sorted and deduplicated, so collection is a linear pass.
+// library index order (sim.CampaignResult.Outcomes). Detection sets walk
+// their faults in canonical order, so collection is a linear pass.
 func Collect(outcomes []sim.Outcome) *Sets {
 	s := &Sets{
 		Total:     len(outcomes),
@@ -75,22 +75,17 @@ func Collect(outcomes []sim.Outcome) *Sets {
 		Detected:  make([]bool, len(outcomes)),
 		Crashed:   make([]bool, len(outcomes)),
 	}
-	// First pass: the fault universe actually observed, in canonical order.
-	index := make(map[maf.Fault]int) // fault → index into Faults
+	// First pass: the faults actually observed, the union of the sets, and
+	// each one's position in Faults by universe index.
+	var seen maf.Set
 	for _, out := range outcomes {
-		for _, f := range out.DetectedBy {
-			if _, ok := index[f]; !ok {
-				index[f] = -1 // placeholder; renumbered below
-			}
-		}
+		seen = seen.Union(out.DetectedBy)
 	}
-	s.Faults = make([]maf.Fault, 0, len(index))
-	for f := range index {
-		s.Faults = append(s.Faults, f)
-	}
-	maf.SortFaults(s.Faults)
-	for i, f := range s.Faults {
-		index[f] = i
+	s.Faults = make([]maf.Fault, 0, seen.Len())
+	var index [maf.SetBits]int
+	for i := seen.Next(0); i >= 0; i = seen.Next(i + 1) {
+		index[i] = len(s.Faults)
+		s.Faults = append(s.Faults, seen.Universe().Fault(i))
 	}
 	s.ByFault = make([][]int, len(s.Faults))
 	// Second pass: both orientations, defects in index order so ByFault rows
@@ -99,11 +94,11 @@ func Collect(outcomes []sim.Outcome) *Sets {
 		s.DefectIDs[d] = out.DefectID
 		s.Detected[d] = out.Detected
 		s.Crashed[d] = out.Crashed
-		if len(out.DetectedBy) > 0 {
-			row := make([]int, len(out.DetectedBy))
-			for i, f := range out.DetectedBy {
-				fi := index[f]
-				row[i] = fi
+		if set := out.DetectedBy; set.Len() > 0 {
+			row := make([]int, 0, set.Len())
+			for i := set.Next(0); i >= 0; i = set.Next(i + 1) {
+				fi := index[i]
+				row = append(row, fi)
 				s.ByFault[fi] = append(s.ByFault[fi], d)
 			}
 			s.ByDefect[d] = row

@@ -13,8 +13,10 @@ import (
 	"time"
 
 	"repro/internal/campaign"
+	"repro/internal/maf"
 	"repro/internal/obs"
 	"repro/internal/sim"
+	"repro/internal/target"
 )
 
 // Dispatch constants. A campaign defaults to shardsPerWorker shards per
@@ -338,6 +340,10 @@ func (c *Coordinator) runCampaign(ctx context.Context, r *campaign.Resolved, sha
 	if err != nil {
 		return nil, 0, FleetStats{}, err
 	}
+	faults, err := target.FaultUniverse(r.Target)
+	if err != nil {
+		return nil, 0, FleetStats{}, err
+	}
 
 	inflight := c.cfg.MaxInFlight
 	if inflight <= 0 {
@@ -373,7 +379,7 @@ func (c *Coordinator) runCampaign(ctx context.Context, r *campaign.Resolved, sha
 			defer func() { <-sem }()
 			c.shardsInflight.Add(1)
 			defer c.shardsInflight.Add(-1)
-			resp, n, err := c.dispatchShard(ctx, spec, plan, sh)
+			resp, n, err := c.dispatchShard(ctx, spec, faults, plan, sh)
 			if err != nil {
 				fail(sh, err)
 				return
@@ -400,10 +406,11 @@ func (c *Coordinator) runCampaign(ctx context.Context, r *campaign.Resolved, sha
 }
 
 // dispatchShard runs one shard to completion: pick a live worker, post the
-// assignment, and on failure mark the worker and retry elsewhere with
+// assignment, and on failure (a misshapen response or a detection set
+// outside faults included) mark the worker and retry elsewhere with
 // exponential backoff, up to maxAttempts. It returns the response and the
 // number of retries.
-func (c *Coordinator) dispatchShard(ctx context.Context, spec campaign.Spec, plan *ShardPlan, sh Shard) (resp *ShardResponse, retries int, err error) {
+func (c *Coordinator) dispatchShard(ctx context.Context, spec campaign.Spec, faults *maf.FaultUniverse, plan *ShardPlan, sh Shard) (resp *ShardResponse, retries int, err error) {
 	ctx, span := obs.StartSpan(ctx, "shard.dispatch",
 		obs.Label{Key: "shard", Value: fmt.Sprint(sh.Index)},
 		obs.Label{Key: "start", Value: fmt.Sprint(sh.Start)},
@@ -439,7 +446,7 @@ func (c *Coordinator) dispatchShard(ctx context.Context, spec campaign.Spec, pla
 			continue
 		}
 		span.SetAttr("worker", w.url)
-		resp, err := c.postShard(ctx, w, spec, plan, sh)
+		resp, err := c.postShard(ctx, w, spec, faults, plan, sh)
 		if err != nil {
 			if ctx.Err() != nil {
 				return nil, retries, ctx.Err()
@@ -457,7 +464,7 @@ func (c *Coordinator) dispatchShard(ctx context.Context, spec campaign.Spec, pla
 	return nil, retries, fmt.Errorf("fleet: shard %d failed after %d attempts: %w", sh.Index, maxAttempts, lastErr)
 }
 
-func (c *Coordinator) postShard(ctx context.Context, w *workerState, spec campaign.Spec, plan *ShardPlan, sh Shard) (*ShardResponse, error) {
+func (c *Coordinator) postShard(ctx context.Context, w *workerState, spec campaign.Spec, faults *maf.FaultUniverse, plan *ShardPlan, sh Shard) (*ShardResponse, error) {
 	body, err := json.Marshal(ShardRequest{
 		Spec:   spec,
 		Key:    plan.Key,
@@ -491,17 +498,34 @@ func (c *Coordinator) postShard(ctx context.Context, w *workerState, spec campai
 		msg, _ := io.ReadAll(io.LimitReader(httpResp.Body, 4096))
 		return nil, fmt.Errorf("status %d: %s", httpResp.StatusCode, bytes.TrimSpace(msg))
 	}
+	resp, err := decodeShardResponse(httpResp.Body, sh, faults)
+	if err != nil {
+		return nil, err
+	}
+	if c.obs.Enabled() {
+		c.shardRoundtrip.ObserveSince(t0)
+		c.obs.Tracer.Ingest(resp.Spans)
+	}
+	return resp, nil
+}
+
+// decodeShardResponse reads a worker's reply to the assignment sh and binds
+// each outcome's detection set to the campaign's fault universe. It refuses
+// a reply that does not cover sh exactly or whose set holds a fault outside
+// the universe.
+func decodeShardResponse(r io.Reader, sh Shard, faults *maf.FaultUniverse) (*ShardResponse, error) {
 	var resp ShardResponse
-	if err := json.NewDecoder(httpResp.Body).Decode(&resp); err != nil {
+	if err := json.NewDecoder(r).Decode(&resp); err != nil {
 		return nil, fmt.Errorf("decoding shard response: %w", err)
 	}
 	if resp.Start != sh.Start || len(resp.Outcomes) != sh.Len() {
 		return nil, fmt.Errorf("shard response covers [%d, %d), want [%d, %d)",
 			resp.Start, resp.Start+len(resp.Outcomes), sh.Start, sh.End)
 	}
-	if c.obs.Enabled() {
-		c.shardRoundtrip.ObserveSince(t0)
-		c.obs.Tracer.Ingest(resp.Spans)
+	for i := range resp.Outcomes {
+		if err := resp.Outcomes[i].DetectedBy.Bind(faults); err != nil {
+			return nil, fmt.Errorf("shard response outcome %d: %w", sh.Start+i, err)
+		}
 	}
 	return &resp, nil
 }

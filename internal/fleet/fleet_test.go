@@ -263,7 +263,8 @@ func TestOversizedRequestBodies(t *testing.T) {
 }
 
 // TestSpecBoundsOnFleetRoles submits specs past the library-size, plan and
-// cth_factor bounds, and one naming the removed execute engine, to a
+// cth_factor bounds, one naming the removed execute engine, and inline plans
+// whose test names a fault outside parwan's universe or its own bus, to a
 // fleet-backed manager, the coordinator's job endpoint and a worker's shard
 // endpoint: Submit refuses them and both endpoints answer 400 without
 // running anything.
@@ -276,15 +277,21 @@ func TestSpecBoundsOnFleetRoles(t *testing.T) {
 	cs := serveCoordinator(t, coord)
 	m := coord.NewManager(campaign.Config{}, 0)
 	loop := `{"programs":[{"session":0,"entry":16,"step_limit":%d,"image":[{"addr":16,"hex":"e08010"}]}]}`
+	applied := `{"bus":"addr","seed":1,"plan":{"programs":[{"session":0,"entry":16,"step_limit":10,` +
+		`"response_cells":[512],"image":[{"addr":16,"hex":"e08010"}],"applied":[{"victim":0,"kind":"gp",` +
+		`"dir":%q,"width":%d,"bus":%q,"scheme":"data-fwd","order":0,"response_cells":[512]}]}]}}`
 	for name, spec := range map[string]string{
-		"size":      fmt.Sprintf(`{"bus":"addr","seed":1,"size":%d}`, campaign.MaxLibrarySize+1),
-		"size 2^60": `{"bus":"addr","seed":1,"size":1152921504606846976}`,
-		"steps":     fmt.Sprintf(`{"bus":"addr","seed":1,"plan":`+loop+`}`, core.MaxPlanSteps+1),
-		"programs":  `{"bus":"addr","seed":1,"plan":{"programs":[` + strings.Repeat(`{},`, core.MaxPlanPrograms) + `{}]}}`,
-		"cth -1":    `{"bus":"addr","seed":1,"cth_factor":-1}`,
-		"cth 0.5":   `{"bus":"addr","seed":1,"cth_factor":0.5}`,
-		"cth 1":     `{"bus":"addr","seed":1,"cth_factor":1}`,
-		"execute":   `{"bus":"addr","seed":1,"engine":"execute"}`,
+		"size":         fmt.Sprintf(`{"bus":"addr","seed":1,"size":%d}`, campaign.MaxLibrarySize+1),
+		"size 2^60":    `{"bus":"addr","seed":1,"size":1152921504606846976}`,
+		"steps":        fmt.Sprintf(`{"bus":"addr","seed":1,"plan":`+loop+`}`, core.MaxPlanSteps+1),
+		"programs":     `{"bus":"addr","seed":1,"plan":{"programs":[` + strings.Repeat(`{},`, core.MaxPlanPrograms) + `{}]}}`,
+		"cth -1":       `{"bus":"addr","seed":1,"cth_factor":-1}`,
+		"cth 0.5":      `{"bus":"addr","seed":1,"cth_factor":0.5}`,
+		"cth 1":        `{"bus":"addr","seed":1,"cth_factor":1}`,
+		"execute":      `{"bus":"addr","seed":1,"engine":"execute"}`,
+		"width 16":     fmt.Sprintf(applied, "fwd", 16, "data"),
+		"addr on data": fmt.Sprintf(applied, "fwd", 12, "data"),
+		"rev on addr":  fmt.Sprintf(applied, "rev", 12, "addr"),
 	} {
 		var s campaign.Spec
 		if err := json.Unmarshal([]byte(spec), &s); err != nil {

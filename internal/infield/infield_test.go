@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/defects"
-	"repro/internal/maf"
 	"repro/internal/sim"
 	"repro/internal/target"
 )
@@ -312,11 +311,7 @@ func TestMergeIdempotentAndValidated(t *testing.T) {
 
 // ledgerState is a deep copy of what a ledger reports.
 func ledgerState(l *Ledger) []any {
-	outs := make([]sim.Outcome, len(l.Outcomes()))
-	for i, o := range l.Outcomes() {
-		o.DetectedBy = append([]maf.Fault(nil), o.DetectedBy...)
-		outs[i] = o
-	}
+	outs := append([]sim.Outcome(nil), l.Outcomes()...)
 	return []any{outs, append([]CoveragePoint(nil), l.Points()...), l.Detected(), l.MergedCount()}
 }
 

@@ -11,7 +11,7 @@ import (
 // library-wide coverage state. Merging is idempotent per slice and
 // order-independent: every defect starts from its identity verdict and
 // folds each slice's verdict in through sim.Outcome.Merge, whose
-// composition (OR, sum, AND and canonical union) is the one a campaign
+// composition (OR, sum, AND and set union) is the one a campaign
 // applies across sessions, so any permutation of the manifest's slices —
 // including slices computed on different fleet nodes — merges to the same
 // outcomes, byte for byte, and the completed ledger equals the one-shot

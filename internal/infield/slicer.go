@@ -11,9 +11,10 @@
 // at session granularity — sessions are independent programs, and the
 // per-session verdict composition (sim.Runner.judge) is commutative and
 // associative per defect: Detected and Crashed compose by OR, Activations
-// by sum, and DetectedBy by union followed by the canonical sort+dedup
-// normalization. Nothing about the composition depends on which slice a
-// session ran in, on slice order, or on which fleet node simulated it.
+// by sum, and DetectedBy by set union, a word-wise OR over the target's one
+// fault universe, which every sub-plan indexes. Nothing about the
+// composition depends on which slice a session ran in, on slice order, or
+// on which fleet node simulated it.
 package infield
 
 import (

@@ -7,14 +7,26 @@ import (
 	"repro/internal/diagnose"
 	"repro/internal/maf"
 	"repro/internal/sim"
+	"repro/internal/target"
 )
 
 func diagFixture() *diagnose.Sets {
+	u, err := target.FaultUniverse(target.MustWideBus(4))
+	if err != nil {
+		panic(err)
+	}
+	setOf := func(faults ...maf.Fault) (s maf.Set) {
+		for _, f := range faults {
+			i, _ := u.Index(f)
+			s.Add(u, i)
+		}
+		return s
+	}
 	gp1 := maf.Fault{Victim: 1, Kind: maf.PositiveGlitch, Dir: maf.Forward, Width: 4}
 	dr2 := maf.Fault{Victim: 2, Kind: maf.RisingDelay, Dir: maf.Forward, Width: 4}
 	return diagnose.Collect([]sim.Outcome{
-		{DefectID: 0, Detected: true, DetectedBy: []maf.Fault{gp1, dr2}},
-		{DefectID: 1, Detected: true, DetectedBy: []maf.Fault{dr2}},
+		{DefectID: 0, Detected: true, DetectedBy: setOf(gp1, dr2)},
+		{DefectID: 1, Detected: true, DetectedBy: setOf(dr2)},
 		{DefectID: 2, Detected: true, Crashed: true},
 	})
 }

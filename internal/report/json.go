@@ -49,19 +49,14 @@ type CampaignJSON struct {
 	Outcomes      []OutcomeJSON    `json:"outcomes"`
 }
 
-func sortedFaultCounts(m map[maf.Fault]int) []FaultCountJSON {
-	faults := make([]maf.Fault, 0, len(m))
-	for f := range m {
-		faults = append(faults, f)
-	}
-	// maf.Compare carries the width tie-break: a combined plan can attribute
-	// one defect to same-named faults of both busses (e.g. dr[1]/fwd at
-	// widths 8 and 12); without it the order would fall to map iteration and
-	// the JSON would not be byte-stable.
-	maf.SortFaults(faults)
-	out := make([]FaultCountJSON, 0, len(faults))
-	for _, f := range faults {
-		out = append(out, FaultCountJSON{Fault: f.String(), Count: m[f]})
+// faultCounts lists the faults of u with a non-zero count, in universe
+// order, which is the canonical maf.Compare order.
+func faultCounts(u *maf.FaultUniverse, counts []int) []FaultCountJSON {
+	var out []FaultCountJSON
+	for i, n := range counts {
+		if n > 0 {
+			out = append(out, FaultCountJSON{Fault: u.Name(i), Count: n})
+		}
 	}
 	return out
 }
@@ -79,8 +74,8 @@ func NewCampaignJSON(res *sim.CampaignResult, width int) *CampaignJSON {
 		Detected:      res.Detected,
 		Crashed:       res.Crashed,
 		Coverage:      res.Coverage(),
-		PerFault:      sortedFaultCounts(res.PerFault),
-		UniqueByFault: sortedFaultCounts(res.UniqueByFault),
+		PerFault:      faultCounts(res.Universe, res.PerFault),
+		UniqueByFault: faultCounts(res.Universe, res.UniqueByFault),
 	}
 	if width > 0 {
 		for _, p := range sim.Fig11Series(res, width) {
@@ -90,16 +85,13 @@ func NewCampaignJSON(res *sim.CampaignResult, width int) *CampaignJSON {
 		}
 	}
 	for _, o := range res.Outcomes {
-		oj := OutcomeJSON{
+		out.Outcomes = append(out.Outcomes, OutcomeJSON{
 			Defect:      o.DefectID,
 			Detected:    o.Detected,
 			Crashed:     o.Crashed,
+			DetectedBy:  o.DetectedBy.Names(),
 			Activations: o.Activations,
-		}
-		for _, f := range o.DetectedBy {
-			oj.DetectedBy = append(oj.DetectedBy, f.String())
-		}
-		out.Outcomes = append(out.Outcomes, oj)
+		})
 	}
 	return out
 }

@@ -295,10 +295,9 @@ func (r *Runner) judgeResumed(bus core.BusID, first []int32, runs []RunResult) O
 	out := Outcome{Bus: bus}
 	for s, res := range runs {
 		if first[s] >= 0 {
-			r.judge(&out, s, r.plan.Programs[s], res)
+			r.judge(&out, s, res)
 		}
 	}
 	r.fallbacks.Add(1)
-	out.normalize()
 	return out
 }

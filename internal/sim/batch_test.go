@@ -202,10 +202,10 @@ func TestBusBoundsCheckedOnEveryEngine(t *testing.T) {
 	}
 }
 
-// TestOutcomeShapeAcrossEngines is the normalize bugfix's pin: both engines'
-// outcomes leave through the same canonicalization, so for the same defect
-// the report-visible fields must marshal to identical JSON, and DetectedBy
-// must be sorted and deduplicated under both.
+// TestOutcomeShapeAcrossEngines: both engines' outcomes leave through the
+// same judge, so for the same defect the report-visible fields must marshal
+// to identical JSON, and DetectedBy must walk its faults in canonical order
+// under both.
 func TestOutcomeShapeAcrossEngines(t *testing.T) {
 	addr, data, err := DefaultSetups()
 	if err != nil {
@@ -235,7 +235,7 @@ func TestOutcomeShapeAcrossEngines(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !sorted(out.DetectedBy) {
+			if !sorted(out.DetectedBy.Faults()) {
 				t.Errorf("defect %d engine %v: DetectedBy not in canonical order: %v", i, eng, out.DetectedBy)
 			}
 			// Replayed is engine attribution (Execute never screens), not a

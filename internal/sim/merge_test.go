@@ -11,17 +11,20 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/maf"
 	"repro/internal/parwan"
 	"repro/internal/report"
 	"repro/internal/sim"
+	"repro/internal/target"
 )
 
 // randomOutcomes builds a synthetic outcome set exercising every field the
 // aggregate depends on: detection, crashes, activations, and per-fault
 // attribution (including the single-detection case behind UniqueByFault).
 func randomOutcomes(rng *rand.Rand, total int) []sim.Outcome {
-	faults := maf.Universe(parwan.AddrBits, true)
+	u, err := target.FaultUniverse(target.Parwan())
+	if err != nil {
+		panic(err)
+	}
 	outcomes := make([]sim.Outcome, total)
 	for i := range outcomes {
 		out := sim.Outcome{DefectID: i, Bus: core.AddrBus}
@@ -30,13 +33,8 @@ func randomOutcomes(rng *rand.Rand, total int) []sim.Outcome {
 			out.Crashed = rng.Intn(4) == 0
 			out.Activations = rng.Intn(50)
 			n := 1 + rng.Intn(3)
-			seen := map[maf.Fault]bool{}
-			for len(out.DetectedBy) < n {
-				f := faults[rng.Intn(len(faults))]
-				if !seen[f] {
-					seen[f] = true
-					out.DetectedBy = append(out.DetectedBy, f)
-				}
+			for out.DetectedBy.Len() < n {
+				out.DetectedBy.Add(u, rng.Intn(u.Len()))
 			}
 		}
 		outcomes[i] = out

@@ -36,13 +36,8 @@ func TestCampaignDeterministic(t *testing.T) {
 			t.Fatalf("outcome %d out of order: %d / %d", i, oa.DefectID, ob.DefectID)
 		}
 		if oa.Detected != ob.Detected || oa.Activations != ob.Activations ||
-			len(oa.DetectedBy) != len(ob.DetectedBy) {
+			oa.DetectedBy != ob.DetectedBy {
 			t.Fatalf("outcome %d differs between runs", i)
-		}
-		for j := range oa.DetectedBy {
-			if oa.DetectedBy[j] != ob.DetectedBy[j] {
-				t.Fatalf("outcome %d attribution order differs", i)
-			}
 		}
 	}
 	for f, n := range a.PerFault {

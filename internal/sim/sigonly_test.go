@@ -32,7 +32,7 @@ func TestSignatureOnlyCoverageFullScale(t *testing.T) {
 		}
 		sigOnly := 0
 		for _, out := range res.Outcomes {
-			if len(out.DetectedBy) > 0 {
+			if out.DetectedBy.Len() > 0 {
 				sigOnly++
 			}
 		}

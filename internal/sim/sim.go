@@ -66,8 +66,11 @@ type Runner struct {
 	golden       []RunResult // per session program
 	goldenCycles uint64
 	// respIdx[s][a] indexes applied test a's response cells of session s
-	// in RunResult.Responses.
-	respIdx [][][]int
+	// in RunResult.Responses, and faultIdx[s][a] is its fault's index in
+	// the target's fault universe.
+	respIdx  [][][]int
+	faults   *maf.FaultUniverse
+	faultIdx [][]int
 
 	// trans[ch] is channel ch's golden traffic as a transition table, the
 	// screen's input.
@@ -93,15 +96,21 @@ func NewRunner(plan *core.Plan, addr, data BusSetup) (*Runner, error) {
 // halt cleanly — a plan whose programs misbehave on a good chip is a
 // generation bug, not a test result — or suffers crosstalk events on the
 // nominal channels, which voids the screen's precondition (see Engine), or if
-// a test names a response cell its session never unloads. The thresholds a
-// shipped target's BusModels derive leave its nominal channels error-free,
-// so only hand-built thresholds meet the second refusal.
+// a test names a response cell its session never unloads or a fault outside
+// the target's fault universe, whose size a detection set bounds (see
+// target.FaultUniverse). The thresholds a shipped target's BusModels derive
+// leave its nominal channels error-free, so only hand-built thresholds meet
+// the second refusal.
 func NewTargetRunner(tgt target.Target, plan *core.Plan, models []target.BusModel) (*Runner, error) {
+	u, err := target.FaultUniverse(tgt)
+	if err != nil {
+		return nil, err
+	}
 	c, err := tgt.NewCore(plan, models)
 	if err != nil {
 		return nil, err
 	}
-	r := &Runner{tgt: tgt, models: models, core: c, plan: plan, trans: make([]transTable, len(models))}
+	r := &Runner{tgt: tgt, models: models, core: c, plan: plan, faults: u, trans: make([]transTable, len(models))}
 	seen := make([]map[target.BusStep]int32, len(models))
 	for ch := range seen {
 		seen[ch] = make(map[target.BusStep]int32)
@@ -112,6 +121,16 @@ func NewTargetRunner(tgt target.Target, plan *core.Plan, models []target.BusMode
 			return nil, err
 		}
 		r.respIdx = append(r.respIdx, idx)
+		faults := make([]int, len(prog.Applied))
+		for a, t := range prog.Applied {
+			i, ok := u.Index(t.MA.Fault)
+			if !ok {
+				return nil, fmt.Errorf("sim: session %d test %v@%d is outside %s's fault universe",
+					prog.Session, t.MA.Fault, t.MA.Fault.Width, tgt.Name())
+			}
+			faults[a] = i
+		}
+		r.faultIdx = append(r.faultIdx, faults)
 		res, steps, err := c.Golden(s)
 		if err != nil {
 			return nil, err
@@ -157,13 +176,14 @@ type Outcome struct {
 	// Crashed is true when some run ended in an illegal opcode or hit the
 	// step limit (corrupted control flow).
 	Crashed bool
-	// DetectedBy lists the faults whose tests' response cells mismatched,
-	// attributing detection (shared compaction cells attribute to every
-	// test of the group). The list is deduplicated and sorted into the
-	// canonical maf.Compare order, so detection sets — and everything
-	// derived from them: report JSON, diagnosis dictionaries, set-cover
-	// minimization — are byte-stable across engines and shard merges.
-	DetectedBy []maf.Fault
+	// DetectedBy is the set of faults whose tests' response cells
+	// mismatched, attributing detection (shared compaction cells attribute
+	// to every test of the group), over the target's fault universe. A set
+	// walks its faults in the canonical maf.Compare order, so detection
+	// sets — and everything derived from them: report JSON, diagnosis
+	// dictionaries, set-cover minimization — are byte-stable across engines
+	// and shard merges.
+	DetectedBy maf.Set
 	// Activations counts crosstalk error events across all session runs —
 	// how many times the defect fired while the programs executed.
 	Activations int
@@ -175,39 +195,20 @@ type Outcome struct {
 	Replayed bool `json:"replayed,omitempty"`
 }
 
-// normalize puts DetectedBy into the canonical byte-stable form: sorted by
-// maf.Compare and deduplicated. judge appends a fault once per mismatching
-// session, so a fault applied in several sessions is deduplicated here, as
-// are outcomes assembled elsewhere (e.g. decoded from a fleet shard
-// response).
-func (o *Outcome) normalize() {
-	maf.SortFaults(o.DetectedBy)
-	w := 0
-	for i, f := range o.DetectedBy {
-		if i > 0 && f == o.DetectedBy[w-1] {
-			continue
-		}
-		o.DetectedBy[w] = f
-		w++
-	}
-	o.DetectedBy = o.DetectedBy[:w]
-}
-
 // Merge folds into o the verdict src of the same defect over other sessions
 // of the plan, composing them as judge composes session runs: Detected and
 // Crashed by OR, Activations by sum, Replayed by AND (no part needed
-// execution), and DetectedBy by union, left in canonical form. The union is
-// built in a new array, so a DetectedBy o shares is never written. Starting
-// from the identity verdict (the defect's DefectID and Bus, Replayed true,
-// nothing else set), merging the outcomes of a partition of the plan's
-// sessions, in any order, gives the whole plan's outcome.
+// execution), and DetectedBy by set union, a word-wise OR. Starting from the
+// identity verdict (the defect's DefectID and Bus, Replayed true, nothing
+// else set), merging the outcomes of a partition of the plan's sessions, in
+// any order, gives the whole plan's outcome: every plan of a target indexes
+// the target's one fault universe.
 func (o *Outcome) Merge(src Outcome) {
 	o.Detected = o.Detected || src.Detected
 	o.Crashed = o.Crashed || src.Crashed
 	o.Activations += src.Activations
 	o.Replayed = o.Replayed && src.Replayed
-	o.DetectedBy = append(append([]maf.Fault(nil), o.DetectedBy...), src.DetectedBy...)
-	o.normalize()
+	o.DetectedBy = o.DetectedBy.Union(src.DetectedBy)
 }
 
 // RunDefect simulates one defective parameter set on the given channel (the
@@ -221,38 +222,39 @@ func (r *Runner) RunDefect(bus core.BusID, defective *crosstalk.Params) (Outcome
 // complete execution of every session program on freshly built systems.
 func (r *Runner) runDefectExecute(bus core.BusID, defective *crosstalk.Params) (Outcome, error) {
 	out := Outcome{Bus: bus}
-	for i, prog := range r.plan.Programs {
+	for i := range r.plan.Programs {
 		res, err := r.core.Run(i, bus, defective)
 		if err != nil {
 			return Outcome{}, err
 		}
-		r.judge(&out, i, prog, res)
+		r.judge(&out, i, res)
 	}
-	out.normalize()
 	return out, nil
 }
 
 // judge folds one session run into a defect outcome: activation counting,
 // crash/hang detection, and response comparison against golden, by index,
-// with per-test attribution. It is the single verdict path shared by the
-// Execute tier and the Batch engine's resumed execution, which is what keeps
-// the two engines byte-identical. It is kept out of line: inlined into a
-// caller's loop over sessions, its compare loop over every response cell
-// (4,096 in a widebus64 session) reloads its indexes from the stack.
+// with per-test attribution as the test fault's bit in DetectedBy (a fault
+// applied in several sessions is one bit). It is the single verdict path
+// shared by the Execute tier and the Batch engine's resumed execution, which
+// is what keeps the two engines byte-identical. It is kept out of line:
+// inlined into a caller's loop over sessions, its compare loop over every
+// response cell (4,096 in a widebus64 session) reloads its indexes from the
+// stack.
 //
 //go:noinline
-func (r *Runner) judge(out *Outcome, session int, prog *core.TestProgram, res RunResult) {
+func (r *Runner) judge(out *Outcome, session int, res RunResult) {
 	out.Activations += res.Events
 	if !res.Halted || res.ExecErr != nil {
 		out.Detected = true
 		out.Crashed = true
 	}
-	golden := r.golden[session].Responses
+	golden, faults := r.golden[session].Responses, r.faultIdx[session]
 	for a, idx := range r.respIdx[session] {
 		for _, i := range idx {
 			if res.Responses[i] != golden[i] {
 				out.Detected = true
-				out.DetectedBy = append(out.DetectedBy, prog.Applied[a].MA.Fault)
+				out.DetectedBy.Add(r.faults, faults[a])
 				break
 			}
 		}
@@ -269,13 +271,17 @@ type CampaignResult struct {
 	Detected int
 	Crashed  int
 	Outcomes []Outcome
-	// PerFault counts, for each applied MA test, the defects it detected —
+	// Universe is the fault universe the outcomes' detection sets index,
+	// and the two counts below are indexed like it; all three are nil when
+	// no outcome names a fault.
+	Universe *maf.FaultUniverse
+	// PerFault counts, for each fault's MA test, the defects it detected —
 	// the basis of per-test coverage.
-	PerFault map[maf.Fault]int
+	PerFault []int
 	// UniqueByFault counts the defects detected by exactly one test,
 	// quantifying the detection-set overlap the paper relies on when 7
 	// address tests are missing yet coverage stays 100%.
-	UniqueByFault map[maf.Fault]int
+	UniqueByFault []int
 }
 
 // Coverage returns the fraction of defects detected.
@@ -456,14 +462,12 @@ func (r *Runner) runExecute(ctx context.Context, c *campaignRun, todo []int) {
 // Aggregate builds a CampaignResult from per-defect outcomes ordered by
 // library index. It is the single aggregation path shared by Campaign and
 // by services that collect outcomes themselves (checkpoint resume), which
-// keeps the two byte-identical for the same library.
+// keeps the two byte-identical for the same library. It counts by universe
+// index; the detection sets must share one universe.
 func Aggregate(bus core.BusID, outcomes []Outcome) *CampaignResult {
-	res := &CampaignResult{
-		Bus:           bus,
-		Total:         len(outcomes),
-		PerFault:      make(map[maf.Fault]int),
-		UniqueByFault: make(map[maf.Fault]int),
-	}
+	res := &CampaignResult{Bus: bus, Total: len(outcomes), Outcomes: outcomes}
+	var per, unique [maf.SetBits]int
+	var seen maf.Set
 	for _, out := range outcomes {
 		if out.Detected {
 			res.Detected++
@@ -471,14 +475,20 @@ func Aggregate(bus core.BusID, outcomes []Outcome) *CampaignResult {
 		if out.Crashed {
 			res.Crashed++
 		}
-		for _, f := range out.DetectedBy {
-			res.PerFault[f]++
+		set := out.DetectedBy
+		seen = seen.Union(set)
+		for i := set.Next(0); i >= 0; i = set.Next(i + 1) {
+			per[i]++
 		}
-		if len(out.DetectedBy) == 1 {
-			res.UniqueByFault[out.DetectedBy[0]]++
+		if set.Len() == 1 {
+			unique[set.Next(0)]++
 		}
 	}
-	res.Outcomes = outcomes
+	if u := seen.Universe(); u != nil {
+		res.Universe = u
+		res.PerFault = append([]int(nil), per[:u.Len()]...)
+		res.UniqueByFault = append([]int(nil), unique[:u.Len()]...)
+	}
 	return res
 }
 
@@ -578,14 +588,14 @@ func Fig11Series(c *CampaignResult, width int) []WirePoint {
 	if c.Total == 0 {
 		return nil
 	}
-	// For each defect, the set of victim wires whose tests detected it.
-	perDefectWires := make([]map[int]bool, len(c.Outcomes))
+	// For each defect, the victim wires whose tests detected it, as a mask
+	// (a channel has at most 64 wires).
+	perDefectWires := make([]uint64, len(c.Outcomes))
 	for i, out := range c.Outcomes {
-		wires := make(map[int]bool)
-		for _, f := range out.DetectedBy {
-			wires[f.Victim] = true
+		set := out.DetectedBy
+		for j := set.Next(0); j >= 0; j = set.Next(j + 1) {
+			perDefectWires[i] |= 1 << uint(set.Universe().Fault(j).Victim)
 		}
-		perDefectWires[i] = wires
 	}
 	points := make([]WirePoint, width)
 	cumDetected := make([]bool, len(c.Outcomes))
@@ -593,7 +603,7 @@ func Fig11Series(c *CampaignResult, width int) []WirePoint {
 	for w := 0; w < width; w++ {
 		ind := 0
 		for i := range c.Outcomes {
-			if perDefectWires[i][w] {
+			if perDefectWires[i]>>uint(w)&1 != 0 {
 				ind++
 				if !cumDetected[i] {
 					cumDetected[i] = true

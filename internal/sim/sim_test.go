@@ -127,11 +127,11 @@ func TestAttribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !out.Detected || len(out.DetectedBy) == 0 {
+	if !out.Detected || out.DetectedBy.Len() == 0 {
 		t.Fatalf("defect not detected: %+v", out)
 	}
 	foundVictim := false
-	for _, f := range out.DetectedBy {
+	for _, f := range out.DetectedBy.Faults() {
 		if f.Victim == victim {
 			foundVictim = true
 		}

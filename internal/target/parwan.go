@@ -63,7 +63,7 @@ func (t parwanTarget) Generate(spec GenSpec) (*core.Plan, error) {
 }
 
 func (t parwanTarget) NewCore(plan *core.Plan, models []BusModel) (Core, error) {
-	if err := checkPlanTarget(t, plan); err != nil {
+	if err := CheckPlan(t, plan); err != nil {
 		return nil, err
 	}
 	if err := checkModels(t, models); err != nil {

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/crosstalk"
@@ -250,11 +251,54 @@ func checkModels(t Target, models []BusModel) error {
 	return nil
 }
 
-// checkPlanTarget verifies a plan was generated for (or is compatible with)
-// the target.
-func checkPlanTarget(t Target, plan *core.Plan) error {
+// CheckPlan verifies that plan was generated for (or is compatible with)
+// the target, and that each applied test names a fault of its own channel:
+// at the channel's width, and forward unless the channel is bidirectional.
+// Every applied fault is then in the target's FaultUniverse. Both shipped
+// cores check their plan with it, and so does every role that reads an
+// inline plan.
+func CheckPlan(t Target, plan *core.Plan) error {
 	if plan.TargetName() != t.Name() {
 		return fmt.Errorf("target: plan was generated for %s, not %s", plan.TargetName(), t.Name())
 	}
+	chans := t.Topology().Channels
+	for _, prog := range plan.Programs {
+		for _, a := range prog.Applied {
+			f := a.MA.Fault
+			if int(a.Bus) < 0 || int(a.Bus) >= len(chans) {
+				return fmt.Errorf("target: session %d test %v@%d is on channel %d, which %s does not have",
+					prog.Session, f, f.Width, a.Bus, t.Name())
+			}
+			ch := chans[a.Bus]
+			if f.Width != ch.Width || f.Victim < 0 || f.Victim >= ch.Width || (f.Dir != maf.Forward && !ch.Bidirectional) {
+				return fmt.Errorf("target: session %d test %v@%d is not a fault of %s channel %s",
+					prog.Session, f, f.Width, t.Name(), ch.Name)
+			}
+		}
+	}
 	return nil
+}
+
+// universes interns each target's fault universe by target name.
+var universes sync.Map
+
+// FaultUniverse returns the target's fault universe: the MAFs of every
+// channel (maf.Universe of its width and direction), in canonical order. It
+// is built once per target name and shared, so every plan and runner of a
+// target indexes one universe, and detection sets from different runners
+// of it merge. It fails for a topology of more than maf.SetBits faults.
+func FaultUniverse(t Target) (*maf.FaultUniverse, error) {
+	if u, ok := universes.Load(t.Name()); ok {
+		return u.(*maf.FaultUniverse), nil
+	}
+	var faults []maf.Fault
+	for _, ch := range t.Topology().Channels {
+		faults = append(faults, maf.Universe(ch.Width, ch.Bidirectional)...)
+	}
+	u, err := maf.NewFaultUniverse(faults)
+	if err != nil {
+		return nil, fmt.Errorf("target: %s: %w", t.Name(), err)
+	}
+	v, _ := universes.LoadOrStore(t.Name(), u)
+	return v.(*maf.FaultUniverse), nil
 }

@@ -2,6 +2,7 @@ package target
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -322,8 +323,9 @@ func TestWideBusGenerateMaxSessions(t *testing.T) {
 }
 
 // TestGeneratedPlansPassReadPlan: every plan the shipped targets generate
-// names, in each applied test, only response cells its program unloads, so
-// it survives core.ReadPlan, which refuses any other plan.
+// names, in each applied test, only response cells its program unloads and
+// only faults of the test's own channel, so it survives core.ReadPlan and
+// CheckPlan, which refuse any other plan.
 func TestGeneratedPlansPassReadPlan(t *testing.T) {
 	even := func(f maf.Fault) bool { return f.Victim%2 == 0 }
 	for _, name := range []string{"parwan", "widebus2", "widebus8", "widebus33", "widebus64"} {
@@ -341,6 +343,9 @@ func TestGeneratedPlansPassReadPlan(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s spec %d: %v", name, i, err)
 			}
+			if err := CheckPlan(tgt, plan); err != nil {
+				t.Errorf("%s spec %d: generated plan fails CheckPlan: %v", name, i, err)
+			}
 			var buf bytes.Buffer
 			if err := core.WritePlan(&buf, plan); err != nil {
 				t.Fatal(err)
@@ -348,6 +353,97 @@ func TestGeneratedPlansPassReadPlan(t *testing.T) {
 			if _, err := core.ReadPlan(&buf); err != nil {
 				t.Errorf("%s spec %d: generated plan refused: %v", name, i, err)
 			}
+		}
+	}
+}
+
+// TestFaultUniversePinned pins each shipped target's fault universe: its
+// size and its first and last faults in maf.Compare order. A universe is
+// built once per target and shared, and a Set's bit i is universe fault i,
+// so these are the indexes every detection set of the target uses.
+func TestFaultUniversePinned(t *testing.T) {
+	pins := map[string]struct {
+		n           int
+		first, last string
+	}{"parwan": {112, "gp[0]/fwd@8", "df[11]/fwd@12"}}
+	for w := 2; w <= 64; w++ {
+		pins[fmt.Sprintf("widebus%d", w)] = struct {
+			n           int
+			first, last string
+		}{4 * w, fmt.Sprintf("gp[0]/fwd@%d", w), fmt.Sprintf("df[%d]/fwd@%d", w-1, w)}
+	}
+	for name, want := range pins {
+		tgt, err := Parse(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		u, err := FaultUniverse(tgt)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		qualified := func(i int) string { f := u.Fault(i); return fmt.Sprintf("%v@%d", f, f.Width) }
+		if u.Len() != want.n || qualified(0) != want.first || qualified(u.Len()-1) != want.last {
+			t.Errorf("%s: %d faults from %s to %s, want %d from %s to %s",
+				name, u.Len(), qualified(0), qualified(u.Len()-1), want.n, want.first, want.last)
+		}
+		for i := 1; i < u.Len(); i++ {
+			if maf.Compare(u.Fault(i-1), u.Fault(i)) >= 0 {
+				t.Fatalf("%s: faults %d and %d out of canonical order", name, i-1, i)
+			}
+		}
+		if again, _ := FaultUniverse(tgt); again != u {
+			t.Errorf("%s: a second FaultUniverse call built another universe", name)
+		}
+	}
+	// Parwan's universe is its two channels' faults: 8·4·2 data and 12·4
+	// address faults.
+	u, _ := FaultUniverse(Parwan())
+	data, addr := 0, 0
+	for i := 0; i < u.Len(); i++ {
+		switch u.Fault(i).Width {
+		case 8:
+			data++
+		case 12:
+			addr++
+		}
+	}
+	if data != 64 || addr != 48 {
+		t.Errorf("parwan universe holds %d data and %d address faults, want 64 and 48", data, addr)
+	}
+}
+
+// TestCheckPlanRefusesForeignFaults: an applied test whose fault lies
+// outside its own channel's MAFs (a width the channel does not have, the
+// other channel's width, the reverse direction on a unidirectional channel,
+// or a channel the target lacks) is refused, and the same plan with the
+// test's own fault passes.
+func TestCheckPlanRefusesForeignFaults(t *testing.T) {
+	plan := func(bus core.BusID, f maf.Fault) *core.Plan {
+		return &core.Plan{Programs: []*core.TestProgram{{
+			Applied: []core.AppliedTest{{MA: maf.Test{Fault: f}, Bus: bus}},
+		}}}
+	}
+	fault := func(victim int, dir maf.Direction, width int) maf.Fault {
+		return maf.Fault{Victim: victim, Kind: maf.PositiveGlitch, Dir: dir, Width: width}
+	}
+	for name, p := range map[string]*core.Plan{
+		"width 16 on data":      plan(core.DataBus, fault(0, maf.Forward, 16)),
+		"address width on data": plan(core.DataBus, fault(0, maf.Forward, 12)),
+		"data width on addr":    plan(core.AddrBus, fault(0, maf.Forward, 8)),
+		"reverse on addr":       plan(core.AddrBus, fault(0, maf.Reverse, 12)),
+		"victim past the bus":   plan(core.DataBus, fault(8, maf.Forward, 8)),
+		"no such channel":       plan(2, fault(0, maf.Forward, 8)),
+	} {
+		if err := CheckPlan(Parwan(), p); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	for _, p := range []*core.Plan{
+		plan(core.DataBus, fault(7, maf.Reverse, 8)),
+		plan(core.AddrBus, fault(11, maf.Forward, 12)),
+	} {
+		if err := CheckPlan(Parwan(), p); err != nil {
+			t.Errorf("a fault of its own channel is refused: %v", err)
 		}
 	}
 }

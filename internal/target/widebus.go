@@ -129,7 +129,7 @@ func (t wideBusTarget) session(session int, tests []maf.Test) *core.TestProgram 
 }
 
 func (t wideBusTarget) NewCore(plan *core.Plan, models []BusModel) (Core, error) {
-	if err := checkPlanTarget(t, plan); err != nil {
+	if err := CheckPlan(t, plan); err != nil {
 		return nil, err
 	}
 	if err := checkModels(t, models); err != nil {
