@@ -457,7 +457,7 @@ func BenchmarkE5_MinimizedProgram(b *testing.B) {
 	cover := diagnose.GreedyCover(sets)
 	var minPlan *core.Plan
 	var minRunner *sim.Runner
-	repair, err := diagnose.RepairCover(sets, cover, full.Outcomes, 0,
+	repair, err := diagnose.RepairCover(sets, cover,
 		func(filter func(maf.Fault) bool) ([]sim.Outcome, error) {
 			var err error
 			if minPlan, err = core.Generate(core.GenConfig{Filter: filter}); err != nil {

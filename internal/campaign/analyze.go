@@ -50,7 +50,7 @@ func (m *Manager) analyze(ctx context.Context, job *Job, res *sim.CampaignResult
 		// program and augments the test set until the per-defect detection
 		// vector is byte-identical to the full campaign's.
 		var minPlan *core.Plan
-		rep, err := diagnose.RepairCover(sets, cover, res.Outcomes, 0,
+		rep, err := diagnose.RepairCover(sets, cover,
 			func(filter func(maf.Fault) bool) ([]sim.Outcome, error) {
 				p, err := spec.plan(env.Target, filter)
 				if err != nil {

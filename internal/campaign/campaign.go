@@ -29,6 +29,7 @@ import (
 	"repro/internal/crosstalk"
 	"repro/internal/defects"
 	"repro/internal/infield"
+	"repro/internal/maf"
 	"repro/internal/obs"
 	"repro/internal/report"
 	"repro/internal/sim"
@@ -217,6 +218,11 @@ func (s Spec) validateFields() error {
 	}
 	if len(s.Signature) > 0 && s.JobType() != TypeDiagnose {
 		return fmt.Errorf("campaign: signature is only meaningful for diagnose jobs, not %q", s.JobType())
+	}
+	for _, name := range s.Signature {
+		if _, err := maf.ParseFault(name); err != nil {
+			return fmt.Errorf("campaign: signature: %w", err)
+		}
 	}
 	if s.Slices < 0 {
 		return fmt.Errorf("campaign: negative slice count %d", s.Slices)

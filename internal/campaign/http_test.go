@@ -363,6 +363,8 @@ func TestSpecBounds(t *testing.T) {
 		"width 16":     appliedSpec("data", "fwd", 16),
 		"addr on data": appliedSpec("data", "fwd", 12),
 		"rev on addr":  appliedSpec("addr", "rev", 12),
+		"signature":    `{"type":"diagnose","bus":"addr","size":50,"seed":1,"signature":["bogus"]}`,
+		"signature @W": `{"type":"diagnose","bus":"addr","size":50,"seed":1,"signature":["dr[3]/fwd","dr[13]/fwd@12"]}`,
 	} {
 		var spec Spec
 		if err := json.Unmarshal([]byte(body), &spec); err != nil {

@@ -57,24 +57,29 @@ func fixtureOutcomes() []sim.Outcome {
 
 func TestCollect(t *testing.T) {
 	s := Collect(fixtureOutcomes())
-	if s.Total != 4 || len(s.Faults) != 2 {
-		t.Fatalf("Total=%d Faults=%v", s.Total, s.Faults)
+	faults := s.Tests.Faults()
+	if len(s.Outcomes) != 4 || len(faults) != 2 {
+		t.Fatalf("outcomes=%d tests=%v", len(s.Outcomes), faults)
 	}
 	// Canonical order: victim 1 before victim 2.
-	if s.Faults[0].Victim != 1 || s.Faults[1].Victim != 2 {
-		t.Fatalf("fault order %v", s.Faults)
+	if faults[0].Victim != 1 || faults[1].Victim != 2 {
+		t.Fatalf("fault order %v", faults)
 	}
-	if got := s.ByFault[0]; !reflect.DeepEqual(got, []int{0, 2}) {
-		t.Errorf("ByFault[gp[1]] = %v", got)
+	byFault := func(f maf.Fault) []int {
+		i, _ := testFaults.Index(f)
+		return s.byFault[i]
 	}
-	if got := s.ByFault[1]; !reflect.DeepEqual(got, []int{0, 1, 2}) {
-		t.Errorf("ByFault[dr[2]] = %v", got)
+	if got := byFault(faults[0]); !reflect.DeepEqual(got, []int{0, 2}) {
+		t.Errorf("defects of gp[1] = %v", got)
 	}
-	if got := s.ByDefect[1]; !reflect.DeepEqual(got, []int{1}) {
-		t.Errorf("ByDefect[1] = %v", got)
+	if got := byFault(faults[1]); !reflect.DeepEqual(got, []int{0, 1, 2}) {
+		t.Errorf("defects of dr[2] = %v", got)
 	}
-	if !reflect.DeepEqual(s.CrashOnly, []int{3}) {
-		t.Errorf("CrashOnly = %v", s.CrashOnly)
+	if got := s.Outcomes[1].DetectedBy.Faults(); !reflect.DeepEqual(got, faults[1:]) {
+		t.Errorf("set of defect 1 = %v", got)
+	}
+	if got := GreedyCover(s).CrashOnly; !reflect.DeepEqual(got, []int{3}) {
+		t.Errorf("crash-only = %v", got)
 	}
 	st := s.ComputeStats()
 	if st.Detected != 4 || st.Attributed != 3 || st.CrashOnly != 1 || st.Tests != 2 {
@@ -91,12 +96,13 @@ func TestResolveSignature(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(sig, []int{1}) {
+	dr2 := setOf(fault(2, maf.RisingDelay, 4))
+	if sig != dr2 {
 		t.Errorf("sig = %v", sig)
 	}
 	// Width wildcard matches too, and duplicates collapse.
 	sig, err = s.ResolveSignature([]string{"dr[2]/fwd", "dr[2]/fwd@4"})
-	if err != nil || !reflect.DeepEqual(sig, []int{1}) {
+	if err != nil || sig != dr2 {
 		t.Errorf("wildcard sig = %v err=%v", sig, err)
 	}
 	if _, err := s.ResolveSignature([]string{"gn[0]/fwd"}); err == nil {
@@ -165,7 +171,7 @@ func TestGreedyCoverFixture(t *testing.T) {
 	s := Collect(fixtureOutcomes())
 	c := GreedyCover(s)
 	// dr[2] covers all three attributed defects alone.
-	if len(c.Chosen) != 1 || c.Chosen[0].Victim != 2 {
+	if !reflect.DeepEqual(c.Chosen, []maf.Fault{fault(2, maf.RisingDelay, 4)}) {
 		t.Fatalf("chosen %v", c.Chosen)
 	}
 	if c.Covered != 3 || c.Coverable != 3 {
@@ -176,10 +182,6 @@ func TestGreedyCoverFixture(t *testing.T) {
 	}
 	if c.FullTests != 2 || c.Reduction() != 0.5 {
 		t.Errorf("reduction %v of %d", c.Reduction(), c.FullTests)
-	}
-	filter := c.Filter()
-	if !filter(c.Chosen[0]) || filter(fault(1, maf.PositiveGlitch, 4)) {
-		t.Error("filter does not match chosen set")
 	}
 }
 
@@ -218,8 +220,8 @@ func TestGreedyCoverProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		s := randomSets(rng, 60+rng.Intn(100), 8+rng.Intn(24))
 		c := GreedyCover(s)
-		if c.Covered != c.Coverable || c.Coverable != s.AttributedCount() {
-			t.Fatalf("seed %d: covered %d of %d (attributed %d)", seed, c.Covered, c.Coverable, s.AttributedCount())
+		if attributed := s.ComputeStats().Attributed; c.Covered != c.Coverable || c.Coverable != attributed {
+			t.Fatalf("seed %d: covered %d of %d (attributed %d)", seed, c.Covered, c.Coverable, attributed)
 		}
 		chosen := make(map[maf.Fault]bool)
 		for _, f := range c.Chosen {
@@ -228,17 +230,17 @@ func TestGreedyCoverProperty(t *testing.T) {
 			}
 			chosen[f] = true
 		}
-		// Re-check coverage from scratch via the filter.
-		filter := c.Filter()
-		for d, row := range s.ByDefect {
+		// Re-check coverage from scratch against the chosen tests.
+		for d, out := range s.Outcomes {
+			faults := out.DetectedBy.Faults()
 			covered := false
-			for _, fi := range row {
-				if filter(s.Faults[fi]) {
+			for _, f := range faults {
+				if chosen[f] {
 					covered = true
 					break
 				}
 			}
-			if len(row) > 0 && !covered {
+			if len(faults) > 0 && !covered {
 				t.Fatalf("seed %d: defect %d uncovered", seed, d)
 			}
 		}
@@ -336,20 +338,21 @@ func TestRankWires(t *testing.T) {
 // specific carrier test is chosen.
 func fakeSimulate(s *Sets, ctxOnly map[int]maf.Fault) func(func(maf.Fault) bool) ([]sim.Outcome, error) {
 	return func(filter func(maf.Fault) bool) ([]sim.Outcome, error) {
-		outs := make([]sim.Outcome, s.Total)
-		for d := range outs {
-			outs[d].DefectID = s.DefectIDs[d]
+		outs := make([]sim.Outcome, len(s.Outcomes))
+		for d, full := range s.Outcomes {
+			outs[d].DefectID = full.DefectID
 			if carrier, ok := ctxOnly[d]; ok {
 				outs[d].Detected = filter(carrier)
 				continue
 			}
-			for _, fi := range s.ByDefect[d] {
-				if filter(s.Faults[fi]) {
+			faults := full.DetectedBy.Faults()
+			for _, f := range faults {
+				if filter(f) {
 					outs[d].Detected = true
 					break
 				}
 			}
-			if len(s.ByDefect[d]) == 0 && s.Detected[d] {
+			if len(faults) == 0 && full.Detected {
 				outs[d].Detected = true // crash-only reproduces regardless
 			}
 		}
@@ -363,7 +366,7 @@ func TestRepairCoverConvergesFirstRound(t *testing.T) {
 	c := GreedyCover(s)
 	calls := 0
 	sim1 := fakeSimulate(s, nil)
-	rep, err := RepairCover(s, c, outs, 0, func(f func(maf.Fault) bool) ([]sim.Outcome, error) {
+	rep, err := RepairCover(s, c, func(f func(maf.Fault) bool) ([]sim.Outcome, error) {
 		calls++
 		return sim1(f)
 	})
@@ -385,7 +388,7 @@ func TestRepairCoverAugments(t *testing.T) {
 	c := GreedyCover(s)
 	// Greedy picks dr[2] alone; defect 0's detection only reproduces under
 	// gp[1] (a context-dependent detection), forcing a second round.
-	rep, err := RepairCover(s, c, outs, 0, fakeSimulate(s, map[int]maf.Fault{0: gp1}))
+	rep, err := RepairCover(s, c, fakeSimulate(s, map[int]maf.Fault{0: gp1}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +414,7 @@ func TestRepairCoverStopsWithoutProgress(t *testing.T) {
 		res[3].Detected = false
 		return res, nil
 	}
-	rep, err := RepairCover(s, c, outs, 0, broken)
+	rep, err := RepairCover(s, c, broken)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package diagnose
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"repro/internal/defects"
@@ -25,123 +26,81 @@ type Candidate struct {
 func (c Candidate) String() string { return fmt.Sprintf("%s[%d]", c.Kind, c.Wire) }
 
 // ResolveSignature maps observed failing-test names (maf.ParseFault forms,
-// width-qualified or not) to fault indices of the dictionary. A pattern
-// without a width matches every width it occurs at. It fails when an entry
-// matches no dictionary fault — such a test never detected any library
+// width-qualified or not) to the set of dictionary tests they name. A
+// pattern without a width matches every width it occurs at. It fails when an
+// entry matches no dictionary test — such a test never detected any library
 // defect, so the dictionary carries no evidence for it.
-func (s *Sets) ResolveSignature(names []string) ([]int, error) {
-	var idx []int
-	seen := make(map[int]bool)
+func (s *Sets) ResolveSignature(names []string) (maf.Set, error) {
+	var sig maf.Set
+	u := s.Tests.Universe()
 	for _, name := range names {
 		pat, err := maf.ParseFault(name)
 		if err != nil {
-			return nil, err
+			return maf.Set{}, err
 		}
 		matched := false
-		for i, f := range s.Faults {
-			if pat.Matches(f) {
+		for i := s.Tests.Next(0); i >= 0; i = s.Tests.Next(i + 1) {
+			if pat.Matches(u.Fault(i)) {
 				matched = true
-				if !seen[i] {
-					seen[i] = true
-					idx = append(idx, i)
-				}
+				sig.Add(u, i)
 			}
 		}
 		if !matched {
-			return nil, fmt.Errorf("diagnose: signature test %q detects no library defect (not in dictionary)", name)
+			return maf.Set{}, fmt.Errorf("diagnose: signature test %q detects no library defect (not in dictionary)", name)
 		}
 	}
-	sort.Ints(idx)
-	return idx, nil
+	return sig, nil
 }
 
-// jaccard computes |a ∩ b| / |a ∪ b| for two ascending int slices.
-func jaccard(a, b []int) float64 {
-	if len(a) == 0 && len(b) == 0 {
-		return 0
-	}
-	inter := 0
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] == b[j]:
-			inter++
-			i++
-			j++
-		case a[i] < b[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	union := len(a) + len(b) - inter
-	return float64(inter) / float64(union)
-}
-
-// equalInts reports whether two ascending int slices are identical.
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Localize maps an observed failure signature — the ascending dictionary
-// fault indices of the MA tests that failed — to ranked (wire, error-effect)
-// candidates.
+// Localize maps an observed failure signature — the set of MA tests that
+// failed — to ranked (wire, error-effect) candidates.
 //
 // The dictionary is the evidence: every library defect votes for the
 // hypotheses its own behaviour exhibits (the victim/kind pairs of the faults
 // in its detection set), weighted by the Jaccard similarity between its
-// detection set and the observed signature. A defect that fails exactly the
-// observed tests votes with weight 1; one sharing half its tests votes with
-// proportionally less. Scores are normalized to sum to 1 and candidates are
-// ordered by score descending, then wire, then kind — a deterministic
-// ranking for byte-stable reports.
+// detection set and the observed signature: the size of their intersection
+// over the size of their union. A defect that fails exactly the observed
+// tests votes with weight 1; one sharing half its tests votes with
+// proportionally less. Each hypothesis accumulates its votes in library
+// order. Scores are normalized to sum to 1 and candidates are ordered by
+// score descending, then wire, then kind — a deterministic ranking for
+// byte-stable reports.
 //
 // This generalizes core.DiagnoseOneHotSignature: for the compacted one-hot
 // group, a signature's missing bits are rising-delay failures on exactly
 // those lines, and the dictionary vote reproduces that mapping; for full
 // campaign signatures it degrades gracefully to a ranking when compaction
 // aliasing or fault masking makes the inverse ambiguous.
-func (s *Sets) Localize(sig []int) []Candidate {
-	type key struct {
-		wire int
-		kind maf.Kind
-	}
-	scores := make(map[key]float64)
-	exact := make(map[key]int)
-	for _, row := range s.ByDefect {
-		if len(row) == 0 {
+func (s *Sets) Localize(sig maf.Set) []Candidate {
+	var scores [hypKeys]float64
+	var exact [hypKeys]int
+	n := sig.Len()
+	for d := range s.Outcomes {
+		set := s.Outcomes[d].DetectedBy
+		inter := sig.IntersectLen(set)
+		if inter == 0 {
 			continue
 		}
-		w := jaccard(sig, row)
-		if w == 0 {
-			continue
-		}
-		same := equalInts(sig, row)
-		hyp := make(map[key]bool)
-		for _, fi := range row {
-			f := s.Faults[fi]
-			hyp[key{f.Victim, f.Kind}] = true
-		}
-		for k := range hyp {
-			scores[k] += w
-			if same {
-				exact[k]++
+		w := float64(inter) / float64(n+s.size[d]-inter)
+		same := sig == set
+		for j, word := range s.hyps[d] {
+			for ; word != 0; word &= word - 1 {
+				k := j<<6 | bits.TrailingZeros64(word)
+				scores[k] += w
+				if same {
+					exact[k]++
+				}
 			}
 		}
 	}
 	// Normalize after the deterministic sort so the float accumulation
 	// order is fixed and the scores are byte-stable in reports.
-	out := make([]Candidate, 0, len(scores))
+	var out []Candidate
 	for k, sc := range scores {
-		out = append(out, Candidate{Wire: k.wire, Kind: k.kind, Score: sc, Exact: exact[k]})
+		if sc > 0 {
+			out = append(out, Candidate{Wire: k / len(maf.Kinds), Kind: maf.Kind(k % len(maf.Kinds)),
+				Score: sc, Exact: exact[k]})
+		}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
@@ -189,25 +148,26 @@ type Accuracy struct {
 // the outcomes were simulated from. Defects are evaluated in library order,
 // so the result is deterministic.
 func (s *Sets) EvaluateAccuracy(lib *defects.Library) (Accuracy, error) {
-	if len(lib.Defects) != s.Total {
-		return Accuracy{}, fmt.Errorf("diagnose: library has %d defects, dictionary %d", len(lib.Defects), s.Total)
+	if len(lib.Defects) != len(s.Outcomes) {
+		return Accuracy{}, fmt.Errorf("diagnose: library has %d defects, dictionary %d", len(lib.Defects), len(s.Outcomes))
 	}
 	var acc Accuracy
-	for d, row := range s.ByDefect {
-		if len(row) == 0 {
+	for d, out := range s.Outcomes {
+		if s.size[d] == 0 {
 			continue
 		}
 		acc.Evaluated++
-		truth := make(map[int]bool, len(lib.Defects[d].OverThreshold))
+		// Bit w is set for each over-threshold wire w. Shifts by 64 or more
+		// give 0, and no candidate names a wire past 63.
+		var truth uint64
 		for _, w := range lib.Defects[d].OverThreshold {
-			truth[w] = true
+			truth |= 1 << uint(w)
 		}
-		cands := s.Localize(row)
-		for i, c := range cands {
+		for i, c := range s.Localize(out.DetectedBy) {
 			if i >= 3 {
 				break
 			}
-			if truth[c.Wire] {
+			if truth>>uint(c.Wire)&1 != 0 {
 				if i == 0 {
 					acc.TopHit++
 				}

@@ -40,70 +40,49 @@ func (c *Cover) Reduction() float64 {
 	return 1 - float64(len(c.Chosen))/float64(c.FullTests)
 }
 
-// Contains reports whether fault f is one of the chosen tests.
-func (c *Cover) Contains(f maf.Fault) bool {
-	for _, g := range c.Chosen {
-		if g == f {
-			return true
-		}
-	}
-	return false
-}
-
-// Filter returns a generation filter accepting exactly the chosen tests —
-// pass it to core.Generate to build the minimized self-test program.
-func (c *Cover) Filter() func(maf.Fault) bool {
-	set := make(map[maf.Fault]bool, len(c.Chosen))
-	for _, f := range c.Chosen {
-		set[f] = true
-	}
-	return func(f maf.Fault) bool { return set[f] }
-}
-
 // GreedyCover computes a minimal-found test subset preserving the full
 // program's library coverage, by the standard greedy set-cover heuristic
 // (ln n-approximate, and in practice near-optimal here because the paper's
 // R4 overlap means a handful of tests already cover almost everything).
 //
 // Determinism: each round picks the test covering the most still-uncovered
-// defects; ties break toward the canonically first fault (Sets.Faults is in
-// maf.Compare order), so the same dictionary always yields the same cover.
+// defects; ties break toward the canonically first fault (tests are walked
+// in universe order, which is maf.Compare order), so the same dictionary
+// always yields the same cover. A chosen test covers nothing new afterwards,
+// so no round picks it again.
 func GreedyCover(s *Sets) *Cover {
-	c := &Cover{FullTests: len(s.Faults)}
-	c.CrashOnly = append(c.CrashOnly, s.CrashOnly...)
-	uncovered := make([]bool, s.Total)
+	c := &Cover{FullTests: s.Tests.Len()}
+	uncovered := make([]bool, len(s.Outcomes))
 	remaining := 0
-	for d, row := range s.ByDefect {
-		if len(row) > 0 {
+	for d, o := range s.Outcomes {
+		switch {
+		case s.size[d] > 0:
 			uncovered[d] = true
 			remaining++
+		case o.Detected:
+			c.CrashOnly = append(c.CrashOnly, d)
 		}
 	}
 	c.Coverable = remaining
-	used := make([]bool, len(s.Faults))
 	for remaining > 0 {
 		best, bestGain := -1, 0
-		for fi := range s.Faults {
-			if used[fi] {
-				continue
-			}
+		for i := s.Tests.Next(0); i >= 0; i = s.Tests.Next(i + 1) {
 			gain := 0
-			for _, d := range s.ByFault[fi] {
+			for _, d := range s.byFault[i] {
 				if uncovered[d] {
 					gain++
 				}
 			}
 			if gain > bestGain {
-				best, bestGain = fi, gain
+				best, bestGain = i, gain
 			}
 		}
 		if best < 0 {
 			break // cannot happen: every uncovered defect has a detecting test
 		}
-		used[best] = true
-		c.Chosen = append(c.Chosen, s.Faults[best])
+		c.Chosen = append(c.Chosen, s.Tests.Universe().Fault(best))
 		c.NewlyCovered = append(c.NewlyCovered, bestGain)
-		for _, d := range s.ByFault[best] {
+		for _, d := range s.byFault[best] {
 			if uncovered[d] {
 				uncovered[d] = false
 				remaining--

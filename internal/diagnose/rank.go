@@ -1,6 +1,7 @@
 package diagnose
 
 import (
+	"math/bits"
 	"sort"
 
 	"repro/internal/defects"
@@ -38,21 +39,23 @@ func RankWires(s *Sets, width int, lib *defects.Library) []WireRank {
 		ranks[w].Wire = w
 	}
 	attributed := 0
-	for _, row := range s.ByDefect {
-		if len(row) == 0 {
+	for d, out := range s.Outcomes {
+		if s.size[d] == 0 {
 			continue
 		}
 		attributed++
-		wires := make(map[int]bool)
-		for _, fi := range row {
-			f := s.Faults[fi]
-			if f.Width == width && f.Victim >= 0 && f.Victim < width {
-				wires[f.Victim] = true
+		var wires uint64 // bit w: a test of this width with victim w detects the defect
+		set := out.DetectedBy
+		for i := set.Next(0); i >= 0; i = set.Next(i + 1) {
+			if f := set.Universe().Fault(i); f.Width == width && f.Victim >= 0 && f.Victim < width {
+				wires |= 1 << uint(f.Victim)
 			}
 		}
-		for w := range wires {
+		unique := bits.OnesCount64(wires) == 1
+		for ; wires != 0; wires &= wires - 1 {
+			w := bits.TrailingZeros64(wires)
 			ranks[w].Detected++
-			if len(wires) == 1 {
+			if unique {
 				ranks[w].Unique++
 			}
 		}
@@ -62,7 +65,7 @@ func RankWires(s *Sets, width int, lib *defects.Library) []WireRank {
 			ranks[w].Share = float64(ranks[w].Detected) / float64(attributed)
 		}
 	}
-	if lib != nil && len(lib.Defects) == s.Total {
+	if lib != nil && len(lib.Defects) == len(s.Outcomes) {
 		for _, d := range lib.Defects {
 			for _, w := range d.OverThreshold {
 				if w >= 0 && w < width {

@@ -22,7 +22,7 @@ type Repair struct {
 	Tests []maf.Fault
 	// Added lists the tests the repair rounds added beyond the greedy
 	// cover, in addition order (deterministic: mismatches ascending, each
-	// defect's detection set in ascending fault-index order).
+	// defect's detection set in canonical order).
 	Added []maf.Fault
 	// Rounds is the number of verification campaigns run (≥ 1).
 	Rounds int
@@ -33,58 +33,54 @@ type Repair struct {
 	Outcomes []sim.Outcome
 }
 
-// Filter returns the generation filter of the final test set.
-func (r *Repair) Filter() func(maf.Fault) bool {
-	set := make(map[maf.Fault]bool, len(r.Tests))
-	for _, f := range r.Tests {
-		set[f] = true
-	}
-	return func(f maf.Fault) bool { return set[f] }
-}
+// repairRounds bounds the verification campaigns one repair runs.
+const repairRounds = 5
 
-// RepairCover runs the verify-augment loop. full is the full program's
-// outcomes in library order (the outcomes sets was collected from); simulate
-// re-runs the library under a program restricted to the tests the filter
-// accepts, returning outcomes in the same order. maxRounds bounds the number
-// of simulate calls (≤ 0 selects 5); the loop also stops early when a round
-// converges or when the mismatched defects have no unchosen tests left to
-// add (crash-only defects, or defects the minimized program detects that the
-// full one does not).
-func RepairCover(s *Sets, cover *Cover, full []sim.Outcome,
-	maxRounds int, simulate func(filter func(maf.Fault) bool) ([]sim.Outcome, error)) (*Repair, error) {
-	if maxRounds <= 0 {
-		maxRounds = 5
-	}
-	chosen := make(map[maf.Fault]bool, len(cover.Chosen))
+// RepairCover runs the verify-augment loop against the full program's
+// outcomes, the ones s views, starting from cover, a GreedyCover of s.
+// simulate re-runs the library under a program restricted to the tests the
+// filter accepts, returning outcomes in library order. The loop runs at most
+// repairRounds simulate calls, and stops early when a round converges or
+// when the mismatched defects have no unchosen tests left to add (crash-only
+// defects, or defects the minimized program detects that the full one does
+// not).
+func RepairCover(s *Sets, cover *Cover, simulate func(filter func(maf.Fault) bool) ([]sim.Outcome, error)) (*Repair, error) {
+	u := s.Tests.Universe()
+	var chosen maf.Set
 	for _, f := range cover.Chosen {
-		chosen[f] = true
+		i, _ := u.Index(f)
+		chosen.Add(u, i)
+	}
+	accept := func(f maf.Fault) bool {
+		if u == nil {
+			return false // no test detected anything, so none is chosen
+		}
+		i, ok := u.Index(f)
+		return ok && chosen.Has(i)
 	}
 	r := &Repair{}
 	for {
 		r.Rounds++
-		out, err := simulate(func(f maf.Fault) bool { return chosen[f] })
+		out, err := simulate(accept)
 		if err != nil {
 			return nil, err
 		}
-		v, err := Verify(full, out)
+		v, err := Verify(s.Outcomes, out)
 		if err != nil {
 			return nil, err
 		}
 		r.Verification = v
 		r.Outcomes = out
-		if v.Identical || r.Rounds >= maxRounds {
+		if v.Identical || r.Rounds >= repairRounds {
 			break
 		}
 		progress := false
 		for _, d := range v.Mismatches {
-			if d >= len(s.ByDefect) {
-				continue
-			}
-			for _, fi := range s.ByDefect[d] {
-				f := s.Faults[fi]
-				if !chosen[f] {
-					chosen[f] = true
-					r.Added = append(r.Added, f)
+			set := s.Outcomes[d].DetectedBy
+			for i := set.Next(0); i >= 0; i = set.Next(i + 1) {
+				if !chosen.Has(i) {
+					chosen.Add(u, i)
+					r.Added = append(r.Added, u.Fault(i))
 					progress = true
 				}
 			}
@@ -93,10 +89,6 @@ func RepairCover(s *Sets, cover *Cover, full []sim.Outcome,
 			break
 		}
 	}
-	r.Tests = make([]maf.Fault, 0, len(chosen))
-	for f := range chosen {
-		r.Tests = append(r.Tests, f)
-	}
-	maf.SortFaults(r.Tests)
+	r.Tests = chosen.Faults()
 	return r, nil
 }

@@ -4,9 +4,9 @@
 //
 //   - Detection sets (Sets): for every library defect, exactly which MA
 //     tests detect it, and for every MA test, exactly which defects it
-//     catches — the fault dictionary of classic diagnosis literature,
-//     recorded deterministically from sim.Outcome.DetectedBy (a set that
-//     walks its faults in canonical order).
+//     catches — the fault dictionary of classic diagnosis literature, read
+//     straight from sim.Outcome.DetectedBy, a bitset over the target's fault
+//     universe.
 //
 //   - Fault localization (Localize): map an observed failure signature —
 //     the set of MA tests that failed on a part — back to ranked
@@ -22,114 +22,68 @@
 //     minimized program, that its per-defect detection vector is
 //     byte-identical to the full program's.
 //
-// Everything in this package is deterministic: detection sets are collected
-// by library index, faults are kept in maf.Compare order, greedy ties break
+// Everything in this package is deterministic: defects are visited by
+// library index, faults in universe (maf.Compare) order, greedy ties break
 // canonically, and floating-point scores are accumulated in a fixed order —
 // so reports rendered from these results are byte-stable across engines,
 // worker counts, and fleet shard merges.
 package diagnose
 
 import (
-	"fmt"
-
 	"repro/internal/maf"
 	"repro/internal/sim"
 )
 
-// Sets is the detection-set dictionary of one campaign: the bipartite
-// defect↔test detection relation in both orientations, with faults held in
-// canonical maf.Compare order and defects by library index.
+// Sets is the detection-set dictionary of one campaign: a read-only view
+// over its outcomes. Defect d's detection set is Outcomes[d].DetectedBy, and
+// the dictionary's tests are the union of the sets.
 type Sets struct {
-	// Total is the library size (number of outcomes collected).
-	Total int
-	// DefectIDs maps position → library defect ID (normally the identity).
-	DefectIDs []int
-	// Faults lists every fault that detects at least one defect, in
-	// maf.Compare order. Positions in this slice are the fault indices used
-	// by ByDefect.
-	Faults []maf.Fault
-	// ByFault is parallel to Faults: the ascending library positions of the
-	// defects each fault's test detects — the fault's detection set.
-	ByFault [][]int
-	// ByDefect holds, per library position, the ascending fault indices of
-	// the tests detecting that defect.
-	ByDefect [][]int
-	// Detected and Crashed mirror the per-defect outcome flags.
-	Detected []bool
-	Crashed  []bool
-	// CrashOnly lists the library positions of defects that were detected
-	// (crash or hang) but attributed to no individual test; set cover cannot
-	// target them, so minimization reports them explicitly and verification
-	// re-checks them empirically.
-	CrashOnly []int
+	// Outcomes are the campaign's outcomes in library index order; the
+	// analyses never modify them.
+	Outcomes []sim.Outcome
+	// Tests is the union of the detection sets: every test that detects at
+	// least one defect.
+	Tests maf.Set
+	// byFault holds, per universe index, the ascending library positions of
+	// the defects that fault's test detects; GreedyCover walks it.
+	byFault [][]int
+	// size and hyps hold, per library position, the detection set's size
+	// and its (victim, kind) hypotheses, the two facts Localize reads of
+	// every defect it weighs.
+	size []int
+	hyps []hypotheses
 }
 
-// Collect builds the detection-set dictionary from a campaign's outcomes in
-// library index order (sim.CampaignResult.Outcomes). Detection sets walk
-// their faults in canonical order, so collection is a linear pass.
+// hypotheses is a set of (victim, kind) localization hypotheses, bit
+// victim*4+kind. 64 wires × 4 kinds suffice: a fault universe holds at most
+// maf.SetBits faults, four per wire and direction.
+type hypotheses [hypKeys / 64]uint64
+
+const hypKeys = 64 * len(maf.Kinds)
+
+// Collect builds the dictionary over a campaign's outcomes in library index
+// order (sim.CampaignResult.Outcomes).
 func Collect(outcomes []sim.Outcome) *Sets {
-	s := &Sets{
-		Total:     len(outcomes),
-		DefectIDs: make([]int, len(outcomes)),
-		ByDefect:  make([][]int, len(outcomes)),
-		Detected:  make([]bool, len(outcomes)),
-		Crashed:   make([]bool, len(outcomes)),
-	}
-	// First pass: the faults actually observed, the union of the sets, and
-	// each one's position in Faults by universe index.
-	var seen maf.Set
+	s := &Sets{Outcomes: outcomes, size: make([]int, len(outcomes)), hyps: make([]hypotheses, len(outcomes))}
 	for _, out := range outcomes {
-		seen = seen.Union(out.DetectedBy)
+		s.Tests = s.Tests.Union(out.DetectedBy)
 	}
-	s.Faults = make([]maf.Fault, 0, seen.Len())
-	var index [maf.SetBits]int
-	for i := seen.Next(0); i >= 0; i = seen.Next(i + 1) {
-		index[i] = len(s.Faults)
-		s.Faults = append(s.Faults, seen.Universe().Fault(i))
+	u := s.Tests.Universe()
+	if u == nil {
+		return s
 	}
-	s.ByFault = make([][]int, len(s.Faults))
-	// Second pass: both orientations, defects in index order so ByFault rows
-	// come out ascending without a sort.
+	s.byFault = make([][]int, u.Len())
 	for d, out := range outcomes {
-		s.DefectIDs[d] = out.DefectID
-		s.Detected[d] = out.Detected
-		s.Crashed[d] = out.Crashed
-		if set := out.DetectedBy; set.Len() > 0 {
-			row := make([]int, 0, set.Len())
-			for i := set.Next(0); i >= 0; i = set.Next(i + 1) {
-				fi := index[i]
-				row = append(row, fi)
-				s.ByFault[fi] = append(s.ByFault[fi], d)
-			}
-			s.ByDefect[d] = row
-		} else if out.Detected {
-			s.CrashOnly = append(s.CrashOnly, d)
+		set := out.DetectedBy
+		s.size[d] = set.Len()
+		for i := set.Next(0); i >= 0; i = set.Next(i + 1) {
+			s.byFault[i] = append(s.byFault[i], d)
+			f := u.Fault(i)
+			k := f.Victim*len(maf.Kinds) + int(f.Kind)
+			s.hyps[d][k>>6] |= 1 << uint(k&63)
 		}
 	}
 	return s
-}
-
-// DetectedCount returns the number of detected defects.
-func (s *Sets) DetectedCount() int {
-	n := 0
-	for _, d := range s.Detected {
-		if d {
-			n++
-		}
-	}
-	return n
-}
-
-// AttributedCount returns the number of defects with a non-empty detection
-// set (detected and attributed to at least one test).
-func (s *Sets) AttributedCount() int {
-	n := 0
-	for _, row := range s.ByDefect {
-		if len(row) > 0 {
-			n++
-		}
-	}
-	return n
 }
 
 // Stats summarizes the dictionary's resolution: how many distinct detection
@@ -149,21 +103,22 @@ type Stats struct {
 
 // ComputeStats derives the dictionary statistics.
 func (s *Sets) ComputeStats() Stats {
-	st := Stats{
-		Defects:    s.Total,
-		Detected:   s.DetectedCount(),
-		Attributed: s.AttributedCount(),
-		CrashOnly:  len(s.CrashOnly),
-		Tests:      len(s.Faults),
-	}
-	classes := make(map[string]int)
+	st := Stats{Defects: len(s.Outcomes), Tests: s.Tests.Len()}
+	classes := make(map[maf.Set]int)
 	sum := 0
-	for _, row := range s.ByDefect {
-		if len(row) == 0 {
+	for d, o := range s.Outcomes {
+		if o.Detected {
+			st.Detected++
+		}
+		if s.size[d] == 0 {
+			if o.Detected {
+				st.CrashOnly++
+			}
 			continue
 		}
-		sum += len(row)
-		classes[fmt.Sprint(row)]++
+		st.Attributed++
+		sum += s.size[d]
+		classes[o.DetectedBy]++
 	}
 	st.Classes = len(classes)
 	for _, n := range classes {

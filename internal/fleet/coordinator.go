@@ -143,10 +143,12 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 		})
 	reg.GaugeFunc("xtalkd_fleet_workers_alive", "registered workers currently alive",
 		func() float64 { return float64(c.LiveWorkers()) })
+	// The threshold is the 4.194304 s bucket bound itself: CountLE rounds a
+	// threshold between bounds up to the next one, 16.777216 s.
 	t.SLO.Add(obs.Objective{
 		Name:        "shard_roundtrip",
 		Description: "successful shard round-trips complete within ~4.2 s",
-		Source:      obs.HistogramLatencySource(c.shardRoundtrip, 4.2),
+		Source:      obs.HistogramLatencySource(c.shardRoundtrip, 4.194304),
 		Budget:      0.05,
 	})
 	return c

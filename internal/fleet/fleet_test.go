@@ -292,6 +292,8 @@ func TestSpecBoundsOnFleetRoles(t *testing.T) {
 		"width 16":     fmt.Sprintf(applied, "fwd", 16, "data"),
 		"addr on data": fmt.Sprintf(applied, "fwd", 12, "data"),
 		"rev on addr":  fmt.Sprintf(applied, "rev", 12, "addr"),
+		"signature":    `{"type":"diagnose","bus":"addr","size":50,"seed":1,"signature":["bogus"]}`,
+		"signature @W": `{"type":"diagnose","bus":"addr","size":50,"seed":1,"signature":["dr[3]/fwd","dr[13]/fwd@12"]}`,
 	} {
 		var s campaign.Spec
 		if err := json.Unmarshal([]byte(spec), &s); err != nil {

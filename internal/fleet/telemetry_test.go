@@ -231,3 +231,26 @@ func TestCrossRoleFamiliesDisjoint(t *testing.T) {
 		}
 	}
 }
+
+// TestShardRoundtripObjectiveBound observes round trips on both sides of the
+// ~4.2 s objective and checks the burn rate the evaluator derives: the two
+// above it are bad, so half of the events burn a 5% budget tenfold.
+func TestShardRoundtripObjectiveBound(t *testing.T) {
+	c := NewCoordinator(CoordinatorConfig{})
+	slo := c.Obs().SLO
+	now := time.Now()
+	slo.Tick(now)
+	for _, secs := range []float64{1, 4, 5, 10} {
+		c.shardRoundtrip.Observe(secs)
+	}
+	slo.Tick(now.Add(time.Second))
+	for _, a := range slo.Alerts() {
+		if a.Name == "shard_roundtrip" {
+			if a.FastBurn != 10 {
+				t.Fatalf("shard_roundtrip fast burn %v after 2 of 4 round trips above 4.2 s, want 10", a.FastBurn)
+			}
+			return
+		}
+	}
+	t.Fatal("no shard_roundtrip objective")
+}

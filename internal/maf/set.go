@@ -88,6 +88,22 @@ func (s Set) Union(t Set) Set {
 	return s
 }
 
+// Has reports whether s holds its universe's fault i.
+func (s Set) Has(i int) bool { return s.w[i>>6]>>uint(i&63)&1 != 0 }
+
+// IntersectLen returns the number of faults in both s and t. Unless one of
+// them is empty, both must be over one universe.
+func (s Set) IntersectLen(t Set) int {
+	if s.u != t.u && s.u != nil && t.u != nil {
+		panic("maf: intersection of fault sets of two universes")
+	}
+	n := 0
+	for i, w := range t.w {
+		n += bits.OnesCount64(s.w[i] & w)
+	}
+	return n
+}
+
 // Universe returns the universe s indexes; nil for the empty set.
 func (s Set) Universe() *FaultUniverse { return s.u }
 

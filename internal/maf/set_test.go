@@ -94,7 +94,9 @@ func TestSetRendersLikeSortedList(t *testing.T) {
 }
 
 // TestSetUnionLaws: Union is commutative, associative and idempotent, has
-// the zero Set as identity, and refuses sets of two universes.
+// the zero Set as identity, and refuses sets of two universes. IntersectLen
+// and Union obey inclusion–exclusion, Has agrees with the walk, and
+// IntersectLen refuses sets of two universes too.
 func TestSetUnionLaws(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	us := testUniverses(t)
@@ -117,17 +119,37 @@ func TestSetUnionLaws(t *testing.T) {
 			if a.Union(a) != a || a.Union(Set{}) != a || (Set{}).Union(a) != a {
 				t.Fatalf("union with itself or the empty set changed %v", a)
 			}
+			if n := a.IntersectLen(b); n != b.IntersectLen(a) || a.Union(b).Len() != a.Len()+b.Len()-n ||
+				a.IntersectLen(a) != a.Len() || a.IntersectLen(Set{}) != 0 {
+				t.Fatalf("IntersectLen(%v, %v) = %d breaks inclusion-exclusion", a, b, n)
+			}
+			var walked Set
+			for i := 0; i < u.Len(); i++ {
+				if a.Has(i) {
+					walked.Add(u, i)
+				}
+			}
+			if walked != a {
+				t.Fatalf("Has over %v finds %v", a, walked)
+			}
 		}
 	}
 	var a, b Set
 	a.Add(us[0], 0)
 	b.Add(us[1], 0)
-	defer func() {
-		if recover() == nil {
-			t.Error("union of sets of two universes did not panic")
-		}
-	}()
-	a.Union(b)
+	for name, op := range map[string]func(){
+		"union":        func() { a.Union(b) },
+		"intersection": func() { a.IntersectLen(b) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s of sets of two universes did not panic", name)
+				}
+			}()
+			op()
+		}()
+	}
 }
 
 // TestNewFaultUniverseRefuses: more faults than a Set has bits, and a fault

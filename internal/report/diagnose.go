@@ -86,15 +86,10 @@ func NewDiagnosisJSON(bus string, s *diagnose.Sets, acc *diagnose.Accuracy, sigN
 			Fault: c.String(), Wire: c.Wire, Kind: c.Kind.String(), Score: c.Score, Exact: c.Exact,
 		})
 	}
-	for d, row := range s.ByDefect {
-		if len(row) == 0 {
-			continue
+	for _, o := range s.Outcomes {
+		if names := o.DetectedBy.Names(); names != nil {
+			out.Sets = append(out.Sets, DetectionSetJSON{Defect: o.DefectID, Tests: names})
 		}
-		set := DetectionSetJSON{Defect: s.DefectIDs[d]}
-		for _, fi := range row {
-			set.Tests = append(set.Tests, s.Faults[fi].String())
-		}
-		out.Sets = append(out.Sets, set)
 	}
 	return out
 }

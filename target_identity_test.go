@@ -8,6 +8,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/campaign"
@@ -63,6 +64,14 @@ func renderJob(t *testing.T, spec campaign.Spec) []byte {
 		if err := report.WriteMinimizeJSON(&buf, an.Minimize); err != nil {
 			t.Fatal(err)
 		}
+	case campaign.TypeRank:
+		an, ok := job.Analysis()
+		if !ok {
+			t.Fatal("rank job produced no analysis")
+		}
+		if err := report.WriteRankJSON(&buf, an.Rank); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return buf.Bytes()
 }
@@ -84,6 +93,49 @@ func TestParwanReportsByteIdenticalToPreRefactor(t *testing.T) {
 			want := preRefactorHashes[fmt.Sprintf("%s/%d", typ, size)]
 			if got != want {
 				t.Errorf("%s report hash %s, want pre-refactor %s", typ, got, want)
+			}
+		})
+	}
+}
+
+// Analysis report hashes recorded while diagnosis still re-encoded each
+// detection set as an index list, keyed by "type/target/size" and, for a
+// diagnose job given the signature ["dr[3]/fwd"], "diagnose+sig/...". They
+// pin what preRefactorHashes does not: rank reports, a localized candidate
+// list with its float scores, and the three analysis documents of a wide
+// bus. Seed 3001 throughout; the addr rows run at 120 defects under -short
+// and 1000 otherwise, the widebus16 rows at 120.
+var analysisHashes = map[string]string{
+	"rank/addr/120":          "02e3a33189dcc08bdde5a05574926e02540e6da1c98a4ffba34fb142521212bb",
+	"rank/addr/1000":         "d319888b578ec6ef04d39cee95527915749c0ecaeda470f9bb8f76f7e1c3e085",
+	"diagnose+sig/addr/120":  "b2fc6941b3a8b4808b72aab8933566ed30ef6395f3968edbaf68d71e43a13e7d",
+	"diagnose+sig/addr/1000": "5a1f7026b777dcd50a844080abdc70e325ecd68a0ea3befc5bea7fbd39059d8f",
+	"diagnose/widebus16/120": "cb6f5b982a85f6e6fd73affa3c469042d854e5e421fc743844d00315d138e909",
+	"minimize/widebus16/120": "e1e0a7c70b4e7428db31fc485eae74acb1cd55c12ac0446981a274b61b40fd5c",
+	"rank/widebus16/120":     "4eb6d5fa01c718981f95a3198783e8cac3c68dd4b9552c5d48071ed492b2c3a9",
+}
+
+func TestAnalysisReportsPinned(t *testing.T) {
+	size := 1000
+	if testing.Short() {
+		size = 120
+	}
+	addr := campaign.Spec{Bus: "addr", Size: size, Seed: 3001}
+	wide := campaign.Spec{Target: "widebus16", Bus: "bus", Size: 120, Seed: 3001}
+	withType := func(s campaign.Spec, typ string) campaign.Spec { s.Type = typ; return s }
+	sig := withType(addr, campaign.TypeDiagnose)
+	sig.Signature = []string{"dr[3]/fwd"}
+	for key, spec := range map[string]campaign.Spec{
+		fmt.Sprintf("rank/addr/%d", size):         withType(addr, campaign.TypeRank),
+		fmt.Sprintf("diagnose+sig/addr/%d", size): sig,
+		"diagnose/widebus16/120":                  withType(wide, campaign.TypeDiagnose),
+		"minimize/widebus16/120":                  withType(wide, campaign.TypeMinimize),
+		"rank/widebus16/120":                      withType(wide, campaign.TypeRank),
+	} {
+		t.Run(strings.ReplaceAll(key, "/", "-"), func(t *testing.T) {
+			got := fmt.Sprintf("%x", sha256.Sum256(renderJob(t, spec)))
+			if want := analysisHashes[key]; got != want {
+				t.Errorf("%s report hash %s, want %s", key, got, want)
 			}
 		})
 	}
