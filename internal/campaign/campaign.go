@@ -644,18 +644,18 @@ func New(cfg Config) *Manager {
 	m.infieldSliceLatency = reg.Histogram("xtalkd_infield_slice_seconds",
 		"one in-field test slice's wall-clock latency (run + merge)", nil)
 	// Default service objectives, evaluated by the SLO engine's tick loop
-	// (cmd/xtalkd). The latency thresholds round up to the enclosing
-	// DurationBuckets bound; see Histogram.CountLE.
+	// (cmd/xtalkd). Each latency threshold is a DurationBuckets bound, as
+	// HistogramLatencySource requires.
 	t.SLO.Add(obs.Objective{
 		Name:        "infield_slice_latency",
-		Description: "in-field test slices stay under 150 ms (a slice is a small interruption of the functional workload, not a full campaign)",
-		Source:      obs.HistogramLatencySource(m.infieldSliceLatency, 0.15),
+		Description: "in-field test slices stay within ~262 ms (a slice is a small interruption of the functional workload, not a full campaign)",
+		Source:      obs.HistogramLatencySource(m.infieldSliceLatency, 0.262144),
 		Budget:      0.01,
 	})
 	t.SLO.Add(obs.Objective{
 		Name:        "job_queue_wait",
-		Description: "jobs start within ~1 s of acceptance",
-		Source:      obs.HistogramLatencySource(m.queueWait, 1.0),
+		Description: "jobs start within ~1.05 s of acceptance",
+		Source:      obs.HistogramLatencySource(m.queueWait, 1.048576),
 		Budget:      0.05,
 	})
 	return m

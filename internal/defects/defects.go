@@ -163,13 +163,15 @@ type Config struct {
 // Generate builds a defect library for the nominal bus, judged against the
 // given thresholds (normally derived from the same nominal parameters).
 //
-// The normals are drawn on a goroutine of its own (see normals), in the
-// order Perturb draws them, while this one judges each attempt: it scales
-// the attempt's couplings into one upper-triangle row and sums each wire's
-// net coupling as the values arrive, in ascending partner order, which is
-// the order Params.NetCoupling sums in, so every verdict and attempt count
-// is the one a Perturb and OverThresholdWires loop reaches. Only an
-// accepted draw becomes a parameter set.
+// The normals are the ones Perturb draws from rand.New(rand.NewSource(Seed)),
+// in the same order, taken from an inlined copy of that stream (see
+// normalStream) on a goroutine of its own (see normals), while this one
+// judges each attempt: it scales the attempt's couplings into one
+// upper-triangle row and sums each wire's net coupling as the values
+// arrive, in ascending partner order, which is the order
+// Params.NetCoupling sums in, so every verdict and attempt count is the one
+// a Perturb and OverThresholdWires loop reaches. Only an accepted draw
+// becomes a parameter set.
 func Generate(nominal *crosstalk.Params, th crosstalk.Thresholds, cfg Config) (*Library, error) {
 	if err := nominal.Validate(); err != nil {
 		return nil, err
@@ -199,7 +201,7 @@ func Generate(nominal *crosstalk.Params, th crosstalk.Thresholds, cfg Config) (*
 	}
 	w := nominal.Width
 	pairs := w * (w - 1) / 2
-	draws := startNormals(rand.New(rand.NewSource(cfg.Seed)), pairs, max(1, drawBlock/pairs))
+	draws := startNormals(newNormalStream(cfg.Seed), pairs, max(1, drawBlock/pairs))
 	defer draws.stop()
 	net := make([]float64, w)
 	for len(lib.Defects) < cfg.Size {
@@ -281,11 +283,11 @@ func fromTriangle(nominal *crosstalk.Params, tri []float64) *crosstalk.Params {
 	return p
 }
 
-// normals hands a judge rng's standard normals in the order NormFloat64
-// returns them, attempt by attempt, drawn ahead on a goroutine of its own
-// in blocks of whole attempts. The judge may overwrite an attempt's values;
-// they are its until its next call. stop must be called once: it returns
-// after the drawing goroutine has exited.
+// normals hands a judge a normalStream's values in order, attempt by
+// attempt, drawn ahead on a goroutine of its own in blocks of whole
+// attempts. The judge may overwrite an attempt's values; they are its until
+// its next call. stop must be called once: it returns after the drawing
+// goroutine has exited.
 type normals struct {
 	full, free chan []float64 // each holds every block at once, so sends never wait
 	done       chan struct{}
@@ -296,8 +298,10 @@ type normals struct {
 	off   int       // its next attempt's offset
 }
 
-// startNormals starts drawing blocks of perBlock attempts of per values.
-func startNormals(rng *rand.Rand, per, perBlock int) *normals {
+// startNormals starts drawing blocks of perBlock attempts of per values
+// from stream, which the drawing goroutine owns from then on: each free
+// block is one stream.fill.
+func startNormals(stream *normalStream, per, perBlock int) *normals {
 	n := &normals{
 		full: make(chan []float64, drawBufs),
 		free: make(chan []float64, drawBufs),
@@ -319,9 +323,7 @@ func startNormals(rng *rand.Rand, per, perBlock int) *normals {
 			}
 			select {
 			case buf := <-n.free:
-				for i := range buf {
-					buf[i] = rng.NormFloat64()
-				}
+				stream.fill(buf)
 				n.full <- buf
 			case <-n.done:
 				return

@@ -64,3 +64,38 @@ func libraryDigest(t *testing.T, lib *Library) string {
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:])
 }
+
+// BenchmarkGenerate times Generate on a library-cache miss, a fresh seed per
+// iteration: widebus64's 200 defects (2,016 normals an attempt, about 1.35
+// million a library) and the Parwan address bus's 1,000 (66 an attempt).
+func BenchmarkGenerate(b *testing.B) {
+	parwan, err := target.Parwan().BusModels(0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	wide, err := target.WideBus(64)
+	if err != nil {
+		b.Fatal(err)
+	}
+	wideModels, err := wide.BusModels(0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		model target.BusModel
+		size  int
+	}{
+		{"widebus64", wideModels[0], 200},
+		{"parwan-addr", parwan[core.AddrBus], 1000},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				_, err := Generate(tc.model.Nominal, tc.model.Thresholds, Config{Size: tc.size, Seed: int64(1000 + i)})
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -146,12 +146,14 @@ type Accuracy struct {
 
 // EvaluateAccuracy runs the self-diagnosis experiment against the library
 // the outcomes were simulated from. Defects are evaluated in library order,
-// so the result is deterministic.
+// so the result is deterministic. Localize depends on the signature alone,
+// so each distinct detection set is localized once.
 func (s *Sets) EvaluateAccuracy(lib *defects.Library) (Accuracy, error) {
 	if len(lib.Defects) != len(s.Outcomes) {
 		return Accuracy{}, fmt.Errorf("diagnose: library has %d defects, dictionary %d", len(lib.Defects), len(s.Outcomes))
 	}
 	var acc Accuracy
+	localized := make(map[maf.Set][]Candidate)
 	for d, out := range s.Outcomes {
 		if s.size[d] == 0 {
 			continue
@@ -163,7 +165,12 @@ func (s *Sets) EvaluateAccuracy(lib *defects.Library) (Accuracy, error) {
 		for _, w := range lib.Defects[d].OverThreshold {
 			truth |= 1 << uint(w)
 		}
-		for i, c := range s.Localize(out.DetectedBy) {
+		cands, ok := localized[out.DetectedBy]
+		if !ok {
+			cands = s.Localize(out.DetectedBy)
+			localized[out.DetectedBy] = cands
+		}
+		for i, c := range cands {
 			if i >= 3 {
 				break
 			}

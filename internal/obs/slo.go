@@ -2,7 +2,9 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
+	"slices"
 	"sync"
 	"time"
 )
@@ -354,10 +356,13 @@ func (e *Evaluator) AlertsHandler() http.Handler {
 
 // HistogramLatencySource adapts a latency histogram into an SLO source:
 // total = observations, bad = observations above the threshold. The
-// threshold is rounded up to the enclosing log-bucket bound by CountLE, so
-// choose thresholds with that granularity in mind (e.g. 0.15 s counts the
-// ≤0.262144 s bucket as good against DurationBuckets).
+// histogram counts whole buckets, so the threshold must be one of its bucket
+// bounds (0.262144 s, not 0.15 s, against DurationBuckets); any other value
+// panics, since CountLE would silently round it up to the next bound.
 func HistogramLatencySource(h *Histogram, threshold float64) func() (float64, float64) {
+	if !slices.Contains(h.bounds, threshold) {
+		panic(fmt.Sprintf("obs: latency threshold %g is not a bucket bound of the histogram", threshold))
+	}
 	return func() (float64, float64) {
 		total := h.Count()
 		good := h.CountLE(threshold)

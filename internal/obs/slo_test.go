@@ -177,19 +177,28 @@ func TestSLOAlertsHandler(t *testing.T) {
 }
 
 // TestHistogramLatencySource proves the histogram adapter counts
-// observations above the (bucket-rounded) threshold as bad.
+// observations above the threshold, a bucket bound, as bad, and refuses a
+// threshold between bounds.
 func TestHistogramLatencySource(t *testing.T) {
 	reg := NewRegistry()
 	h := reg.Histogram("xtalkd_test_seconds", "t.", nil)
-	src := HistogramLatencySource(h, 0.15) // rounds up to the 0.262144 bound
+	src := HistogramLatencySource(h, 0.262144)
 	h.Observe(0.01)
-	h.Observe(0.2) // inside the enclosing bucket: good
-	h.Observe(0.5) // above: bad
-	h.Observe(5.0) // above: bad
+	h.Observe(0.2)      // inside the bound: good
+	h.Observe(0.262144) // on it: good
+	h.Observe(0.5)      // above: bad
+	h.Observe(5.0)      // above: bad
 	total, bad := src()
-	if total != 4 || bad != 2 {
-		t.Fatalf("source = (%v, %v), want (4, 2)", total, bad)
+	if total != 5 || bad != 2 {
+		t.Fatalf("source = (%v, %v), want (5, 2)", total, bad)
 	}
+
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a 0.15 s threshold, between the 0.065536 and 0.262144 bounds, did not panic")
+		}
+	}()
+	HistogramLatencySource(h, 0.15)
 }
 
 // TestRecorderDroppedCounter proves the ring overflow counter tracks
