@@ -64,6 +64,12 @@ func TestCmdGenVerify(t *testing.T) {
 	}
 }
 
+func TestCmdGenRefusesNegativeSessions(t *testing.T) {
+	if _, err := capture(t, func() error { return cmdGen([]string{"-sessions", "-1"}) }); err == nil {
+		t.Error("gen -sessions -1 succeeded")
+	}
+}
+
 func TestCmdDefectsSmoke(t *testing.T) {
 	out, err := capture(t, func() error {
 		return cmdDefects([]string{"-bus", "addr", "-size", "25", "-seed", "3"})

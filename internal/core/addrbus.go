@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/maf"
@@ -34,26 +35,61 @@ type seedConstraint struct {
 	A, B uint16
 }
 
-// pinSet is a consistent set of byte pins built up while planning one test.
-// Adding two different values at one address fails, which is how coincident
-// roles (e.g. an instruction byte that is also another path's operand) are
-// either unified or rejected.
-type pinSet map[uint16]byte
+// maxPins bounds a pin set. tryGlitchCombo builds the largest: the indirect
+// first instruction's two bytes and pointer cell, the second instruction's
+// two bytes, the alternate first byte, and the two data cells. A ninth pin
+// is a bug, and add panics on it.
+const maxPins = 8
 
-func (ps pinSet) add(addr uint16, b byte) error {
+// pin is one byte a pin set fixes.
+type pin struct {
+	addr uint16
+	b    byte
+}
+
+// pinSet is a consistent set of byte pins built up while planning one test,
+// in insertion order. Adding two different values at one address fails,
+// which is how coincident roles (e.g. an instruction byte that is also
+// another path's operand) are either unified or rejected. It is a value:
+// copying one copies its pins.
+type pinSet struct {
+	pins [maxPins]pin
+	n    int
+}
+
+// errPinConflict is built once: the search tries tens of thousands of
+// candidate sets and drops each conflict, and no plan reason carries it.
+var errPinConflict = errors.New("core: internal pin conflict")
+
+func (ps *pinSet) add(addr uint16, b byte) error {
 	addr = addrMask(addr)
-	if v, ok := ps[addr]; ok && v != b {
-		return fmt.Errorf("core: internal pin conflict at %03x: %02x vs %02x", addr, v, b)
+	if v, ok := ps.lookup(addr); ok {
+		if v != b {
+			return errPinConflict
+		}
+		return nil
 	}
-	ps[addr] = b
+	ps.pins[ps.n] = pin{addr, b}
+	ps.n++
 	return nil
+}
+
+// lookup returns the set's own pin at addr.
+func (ps *pinSet) lookup(addr uint16) (byte, bool) {
+	addr = addrMask(addr)
+	for _, p := range ps.pins[:ps.n] {
+		if p.addr == addr {
+			return p.b, true
+		}
+	}
+	return 0, false
 }
 
 // value returns the effective value at addr considering both this pin set
 // and the layout's existing pins.
-func (ps pinSet) value(l *layout, addr uint16) (byte, bool) {
+func (ps *pinSet) value(l *layout, addr uint16) (byte, bool) {
 	addr = addrMask(addr)
-	if v, ok := ps[addr]; ok {
+	if v, ok := ps.lookup(addr); ok {
 		return v, true
 	}
 	if l.im.Used(addr) {
@@ -64,12 +100,12 @@ func (ps pinSet) value(l *layout, addr uint16) (byte, bool) {
 
 // feasible reports whether every pin can land on the layout: the cell is
 // either free or already pinned to the same value.
-func (ps pinSet) feasible(l *layout) bool {
-	for addr, b := range ps {
-		if l.free(addr) {
+func (ps *pinSet) feasible(l *layout) bool {
+	for _, p := range ps.pins[:ps.n] {
+		if l.free(p.addr) {
 			continue
 		}
-		if l.im.Used(addr) && l.im.Get(addr) == b && !l.reserved[addr] && !l.held[addr] {
+		if l.im.Used(p.addr) && l.im.Get(p.addr) == p.b && !l.reserved[p.addr] && !l.held[p.addr] {
 			continue
 		}
 		return false
@@ -77,14 +113,32 @@ func (ps pinSet) feasible(l *layout) bool {
 	return true
 }
 
-// apply commits the pins.
-func (ps pinSet) apply(l *layout) error {
-	for addr, b := range ps {
-		if err := l.pin(addr, b); err != nil {
+// apply commits the pins. It cannot fail after feasible succeeds: a set's
+// addresses are distinct, and feasible checked each one.
+func (ps *pinSet) apply(l *layout) error {
+	for _, p := range ps.pins[:ps.n] {
+		if err := l.pin(p.addr, p.b); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// placeError is a fragment placement failure, "core: <fault>: <why>". Its
+// text is built only when read: most failures lose a portfolio ordering or
+// give way to the fallback scheme, and only a fault left inapplicable
+// reports its reason.
+type placeError struct {
+	f    maf.Fault
+	why  string // empty when the continuation slot at cont is not free
+	cont uint16
+}
+
+func (e *placeError) Error() string {
+	if e.why == "" {
+		return fmt.Sprintf("core: %v: continuation slot %03x not free", e.f, e.cont)
+	}
+	return fmt.Sprintf("core: %v: %s", e.f, e.why)
 }
 
 // opForMode returns the memory-access instruction used to apply tests: load
@@ -125,7 +179,7 @@ func placeAddrDirect(l *layout, f maf.Fault, compaction bool) (fragment, error) 
 	cont := addrMask(v1 + 1)
 	cont2 := addrMask(v1 + 2)
 
-	ps := pinSet{}
+	var ps pinSet
 	enc, err := parwan.Instruction{Op: op, Target: v2}.Encode()
 	if err != nil {
 		return fragment{}, err
@@ -143,16 +197,16 @@ func placeAddrDirect(l *layout, f maf.Fault, compaction bool) (fragment, error) 
 	v2p := faultyAddress(f)
 
 	if !ps.feasible(l) {
-		return fragment{}, fmt.Errorf("core: %v: footprint conflicts with existing placement", f)
+		return fragment{}, &placeError{f: f, why: "footprint conflicts with existing placement"}
 	}
-	if _, own := ps[cont]; own {
-		return fragment{}, fmt.Errorf("core: %v: continuation collides with own pins", f)
+	if _, own := ps.lookup(cont); own {
+		return fragment{}, &placeError{f: f, why: "continuation collides with own pins"}
 	}
-	if _, own := ps[cont2]; own {
-		return fragment{}, fmt.Errorf("core: %v: continuation collides with own pins", f)
+	if _, own := ps.lookup(cont2); own {
+		return fragment{}, &placeError{f: f, why: "continuation collides with own pins"}
 	}
 	if !l.free(cont) || !l.free(cont2) {
-		return fragment{}, fmt.Errorf("core: %v: continuation slot %03x not free", f, cont)
+		return fragment{}, &placeError{f: f, cont: cont}
 	}
 	if err := ps.apply(l); err != nil {
 		return fragment{}, err
@@ -180,8 +234,8 @@ func resolveSeeds(l *layout, frags []fragment) (kept, dropped []fragment) {
 			kept = append(kept, fr)
 			continue
 		}
-		ps := pinSet{}
-		if err := seedDistinct(l, ps, fr.seeds.A, fr.seeds.B, fr.cont, addrMask(fr.cont+1)); err != nil {
+		var ps pinSet
+		if err := seedDistinct(l, &ps, fr.seeds.A, fr.seeds.B, fr.cont, addrMask(fr.cont+1)); err != nil {
 			l.release(fr.cont)
 			l.release(fr.cont + 1)
 			dropped = append(dropped, fr)
@@ -214,7 +268,7 @@ const (
 
 // classifySeed inspects addr. contHi/contLo are the test's own continuation
 // bytes, classified like foreign held continuation bytes.
-func classifySeed(l *layout, ps pinSet, addr, contHi, contLo uint16) (seedClass, byte) {
+func classifySeed(l *layout, ps *pinSet, addr, contHi, contLo uint16) (seedClass, byte) {
 	switch addr {
 	case contHi:
 		return seedJmpHi, 0
@@ -241,7 +295,7 @@ func classifySeed(l *layout, ps pinSet, addr, contHi, contLo uint16) (seedClass,
 // continuation jmp opcode are usable (their value is confined to
 // 0x80..0x8F) as long as the other seed stays outside that range; cells
 // with unpredictable run-time contents fail placement.
-func seedDistinct(l *layout, ps pinSet, a, b, contHi, contLo uint16) error {
+func seedDistinct(l *layout, ps *pinSet, a, b, contHi, contLo uint16) error {
 	a, b = addrMask(a), addrMask(b)
 	if a == b {
 		return fmt.Errorf("core: seed addresses coincide at %03x", a)
@@ -305,11 +359,13 @@ func placeAddrTwoInstr(l *layout, f maf.Fault, compaction bool) (fragment, error
 	// The continuation slot must be free no matter which candidate
 	// assignment wins; checking it first prunes hopeless searches.
 	if !l.free(cont) || !l.free(cont2) {
-		return fragment{}, fmt.Errorf("core: %v: continuation slot %03x not free", f, cont)
+		return fragment{}, &placeError{f: f, cont: cont}
 	}
 
 	var firstErr error
-	for _, base := range instr1Variants(l, f, opHigh) {
+	variants := instr1Variants(l, f, opHigh)
+	for i := range variants {
+		base := &variants[i]
 		// Candidate pages for the intended (py) and alternate (py2) second
 		// instruction, and for the shared offset byte. Existing pins force
 		// the choice; otherwise search high pages first to keep data away
@@ -319,8 +375,17 @@ func placeAddrTwoInstr(l *layout, f maf.Fault, compaction bool) (fragment, error
 		oCands := offsetCandidates(base, l, addrMask(v2+1))
 		if len(pyCands) == 0 || len(py2Cands) == 0 || len(oCands) == 0 {
 			if firstErr == nil {
-				firstErr = fmt.Errorf("core: %v: second-instruction bytes irreconcilable with existing pins", f)
+				firstErr = &placeError{f: f, why: "second-instruction bytes irreconcilable with existing pins"}
 			}
+			continue
+		}
+		// A candidate's own pins land on the continuation slot exactly when
+		// a base pin or v2p does: v2 and v2+1 precede the slot, and
+		// tryGlitchCombo refuses data cells on it. No (py, py2, o) choice
+		// moves base or v2p, so the check runs once per variant.
+		_, ownCont := base.lookup(cont)
+		_, ownCont2 := base.lookup(cont2)
+		if ownCont || ownCont2 || v2p == cont || v2p == cont2 {
 			continue
 		}
 		for _, py := range pyCands {
@@ -340,7 +405,7 @@ func placeAddrTwoInstr(l *layout, f maf.Fault, compaction bool) (fragment, error
 	if firstErr != nil {
 		return fragment{}, firstErr
 	}
-	return fragment{}, fmt.Errorf("core: %v: no conflict-free page/offset assignment", f)
+	return fragment{}, &placeError{f: f, why: "no conflict-free page/offset assignment"}
 }
 
 // instr1Variants enumerates pin sets for the first instruction of the
@@ -366,7 +431,7 @@ func instr1Variants(l *layout, f maf.Fault, opHigh byte) []pinSet {
 
 	var variants []pinSet
 	// Direct vehicle.
-	direct := pinSet{}
+	var direct pinSet
 	if direct.add(b1, opHigh|page) == nil && direct.add(b2, off) == nil && direct.feasible(l) {
 		variants = append(variants, direct)
 	}
@@ -377,8 +442,8 @@ func instr1Variants(l *layout, f maf.Fault, opHigh byte) []pinSet {
 	const maxIndirectVariants = 3
 	indirectOp := opHigh | 0x10
 	var xs []int
-	if v, ok := (pinSet{}).value(l, b2); ok {
-		xs = []int{int(v)}
+	if l.im.Used(b2) {
+		xs = []int{int(l.im.Get(b2))}
 	} else if !l.reserved[b2] && !l.held[b2] {
 		xs = preferredOffsets[:16]
 	}
@@ -386,7 +451,7 @@ func instr1Variants(l *layout, f maf.Fault, opHigh byte) []pinSet {
 		if len(variants) >= maxIndirectVariants+1 {
 			break
 		}
-		ind := pinSet{}
+		var ind pinSet
 		if ind.add(b1, indirectOp|page) != nil ||
 			ind.add(b2, byte(x)) != nil {
 			continue
@@ -408,7 +473,7 @@ func instr1Variants(l *layout, f maf.Fault, opHigh byte) []pinSet {
 
 // pageCandidates lists the possible page nibbles for an instruction byte at
 // addr whose high nibble must be opHigh.
-func pageCandidates(ps pinSet, l *layout, addr uint16, opHigh byte) []int {
+func pageCandidates(ps *pinSet, l *layout, addr uint16, opHigh byte) []int {
 	if v, ok := ps.value(l, addr); ok {
 		if v&0xF0 != opHigh {
 			return nil
@@ -429,7 +494,7 @@ func pageCandidates(ps pinSet, l *layout, addr uint16, opHigh byte) []int {
 // choices are ordered by popcount distance from 4: the data-bus tests claim
 // cells at one-hot, complement-one-hot, all-zero and all-one offsets
 // (popcounts 0, 1, 7, 8), so mid-popcount offsets minimise contention.
-func offsetCandidates(ps pinSet, l *layout, addr uint16) []int {
+func offsetCandidates(ps *pinSet, l *layout, addr uint16) []int {
 	if v, ok := ps.value(l, addr); ok {
 		return []int{int(v)}
 	}
@@ -468,12 +533,10 @@ var preferredOffsets = func() []int {
 	return out
 }()
 
-// tryGlitchCombo attempts one concrete (py, py2, o) assignment.
-func tryGlitchCombo(l *layout, f maf.Fault, base pinSet, opHigh byte, v2, v2p, cont, cont2 uint16, py, py2, o int) (fragment, bool) {
-	ps := pinSet{}
-	for a, b := range base {
-		ps[a] = b
-	}
+// tryGlitchCombo attempts one concrete (py, py2, o) assignment. The caller
+// has checked that neither base nor v2p lands on the continuation slot.
+func tryGlitchCombo(l *layout, f maf.Fault, base *pinSet, opHigh byte, v2, v2p, cont, cont2 uint16, py, py2, o int) (fragment, bool) {
+	ps := *base
 	if ps.add(v2, opHigh|byte(py)) != nil ||
 		ps.add(addrMask(v2+1), byte(o)) != nil ||
 		ps.add(v2p, opHigh|byte(py2)) != nil {
@@ -509,12 +572,6 @@ func tryGlitchCombo(l *layout, f maf.Fault, base pinSet, opHigh byte, v2, v2p, c
 		}
 	}
 	if !ps.feasible(l) {
-		return fragment{}, false
-	}
-	if _, own := ps[cont]; own {
-		return fragment{}, false
-	}
-	if _, own := ps[cont2]; own {
 		return fragment{}, false
 	}
 	if !l.free(cont) || !l.free(cont2) {

@@ -85,15 +85,15 @@ func TestPinSetFeasibleAndApply(t *testing.T) {
 	if err := l.reserve(0x21); err != nil {
 		t.Fatal(err)
 	}
-	ps := pinSet{0x20: 0x11, 0x22: 0x33}
+	ps := pinsOf(t, pin{0x20, 0x11}, pin{0x22, 0x33})
 	if !ps.feasible(l) {
 		t.Error("compatible set reported infeasible")
 	}
-	bad := pinSet{0x20: 0x99}
+	bad := pinsOf(t, pin{0x20, 0x99})
 	if bad.feasible(l) {
 		t.Error("conflicting set reported feasible")
 	}
-	res := pinSet{0x21: 0x01}
+	res := pinsOf(t, pin{0x21, 0x01})
 	if res.feasible(l) {
 		t.Error("set over reserved cell reported feasible")
 	}
@@ -103,6 +103,24 @@ func TestPinSetFeasibleAndApply(t *testing.T) {
 	if l.im.Get(0x22) != 0x33 {
 		t.Error("apply missed a pin")
 	}
+}
+
+// pinsOf builds a pin set from address/byte pairs.
+func pinsOf(t *testing.T, pins ...pin) *pinSet {
+	t.Helper()
+	var ps pinSet
+	for _, p := range pins {
+		if err := ps.add(p.addr, p.b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return &ps
+}
+
+// pinAt returns the set's pin at addr, zero when it has none.
+func pinAt(ps *pinSet, addr uint16) byte {
+	v, _ := ps.lookup(addr)
+	return v
 }
 
 func TestPlaceAddrDirectBasics(t *testing.T) {
@@ -264,11 +282,11 @@ func TestIndirectVehicleRescue(t *testing.T) {
 func TestSeedDistinctCases(t *testing.T) {
 	// Free/free.
 	l := newLayout()
-	ps := pinSet{}
-	if err := seedDistinct(l, ps, 0x100, 0x200, 0xF00, 0xF01); err != nil {
+	var ps pinSet
+	if err := seedDistinct(l, &ps, 0x100, 0x200, 0xF00, 0xF01); err != nil {
 		t.Fatal(err)
 	}
-	if ps[0x100] == ps[0x200] {
+	if pinAt(&ps, 0x100) == pinAt(&ps, 0x200) {
 		t.Error("free/free seeds equal")
 	}
 	// Known/free: complement.
@@ -276,12 +294,12 @@ func TestSeedDistinctCases(t *testing.T) {
 	if err := l2.pin(0x100, 0x42); err != nil {
 		t.Fatal(err)
 	}
-	ps2 := pinSet{}
-	if err := seedDistinct(l2, ps2, 0x100, 0x200, 0xF00, 0xF01); err != nil {
+	var ps2 pinSet
+	if err := seedDistinct(l2, &ps2, 0x100, 0x200, 0xF00, 0xF01); err != nil {
 		t.Fatal(err)
 	}
-	if ps2[0x200] != ^byte(0x42) {
-		t.Errorf("complement seed = %02x", ps2[0x200])
+	if pinAt(&ps2, 0x200) != ^byte(0x42) {
+		t.Errorf("complement seed = %02x", pinAt(&ps2, 0x200))
 	}
 	// Known/known equal: error.
 	l3 := newLayout()
@@ -291,24 +309,24 @@ func TestSeedDistinctCases(t *testing.T) {
 	if err := l3.pin(0x200, 7); err != nil {
 		t.Fatal(err)
 	}
-	if err := seedDistinct(l3, pinSet{}, 0x100, 0x200, 0xF00, 0xF01); err == nil {
+	if err := seedDistinct(l3, &pinSet{}, 0x100, 0x200, 0xF00, 0xF01); err == nil {
 		t.Error("equal known seeds accepted")
 	}
 	// Same address: error.
-	if err := seedDistinct(newLayout(), pinSet{}, 0x100, 0x100, 0xF00, 0xF01); err == nil {
+	if err := seedDistinct(newLayout(), &pinSet{}, 0x100, 0x100, 0xF00, 0xF01); err == nil {
 		t.Error("coincident seeds accepted")
 	}
 	// Seed on the continuation offset byte: error.
-	if err := seedDistinct(newLayout(), pinSet{}, 0x100, 0xF01, 0xF00, 0xF01); err == nil {
+	if err := seedDistinct(newLayout(), &pinSet{}, 0x100, 0xF01, 0xF00, 0xF01); err == nil {
 		t.Error("seed on continuation offset accepted")
 	}
 	// Seed on the continuation opcode byte: other constrained outside
 	// 0x80..0x8F.
-	ps4 := pinSet{}
-	if err := seedDistinct(newLayout(), ps4, 0xF00, 0x100, 0xF00, 0xF01); err != nil {
+	var ps4 pinSet
+	if err := seedDistinct(newLayout(), &ps4, 0xF00, 0x100, 0xF00, 0xF01); err != nil {
 		t.Fatal(err)
 	}
-	if v := ps4[0x100]; jmpOpcodeByte(v) {
+	if v := pinAt(&ps4, 0x100); jmpOpcodeByte(v) {
 		t.Errorf("partner seed %02x inside jmp range", v)
 	}
 	// Seed on a foreign continuation opcode byte (held): same handling.
@@ -316,12 +334,12 @@ func TestSeedDistinctCases(t *testing.T) {
 	if err := l5.holdCont(0x300); err != nil {
 		t.Fatal(err)
 	}
-	ps5 := pinSet{}
-	if err := seedDistinct(l5, ps5, 0x300, 0x100, 0xF00, 0xF01); err != nil {
+	var ps5 pinSet
+	if err := seedDistinct(l5, &ps5, 0x300, 0x100, 0xF00, 0xF01); err != nil {
 		t.Fatalf("foreign cont opcode seed rejected: %v", err)
 	}
 	// Seed on a foreign unpredictable held byte: rejected.
-	if err := seedDistinct(l5, pinSet{}, 0x301, 0x100, 0xF00, 0xF01); err == nil {
+	if err := seedDistinct(l5, &pinSet{}, 0x301, 0x100, 0xF00, 0xF01); err == nil {
 		t.Error("foreign unpredictable held seed accepted")
 	}
 	// Known partner inside the jmp range: rejected.
@@ -329,7 +347,7 @@ func TestSeedDistinctCases(t *testing.T) {
 	if err := l6.pin(0x100, 0x85); err != nil {
 		t.Fatal(err)
 	}
-	if err := seedDistinct(l6, pinSet{}, 0xF00, 0x100, 0xF00, 0xF01); err == nil {
+	if err := seedDistinct(l6, &pinSet{}, 0xF00, 0x100, 0xF00, 0xF01); err == nil {
 		t.Error("jmp-range partner accepted")
 	}
 }

@@ -21,6 +21,16 @@ func TestMaxSessionsOne(t *testing.T) {
 	}
 }
 
+// TestNegativeMaxSessionsRefused: a negative session bound is an error, not
+// a plan that runs no session and reports every test inapplicable.
+func TestNegativeMaxSessionsRefused(t *testing.T) {
+	for _, n := range []int{-1, -8} {
+		if plan, err := core.Generate(core.GenConfig{MaxSessions: n}); err == nil {
+			t.Errorf("MaxSessions %d: got a plan with %d programs, want an error", n, len(plan.Programs))
+		}
+	}
+}
+
 func TestFilterSingleVictim(t *testing.T) {
 	plan := generate(t, core.GenConfig{
 		Filter: func(f maf.Fault) bool { return f.Victim == 5 },

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/maf"
@@ -23,7 +26,8 @@ type GenConfig struct {
 	// (§4.3) instead of storing one response per test.
 	Compaction bool
 	// MaxSessions bounds how many follow-up programs are generated for
-	// tests deferred by address conflicts; zero selects the default.
+	// tests deferred by address conflicts; zero selects the default, and
+	// Generate refuses a negative bound.
 	MaxSessions int
 	// SkipDataBus / SkipAddrBus exclude one bus's tests entirely.
 	SkipDataBus bool
@@ -33,10 +37,14 @@ type GenConfig struct {
 	Filter func(maf.Fault) bool
 }
 
-func (cfg *GenConfig) defaults() {
+func (cfg *GenConfig) defaults() error {
+	if cfg.MaxSessions < 0 {
+		return fmt.Errorf("core: negative MaxSessions %d", cfg.MaxSessions)
+	}
 	if cfg.MaxSessions == 0 {
 		cfg.MaxSessions = DefaultMaxSessions
 	}
+	return nil
 }
 
 // Generate builds the complete self-test plan for the Parwan CPU-memory
@@ -45,7 +53,9 @@ func (cfg *GenConfig) defaults() {
 // one program are deferred into follow-up sessions; tests that cannot be
 // placed within MaxSessions are reported as inapplicable.
 func Generate(cfg GenConfig) (*Plan, error) {
-	cfg.defaults()
+	if err := cfg.defaults(); err != nil {
+		return nil, err
+	}
 
 	var pendingData, pendingAddr []maf.Fault
 	if !cfg.SkipDataBus {
@@ -56,7 +66,7 @@ func Generate(cfg GenConfig) (*Plan, error) {
 	}
 
 	plan := &Plan{Compaction: cfg.Compaction}
-	reasons := make(map[maf.Fault]string)
+	reasons := make(map[maf.Fault]error)
 	for session := 0; session < cfg.MaxSessions; session++ {
 		if session > 0 && len(pendingData)+len(pendingAddr) == 0 {
 			break
@@ -73,12 +83,12 @@ func Generate(cfg GenConfig) (*Plan, error) {
 	}
 	for _, f := range pendingData {
 		plan.Inapplicable = append(plan.Inapplicable, Rejected{
-			MA: maf.TestFor(f), Bus: DataBus, Reason: reasons[f],
+			MA: maf.TestFor(f), Bus: DataBus, Reason: reasons[f].Error(),
 		})
 	}
 	for _, f := range pendingAddr {
 		plan.Inapplicable = append(plan.Inapplicable, Rejected{
-			MA: maf.TestFor(f), Bus: AddrBus, Reason: reasons[f],
+			MA: maf.TestFor(f), Bus: AddrBus, Reason: reasons[f].Error(),
 		})
 	}
 	return plan, nil
@@ -92,7 +102,7 @@ type dataPlacement struct {
 	target    uint16 // reverse: reserved store target (also the response)
 }
 
-func generateSession(session int, pendingData, pendingAddr []maf.Fault, cfg GenConfig, reasons map[maf.Fault]string) (*TestProgram, []maf.Fault, []maf.Fault, error) {
+func generateSession(session int, pendingData, pendingAddr []maf.Fault, cfg GenConfig, reasons map[maf.Fault]error) (*TestProgram, []maf.Fault, []maf.Fault, error) {
 	l := newLayout()
 
 	// Protect a runway at the entry point so fragment placement cannot
@@ -112,7 +122,7 @@ func generateSession(session int, pendingData, pendingAddr []maf.Fault, cfg GenC
 	scratch := make(map[byte]uint16)
 	fwdCells := make(map[uint16]bool)
 	for _, f := range pendingData {
-		trial := l.snapshot()
+		m := l.mark()
 		var err error
 		if f.Dir == maf.Forward {
 			var cell uint16
@@ -129,9 +139,9 @@ func generateSession(session int, pendingData, pendingAddr []maf.Fault, cfg GenC
 			}
 		}
 		if err != nil {
-			l.restore(trial)
+			l.undo(m)
 			deferData = append(deferData, f)
-			reasons[f] = err.Error()
+			reasons[f] = err
 			// A failed reverse placement may have registered a scratch
 			// cell that the rollback un-reserved; rebuild-safe by
 			// dropping any scratch entries that no longer point at a
@@ -303,7 +313,7 @@ var placementOrders = []func(maf.Fault) int{
 
 // kindOrder builds a priority function placing kinds in the given order.
 func kindOrder(kinds ...maf.Kind) func(maf.Fault) int {
-	prio := make(map[maf.Kind]int, len(kinds))
+	var prio [len(maf.Kinds)]int
 	for i, k := range kinds {
 		prio[k] = i
 	}
@@ -346,33 +356,29 @@ func pairedSplit(phase int) func(maf.Fault) int {
 // placeAddrFragments anchors the corner cells, then tries each portfolio
 // ordering on a copy of the layout and keeps the densest packing. It
 // returns the fragments, the deferred faults, and the winning layout.
-func placeAddrFragments(base *layout, pending []maf.Fault, cfg GenConfig, reasons map[maf.Fault]string) ([]fragment, []maf.Fault, *layout) {
+func placeAddrFragments(base *layout, pending []maf.Fault, cfg GenConfig, reasons map[maf.Fault]error) ([]fragment, []maf.Fault, *layout) {
 	// Anchor the corner cells before any placement: every negative-glitch
 	// test's alternate instruction byte lands at 0x000 and every
 	// positive-glitch test's at 0xFFF (their corrupted fetch addresses), so
 	// when several such tests are pending, the corner must hold a shared
 	// load opcode rather than be consumed by one test's exclusive footprint.
+	// A failed pin changes nothing, so each anchor is best-effort.
 	_, opHigh := opForMode(cfg.Compaction)
 	anchored := base.snapshot()
 	if countKind(pending, maf.NegativeGlitch) >= 2 {
-		if err := anchored.pin(0x000, opHigh|0x0F); err != nil {
-			anchored = base.snapshot()
-		}
+		_ = anchored.pin(0x000, opHigh|0x0F)
 	}
 	if countKind(pending, maf.PositiveGlitch) >= 2 {
-		if err := anchored.pin(0xFFF, opHigh|0x0E); err != nil {
-			// Keep the 0x000 anchor if it succeeded.
-			_ = err
-		}
+		_ = anchored.pin(0xFFF, opHigh|0x0E)
 	}
 
 	var bestFrags []fragment
 	var bestDefer []maf.Fault
 	var bestLayout *layout
-	bestReasons := make(map[maf.Fault]string)
+	bestReasons := make(map[maf.Fault]error)
 	for _, start := range []*layout{anchored, base} {
 		for _, prio := range placementOrders {
-			localReasons := make(map[maf.Fault]string)
+			localReasons := make(map[maf.Fault]error)
 			frags, deferred, l := placeAddrFragmentsWithOrder(start.snapshot(), pending, cfg, localReasons, prio)
 			if bestLayout == nil || len(frags) > len(bestFrags) {
 				bestFrags, bestDefer, bestLayout, bestReasons = frags, deferred, l, localReasons
@@ -385,16 +391,19 @@ func placeAddrFragments(base *layout, pending []maf.Fault, cfg GenConfig, reason
 	return bestFrags, bestDefer, bestLayout
 }
 
+// errSeedsIrreconcilable is the reason for a fragment that resolveSeeds drops.
+var errSeedsIrreconcilable = errors.New("core: seed cells irreconcilable after placement")
+
 // placeAddrFragmentsWithOrder places pending fragments on l in the order
 // given by the priority function.
-func placeAddrFragmentsWithOrder(l *layout, pending []maf.Fault, cfg GenConfig, reasons map[maf.Fault]string, prio func(maf.Fault) int) ([]fragment, []maf.Fault, *layout) {
-	ordered := append([]maf.Fault(nil), pending...)
-	sort.SliceStable(ordered, func(i, j int) bool { return prio(ordered[i]) < prio(ordered[j]) })
+func placeAddrFragmentsWithOrder(l *layout, pending []maf.Fault, cfg GenConfig, reasons map[maf.Fault]error, prio func(maf.Fault) int) ([]fragment, []maf.Fault, *layout) {
+	ordered := slices.Clone(pending)
+	slices.SortStableFunc(ordered, func(a, b maf.Fault) int { return cmp.Compare(prio(a), prio(b)) })
 
 	var frags []fragment
 	var deferred []maf.Fault
 	for _, f := range ordered {
-		trial := l.snapshot()
+		m := l.mark()
 		var frag fragment
 		var err error
 		if f.Kind.IsDelay() {
@@ -402,17 +411,16 @@ func placeAddrFragmentsWithOrder(l *layout, pending []maf.Fault, cfg GenConfig, 
 			// back to the two-instruction scheme on conflict.
 			frag, err = placeAddrDirect(l, f, cfg.Compaction)
 			if err != nil {
-				l.restore(trial)
-				trial = l.snapshot()
+				l.undo(m)
 				frag, err = placeAddrTwoInstr(l, f, cfg.Compaction)
 			}
 		} else {
 			frag, err = placeAddrTwoInstr(l, f, cfg.Compaction)
 		}
 		if err != nil {
-			l.restore(trial)
+			l.undo(m)
 			deferred = append(deferred, f)
-			reasons[f] = err.Error()
+			reasons[f] = err
 			continue
 		}
 		frags = append(frags, frag)
@@ -422,7 +430,7 @@ func placeAddrFragmentsWithOrder(l *layout, pending []maf.Fault, cfg GenConfig, 
 	kept, droppedFrags := resolveSeeds(l, frags)
 	for _, fr := range droppedFrags {
 		deferred = append(deferred, fr.fault)
-		reasons[fr.fault] = "core: seed cells irreconcilable after placement"
+		reasons[fr.fault] = errSeedsIrreconcilable
 	}
 	return kept, deferred, l
 }

@@ -336,3 +336,29 @@ func defectiveSystem(t *testing.T, bus string, victim int, factor float64) *soc.
 	}
 	return s
 }
+
+// BenchmarkGenerate times plan generation alone: the default plan, the
+// compacted plan, and the address-wire-1 plan of Fig. 11, whose every
+// two-instruction candidate lands on its own continuation slot.
+func BenchmarkGenerate(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		cfg  core.GenConfig
+	}{
+		{"default", core.GenConfig{}},
+		{"compaction", core.GenConfig{Compaction: true}},
+		{"addr-wire-1", core.GenConfig{
+			SkipDataBus: true,
+			Filter:      func(f maf.Fault) bool { return f.Victim == 1 },
+		}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := core.Generate(c.cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -27,6 +27,17 @@ type layout struct {
 	// holdJmpOpcode bytes will be filled with a direct-jmp first byte
 	// (0x80..0x8F); holdUnpredictable bytes can become anything.
 	heldKind [parwan.MemSize]byte
+	// trail holds each changed cell's prior state, oldest first, so a
+	// failed trial rolls back to a mark without copying the layout.
+	trail []cellState
+}
+
+// cellState is one cell's state before a change, as the trail records it.
+// A pinned cell's byte never changes, so pinned alone restores the image.
+type cellState struct {
+	addr                   uint16
+	pinned, reserved, held bool
+	heldKind               byte
 }
 
 // Held-byte classifications.
@@ -44,6 +55,30 @@ func (l *layout) free(addr uint16) bool {
 	return int(addr) < parwan.MemSize && !l.im.Used(addr) && !l.reserved[addr] && !l.held[addr]
 }
 
+// save records addr's current state on the trail; every change to a cell
+// calls it first.
+func (l *layout) save(addr uint16) {
+	l.trail = append(l.trail, cellState{
+		addr: addr, pinned: l.im.Used(addr),
+		reserved: l.reserved[addr], held: l.held[addr], heldKind: l.heldKind[addr],
+	})
+}
+
+// mark returns the point on the trail that undo rolls back to.
+func (l *layout) mark() int { return len(l.trail) }
+
+// undo restores every cell changed since mark m, newest change first.
+func (l *layout) undo(m int) {
+	for i := len(l.trail) - 1; i >= m; i-- {
+		c := l.trail[i]
+		if !c.pinned {
+			l.im.Unset(c.addr)
+		}
+		l.reserved[c.addr], l.held[c.addr], l.heldKind[c.addr] = c.reserved, c.held, c.heldKind
+	}
+	l.trail = l.trail[:m]
+}
+
 // pin fixes value b at addr. Pinning the same value twice is allowed;
 // anything else is a conflict.
 func (l *layout) pin(addr uint16, b byte) error {
@@ -56,6 +91,7 @@ func (l *layout) pin(addr uint16, b byte) error {
 	if l.held[addr] {
 		return fmt.Errorf("core: address %03x is held for a pending pin", addr)
 	}
+	l.save(addr)
 	return l.im.Set(addr, b)
 }
 
@@ -73,6 +109,9 @@ func (l *layout) pinRun(addr uint16, bs []byte) error {
 			return fmt.Errorf("core: address %03x is held", a)
 		}
 	}
+	for i := range bs {
+		l.save(addr + uint16(i))
+	}
 	return l.im.SetBytes(addr, bs)
 }
 
@@ -87,6 +126,7 @@ func (l *layout) reserve(addr uint16) error {
 	if l.reserved[addr] {
 		return fmt.Errorf("core: address %03x already reserved", addr)
 	}
+	l.save(addr)
 	l.reserved[addr] = true
 	return nil
 }
@@ -97,20 +137,18 @@ func (l *layout) reserve(addr uint16) error {
 // allowed (the program counter wraps), so addresses are taken modulo the
 // memory size.
 func (l *layout) hold(addr uint16, n int, kinds ...byte) error {
-	addrs := make([]uint16, n)
-	for i := range addrs {
-		a := (addr + uint16(i)) & (parwan.MemSize - 1)
-		if !l.free(a) {
+	for i := 0; i < n; i++ {
+		if a := addrMask(addr + uint16(i)); !l.free(a) {
 			return fmt.Errorf("core: address %03x not free to hold", a)
 		}
-		addrs[i] = a
 	}
-	for i, a := range addrs {
+	for i := 0; i < n; i++ {
+		a := addrMask(addr + uint16(i))
+		l.save(a)
 		l.held[a] = true
+		l.heldKind[a] = holdUnpredictable
 		if i < len(kinds) {
 			l.heldKind[a] = kinds[i]
-		} else {
-			l.heldKind[a] = holdUnpredictable
 		}
 	}
 	return nil
@@ -125,7 +163,9 @@ func (l *layout) holdCont(addr uint16) error {
 // release drops a hold without pinning (used for the entry-point runway that
 // protects the program entry from fragment placement).
 func (l *layout) release(addr uint16) {
-	l.held[addrMask(addr)] = false
+	addr = addrMask(addr)
+	l.save(addr)
+	l.held[addr] = false
 }
 
 // fill pins a previously held byte.
@@ -134,6 +174,7 @@ func (l *layout) fill(addr uint16, b byte) error {
 	if !l.held[addr] {
 		return fmt.Errorf("core: address %03x was not held", addr)
 	}
+	l.save(addr)
 	l.held[addr] = false
 	return l.im.Set(addr, b)
 }
@@ -157,21 +198,14 @@ func (l *layout) findFreeRun(from uint16, n int) (uint16, error) {
 	return 0, fmt.Errorf("core: no free run of %d bytes at or after %03x", n, from)
 }
 
-// snapshot returns a deep copy of the layout for trial placement.
+// snapshot returns a deep copy of the layout with an empty trail, the start
+// of an independent placement (a portfolio ordering).
 func (l *layout) snapshot() *layout {
 	c := &layout{im: l.im.Clone()}
 	c.reserved = l.reserved
 	c.held = l.held
 	c.heldKind = l.heldKind
 	return c
-}
-
-// restore adopts the state of a snapshot (used to roll back a failed trial).
-func (l *layout) restore(s *layout) {
-	l.im = s.im
-	l.reserved = s.reserved
-	l.held = s.held
-	l.heldKind = s.heldKind
 }
 
 // emitter lays mainline code into free space, automatically bridging over

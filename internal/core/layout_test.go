@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -143,12 +144,15 @@ func TestFindFreeRun(t *testing.T) {
 	}
 }
 
+// TestSnapshotRestore: a snapshot shares no state with its source, and undo
+// restores the source to its mark.
 func TestSnapshotRestore(t *testing.T) {
 	l := newLayout()
 	if err := l.pin(0x10, 1); err != nil {
 		t.Fatal(err)
 	}
 	snap := l.snapshot()
+	m := l.mark()
 	if err := l.pin(0x11, 2); err != nil {
 		t.Fatal(err)
 	}
@@ -158,12 +162,15 @@ func TestSnapshotRestore(t *testing.T) {
 	if err := l.hold(0x13, 1); err != nil {
 		t.Fatal(err)
 	}
-	l.restore(snap)
+	if snap.im.Used(0x11) || snap.reserved[0x12] || snap.held[0x13] {
+		t.Error("snapshot changed with its source")
+	}
+	l.undo(m)
 	if l.im.Used(0x11) || l.reserved[0x12] || l.held[0x13] {
-		t.Error("restore did not roll back")
+		t.Error("undo did not roll back")
 	}
 	if !l.im.Used(0x10) {
-		t.Error("restore lost pre-snapshot state")
+		t.Error("undo lost pre-mark state")
 	}
 }
 
@@ -244,5 +251,80 @@ func TestEmitterHere(t *testing.T) {
 	e.emit(parwan.Instruction{Op: parwan.STA, Target: 0x200})
 	if e.cursor != 0x102 {
 		t.Errorf("cursor = %03x", e.cursor)
+	}
+}
+
+// sameCells reports whether two layouts agree on every cell's byte, pinned
+// flag, reserved, held and held kind.
+func sameCells(a, b *layout) bool {
+	return *a.im == *b.im && a.reserved == b.reserved && a.held == b.held && a.heldKind == b.heldKind
+}
+
+// TestLayoutUndoRestores runs random sequences of layout changes under
+// nested marks. The addresses straddle the top of memory, so calls collide,
+// wrap and fail. Every undo must return each cell to a deep copy taken at
+// its mark, whichever mark it rolls back to.
+func TestLayoutUndoRestores(t *testing.T) {
+	type marked struct {
+		m    int
+		copy *layout
+	}
+	rng := rand.New(rand.NewSource(7))
+	var ok, failed, undos int
+	count := func(err error) {
+		if err != nil {
+			failed++
+		} else {
+			ok++
+		}
+	}
+	for round := 0; round < 300; round++ {
+		l := newLayout()
+		var marks []marked
+		for step := 0; step < 80; step++ {
+			a := uint16(parwan.MemSize - 8 + rng.Intn(16))
+			b := byte(rng.Intn(3))
+			switch rng.Intn(10) {
+			case 0:
+				count(l.pin(a, b))
+			case 1:
+				count(l.pinRun(a, []byte{b, b + 1}))
+			case 2:
+				count(l.reserve(a))
+			case 3:
+				count(l.hold(a, 1+rng.Intn(3), holdJmpOpcode))
+			case 4:
+				count(l.holdCont(a))
+			case 5:
+				l.release(a)
+			case 6:
+				count(l.fill(a, b))
+			case 7, 8:
+				marks = append(marks, marked{l.mark(), l.snapshot()})
+			case 9:
+				if len(marks) == 0 {
+					continue
+				}
+				k := rng.Intn(len(marks))
+				l.undo(marks[k].m)
+				undos++
+				if !sameCells(l, marks[k].copy) {
+					t.Fatalf("round %d step %d: undo to mark %d of %d left cells changed", round, step, k, len(marks))
+				}
+				if l.mark() != marks[k].m {
+					t.Fatalf("round %d: trail %d entries after undo to %d", round, l.mark(), marks[k].m)
+				}
+				marks = marks[:k]
+			}
+		}
+		for k := len(marks) - 1; k >= 0; k-- {
+			l.undo(marks[k].m)
+			if !sameCells(l, marks[k].copy) {
+				t.Fatalf("round %d: unwinding mark %d left cells changed", round, k)
+			}
+		}
+	}
+	if ok == 0 || failed == 0 || undos == 0 {
+		t.Errorf("sequences too narrow: %d calls succeeded, %d failed, %d undos", ok, failed, undos)
 	}
 }

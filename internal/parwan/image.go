@@ -49,6 +49,14 @@ func (im *Image) Set(addr uint16, b byte) error {
 	return nil
 }
 
+// Unset returns addr to the unpinned state, undoing a Set; the generator
+// rolls a failed trial placement back through it.
+func (im *Image) Unset(addr uint16) {
+	if int(addr) < MemSize {
+		im.bytes[addr], im.used[addr] = 0, false
+	}
+}
+
 // SetBytes pins a run of bytes starting at addr. On conflict nothing is
 // modified.
 func (im *Image) SetBytes(addr uint16, bs []byte) error {

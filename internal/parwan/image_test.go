@@ -111,6 +111,21 @@ func TestImageUsedCountAndAddrs(t *testing.T) {
 	}
 }
 
+func TestImageUnset(t *testing.T) {
+	im := NewImage()
+	if err := im.Set(3, 0x42); err != nil {
+		t.Fatal(err)
+	}
+	im.Unset(3)
+	im.Unset(MemSize) // out of range: no effect
+	if *im != *NewImage() {
+		t.Error("Unset left the cell pinned or its byte set")
+	}
+	if err := im.Set(3, 0x17); err != nil {
+		t.Errorf("unset cell refused a new value: %v", err)
+	}
+}
+
 func TestImageCloneIndependent(t *testing.T) {
 	im := NewImage()
 	if err := im.Set(1, 0x10); err != nil {

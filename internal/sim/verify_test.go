@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/maf"
 	"repro/internal/parwan"
 )
 
@@ -105,4 +107,96 @@ func TestVerifyThresholdConsistency(t *testing.T) {
 	if err := VerifyThresholdConsistency(bad, false); err == nil {
 		t.Error("inconsistent thresholds passed verification")
 	}
+}
+
+// FuzzGenerateFiltered generates the plan for a 112-bit filter mask over the
+// Parwan fault universe (the 64 data-bus faults in maf.Universe order on
+// bits 0..63 of data, the 48 address-bus faults on bits 0..47 of addr), in
+// either compaction mode, with 1 to 8 sessions. Generation must repeat byte
+// for byte, every session must halt and drive its applied tests' pairs, the
+// applied and inapplicable tests must be the filtered universe, each once,
+// and the plan must survive a ReadPlan/WritePlan round trip unchanged.
+func FuzzGenerateFiltered(f *testing.F) {
+	dataFaults := maf.Universe(parwan.DataBits, true)
+	addrFaults := maf.Universe(parwan.AddrBits, false)
+	var wire1 uint64
+	for i, fault := range addrFaults {
+		if fault.Victim == 1 {
+			wire1 |= 1 << i
+		}
+	}
+	f.Add(^uint64(0), uint64(1)<<len(addrFaults)-1, false, uint8(core.DefaultMaxSessions-1))
+	f.Add(uint64(0), wire1, false, uint8(core.DefaultMaxSessions-1))
+	f.Add(uint64(0), uint64(0), true, uint8(0))
+	f.Fuzz(func(t *testing.T, data, addr uint64, compaction bool, sessions uint8) {
+		want := make(map[maf.Fault]bool)
+		for i, fault := range dataFaults {
+			if data>>i&1 == 1 {
+				want[fault] = true
+			}
+		}
+		for i, fault := range addrFaults {
+			if addr>>i&1 == 1 {
+				want[fault] = true
+			}
+		}
+		cfg := core.GenConfig{
+			Compaction:  compaction,
+			MaxSessions: 1 + int(sessions%8),
+			Filter:      func(fault maf.Fault) bool { return want[fault] },
+		}
+		write := func(p *core.Plan) []byte {
+			var buf bytes.Buffer
+			if err := core.WritePlan(&buf, p); err != nil {
+				t.Fatal(err)
+			}
+			return buf.Bytes()
+		}
+		plan, err := core.Generate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := core.Generate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		planBytes := write(plan)
+		if !bytes.Equal(planBytes, write(again)) {
+			t.Fatal("two generations of one configuration differ")
+		}
+
+		violations, err := VerifyPlan(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range violations {
+			t.Error(v)
+		}
+
+		seen := make(map[maf.Fault]int)
+		for _, prog := range plan.Programs {
+			for _, a := range prog.Applied {
+				seen[a.MA.Fault]++
+			}
+		}
+		for _, r := range plan.Inapplicable {
+			seen[r.MA.Fault]++
+		}
+		for fault, n := range seen {
+			if !want[fault] || n != 1 {
+				t.Errorf("%v: accounted %d times, filtered in %v", fault, n, want[fault])
+			}
+		}
+		if len(seen) != len(want) {
+			t.Errorf("plan accounts for %d of %d filtered tests", len(seen), len(want))
+		}
+
+		read, err := core.ReadPlan(bytes.NewReader(planBytes))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(planBytes, write(read)) {
+			t.Error("ReadPlan of the plan writes different bytes")
+		}
+	})
 }
