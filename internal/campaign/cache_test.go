@@ -256,7 +256,7 @@ func TestConcurrentJobsShareLibraryBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lib, hit, err := m.libraryFor(r)
+	lib, hit, err := m.libraryFor(context.Background(), r)
 	if err != nil || !hit {
 		t.Fatalf("library cache hit %v (err %v) after the warm-up job", hit, err)
 	}
@@ -274,7 +274,7 @@ func TestConcurrentJobsShareLibraryBatch(t *testing.T) {
 			t.Errorf("concurrent %s job %s differs from the serial run (%d vs %d bytes)", types[i], job.ID(), len(got), len(want[i]))
 		}
 	}
-	again, hit, err := m.libraryFor(r)
+	again, hit, err := m.libraryFor(context.Background(), r)
 	if err != nil || !hit || again != lib {
 		t.Fatalf("library cache returned another library (hit %v, err %v)", hit, err)
 	}
@@ -370,7 +370,7 @@ func TestFleetManagerBuildsOnlyWhatJobsRead(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		lib, err := r.Library()
+		lib, err := r.Library(context.Background())
 		if err != nil {
 			return nil, err
 		}

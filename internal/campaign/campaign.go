@@ -900,13 +900,14 @@ func (m *Manager) runnerFor(r *Resolved, plan *core.Plan, hash string) (*sim.Run
 }
 
 // libraryFor returns a cached defect library for the spec, generating and
-// caching one on miss. Libraries are read-only during campaigns, so evicting
-// one never disturbs a job still using it.
-func (m *Manager) libraryFor(r *Resolved) (*defects.Library, bool, error) {
+// caching one on miss; a generation that ctx cancels caches nothing.
+// Libraries are read-only during campaigns, so evicting one never disturbs
+// a job still using it.
+func (m *Manager) libraryFor(ctx context.Context, r *Resolved) (*defects.Library, bool, error) {
 	s := r.Spec
 	key := libKey{target: s.TargetName(), bus: s.Bus, size: s.Size,
 		sigma: s.Sigma, seed: s.Seed, cth: r.Setup().Thresholds.Cth}
-	return m.libs.get(key, r.Library)
+	return m.libs.get(key, func() (*defects.Library, error) { return r.Library(ctx) })
 }
 
 // Resolve is campaign.Resolve answered from the manager's plan cache: a
@@ -1018,7 +1019,7 @@ func (m *Manager) prepare(ctx context.Context, job *Job) (*jobEnv, error) {
 		return nil, err
 	}
 	if m.fleet == nil || typ == TypeDiagnose || typ == TypeRank {
-		if env.lib, libHit, err = m.libraryFor(r); err != nil {
+		if env.lib, libHit, err = m.libraryFor(ctx, r); err != nil {
 			return nil, err
 		}
 		span.SetAttr("library_cached", fmt.Sprint(libHit))

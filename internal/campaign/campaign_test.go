@@ -239,6 +239,50 @@ func TestCancelStopsPromptly(t *testing.T) {
 	}
 }
 
+// TestCancelDuringLibraryGeneration cancels a job while it draws its defect
+// library. At a cth_factor of 50 no draw of the widebus64 bus crosses Cth,
+// so generation would run through every attempt the rejection loop allows,
+// tens of seconds of drawing, unless the job's context stops it. The job
+// must end canceled within a second of the cancel, no drawing goroutine may
+// outlive it, and the cache must keep nothing of it.
+func TestCancelDuringLibraryGeneration(t *testing.T) {
+	drawing := func() bool {
+		buf := make([]byte, 1<<20)
+		return bytes.Contains(buf[:runtime.Stack(buf, true)], []byte("defects.startNormals"))
+	}
+	m := New(Config{Workers: 1})
+	job, err := m.Submit(Spec{Target: "widebus64", Bus: "bus", Size: 1, Seed: 1, CthFactor: 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(time.Minute); !drawing(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("job is %s and never started drawing its library", job.Status().State)
+		}
+	}
+	if err := m.Cancel(job.ID()); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-job.Done():
+	case <-time.After(time.Second):
+		t.Fatalf("job is %s 1s after Cancel while it draws its library", job.Status().State)
+	}
+	if st := job.Status(); st.State != Canceled {
+		t.Fatalf("state = %s (%s), want canceled", st.State, st.Error)
+	}
+	for deadline := time.Now().Add(time.Second); drawing(); runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatal("a drawing goroutine outlived the cancelled job")
+		}
+	}
+	m.libs.mu.Lock()
+	defer m.libs.mu.Unlock()
+	if n := len(m.libs.items); n != 0 {
+		t.Fatalf("the library cache holds %d libraries after a cancelled generation", n)
+	}
+}
+
 func TestResumeSkipsCheckpointedDefects(t *testing.T) {
 	m := New(Config{Workers: 1})
 	release := holdSlot(m)
@@ -354,7 +398,7 @@ func TestEngineSpecAndCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lib, _, err := m.libraryFor(r)
+	lib, _, err := m.libraryFor(context.Background(), r)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -137,10 +137,11 @@ func (r *Resolved) Setup() sim.BusSetup { return r.Models[r.Bus] }
 // Width returns the bus under test's wire count, for Fig. 11 rendering.
 func (r *Resolved) Width() int { return r.Models[r.Bus].Nominal.Width }
 
-// Library generates the spec's defect library on the bus under test.
-func (r *Resolved) Library() (*defects.Library, error) {
+// Library generates the spec's defect library on the bus under test, or
+// returns ctx's error if ctx is done first.
+func (r *Resolved) Library(ctx context.Context) (*defects.Library, error) {
 	setup := r.Setup()
-	return defects.Generate(setup.Nominal, setup.Thresholds,
+	return defects.GenerateCtx(ctx, setup.Nominal, setup.Thresholds,
 		defects.Config{Size: r.Spec.Size, Sigma: r.Spec.Sigma, Seed: r.Spec.Seed})
 }
 
@@ -179,7 +180,7 @@ func (m *Manager) RunShard(ctx context.Context, r *Resolved, start, end int) ([]
 	if err != nil {
 		return nil, err
 	}
-	lib, _, err := m.libraryFor(r)
+	lib, _, err := m.libraryFor(ctx, r)
 	if err != nil {
 		return nil, err
 	}

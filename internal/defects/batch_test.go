@@ -141,7 +141,7 @@ func TestLibraryBatchSharedAcrossCampaigns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lib, err := r.Library()
+	lib, err := r.Library(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package defects
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -444,7 +445,40 @@ func TestGenerateFailsWhenUnsatisfiable(t *testing.T) {
 	if !goroutinesBackTo(before) {
 		t.Fatalf("%d goroutines after the failed Generate, %d before", runtime.NumGoroutine(), before)
 	}
-	if err == nil {
-		t.Skip("tiny-sigma generation unexpectedly succeeded; acceptable but unusual")
+	if err == nil || !strings.Contains(err.Error(), "never cross Cth") {
+		t.Fatalf("err = %v, want the refusal that perturbations never cross Cth", err)
+	}
+}
+
+// TestGenerateCtxStopsWhenDone runs GenerateCtx where no draw ever crosses
+// Cth (a threshold factor of 50 on a 64-wire bus, so every attempt is 2,016
+// normals and the attempt bound is billions of them away): it must return
+// the context's error soon after the context is done, with its drawing
+// goroutine stopped, and at once for a context that was done before the
+// call.
+func TestGenerateCtxStopsWhenDone(t *testing.T) {
+	nom := crosstalk.Nominal(64)
+	th, err := crosstalk.DeriveThresholds(nom, 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, err = GenerateCtx(ctx, nom, th, Config{Size: 1, Seed: 1})
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want the context's deadline", err)
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("GenerateCtx returned %v after it began, %v after its context's deadline", took, took-50*time.Millisecond)
+	}
+	if !goroutinesBackTo(before) {
+		t.Fatalf("%d goroutines after the cancelled GenerateCtx, %d before", runtime.NumGoroutine(), before)
+	}
+	done, cancel := context.WithCancel(context.Background())
+	cancel()
+	if lib, err := GenerateCtx(done, nom, th, Config{Size: 1, Seed: 1}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("GenerateCtx on a cancelled context: %v, %v", lib, err)
 	}
 }

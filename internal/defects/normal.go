@@ -1,6 +1,9 @@
 package defects
 
-import "math/rand"
+import (
+	"math"
+	"math/rand"
+)
 
 // The lag register of math/rand's v1 source: an additive lagged Fibonacci
 // generator whose n-th output, past the first rngLen, is
@@ -12,29 +15,31 @@ const (
 	// streamBlock is how many raw values one refill of a normalStream
 	// continues the recurrence by.
 	streamBlock = 4096
+	// rn is the edge of the ziggurat's base strip, math/rand's rn: a
+	// base-strip draw returns a normal beyond it.
+	rn = 3.442619855899
 )
 
 // normalStream yields, bit for bit, the standard normals NormFloat64 returns
-// on rand.New(rand.NewSource(seed)), without an interface call per value. It
-// takes the first rngLen raw values from rand.NewSource(seed) itself, which
-// fill the whole lag register, and continues the recurrence in blocks of
-// streamBlock. fill runs NormFloat64's ziggurat fast path inline and leaves a
-// value that fails it unread for math/rand's own NormFloat64 over the stream
-// (slow), so the wedge and base-strip draws, 2.8% of values, run math/rand's
-// code on the values it would have read. The stream is a rand.Source for that
-// purpose only; it is not safe for concurrent use.
+// on rand.New(rand.NewSource(seed)). It takes the first rngLen raw values
+// from rand.NewSource(seed) itself, which fill the whole lag register, and
+// continues the recurrence in blocks of streamBlock. fill runs NormFloat64's
+// ziggurat fast path inline and hands a value that fails it to norm, a copy
+// of the whole of NormFloat64 that reads the stream's raw values as
+// Rand.Uint32 and Rand.Float64 would, so the wedge and base-strip draws, 2.8%
+// of values, read the values math/rand reads and compute what it computes.
+// math/rand only seeds the lag register. A stream is not safe for concurrent
+// use.
 type normalStream struct {
 	// vals[pos:end] are the raw values not read yet; vals[end-rngLen:end]
 	// are the last rngLen values of the stream, the recurrence's lags.
 	vals     []uint64
 	pos, end int
-	slow     *rand.Rand // rand.New over this stream
 }
 
 // newNormalStream starts the stream of rand.NewSource(seed).
 func newNormalStream(seed int64) *normalStream {
 	s := &normalStream{vals: make([]uint64, rngLen+streamBlock)}
-	s.slow = rand.New(s)
 	s.Seed(seed)
 	return s
 }
@@ -48,15 +53,14 @@ func (s *normalStream) Seed(seed int64) {
 	s.pos, s.end = 0, rngLen
 }
 
-// Int63 returns the stream's next value as math/rand's source does: its low
-// 63 bits.
-func (s *normalStream) Int63() int64 {
+// next returns the stream's next raw value. Rand.Int63 is its low 63 bits.
+func (s *normalStream) next() uint64 {
 	if s.pos == s.end {
 		s.refill()
 	}
 	v := s.vals[s.pos]
 	s.pos++
-	return int64(v & (1<<63 - 1))
+	return v
 }
 
 // refill moves the last rngLen values to the front and continues the
@@ -83,7 +87,7 @@ func (s *normalStream) fill(buf []float64) {
 		}
 		// NormFloat64's fast path: j is the 32 bits Rand.Uint32 takes from
 		// the value, k its strip. A draw outside the strip's rectangle is
-		// left unread for NormFloat64 itself.
+		// left unread for norm.
 		raw := s.vals[s.pos:s.end]
 		n := 0
 		for ; n < len(raw) && i < len(buf); n++ {
@@ -97,10 +101,54 @@ func (s *normalStream) fill(buf []float64) {
 		}
 		s.pos += n
 		if n < len(raw) && i < len(buf) {
-			buf[i] = s.slow.NormFloat64()
+			buf[i] = s.norm()
 			i++
 		}
 	}
+}
+
+// norm is math/rand's NormFloat64 over the stream, statement for statement,
+// so that every rounding, math.Log and math.Exp call included, is the one
+// math/rand makes.
+func (s *normalStream) norm() float64 {
+	for {
+		j := int32(s.next() >> 31) // Rand.Uint32: bits 31 to 62
+		i := j & 0x7F
+		x := float64(j) * float64(wn[i])
+		if absInt32(j) < kn[i] {
+			return x
+		}
+
+		if i == 0 {
+			// The base strip: a draw from the tail beyond rn.
+			for {
+				x = -math.Log(s.float64()) * (1.0 / rn)
+				y := -math.Log(s.float64())
+				if y+y >= x*x {
+					break
+				}
+			}
+			if j > 0 {
+				return rn + x
+			}
+			return -rn - x
+		}
+		// A wedge: accept x under the density, else draw again.
+		if fn[i]+float32(s.float64())*(fn[i-1]-fn[i]) < float32(math.Exp(-.5*x*x)) {
+			return x
+		}
+	}
+}
+
+// float64 is Rand.Float64 over the stream: the next value's low 63 bits
+// over 2⁶³, drawn again when that rounds up to 1 (from 2⁶³−512 on).
+func (s *normalStream) float64() float64 {
+again:
+	f := float64(int64(s.next()&(1<<63-1))) / (1 << 63)
+	if f == 1 {
+		goto again // resample; this branch is taken O(never)
+	}
+	return f
 }
 
 // absInt32 is math/rand's: the magnitude of i, 1<<31 for math.MinInt32.
@@ -111,9 +159,9 @@ func absInt32(i int32) uint32 {
 	return uint32(i)
 }
 
-// kn and wn are the ziggurat tables of math/rand's NormFloat64 (Marsaglia and
-// Tsang, "The Ziggurat Method for Generating Random Variables", 2000), copied
-// from the Go distribution's src/math/rand/normal.go:
+// kn, wn and fn are the ziggurat tables of math/rand's NormFloat64 (Marsaglia
+// and Tsang, "The Ziggurat Method for Generating Random Variables", 2000),
+// copied from the Go distribution's src/math/rand/normal.go:
 //
 //	Copyright 2009 The Go Authors. All rights reserved.
 //	Use of this source code is governed by a BSD-style
@@ -179,4 +227,32 @@ var wn = [128]float32{
 	1.1781276e-09, 1.1962995e-09, 1.2158287e-09, 1.2369856e-09,
 	1.2601323e-09, 1.2857697e-09, 1.3146202e-09, 1.347784e-09,
 	1.3870636e-09, 1.4357403e-09, 1.5008659e-09, 1.6030948e-09,
+}
+var fn = [128]float32{
+	1, 0.9635997, 0.9362827, 0.9130436, 0.89228165, 0.87324303,
+	0.8555006, 0.8387836, 0.8229072, 0.8077383, 0.793177,
+	0.7791461, 0.7655842, 0.7524416, 0.73967725, 0.7272569,
+	0.7151515, 0.7033361, 0.69178915, 0.68049186, 0.6694277,
+	0.658582, 0.6479418, 0.63749546, 0.6272325, 0.6171434,
+	0.6072195, 0.5974532, 0.58783704, 0.5783647, 0.56903,
+	0.5598274, 0.5507518, 0.54179835, 0.5329627, 0.52424055,
+	0.5156282, 0.50712204, 0.49871865, 0.49041483, 0.48220766,
+	0.4740943, 0.46607214, 0.4581387, 0.45029163, 0.44252872,
+	0.43484783, 0.427247, 0.41972435, 0.41227803, 0.40490642,
+	0.39760786, 0.3903808, 0.3832238, 0.37613547, 0.36911446,
+	0.3621595, 0.35526937, 0.34844297, 0.34167916, 0.33497685,
+	0.3283351, 0.3217529, 0.3152294, 0.30876362, 0.30235484,
+	0.29600215, 0.28970486, 0.2834622, 0.2772735, 0.27113807,
+	0.2650553, 0.25902456, 0.2530453, 0.24711695, 0.241239,
+	0.23541094, 0.22963232, 0.2239027, 0.21822165, 0.21258877,
+	0.20700371, 0.20146611, 0.19597565, 0.19053204, 0.18513499,
+	0.17978427, 0.17447963, 0.1692209, 0.16400786, 0.15884037,
+	0.15371831, 0.14864157, 0.14361008, 0.13862377, 0.13368265,
+	0.12878671, 0.12393598, 0.119130544, 0.11437051, 0.10965602,
+	0.104987256, 0.10036444, 0.095787846, 0.0912578, 0.08677467,
+	0.0823389, 0.077950984, 0.073611505, 0.06932112, 0.06508058,
+	0.06089077, 0.056752663, 0.0526674, 0.048636295, 0.044660863,
+	0.040742867, 0.03688439, 0.033087887, 0.029356318,
+	0.025693292, 0.022103304, 0.018592102, 0.015167298,
+	0.011839478, 0.008624485, 0.005548995, 0.0026696292,
 }
