@@ -147,29 +147,35 @@ func BenchmarkE3_ScalingWithBusWidth(b *testing.B) {
 	b.Logf("\n%s", tbl)
 }
 
-// BenchmarkE4_Fig11AddressBusCoverage regenerates Fig. 11: individual and
-// cumulative defect coverage of the MA tests per address-bus interconnect.
+// BenchmarkE4_Fig11AddressBusCoverage regenerates Fig. 11 with a rank job:
+// individual and cumulative defect coverage of the MA tests per
+// address-bus interconnect, each line's tests run as their own program.
 // Expected shape (paper): centre wires dominate, side wires (lines 1, 2,
 // 11, 12 in the paper's library) have zero coverage, cumulative reaches
 // 100%.
 func BenchmarkE4_Fig11AddressBusCoverage(b *testing.B) {
-	addr, data := mustSetups(b)
-	lib := mustLibrary(b, addr, benchLibrarySize, 2001)
-	var pts []sim.WirePoint
-	var err error
+	m := campaign.New(campaign.Config{})
+	spec := campaign.Spec{Bus: "addr", Type: campaign.TypeRank, Size: benchLibrarySize, Seed: 2001}
+	var r *report.RankJSON
 	for i := 0; i < b.N; i++ {
-		pts, err = sim.Fig11Campaign(addr, data, core.AddrBus, lib, false)
+		job, err := m.Submit(spec)
 		if err != nil {
 			b.Fatal(err)
 		}
+		<-job.Done()
+		an, ok := job.Analysis()
+		if !ok {
+			b.Fatalf("rank job ended %s: %v", job.Status().State, job.Err())
+		}
+		r = an.Rank
 	}
-	chart := report.NewBarChart(fmt.Sprintf("Fig 11: per-interconnect defect coverage (%d defects)", len(lib.Defects)))
+	chart := report.NewBarChart(fmt.Sprintf("Fig 11: per-interconnect defect coverage (%d defects)", r.Defects))
 	chart.MaxWidth = 40
-	for _, p := range pts {
-		chart.Add(fmt.Sprintf("line %2d", p.Wire+1), p.Individual, p.Cumulative)
+	for _, w := range r.Wires {
+		chart.Add(fmt.Sprintf("line %2d", w.Wire+1), w.Individual, w.Cumulative)
 	}
 	b.Logf("\n%s", chart)
-	b.ReportMetric(pts[len(pts)-1].Cumulative*100, "cum-coverage-%")
+	b.ReportMetric(r.Wires[len(r.Wires)-1].Cumulative*100, "cum-coverage-%")
 }
 
 // BenchmarkE5_TotalDefectCoverage regenerates §5's coverage result: 100%

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"net/http/httptest"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -51,8 +52,8 @@ func renderAnalysis(t *testing.T, an *campaign.Analysis) []byte {
 
 // TestFleetJobsMatchStandalone is the CLI-level acceptance for -workers:
 // every job type the CLI submits renders the same report bytes on a
-// 2-worker fleet as standalone, minimize verification rounds and in-field
-// workload phases included.
+// 2-worker fleet as standalone, minimize verification rounds, rank lines
+// and in-field slices included.
 func TestFleetJobsMatchStandalone(t *testing.T) {
 	workers := startTestWorkers(t, 2)
 	wide := campaign.Spec{Target: "widebus16", Bus: "bus", Size: 60, Seed: 13}
@@ -63,6 +64,7 @@ func TestFleetJobsMatchStandalone(t *testing.T) {
 		{"diagnose-widebus16", withType(wide, campaign.TypeDiagnose)},
 		{"minimize-widebus16", withType(wide, campaign.TypeMinimize)},
 		{"rank-widebus16", withType(wide, campaign.TypeRank)},
+		{"rank-parwan-addr", campaign.Spec{Type: campaign.TypeRank, Bus: "addr", Size: 60, Seed: 3}},
 		{"infield-parwan-addr", campaign.Spec{Type: campaign.TypeInfield, Bus: "addr", Size: 60, Seed: 3, Slices: 4}},
 		{"infield-widebus16", campaign.Spec{Type: campaign.TypeInfield, Target: "widebus16", Bus: "bus", Size: 60, Seed: 17, MaxSessions: 6}},
 	}
@@ -85,6 +87,79 @@ func TestFleetJobsMatchStandalone(t *testing.T) {
 				t.Fatalf("minimized program did not verify byte-identical: %+v", m.Verification)
 			}
 			t.Logf("fleet report byte-identical to standalone (%d bytes)", len(got))
+		})
+	}
+}
+
+// fig11Pins are each Parwan bus's per-line detections in the seed-1,
+// 1000-defect rank job, and the CSV xtalk fig11 prints for it. Both equal
+// what the paper's method, each line's MA tests generated into their own
+// program, gave before the rank job ran it.
+var fig11Pins = []struct {
+	bus      string
+	detected []int
+	csv      string
+}{
+	{"addr", []int{0, 37, 98, 113, 164, 188, 174, 141, 135, 90, 29, 0}, `line,individual,cumulative
+1,0,0
+2,0.037,0.037
+3,0.098,0.109
+4,0.113,0.215
+5,0.164,0.365
+6,0.188,0.532
+7,0.174,0.677
+8,0.141,0.795
+9,0.135,0.91
+10,0.09,0.977
+11,0.029,1
+12,0,1
+`},
+	{"data", []int{0, 81, 220, 308, 256, 205, 99, 1}, `line,individual,cumulative
+1,0,0
+2,0.081,0.081
+3,0.22,0.282
+4,0.308,0.549
+5,0.256,0.764
+6,0.205,0.922
+7,0.099,1
+8,0.001,1
+`},
+}
+
+// TestFig11Pinned runs each Parwan bus's seed-1, 1000-defect rank job
+// standalone and on a 2-worker fleet: both give the pinned per-line
+// detections and the same report bytes, and xtalk fig11 -csv prints the
+// pinned CSV.
+func TestFig11Pinned(t *testing.T) {
+	workers := startTestWorkers(t, 2)
+	for _, pin := range fig11Pins {
+		t.Run(pin.bus, func(t *testing.T) {
+			spec := campaign.Spec{Type: campaign.TypeRank, Bus: pin.bus, Size: 1000, Seed: 1}
+			var docs [2][]byte
+			for i, w := range []string{"", workers} {
+				an, err := runJob(spec, w, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var got []int
+				for _, row := range an.Rank.Wires {
+					got = append(got, row.Detected)
+				}
+				if !slices.Equal(got, pin.detected) {
+					t.Errorf("workers %q: per-line detections %v, want %v", w, got, pin.detected)
+				}
+				docs[i] = renderAnalysis(t, an)
+			}
+			if !bytes.Equal(docs[0], docs[1]) {
+				t.Errorf("fleet rank report differs from standalone:\n%s\nstandalone:\n%s", docs[1], docs[0])
+			}
+			out, err := capture(t, func() error { return cmdFig11([]string{"-bus", pin.bus, "-csv"}) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out != pin.csv {
+				t.Errorf("fig11 -csv printed\n%s\nwant\n%s", out, pin.csv)
+			}
 		})
 	}
 }

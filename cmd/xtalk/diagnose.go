@@ -12,12 +12,13 @@ import (
 )
 
 // The diagnose, minimize and rank subcommands run a base defect-simulation
-// campaign and layer the internal/diagnose analytics on top, emitting the
-// deterministic JSON documents of internal/report. Each submits its spec as
-// a job to a local campaign.Manager (see runJob). With -workers that
-// manager runs the job's campaigns (the base campaign and, for minimize,
-// every verification round) on a fleet, and the analysis, progress and
-// report stay in the manager, so the report bytes are the same either way.
+// campaign and an analysis over it (the internal/diagnose analytics, or for
+// rank one campaign per line of the bus), emitting the deterministic JSON
+// documents of internal/report. Each submits its spec as a job to a local
+// campaign.Manager (see runJob). With -workers that manager runs the job's
+// campaigns (the base campaign, every minimize verification round and every
+// rank line) on a fleet, and the analysis, progress and report stay in the
+// manager, so the report bytes are the same either way.
 
 // analysisFlags are the flags shared by the three analysis subcommands.
 type analysisFlags struct {
@@ -140,10 +141,10 @@ func cmdRank(args []string) error {
 		return err
 	}
 	r := an.Rank
-	tbl := report.NewTable(fmt.Sprintf("Wire vulnerability ranking (%s bus)", r.Bus),
-		"wire", "detected", "unique", "over-threshold", "share %")
-	for _, wr := range r.Wires {
-		tbl.AddRow(wr.Wire+1, wr.Detected, wr.Unique, wr.OverThreshold, wr.Share*100)
+	tbl := report.NewTable(fmt.Sprintf("Fig. 11: coverage of each line's MA tests (%s bus, %d defects)", r.Bus, r.Defects),
+		"line", "detected", "over-threshold", "individual %", "cumulative %")
+	for _, w := range r.Wires {
+		tbl.AddRow(w.Wire+1, w.Detected, w.OverThreshold, w.Individual*100, w.Cumulative*100)
 	}
 	if err := tbl.Write(os.Stderr); err != nil {
 		return err

@@ -12,9 +12,9 @@ import (
 
 // The infield subcommand runs the defect-simulation campaign as an in-field
 // test schedule: the self-test plan is partitioned into bounded-cycle slices,
-// slices run in order (paced by -interval), each recorded after a nominal
-// functional workload phase, and the coverage ledger accumulates per-slice
-// detections into the convergence curve the NDJSON report renders. The
+// slices run in order (paced by -interval), and the coverage ledger
+// accumulates per-slice detections into the convergence curve the NDJSON
+// report renders. The
 // merged end state is byte-identical to the one-shot campaign over the same
 // spec. The schedule runs as a job of a local campaign.Manager (see runJob).
 // With -workers that manager ships each slice to the fleet as an inline

@@ -9,7 +9,7 @@
 //	xtalk defects [-target T] [-bus name] [-size N] [-sigma S] [-seed N]
 //	xtalk sim     [-target T] [-bus name] [-size N] [-seed N] [-compaction]
 //	              [-plan file] [-workers url1,url2,...] [-shards N] [-trace out.ndjson]
-//	xtalk fig11   [-size N] [-seed N] [-csv]
+//	xtalk fig11   [-bus addr|data] [-size N] [-seed N] [-csv]
 //	xtalk compare [-size N] [-seed N]
 //	xtalk diagnose [-target T] [-bus name] [-size N] [-seed N] [-signature "dr[3]/fwd,..."]
 //	               [-o out.json] [-workers ...]
@@ -27,7 +27,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -104,13 +103,9 @@ commands:
   margins  per-wire worst-case crosstalk margins of a bus description
   diagnose build the detection-set dictionary; localize a failure signature
   minimize set-cover test-program minimization with coverage verification
-  rank     per-wire crosstalk vulnerability ranking (Fig. 11 analytics)
+  rank     per-line coverage of each line's MA tests alone (Fig. 11) as JSON
   infield  sliced in-field test schedule with convergent coverage accounting
   status   health, SLO alerts, fleet and job summary of a live xtalkd`)
-}
-
-func setups() (sim.BusSetup, sim.BusSetup, error) {
-	return sim.DefaultSetups()
 }
 
 // resolveTarget parses a target descriptor and a channel name into the
@@ -219,21 +214,6 @@ func cmdParams(args []string) error {
 		return crosstalk.Write(os.Stdout, nom, th)
 	}
 	return crosstalk.WriteFile(*out, nom, th)
-}
-
-func busSetup(bus string) (sim.BusSetup, bool, error) {
-	addr, data, err := setups()
-	if err != nil {
-		return sim.BusSetup{}, false, err
-	}
-	switch bus {
-	case "addr":
-		return addr, false, nil
-	case "data":
-		return data, true, nil
-	default:
-		return sim.BusSetup{}, false, fmt.Errorf("unknown bus %q (want addr or data)", bus)
-	}
 }
 
 func cmdDefects(args []string) error {
@@ -379,6 +359,8 @@ func printEngineCounts(p campaign.Progress, count func(name string) uint64) {
 		p.ReplayHits, count("xtalkd_engine_batch_sweeps_total"), p.Executed, count("xtalkd_engine_executed_steps_total"))
 }
 
+// cmdFig11 runs a rank job (see runJob) and draws its per-line coverage as
+// the paper's Fig. 11 chart, or prints it as CSV.
 func cmdFig11(args []string) error {
 	fs := flag.NewFlagSet("fig11", flag.ExitOnError)
 	bus := fs.String("bus", "addr", "bus to chart: addr (the paper's Fig. 11) or data")
@@ -388,37 +370,22 @@ func cmdFig11(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	addr, data, err := setups()
+	an, err := runJob(campaign.Spec{Bus: *bus, Type: campaign.TypeRank, Size: *size, Seed: *seed}, "", 0)
 	if err != nil {
 		return err
 	}
-	setup, isData, err := busSetup(*bus)
-	if err != nil {
-		return err
-	}
-	busID := core.AddrBus
-	if isData {
-		busID = core.DataBus
-	}
-	lib, err := defects.Generate(setup.Nominal, setup.Thresholds, defects.Config{Size: *size, Seed: *seed})
-	if err != nil {
-		return err
-	}
-	pts, err := sim.Fig11CampaignCtx(context.Background(), addr, data, busID, lib, false, sim.CampaignOpts{})
-	if err != nil {
-		return err
-	}
+	r := an.Rank
 	if *csv {
 		tbl := report.NewTable("", "line", "individual", "cumulative")
-		for _, p := range pts {
-			tbl.AddRow(p.Wire+1, p.Individual, p.Cumulative)
+		for _, w := range r.Wires {
+			tbl.AddRow(w.Wire+1, w.Individual, w.Cumulative)
 		}
 		return tbl.WriteCSV(os.Stdout)
 	}
 	chart := report.NewBarChart(fmt.Sprintf(
-		"Fig 11: crosstalk defect coverage of %s-bus MA tests (%d defects)", *bus, len(lib.Defects)))
-	for _, p := range pts {
-		chart.Add(fmt.Sprintf("line %2d", p.Wire+1), p.Individual, p.Cumulative)
+		"Fig 11: crosstalk defect coverage of %s-bus MA tests (%d defects)", r.Bus, r.Defects))
+	for _, w := range r.Wires {
+		chart.Add(fmt.Sprintf("line %2d", w.Wire+1), w.Individual, w.Cumulative)
 	}
 	return chart.Write(os.Stdout)
 }
@@ -464,7 +431,7 @@ func cmdCompare(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	addr, data, err := setups()
+	addr, data, err := sim.DefaultSetups()
 	if err != nil {
 		return err
 	}

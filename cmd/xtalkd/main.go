@@ -14,7 +14,8 @@
 // (see internal/diagnose): "diagnose" builds the fault dictionary and
 // localizes an optional failure "signature", "minimize" runs greedy
 // set-cover test-set minimization with an empirical verification campaign,
-// and "rank" produces the per-wire vulnerability ranking. Analysis jobs
+// and "rank" measures the paper's Fig. 11, running each line's MA tests as
+// their own program. Analysis jobs
 // reuse the campaign caches and checkpoints; their progress events carry a
 // "phase" (simulate, analyze, verify) and their result endpoint serves the
 // deterministic analysis document instead of the campaign report.
@@ -22,11 +23,11 @@
 // Type "infield" runs the campaign as an in-field test schedule (see
 // internal/infield): the plan is partitioned into bounded-cycle slices
 // ("slices" or "slice_cycles"), slices run in order paced by "interval_ms",
-// each curve point names the nominal functional workload phase the slice
-// follows, and a checkpointed coverage ledger accumulates per-slice
-// detections — canceled schedules resume at the next unmerged slice. Progress events carry the slice index and cumulative
-// coverage, /metrics gains the xtalkd_infield_* families, and the result
-// endpoint streams the coverage-over-time curve as NDJSON.
+// and a checkpointed coverage ledger accumulates per-slice detections —
+// canceled schedules resume at the next unmerged slice. Progress events
+// carry the slice index and cumulative coverage, /metrics gains the
+// xtalkd_infield_* families, and the result endpoint streams the
+// coverage-over-time curve as NDJSON.
 //
 // The daemon plays one of three fleet roles (see internal/fleet):
 //

@@ -1,6 +1,8 @@
 // Address-bus campaign: reproduces the paper's Fig. 11 — per-interconnect
 // individual and cumulative crosstalk defect coverage of the MA test
-// programs — on a freshly generated Gaussian defect library.
+// programs — with a rank job on the campaign manager (the same path xtalkd
+// serves): each line's MA tests run as their own program over a freshly
+// generated Gaussian defect library.
 //
 // Expected shape (paper §5): the MA tests for the centre interconnects have
 // the most coverage, the side interconnects' tests have little or none (no
@@ -13,10 +15,8 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
-	"repro/internal/defects"
+	"repro/internal/campaign"
 	"repro/internal/report"
-	"repro/internal/sim"
 )
 
 func main() {
@@ -24,29 +24,27 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed")
 	flag.Parse()
 
-	addr, data, err := sim.DefaultSetups()
+	job, err := campaign.New(campaign.Config{}).Submit(campaign.Spec{
+		Bus: "addr", Type: campaign.TypeRank, Size: *size, Seed: *seed})
 	if err != nil {
 		log.Fatal(err)
 	}
-	lib, err := defects.Generate(addr.Nominal, addr.Thresholds,
-		defects.Config{Size: *size, Seed: *seed})
-	if err != nil {
-		log.Fatal(err)
+	<-job.Done()
+	an, ok := job.Analysis()
+	if !ok {
+		log.Fatalf("rank job ended %s: %v", job.Status().State, job.Err())
 	}
-	fmt.Printf("defect library: %d defects (Gaussian sigma=%.2f, 3-sigma=%.0f%%, acceptance %.3g)\n",
-		len(lib.Defects), lib.Sigma, lib.Sigma*300, lib.AcceptanceRate())
+	r := an.Rank
+	over := make([]int, len(r.Wires))
+	for i, w := range r.Wires {
+		over[i] = w.OverThreshold
+	}
+	fmt.Printf("defect library: %d defects; over-threshold victims per wire: %v\n", r.Defects, over)
 
-	hist := lib.VictimHistogram()
-	fmt.Println("over-threshold victims per wire:", hist)
-
-	pts, err := sim.Fig11Campaign(addr, data, core.AddrBus, lib, false)
-	if err != nil {
-		log.Fatal(err)
-	}
 	chart := report.NewBarChart("Fig 11: defect coverage per address-bus MA test group")
-	for _, p := range pts {
-		chart.Add(fmt.Sprintf("line %2d", p.Wire+1), p.Individual, p.Cumulative)
+	for _, w := range r.Wires {
+		chart.Add(fmt.Sprintf("line %2d", w.Wire+1), w.Individual, w.Cumulative)
 	}
 	fmt.Print(chart.String())
-	fmt.Printf("\ncumulative coverage: %.1f%% (paper: 100%%)\n", pts[len(pts)-1].Cumulative*100)
+	fmt.Printf("\ncumulative coverage: %.1f%% (paper: 100%%)\n", r.Wires[len(r.Wires)-1].Cumulative*100)
 }

@@ -1,14 +1,14 @@
 // Example diagnose_minimize demonstrates the diagnosis subsystem end to
 // end, straight through the campaign manager (the same path xtalkd serves):
 //
-//  1. a rank job reproduces Fig. 11's centre-vs-side wire vulnerability
-//     gradient from the campaign's detection sets;
-//  2. a diagnose job builds the fault dictionary and localizes an observed
+//  1. a diagnose job builds the fault dictionary and localizes an observed
 //     failure signature to ranked (wire, fault-kind) candidates;
-//  3. a minimize job shrinks the test set by greedy set-cover, repairs the
+//  2. a minimize job shrinks the test set by greedy set-cover, repairs the
 //     context-dependent detections by re-simulation, and proves the
 //     minimized program's per-defect detection vector byte-identical to
 //     the full program's.
+//
+// The rank job, the paper's Fig. 11, is examples/addrbus_campaign.
 package main
 
 import (
@@ -22,24 +22,7 @@ func main() {
 	mgr := campaign.New(campaign.Config{})
 	base := campaign.Spec{Bus: "addr", Size: 120, Seed: 1, TargetOnly: true}
 
-	// 1. Per-wire vulnerability ranking (Fig. 11's gradient).
-	rankSpec := base
-	rankSpec.Type = campaign.TypeRank
-	rank := run(mgr, rankSpec).Rank
-	fmt.Printf("rank: %s bus, %d wires\n", rank.Bus, len(rank.Wires))
-	for i, w := range rank.Wires {
-		if i == 3 {
-			fmt.Println("  ...")
-			break
-		}
-		fmt.Printf("  wire %2d: %3d defects detected (%d uniquely), %.1f%% share\n",
-			w.Wire+1, w.Detected, w.Unique, w.Share*100)
-	}
-	side := rank.Wires[len(rank.Wires)-1]
-	fmt.Printf("  side wire %d trails with %d (centre >> side, as in Fig. 11)\n\n",
-		side.Wire+1, side.Detected)
-
-	// 2. Fault dictionary + localization of a failure signature: suppose a
+	// 1. Fault dictionary + localization of a failure signature: suppose a
 	// tester observed exactly these MA tests failing on a returned part.
 	diagSpec := base
 	diagSpec.Type = campaign.TypeDiagnose
@@ -60,7 +43,7 @@ func main() {
 	}
 	fmt.Println()
 
-	// 3. Set-cover minimization with verified coverage.
+	// 2. Set-cover minimization with verified coverage.
 	minSpec := base
 	minSpec.Type = campaign.TypeMinimize
 	min := run(mgr, minSpec).Minimize

@@ -50,11 +50,11 @@ type Spec struct {
 	// Type selects the job's product: "campaign" (the plain coverage
 	// campaign; the default), "diagnose" (detection-set dictionary with
 	// localization), "minimize" (greedy set-cover test minimization with a
-	// verification campaign), "rank" (per-wire vulnerability ranking), or
-	// "infield" (the sliced in-field schedule with convergent coverage
-	// accounting; see internal/infield). All types run the same base
-	// simulation; infield partitions it into slices, the others differ in
-	// the analysis phase.
+	// verification campaign), "rank" (the paper's Fig. 11: each line's MA
+	// tests run as their own program), or "infield" (the sliced in-field
+	// schedule with convergent coverage accounting; see internal/infield).
+	// All types run the same base simulation; infield partitions it into
+	// slices, the others differ in the analysis phase.
 	Type string `json:"type,omitempty"`
 	// Signature, for diagnose jobs, lists observed failing MA test names
 	// (maf.ParseFault forms, e.g. "dr[3]/fwd") to localize against the
@@ -237,11 +237,11 @@ func (s Spec) validateFields() error {
 	} else if s.SliceCycles != 0 || s.Slices != 0 || s.IntervalMS != 0 {
 		return fmt.Errorf("campaign: slice_cycles, slices and interval_ms are only meaningful for infield jobs, not %q", s.JobType())
 	}
-	if s.JobType() == TypeMinimize && len(s.Plan) > 0 {
-		// The minimized program is regenerated from the generation config
-		// with a fault filter; an inline plan has no config to regenerate
-		// from.
-		return errors.New("campaign: minimize jobs need a generation config, not an inline plan")
+	if typ := s.JobType(); (typ == TypeMinimize || typ == TypeRank) && len(s.Plan) > 0 {
+		// The minimized program and the per-line programs are generated
+		// from the generation config with a fault filter; an inline plan
+		// has no config to generate from.
+		return fmt.Errorf("campaign: %s jobs need a generation config, not an inline plan", typ)
 	}
 	return nil
 }
@@ -367,7 +367,7 @@ type Job struct {
 	result       *sim.CampaignResult
 	analysis     *Analysis
 	err          error
-	width        int // bus width, for Fig. 11 rendering
+	width        int // bus width, which Result returns
 	goldenCached bool
 	libCached    bool
 	goldenCycles uint64
@@ -410,7 +410,8 @@ func (j *Job) Status() Status {
 }
 
 // Result returns the campaign result and the bus width once the job is
-// done.
+// done. report.WriteCampaignJSON ignores the width; it is returned for the
+// callers that still pass it on.
 func (j *Job) Result() (*sim.CampaignResult, int, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -574,7 +575,7 @@ type Manager struct {
 	jobsSubmitted, jobsCompleted, jobsFailed, jobsCanceled, jobsResumed *obs.Counter
 	defectsSimulated, shardsServed                                      *obs.Counter
 	goldenHits, goldenMisses, libHits, libMisses                        *obs.Counter
-	infieldSlices, infieldWorkloadCycles                                *obs.Counter
+	infieldSlices                                                       *obs.Counter
 	infieldDetections, infieldGap                                       *obs.Gauge
 	simLatency                                                          map[string]*obs.Histogram // per engine tier
 	queueWait                                                           *obs.Histogram
@@ -616,7 +617,6 @@ func New(cfg Config) *Manager {
 	m.libs = newLRU[libKey, *defects.Library](libraryCacheSize, m.libHits, m.libMisses,
 		reg.Counter("xtalkd_library_cache_evictions_total", "defect libraries evicted from the bounded library cache"))
 	m.infieldSlices = reg.Counter("xtalkd_infield_slices_run_total", "in-field test slices executed and merged into a coverage ledger")
-	m.infieldWorkloadCycles = reg.Counter("xtalkd_infield_workload_cycles_total", "functional-workload cycles interleaved between in-field slices")
 	m.infieldDetections = reg.Gauge("xtalkd_infield_cumulative_detections", "cumulative defects detected by the most recently merged in-field slice")
 	m.infieldGap = reg.Gauge("xtalkd_infield_convergence_gap", "defects not yet detected by the in-field ledger (converges to the one-shot campaign's undetected count)")
 	reg.GaugeFunc("xtalkd_workers", "shared defect-run worker pool size",
@@ -997,7 +997,7 @@ type jobEnv struct {
 // cache, width and golden-cycle facts on the job. On a fleet the workers simulate, so it
 // builds only what the job itself reads: the golden runner for an infield
 // manifest's per-session cycles, the library for diagnose accuracy and the
-// rank of each wire.
+// rank report's over-threshold counts.
 func (m *Manager) prepare(ctx context.Context, job *Job) (*jobEnv, error) {
 	_, span := obs.StartSpan(ctx, "job.setup")
 	defer span.End()

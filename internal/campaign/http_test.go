@@ -345,8 +345,9 @@ func appliedSpec(bus, dir string, width int) string {
 // cth_factor values that are neither 0 nor above 1, and inline plans whose
 // test names a fault outside parwan's universe (a 16-wire fault) or outside
 // its own bus (an address-bus fault on the data bus, a reverse fault on the
-// unidirectional address bus). Submit refuses each, POST /v1/campaigns
-// answers 400, and no job is registered. A library of exactly
+// unidirectional address bus), and a rank job with an inline plan, which
+// has no generation config to build per-line programs from. Submit refuses
+// each, POST /v1/campaigns answers 400, and no job is registered. A library of exactly
 // MaxLibrarySize defects, a plan of exactly core.MaxPlanSteps steps, a plan
 // whose test is a fault of its own bus, and cth_factor 0 and 1.55 are still
 // valid specs.
@@ -365,6 +366,7 @@ func TestSpecBounds(t *testing.T) {
 		"rev on addr":  appliedSpec("addr", "rev", 12),
 		"signature":    `{"type":"diagnose","bus":"addr","size":50,"seed":1,"signature":["bogus"]}`,
 		"signature @W": `{"type":"diagnose","bus":"addr","size":50,"seed":1,"signature":["dr[3]/fwd","dr[13]/fwd@12"]}`,
+		"rank plan":    `{"type":"rank",` + appliedSpec("addr", "fwd", 12)[1:],
 	} {
 		var spec Spec
 		if err := json.Unmarshal([]byte(body), &spec); err != nil {

@@ -14,35 +14,10 @@ import (
 // The infield job type: the spec's plan is deterministically partitioned
 // into bounded-cycle slices (internal/infield), each slice runs as its own
 // sub-plan campaign over the full defect library — sharing the manager's
-// runner cache and worker pool (or fleet) — between nominal
-// functional workload phases, and a coverage ledger accumulates the
-// per-slice detection vectors. The completed ledger's result is
+// runner cache and worker pool (or fleet) — and a coverage ledger
+// accumulates the per-slice detection vectors. The completed ledger's result is
 // byte-identical to the one-shot campaign over the same spec (see infield's
 // package comment for why), which TestInfieldConvergenceIdentity enforces.
-
-// workloadPhases is the functional workload a schedule accounts between its
-// slices: slice i follows phase i mod 4. The phases are a boot burst
-// (256 cycles), a long compute phase (2048), an I/O phase (512) and an idle
-// window (1024), on the scale of the Parwan self-test sessions; cycles is
-// cumulative through the phase within one rotation.
-var workloadPhases = [4]struct {
-	name   string
-	cycles uint64
-}{{"boot", 256}, {"compute", 2304}, {"io", 2816}, {"idle", 3840}}
-
-// pointMeta is the scheduling context a slice's merge records: the phase it
-// follows and the nominal workload cycles through that phase. It is a pure
-// function of the slice, so a resumed schedule records what an
-// uninterrupted one would.
-func pointMeta(sl infield.Slice) infield.PointMeta {
-	n := len(workloadPhases)
-	ph := workloadPhases[sl.Index%n]
-	return infield.PointMeta{
-		Phase:          ph.name,
-		WorkloadCycles: uint64(sl.Index/n)*workloadPhases[n-1].cycles + ph.cycles,
-		SliceCycles:    sl.Cycles,
-	}
-}
 
 // executeInfield runs an infield job to completion: setup, manifest
 // derivation, and the slice schedule. The returned result is the merged
@@ -122,12 +97,6 @@ func (m *Manager) runSchedule(ctx context.Context, job *Job, env *jobEnv, manife
 		job.publishLocked()
 	})
 	ran := false
-	// The workload counter already holds the cycles through the ledger's
-	// last point, counted by the run that merged it.
-	var lastWorkload uint64
-	if pts := ledger.Points(); len(pts) > 0 {
-		lastWorkload = pts[len(pts)-1].WorkloadCycles
-	}
 	for _, sl := range manifest.Slices {
 		if ledger.Merged(sl.Index) {
 			continue
@@ -161,7 +130,7 @@ func (m *Manager) runSchedule(ctx context.Context, job *Job, env *jobEnv, manife
 		if err != nil {
 			return err
 		}
-		if err := ledger.MergeSlice(sl.Index, res.Outcomes, pointMeta(sl)); err != nil {
+		if err := ledger.MergeSlice(sl.Index, res.Outcomes, infield.PointMeta{SliceCycles: sl.Cycles}); err != nil {
 			return err
 		}
 		pts := ledger.Points()
@@ -173,8 +142,6 @@ func (m *Manager) runSchedule(ctx context.Context, job *Job, env *jobEnv, manife
 		m.infieldSlices.Inc()
 		m.infieldDetections.Set(int64(pt.Detected))
 		m.infieldGap.Set(int64(pt.ConvergenceGap))
-		m.infieldWorkloadCycles.Add(int64(pt.WorkloadCycles - lastWorkload))
-		lastWorkload = pt.WorkloadCycles
 		job.mu.Lock()
 		job.progress.Slice = pt.Merged
 		job.progress.Detected = pt.Detected

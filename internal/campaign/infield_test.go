@@ -191,41 +191,11 @@ func infieldNDJSON(t *testing.T, job *Job) []byte {
 	return buf.Bytes()
 }
 
-// TestInfieldSchedulePinned pins the schedule's functional-phase accounting
-// and its checkpoint: slice i records phase [boot, compute, io, idle][i mod
-// 4] and the cumulative nominal workload cycles through phase i, and a paced
+// TestInfieldSchedulePinned pins the schedule's checkpoint: a paced
 // schedule canceled after two or more merges and then resumed renders the
-// NDJSON an uninterrupted run renders on a fresh manager, byte for byte, and
-// leaves its manager's workload cycle counter at the uninterrupted total.
+// NDJSON an uninterrupted run renders on a fresh manager, byte for byte.
 func TestInfieldSchedulePinned(t *testing.T) {
-	spec := Spec{Type: TypeInfield, Target: "widebus16", Bus: "bus", Size: 40, Seed: 7, MaxSessions: 8}
-	job, err := New(Config{Workers: 2}).Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitDone(t, job)
-	an, ok := job.Analysis()
-	if !ok || an.Infield == nil {
-		t.Fatalf("job finished %s (err=%v), want done", job.Status().State, job.Err())
-	}
-	phases := []string{"boot", "compute", "io", "idle", "boot", "compute", "io", "idle"}
-	cycles := []uint64{256, 2304, 2816, 3840, 4096, 6144, 6656, 7680}
-	pts := an.Infield.Points
-	if len(pts) != len(phases) {
-		t.Fatalf("schedule merged %d points, want %d", len(pts), len(phases))
-	}
-	for i, pt := range pts {
-		if pt.Slice != i || pt.Phase != phases[i] || pt.WorkloadCycles != cycles[i] {
-			t.Errorf("point %d = slice %d, phase %q, %d workload cycles; want slice %d, %q, %d",
-				i, pt.Slice, pt.Phase, pt.WorkloadCycles, i, phases[i], cycles[i])
-		}
-	}
-	if got := an.Infield.Summary.WorkloadCycles; got != cycles[len(cycles)-1] {
-		t.Errorf("summary workload cycles %d, want %d", got, cycles[len(cycles)-1])
-	}
-
-	paced := spec
-	paced.IntervalMS = 100
+	paced := Spec{Type: TypeInfield, Target: "widebus16", Bus: "bus", Size: 40, Seed: 7, MaxSessions: 8, IntervalMS: 100}
 	ref, err := New(Config{Workers: 2}).Submit(paced)
 	if err != nil {
 		t.Fatal(err)
@@ -249,9 +219,9 @@ func TestInfieldSchedulePinned(t *testing.T) {
 	}
 	unsub()
 	waitDone(t, cut)
-	if st := cut.Status(); st.State != Canceled || st.Progress.Slice < 2 || st.Progress.Slice >= len(phases) {
+	if st := cut.Status(); st.State != Canceled || st.Progress.Slice < 2 || st.Progress.Slice >= st.Progress.Slices {
 		t.Fatalf("cancel left the job %s at slice %d of %d; test needs a partial schedule",
-			st.State, st.Progress.Slice, len(phases))
+			st.State, st.Progress.Slice, st.Progress.Slices)
 	}
 	resumed, err := m.Resume(cut.ID())
 	if err != nil {
@@ -260,9 +230,6 @@ func TestInfieldSchedulePinned(t *testing.T) {
 	waitDone(t, resumed)
 	if got := infieldNDJSON(t, resumed); !bytes.Equal(got, want) {
 		t.Fatalf("resumed schedule's NDJSON differs from an uninterrupted run:\n%s\nwant:\n%s", got, want)
-	}
-	if got, want := m.infieldWorkloadCycles.Value(), int64(cycles[len(cycles)-1]); got != want {
-		t.Errorf("workload cycle counter reads %d after the cancelled and resumed schedule, want %d", got, want)
 	}
 }
 
@@ -389,7 +356,6 @@ func TestInfieldMetricsExposition(t *testing.T) {
 	text := string(body)
 	for _, family := range []string{
 		"xtalkd_infield_slices_run_total",
-		"xtalkd_infield_workload_cycles_total",
 		"xtalkd_infield_cumulative_detections",
 		"xtalkd_infield_convergence_gap",
 	} {
@@ -406,9 +372,6 @@ func TestInfieldMetricsExposition(t *testing.T) {
 	}
 	if got := metricValue(t, text, "xtalkd_infield_convergence_gap"); got != int64(res.Total-res.Detected) {
 		t.Errorf("convergence gap gauge %d, want %d", got, res.Total-res.Detected)
-	}
-	if metricValue(t, text, "xtalkd_infield_workload_cycles_total") <= 0 {
-		t.Error("workload cycle counter did not advance on a parwan schedule")
 	}
 	slices, detections := series(t, m, "xtalkd_infield_slices_run_total"), series(t, m, "xtalkd_infield_cumulative_detections")
 	if slices != int64(len(an.Infield.Points)) || detections != int64(res.Detected) {

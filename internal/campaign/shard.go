@@ -134,7 +134,8 @@ func resolve(spec Spec, plans *PlanCache) (r *Resolved, cached bool, err error) 
 // Setup returns the nominal model of the bus under test.
 func (r *Resolved) Setup() sim.BusSetup { return r.Models[r.Bus] }
 
-// Width returns the bus under test's wire count, for Fig. 11 rendering.
+// Width returns the bus under test's wire count: the lines a rank job
+// measures.
 func (r *Resolved) Width() int { return r.Models[r.Bus].Nominal.Width }
 
 // Library generates the spec's defect library on the bus under test, or

@@ -292,46 +292,6 @@ func TestVerify(t *testing.T) {
 	}
 }
 
-func TestRankWires(t *testing.T) {
-	outs := fixtureOutcomes()
-	// Add a wide-bus fault on the same victim to prove width filtering.
-	outs = append(outs, sim.Outcome{
-		DefectID: 4, Detected: true,
-		DetectedBy: setOf(fault(1, maf.PositiveGlitch, 12)),
-	})
-	s := Collect(outs)
-	lib := &defects.Library{Defects: []defects.Defect{
-		{OverThreshold: []int{1, 2}}, {OverThreshold: []int{2}},
-		{OverThreshold: []int{1, 2}}, {OverThreshold: []int{0}},
-		{OverThreshold: []int{1}},
-	}}
-	ranks := RankWires(s, 4, lib)
-	if len(ranks) != 4 {
-		t.Fatalf("ranks %v", ranks)
-	}
-	// Wire 2 detects 3 defects (0,1,2), wire 1 detects 2 (0,2 — defect 4's
-	// width-12 fault is excluded), wires 0 and 3 none.
-	if ranks[0].Wire != 2 || ranks[0].Detected != 3 {
-		t.Errorf("top rank %+v", ranks[0])
-	}
-	if ranks[1].Wire != 1 || ranks[1].Detected != 2 {
-		t.Errorf("second rank %+v", ranks[1])
-	}
-	if ranks[1].Unique != 0 || ranks[0].Unique != 1 {
-		t.Errorf("unique counts %+v %+v", ranks[0], ranks[1])
-	}
-	if ranks[0].OverThreshold != 3 || ranks[1].OverThreshold != 3 {
-		t.Errorf("ground truth %+v %+v", ranks[0], ranks[1])
-	}
-	if ranks[2].Detected != 0 || ranks[3].Detected != 0 {
-		t.Errorf("side wires %+v %+v", ranks[2], ranks[3])
-	}
-	// Attributed = 4 (defect 4 counts); wire 2's share is 3/4.
-	if ranks[0].Share != 0.75 {
-		t.Errorf("share %v", ranks[0].Share)
-	}
-}
-
 // fakeSimulate models re-simulation of a minimized program: a defect is
 // detected when the filter keeps any test of its detection set, except that
 // contextual detections (in the ctxOnly map) only reproduce when their

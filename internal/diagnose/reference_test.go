@@ -334,54 +334,6 @@ func refRepairCover(s *refSets, cover *Cover, full []sim.Outcome,
 	return r, nil
 }
 
-func refRankWires(s *refSets, width int, lib *defects.Library) []WireRank {
-	ranks := make([]WireRank, width)
-	for w := range ranks {
-		ranks[w].Wire = w
-	}
-	attributed := 0
-	for _, row := range s.ByDefect {
-		if len(row) == 0 {
-			continue
-		}
-		attributed++
-		wires := make(map[int]bool)
-		for _, fi := range row {
-			f := s.Faults[fi]
-			if f.Width == width && f.Victim >= 0 && f.Victim < width {
-				wires[f.Victim] = true
-			}
-		}
-		for w := range wires {
-			ranks[w].Detected++
-			if len(wires) == 1 {
-				ranks[w].Unique++
-			}
-		}
-	}
-	if attributed > 0 {
-		for w := range ranks {
-			ranks[w].Share = float64(ranks[w].Detected) / float64(attributed)
-		}
-	}
-	if lib != nil && len(lib.Defects) == s.Total {
-		for _, d := range lib.Defects {
-			for _, w := range d.OverThreshold {
-				if w >= 0 && w < width {
-					ranks[w].OverThreshold++
-				}
-			}
-		}
-	}
-	sort.Slice(ranks, func(i, j int) bool {
-		if ranks[i].Detected != ranks[j].Detected {
-			return ranks[i].Detected > ranks[j].Detected
-		}
-		return ranks[i].Wire < ranks[j].Wire
-	})
-	return ranks
-}
-
 // campaignLibrary simulates a seeded library on one bus of tgt under the
 // target's default plan, as a job with that spec does.
 func campaignLibrary(t *testing.T, tgt target.Target, bus string, size int, seed int64) ([]sim.Outcome, *defects.Library) {
@@ -436,7 +388,7 @@ func lastTestSimulate(full []sim.Outcome) func(func(maf.Fault) bool) ([]sim.Outc
 // TestMatchesListReference runs every set-based analysis against its
 // list-based reference on seeded libraries of both Parwan buses and of a
 // 64-wire bus, and requires equal results: candidate lists with scores
-// compared by ==, statistics, accuracy, covers, rankings and repairs.
+// compared by ==, statistics, accuracy, covers and repairs.
 func TestMatchesListReference(t *testing.T) {
 	type lib struct {
 		tgt   target.Target
@@ -521,12 +473,6 @@ func compareWithReference(t *testing.T, outs []sim.Outcome, lib *defects.Library
 	cover, refCover := GreedyCover(s), refGreedyCover(ref)
 	if !reflect.DeepEqual(cover, refCover) {
 		t.Errorf("GreedyCover %+v, reference %+v", cover, refCover)
-	}
-	width := lib.Nominal.Width
-	for _, l := range []*defects.Library{lib, nil} {
-		if got, want := RankWires(s, width, l), refRankWires(ref, width, l); !reflect.DeepEqual(got, want) {
-			t.Errorf("RankWires (library %t) %+v, reference %+v", l != nil, got, want)
-		}
 	}
 	rep, err := RepairCover(s, cover, lastTestSimulate(outs))
 	if err != nil {

@@ -279,7 +279,8 @@ func (c *Coordinator) LiveWorkers() int {
 // partitioned into shards (shardCount <= 0 selects 4 × live workers),
 // shards are dispatched with bounded fan-out and per-shard retries, and the
 // merged result — byte-identical to a single-node run — is returned together
-// with the bus width for report rendering. A spec that is invalid, or not a
+// with the bus width, which report.WriteCampaignJSON ignores and is kept for
+// the callers that still pass it on. A spec that is invalid, or not a
 // plain campaign, is refused before anything is dispatched: the fleet only
 // simulates, and every job runs in a campaign.Manager whose Config.Fleet
 // ships each of its campaigns here (see NewManager). When ctx carries a

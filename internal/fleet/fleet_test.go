@@ -263,11 +263,11 @@ func TestOversizedRequestBodies(t *testing.T) {
 }
 
 // TestSpecBoundsOnFleetRoles submits specs past the library-size, plan and
-// cth_factor bounds, one naming the removed execute engine, and inline plans
-// whose test names a fault outside parwan's universe or its own bus, to a
-// fleet-backed manager, the coordinator's job endpoint and a worker's shard
-// endpoint: Submit refuses them and both endpoints answer 400 without
-// running anything.
+// cth_factor bounds, one naming the removed execute engine, inline plans
+// whose test names a fault outside parwan's universe or its own bus, and a
+// rank job with an inline plan, to a fleet-backed manager, the
+// coordinator's job endpoint and a worker's shard endpoint: Submit refuses
+// them and both endpoints answer 400 without running anything.
 func TestSpecBoundsOnFleetRoles(t *testing.T) {
 	worker := campaign.New(campaign.Config{})
 	ws := httptest.NewServer(NewWorker(worker))
@@ -294,6 +294,7 @@ func TestSpecBoundsOnFleetRoles(t *testing.T) {
 		"rev on addr":  fmt.Sprintf(applied, "rev", 12, "addr"),
 		"signature":    `{"type":"diagnose","bus":"addr","size":50,"seed":1,"signature":["bogus"]}`,
 		"signature @W": `{"type":"diagnose","bus":"addr","size":50,"seed":1,"signature":["dr[3]/fwd","dr[13]/fwd@12"]}`,
+		"rank plan":    `{"type":"rank",` + fmt.Sprintf(applied, "fwd", 12, "addr")[1:],
 	} {
 		var s campaign.Spec
 		if err := json.Unmarshal([]byte(spec), &s); err != nil {

@@ -34,12 +34,6 @@ type CoveragePoint struct {
 	// slices merged so far (including this one).
 	Slice  int `json:"slice"`
 	Merged int `json:"merged"`
-	// Phase names the nominal functional-workload phase the schedule
-	// accounts before this slice; WorkloadCycles is the cumulative nominal
-	// functional cycles through it. Both are fixed by the slice index
-	// (campaign's schedule loop), not measured.
-	Phase          string `json:"phase,omitempty"`
-	WorkloadCycles uint64 `json:"workload_cycles,omitempty"`
 	// SliceCycles is this slice's own golden test cost.
 	SliceCycles uint64 `json:"slice_cycles"`
 	// NewDetections counts defects first detected at this merge; Detected is
@@ -56,9 +50,7 @@ type CoveragePoint struct {
 
 // PointMeta carries the scheduling context recorded with a merge.
 type PointMeta struct {
-	Phase          string
-	WorkloadCycles uint64
-	SliceCycles    uint64
+	SliceCycles uint64
 }
 
 // NewLedger builds an empty ledger for a library of libSize defects under a
@@ -133,8 +125,6 @@ func (l *Ledger) MergeSlice(slice int, outs []sim.Outcome, meta PointMeta) error
 	l.points = append(l.points, CoveragePoint{
 		Slice:          slice,
 		Merged:         l.mergedCount,
-		Phase:          meta.Phase,
-		WorkloadCycles: meta.WorkloadCycles,
 		SliceCycles:    meta.SliceCycles,
 		NewDetections:  newDet,
 		Detected:       l.detected,

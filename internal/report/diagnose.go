@@ -4,13 +4,16 @@ import (
 	"encoding/json"
 	"io"
 
+	"repro/internal/defects"
 	"repro/internal/diagnose"
+	"repro/internal/sim"
 )
 
-// JSON rendering for the diagnose subsystem's three campaign products. Like
-// CampaignJSON, every document is deterministic: slices arrive pre-sorted
-// from internal/diagnose and are emitted in that order, so repeated runs of
-// the same seeded campaign render byte-identical reports.
+// JSON rendering for the analysis jobs' three products: diagnosis,
+// minimization and the per-line rank. Like CampaignJSON, every document is
+// deterministic: slices arrive pre-sorted from internal/diagnose or in line
+// order and are emitted in that order, so repeated runs of the same seeded
+// campaign render byte-identical reports.
 
 // DictStatsJSON is the detection-set dictionary summary.
 type DictStatsJSON struct {
@@ -164,17 +167,54 @@ func NewMinimizeJSON(bus string, c *diagnose.Cover, v *diagnose.Verification) *M
 	return out
 }
 
-// RankJSON is the wire form of a rank campaign: the per-wire vulnerability
-// ranking of one bus, ordered by detections descending.
-type RankJSON struct {
-	Bus   string              `json:"bus"`
-	Width int                 `json:"width"`
-	Wires []diagnose.WireRank `json:"wires"`
+// RankWireJSON is one line of the paper's Fig. 11: the defects the
+// program of that line's MA tests detects on its own, that count's share
+// of the library, the share detected by the programs of lines 0..Wire
+// together, and the library's defects over Cth on that line.
+type RankWireJSON struct {
+	Wire          int     `json:"wire"`
+	Detected      int     `json:"detected"`
+	Individual    float64 `json:"individual"`
+	Cumulative    float64 `json:"cumulative"`
+	OverThreshold int     `json:"over_threshold"`
 }
 
-// NewRankJSON renders a wire ranking.
-func NewRankJSON(bus string, width int, wires []diagnose.WireRank) *RankJSON {
-	return &RankJSON{Bus: bus, Width: width, Wires: wires}
+// RankJSON is the wire form of a rank job: the paper's Fig. 11 for one
+// bus, in line order, over a library of Defects defects.
+type RankJSON struct {
+	Bus     string         `json:"bus"`
+	Width   int            `json:"width"`
+	Defects int            `json:"defects"`
+	Wires   []RankWireJSON `json:"wires"`
+}
+
+// NewRankJSON builds the Fig. 11 document from one campaign per line of
+// lib's bus, lines[w] running line w's MA tests alone over lib (nil when
+// line w has no applicable test).
+func NewRankJSON(bus string, lib *defects.Library, lines []*sim.CampaignResult) *RankJSON {
+	total := len(lib.Defects)
+	over := lib.VictimHistogram()
+	doc := &RankJSON{Bus: bus, Width: len(lines), Defects: total}
+	cum := make([]bool, total)
+	cumCount := 0
+	for w, res := range lines {
+		row := RankWireJSON{Wire: w, OverThreshold: over[w]}
+		if res != nil {
+			for i, out := range res.Outcomes {
+				if out.Detected {
+					row.Detected++
+					if !cum[i] {
+						cum[i] = true
+						cumCount++
+					}
+				}
+			}
+		}
+		row.Individual = float64(row.Detected) / float64(total)
+		row.Cumulative = float64(cumCount) / float64(total)
+		doc.Wires = append(doc.Wires, row)
+	}
+	return doc
 }
 
 func writeIndented(w io.Writer, v any) error {

@@ -1,9 +1,12 @@
 package report
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/crosstalk"
+	"repro/internal/defects"
 	"repro/internal/diagnose"
 	"repro/internal/maf"
 	"repro/internal/sim"
@@ -78,16 +81,41 @@ func TestMinimizeJSON(t *testing.T) {
 	}
 }
 
+// TestRankJSON folds three lines' campaigns over a four-defect library:
+// each row counts its own line's detections, the cumulative share counts a
+// defect once however many lines detect it, a line with no applicable test
+// (nil) detects nothing, and over-threshold counts come from the library.
 func TestRankJSON(t *testing.T) {
-	s := diagFixture()
+	lib := &defects.Library{Nominal: crosstalk.Nominal(3), Defects: []defects.Defect{
+		{OverThreshold: []int{1}}, {OverThreshold: []int{1, 2}}, {OverThreshold: []int{2}}, {},
+	}}
+	detected := func(ds ...bool) *sim.CampaignResult {
+		res := &sim.CampaignResult{}
+		for _, d := range ds {
+			res.Outcomes = append(res.Outcomes, sim.Outcome{Detected: d})
+		}
+		return res
+	}
+	doc := NewRankJSON("bus", lib, []*sim.CampaignResult{
+		nil,
+		detected(true, true, false, false),
+		detected(false, true, true, false),
+	})
+	want := []RankWireJSON{
+		{Wire: 0, Detected: 0, Individual: 0, Cumulative: 0, OverThreshold: 0},
+		{Wire: 1, Detected: 2, Individual: 0.5, Cumulative: 0.5, OverThreshold: 2},
+		{Wire: 2, Detected: 2, Individual: 0.5, Cumulative: 0.75, OverThreshold: 2},
+	}
+	if doc.Bus != "bus" || doc.Width != 3 || doc.Defects != 4 || !reflect.DeepEqual(doc.Wires, want) {
+		t.Fatalf("rank document %+v, want wires %+v", doc, want)
+	}
 	var sb strings.Builder
-	if err := WriteRankJSON(&sb, NewRankJSON("data", 4, diagnose.RankWires(s, 4, nil))); err != nil {
+	if err := WriteRankJSON(&sb, doc); err != nil {
 		t.Fatal(err)
 	}
-	out := sb.String()
-	for _, want := range []string{`"width": 4`, `"wire": 2`, `"detected": 2`} {
-		if !strings.Contains(out, want) {
-			t.Errorf("missing %s in:\n%s", want, out)
+	for _, want := range []string{`"width": 3`, `"defects": 4`, `"wire": 2`, `"cumulative": 0.75`, `"over_threshold": 2`} {
+		if !strings.Contains(sb.String(), want) {
+			t.Errorf("missing %s in:\n%s", want, sb.String())
 		}
 	}
 }

@@ -46,7 +46,6 @@ type InfieldSummaryJSON struct {
 	Coverage       float64 `json:"coverage"`
 	ConvergenceGap int     `json:"convergence_gap"`
 	Activations    int64   `json:"activations"`
-	WorkloadCycles uint64  `json:"workload_cycles"`
 }
 
 // InfieldJSON is the complete in-field schedule report.
@@ -88,7 +87,6 @@ func NewInfieldJSON(target, bus string, m *infield.Manifest, l *infield.Ledger) 
 		Coverage:       float64(l.Detected()) / float64(l.Size()),
 		ConvergenceGap: l.ConvergenceGap(),
 		Activations:    sumActivations(l),
-		WorkloadCycles: lastWorkloadCycles(l),
 	}
 	return doc
 }
@@ -99,14 +97,6 @@ func sumActivations(l *infield.Ledger) int64 {
 		return 0
 	}
 	return pts[len(pts)-1].Activations
-}
-
-func lastWorkloadCycles(l *infield.Ledger) uint64 {
-	pts := l.Points()
-	if len(pts) == 0 {
-		return 0
-	}
-	return pts[len(pts)-1].WorkloadCycles
 }
 
 // WriteInfieldNDJSON streams the report as NDJSON: the header line, one line

@@ -1,7 +1,6 @@
 package report
 
 import (
-	"encoding/json"
 	"io"
 
 	"repro/internal/maf"
@@ -29,13 +28,6 @@ type OutcomeJSON struct {
 	Activations int      `json:"activations"`
 }
 
-// WirePointJSON is one bar group of the Fig. 11 series.
-type WirePointJSON struct {
-	Wire       int     `json:"wire"`
-	Individual float64 `json:"individual"`
-	Cumulative float64 `json:"cumulative"`
-}
-
 // CampaignJSON is the wire form of a sim.CampaignResult.
 type CampaignJSON struct {
 	Bus           string           `json:"bus"`
@@ -45,7 +37,6 @@ type CampaignJSON struct {
 	Coverage      float64          `json:"coverage"`
 	PerFault      []FaultCountJSON `json:"per_fault,omitempty"`
 	UniqueByFault []FaultCountJSON `json:"unique_by_fault,omitempty"`
-	Fig11         []WirePointJSON  `json:"fig11,omitempty"`
 	Outcomes      []OutcomeJSON    `json:"outcomes"`
 }
 
@@ -61,9 +52,8 @@ func faultCounts(u *maf.FaultUniverse, counts []int) []FaultCountJSON {
 	return out
 }
 
-// NewCampaignJSON converts a campaign result. When width > 0 the Fig. 11
-// per-wire coverage series for that bus width is included.
-func NewCampaignJSON(res *sim.CampaignResult, width int) *CampaignJSON {
+// NewCampaignJSON converts a campaign result.
+func NewCampaignJSON(res *sim.CampaignResult) *CampaignJSON {
 	bus := res.BusName
 	if bus == "" {
 		bus = res.Bus.String()
@@ -76,13 +66,6 @@ func NewCampaignJSON(res *sim.CampaignResult, width int) *CampaignJSON {
 		Coverage:      res.Coverage(),
 		PerFault:      faultCounts(res.Universe, res.PerFault),
 		UniqueByFault: faultCounts(res.Universe, res.UniqueByFault),
-	}
-	if width > 0 {
-		for _, p := range sim.Fig11Series(res, width) {
-			out.Fig11 = append(out.Fig11, WirePointJSON{
-				Wire: p.Wire, Individual: p.Individual, Cumulative: p.Cumulative,
-			})
-		}
 	}
 	for _, o := range res.Outcomes {
 		out.Outcomes = append(out.Outcomes, OutcomeJSON{
@@ -97,9 +80,8 @@ func NewCampaignJSON(res *sim.CampaignResult, width int) *CampaignJSON {
 }
 
 // WriteCampaignJSON renders res as indented JSON. The output is byte-stable
-// for a given result.
+// for a given result. width is ignored; it is kept for the callers that
+// still pass one.
 func WriteCampaignJSON(w io.Writer, res *sim.CampaignResult, width int) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(NewCampaignJSON(res, width))
+	return writeIndented(w, NewCampaignJSON(res))
 }

@@ -491,131 +491,3 @@ func Aggregate(bus core.BusID, outcomes []Outcome) *CampaignResult {
 	}
 	return res
 }
-
-// WirePoint is one bar group of the paper's Fig. 11: the individual and
-// cumulative defect coverage of the MA tests for one interconnect.
-type WirePoint struct {
-	Wire       int
-	Individual float64 // coverage of this wire's tests alone
-	Cumulative float64 // coverage of wires 0..Wire combined
-}
-
-// Fig11Campaign reproduces the paper's Fig. 11 measurement for either Parwan
-// bus: for each interconnect, the MA tests for that wire alone are generated
-// into their own program and run against every defect in the library; the
-// individual bar is that program's coverage and the cumulative bar is the
-// union of detections of wires 0..i. Isolating each wire's tests is what
-// the paper's "individual defect coverage obtained by applying each of the
-// MA tests" means — attribution within one combined program would be
-// polluted by incidental activations of strong defects during other tests'
-// traffic.
-func Fig11Campaign(addr, data BusSetup, bus core.BusID, lib *defects.Library, compaction bool) ([]WirePoint, error) {
-	return Fig11CampaignCtx(context.Background(), addr, data, bus, lib, compaction, CampaignOpts{})
-}
-
-// Fig11CampaignCtx is Fig11Campaign with cancellation and campaign options.
-// Each wire's defect library runs through CampaignCtx, so the per-wire runs
-// use the worker pool and the selected engine instead of a serial defect
-// loop. Only Workers, Slots, and Engine are honoured; the per-defect hooks
-// (OnOutcome, Skip) are index-scoped to a single campaign and are ignored.
-func Fig11CampaignCtx(ctx context.Context, addr, data BusSetup, bus core.BusID, lib *defects.Library, compaction bool, opts CampaignOpts) ([]WirePoint, error) {
-	width := addr.Nominal.Width
-	if bus == core.DataBus {
-		width = data.Nominal.Width
-	}
-	total := len(lib.Defects)
-	if total == 0 {
-		return nil, fmt.Errorf("sim: empty defect library")
-	}
-	opts.OnOutcome, opts.Skip = nil, nil
-	detected := make([][]bool, width)
-	for w := 0; w < width; w++ {
-		w := w
-		plan, err := core.Generate(core.GenConfig{
-			SkipDataBus: bus == core.AddrBus,
-			SkipAddrBus: bus == core.DataBus,
-			Compaction:  compaction,
-			Filter:      func(f maf.Fault) bool { return f.Victim == w },
-		})
-		if err != nil {
-			return nil, err
-		}
-		detected[w] = make([]bool, total)
-		if len(plan.Programs) == 0 {
-			continue // no applicable test for this wire
-		}
-		r, err := NewRunner(plan, addr, data)
-		if err != nil {
-			return nil, err
-		}
-		res, err := r.CampaignCtx(ctx, bus, lib, opts)
-		if err != nil {
-			return nil, err
-		}
-		for i, out := range res.Outcomes {
-			detected[w][i] = out.Detected
-		}
-	}
-	points := make([]WirePoint, width)
-	cum := make([]bool, total)
-	cumCount := 0
-	for w := 0; w < width; w++ {
-		ind := 0
-		for i := 0; i < total; i++ {
-			if detected[w][i] {
-				ind++
-				if !cum[i] {
-					cum[i] = true
-					cumCount++
-				}
-			}
-		}
-		points[w] = WirePoint{
-			Wire:       w,
-			Individual: float64(ind) / float64(total),
-			Cumulative: float64(cumCount) / float64(total),
-		}
-	}
-	return points, nil
-}
-
-// Fig11Series computes the per-interconnect individual and cumulative
-// coverage series from a single combined campaign, attributing each defect
-// to the victim wires of the tests that detected it. This is a cheaper
-// approximation of Fig11Campaign: attribution is inflated for wires whose
-// tests happen to observe other wires' strong defects incidentally.
-func Fig11Series(c *CampaignResult, width int) []WirePoint {
-	if c.Total == 0 {
-		return nil
-	}
-	// For each defect, the victim wires whose tests detected it, as a mask
-	// (a channel has at most 64 wires).
-	perDefectWires := make([]uint64, len(c.Outcomes))
-	for i, out := range c.Outcomes {
-		set := out.DetectedBy
-		for j := set.Next(0); j >= 0; j = set.Next(j + 1) {
-			perDefectWires[i] |= 1 << uint(set.Universe().Fault(j).Victim)
-		}
-	}
-	points := make([]WirePoint, width)
-	cumDetected := make([]bool, len(c.Outcomes))
-	cum := 0
-	for w := 0; w < width; w++ {
-		ind := 0
-		for i := range c.Outcomes {
-			if perDefectWires[i]>>uint(w)&1 != 0 {
-				ind++
-				if !cumDetected[i] {
-					cumDetected[i] = true
-					cum++
-				}
-			}
-		}
-		points[w] = WirePoint{
-			Wire:       w,
-			Individual: float64(ind) / float64(c.Total),
-			Cumulative: float64(cum) / float64(c.Total),
-		}
-	}
-	return points
-}

@@ -188,85 +188,6 @@ func TestCampaignDataBus(t *testing.T) {
 	}
 }
 
-// TestFig11Shape reproduces the paper's Fig. 11 claims on a reduced
-// library: centre wires have higher individual coverage than edge wires,
-// edge wires have (near) zero — no Gaussian perturbation pushes their small
-// nominal coupling past Cth — and cumulative coverage is monotone and
-// (near) complete.
-func TestFig11Shape(t *testing.T) {
-	addr, data, err := DefaultSetups()
-	if err != nil {
-		t.Fatal(err)
-	}
-	lib, err := defects.Generate(addr.Nominal, addr.Thresholds, defects.Config{Size: 120, Seed: 21})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pts, err := Fig11Campaign(addr, data, core.AddrBus, lib, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != parwan.AddrBits {
-		t.Fatalf("series length = %d", len(pts))
-	}
-	for i := 1; i < len(pts); i++ {
-		if pts[i].Cumulative < pts[i-1].Cumulative {
-			t.Fatalf("cumulative coverage not monotone at wire %d", i)
-		}
-	}
-	centre := (pts[5].Individual + pts[6].Individual) / 2
-	edge := (pts[0].Individual + pts[11].Individual) / 2
-	if centre <= edge {
-		t.Errorf("centre coverage %.3f not above edge %.3f", centre, edge)
-	}
-	if pts[0].Individual > 0.05 {
-		t.Errorf("edge wire 0 individual coverage %.3f, expected near zero", pts[0].Individual)
-	}
-	if final := pts[len(pts)-1].Cumulative; final < 0.95 {
-		t.Errorf("final cumulative coverage = %.3f, want near-complete", final)
-	}
-}
-
-// TestFig11SeriesApproximation: the cheap single-campaign attribution is
-// monotone and consistent with the campaign's total coverage.
-func TestFig11SeriesApproximation(t *testing.T) {
-	r := newRunner(t, core.GenConfig{})
-	addr, _, err := DefaultSetups()
-	if err != nil {
-		t.Fatal(err)
-	}
-	lib, err := defects.Generate(addr.Nominal, addr.Thresholds, defects.Config{Size: 40, Seed: 22})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := r.Campaign(core.AddrBus, lib)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pts := Fig11Series(res, parwan.AddrBits)
-	for i := 1; i < len(pts); i++ {
-		if pts[i].Cumulative < pts[i-1].Cumulative {
-			t.Fatalf("cumulative not monotone at wire %d", i)
-		}
-	}
-	if final := pts[len(pts)-1].Cumulative; final > res.Coverage()+1e-9 {
-		t.Errorf("final cumulative %.3f exceeds total coverage %.3f", final, res.Coverage())
-	}
-}
-
-func TestFig11EmptyCampaign(t *testing.T) {
-	if pts := Fig11Series(&CampaignResult{}, 12); pts != nil {
-		t.Errorf("empty campaign produced series %v", pts)
-	}
-	addr, data, err := DefaultSetups()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Fig11Campaign(addr, data, core.AddrBus, &defects.Library{Nominal: addr.Nominal}, false); err == nil {
-		t.Error("empty library accepted")
-	}
-}
-
 // TestOverlapAccounting: UniqueByFault never exceeds PerFault.
 func TestOverlapAccounting(t *testing.T) {
 	r := newRunner(t, core.GenConfig{})

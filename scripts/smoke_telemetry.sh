@@ -2,9 +2,10 @@
 # smoke_telemetry.sh boots a real xtalkd, submits one small campaign, and
 # asserts the telemetry endpoints answer on the live daemon: /metrics must
 # serve a non-empty Prometheus exposition with no series of the removed
-# execute engine, no degraded-execute counter and no in-field drift-alert or
-# baseline series, /debug/events a non-empty event array, /debug/trace/{job}
-# the job's spans, and /alerts no degraded_execute_ratio objective; a spec
+# execute engine, no degraded-execute counter, no in-field drift-alert or
+# baseline series and no in-field workload cycle counter, /debug/events a
+# non-empty event array, /debug/trace/{job} the job's spans, and /alerts
+# no degraded_execute_ratio objective; a spec
 # naming the execute engine gets a 400 there and on the coordinator. It then
 # boots a live 2-worker fleet (coordinator + two heartbeating workers) and
 # asserts the federation surface: /fleet/status sees both workers scraped,
@@ -69,6 +70,10 @@ fi >&2
 # the only alert source, so nothing counts drift alerts or holds baselines.
 if echo "$metrics" | grep -q 'xtalkd_infield_drift_alerts_total\|xtalkd_infield_baselines'; then
     echo "metrics exposition still serves the removed in-field drift series:"; echo "$metrics"; exit 1
+fi >&2
+# No workload runs between in-field slices, so nothing counts its cycles.
+if echo "$metrics" | grep -q 'xtalkd_infield_workload_cycles_total'; then
+    echo "metrics exposition still serves the removed workload cycle counter:"; echo "$metrics"; exit 1
 fi >&2
 
 # The batch engine is the only one a job runs: naming another is a 400.

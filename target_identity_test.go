@@ -1,7 +1,8 @@
 // Pins the parwan backend's report bytes across the target-backend
 // refactor: the SHA-256 hashes below were recorded from the pre-refactor
-// tree (PR 6 head) for the E5 campaign, diagnose, and minimize reports on
-// the address bus, and the refactored stack must reproduce them exactly.
+// tree for the E5 campaign, diagnose, and minimize reports on the address
+// bus, and the refactored stack must reproduce them exactly. The campaign
+// hashes are of those documents with their former "fig11" block cut.
 package repro_test
 
 import (
@@ -18,10 +19,10 @@ import (
 // Pre-refactor report hashes, keyed by "type/size". Size 120 is the -short
 // library, 1000 the paper's E5 library; all on the addr bus, seed 3001.
 var preRefactorHashes = map[string]string{
-	"campaign/120":  "b95c7413e61ea7112f6f6b7f5acaeb6b20ce6d84c7fb1a1186b1d5c88cc27063",
+	"campaign/120":  "f0d9fe907af451f2f823eafe1c8aa95adc40395c4beb37288b1c0aa5290c8e1c",
 	"diagnose/120":  "bc1d86c300742886ce8e5c42988502f14d11a1dc8db95dc459e437216867d4ab",
 	"minimize/120":  "397e71788078fa616b759678cf63e7f5d5a2c3d7e973cdf9353fd83aa2884337",
-	"campaign/1000": "6523080db5754322a5124d85db2c40f5b5e31bf8b0f7ab23fae0106182d4a5e3",
+	"campaign/1000": "3c8bf991be2bba90e34087efe1e965760f5b9de0bdbc6ed684aa0488e0a4f496",
 	"diagnose/1000": "52e2569633dd0b98ff0633c2de5972ef7646fa799a3a60b17f376db834240e5b",
 	"minimize/1000": "e2fbe981e386b0badf990e64efb8eb2ea7955be2b7a2cfcb7718283c403b4d0f",
 }
@@ -98,21 +99,23 @@ func TestParwanReportsByteIdenticalToPreRefactor(t *testing.T) {
 	}
 }
 
-// Analysis report hashes recorded while diagnosis still re-encoded each
-// detection set as an index list, keyed by "type/target/size" and, for a
-// diagnose job given the signature ["dr[3]/fwd"], "diagnose+sig/...". They
-// pin what preRefactorHashes does not: rank reports, a localized candidate
-// list with its float scores, and the three analysis documents of a wide
-// bus. Seed 3001 throughout; the addr rows run at 120 defects under -short
-// and 1000 otherwise, the widebus16 rows at 120.
+// Analysis report hashes, keyed by "type/target/size" and, for a diagnose
+// job given the signature ["dr[3]/fwd"], "diagnose+sig/...". They pin what
+// preRefactorHashes does not: rank reports, a localized candidate list with
+// its float scores, and the three analysis documents of a wide bus. The
+// diagnose and minimize rows were recorded while diagnosis still re-encoded
+// each detection set as an index list; the rank rows when rank jobs began
+// to run each line's MA tests as their own program. Seed 3001 throughout;
+// the addr rows run at 120 defects under -short and 1000 otherwise, the
+// widebus16 rows at 120.
 var analysisHashes = map[string]string{
-	"rank/addr/120":          "02e3a33189dcc08bdde5a05574926e02540e6da1c98a4ffba34fb142521212bb",
-	"rank/addr/1000":         "d319888b578ec6ef04d39cee95527915749c0ecaeda470f9bb8f76f7e1c3e085",
+	"rank/addr/120":          "71192afcd0a5dc1c371161df47a2b85841622ef12bf0ba8757333e0f8818d055",
+	"rank/addr/1000":         "76a55012568494fa9fba2a94a9a2df8ecefdbf599c0f85a4104000fd18069654",
 	"diagnose+sig/addr/120":  "b2fc6941b3a8b4808b72aab8933566ed30ef6395f3968edbaf68d71e43a13e7d",
 	"diagnose+sig/addr/1000": "5a1f7026b777dcd50a844080abdc70e325ecd68a0ea3befc5bea7fbd39059d8f",
 	"diagnose/widebus16/120": "cb6f5b982a85f6e6fd73affa3c469042d854e5e421fc743844d00315d138e909",
 	"minimize/widebus16/120": "e1e0a7c70b4e7428db31fc485eae74acb1cd55c12ac0446981a274b61b40fd5c",
-	"rank/widebus16/120":     "4eb6d5fa01c718981f95a3198783e8cac3c68dd4b9552c5d48071ed492b2c3a9",
+	"rank/widebus16/120":     "bb068fd902416b30743f8c70d06adf2aa6669384f460a6890283f973ecc5f8b2",
 }
 
 func TestAnalysisReportsPinned(t *testing.T) {
